@@ -16,7 +16,7 @@ import numpy as np
 
 from . import stencils
 from .errors import BadExponent
-from .geometry import DiscreteCurve, GeometryCache, compute_geometry
+from .geometry import DiscreteCurve, GeometryCache, arclength_derivative, compute_geometry
 from .gronwall import GronwallSetup, comparison_margin
 
 
@@ -111,14 +111,6 @@ def _lp_norm(values: np.ndarray, weights: np.ndarray, p) -> float:
     return float(np.sum(weights * np.abs(values) ** p) ** (1.0 / p))
 
 
-def _derivative_on_cache(cache: GeometryCache, u: np.ndarray, order: int) -> np.ndarray:
-    if order == 0:
-        return np.asarray(u, dtype=float)
-    if cache.closed:
-        return stencils.derivative_periodic(np.asarray(u, float), cache.s, cache.total_length, order)
-    return stencils.derivative(np.asarray(u, float), cache.s, order)
-
-
 def gn_check(
     cache: GeometryCache,
     u: np.ndarray,
@@ -147,8 +139,8 @@ def gn_check(
     w = cache.ds
     L = cache.total_length
     u2 = _lp_norm(u, w, 2)
-    lhs = _lp_norm(_derivative_on_cache(cache, u, n_ord), w, p)
-    uj2 = _lp_norm(_derivative_on_cache(cache, u, j_ord), w, 2)
+    lhs = _lp_norm(arclength_derivative(cache, u, n_ord), w, p)
+    uj2 = _lp_norm(arclength_derivative(cache, u, j_ord), w, 2)
     rhs = const_c * uj2**sigma * u2 ** (1.0 - sigma) + const_b / L ** (j_ord * sigma) * u2
     return rhs - lhs
 
@@ -158,7 +150,7 @@ def gn_specialized_u4(cache: GeometryCache, u: np.ndarray, const_c: float) -> fl
     w = cache.ds
     L = cache.total_length
     i_u4 = float(np.sum(w * u**4))
-    i_du2 = float(np.sum(w * _derivative_on_cache(cache, u, 1) ** 2))
+    i_du2 = float(np.sum(w * arclength_derivative(cache, u, 1) ** 2))
     i_u2 = float(np.sum(w * u**2))
     return i_du2 + const_c * i_u2**3 + const_c / L * i_u2**2 - i_u4
 
@@ -168,7 +160,7 @@ def gn_specialized_u6(cache: GeometryCache, u: np.ndarray, const_c: float) -> fl
     w = cache.ds
     L = cache.total_length
     i_u6 = float(np.sum(w * u**6))
-    i_d2u2 = float(np.sum(w * _derivative_on_cache(cache, u, 2) ** 2))
+    i_d2u2 = float(np.sum(w * arclength_derivative(cache, u, 2) ** 2))
     i_u2 = float(np.sum(w * u**2))
     return i_d2u2 + const_c * i_u2**5 + const_c / L**2 * i_u2**3 - i_u6
 
@@ -245,8 +237,8 @@ def calibrate_gn_general(corpus, n_ord: int, j_ord: int, p) -> float:
         sigma = (n_ord + 0.5 - inv_p) / j_ord
         w = cache.ds
         u2 = _lp_norm(u, w, 2)
-        lhs = _lp_norm(_derivative_on_cache(cache, u, n_ord), w, p)
-        uj2 = _lp_norm(_derivative_on_cache(cache, u, j_ord), w, 2)
+        lhs = _lp_norm(arclength_derivative(cache, u, n_ord), w, p)
+        uj2 = _lp_norm(arclength_derivative(cache, u, j_ord), w, 2)
         denom = uj2**sigma * u2 ** (1.0 - sigma) + u2 / cache.total_length ** (j_ord * sigma)
         if denom > 0.0:
             worst = max(worst, lhs / denom)
@@ -262,12 +254,12 @@ def calibrate_gn_specialized(corpus, kind: str) -> float:
         i_u2 = float(np.sum(w * u**2))
         if kind == "u4":
             excess = float(np.sum(w * u**4)) - float(
-                np.sum(w * _derivative_on_cache(cache, u, 1) ** 2)
+                np.sum(w * arclength_derivative(cache, u, 1) ** 2)
             )
             denom = i_u2**3 + i_u2**2 / L
         elif kind == "u6":
             excess = float(np.sum(w * u**6)) - float(
-                np.sum(w * _derivative_on_cache(cache, u, 2) ** 2)
+                np.sum(w * arclength_derivative(cache, u, 2) ** 2)
             )
             denom = i_u2**5 + i_u2**3 / L**2
         else:
@@ -284,8 +276,8 @@ def curvature_growth_rate(cache: GeometryCache, eps: float) -> float:
     """
     w = cache.ds
     k = cache.kappa
-    k1 = cache.kappa_derivs[1]
-    k2 = cache.kappa_derivs[2]
+    k1 = arclength_derivative(cache, k, 1)
+    k2 = arclength_derivative(cache, k, 2)
     base = float(np.sum(w * (-2.0 * k1**2 + k**4)))
     reg = float(np.sum(w * (-4.0 * k2**2 - k**6 - 4.0 * k**3 * k2)))
     return base + eps * reg

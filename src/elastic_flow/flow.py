@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -29,6 +30,7 @@ from .estimates import DiagnosticsRecord, boundary_residuals, energy
 from .geometry import (
     DiscreteCurve,
     GeometryCache,
+    arclength_derivative,
     compute_geometry,
     reparametrize_constant_speed,
 )
@@ -75,18 +77,35 @@ class FlowConfig:
 
 @dataclass(frozen=True)
 class FlowState:
-    """One curve along an evolution, with its geometry attached."""
+    """One curve along an evolution, with its geometry attached.
+
+    `arrays`, `E` and `lam` hold `flow_arrays`, `normal_velocity` and
+    `tangential_velocity` of the state, computed on first read. They live
+    in the instance dict, so a copy made by `dataclasses.replace` starts
+    without them.
+    """
 
     curve: DiscreteCurve
     cache: GeometryCache
     time: float
     epsilon: float
     step_index: int = 0
-    _memo: dict = field(default_factory=dict, compare=False, repr=False)
 
     @classmethod
     def from_curve(cls, curve: DiscreteCurve, epsilon: float, time: float = 0.0):
         return cls(curve, compute_geometry(curve), time, epsilon)
+
+    @cached_property
+    def arrays(self) -> dict[str, np.ndarray]:
+        return flow_arrays(self)
+
+    @cached_property
+    def E(self) -> np.ndarray:
+        return normal_velocity(self)
+
+    @cached_property
+    def lam(self) -> np.ndarray:
+        return tangential_velocity(self)
 
 
 class Terminated(enum.Enum):
@@ -122,30 +141,12 @@ def _dirichlet_kappa(cache: GeometryCache) -> np.ndarray:
     return kd
 
 
-def _odd_extension_derivative(
-    values: np.ndarray, s: np.ndarray, order: int, uniform_h: float | None
-) -> np.ndarray:
-    """d^order/ds^order for a field vanishing at both ends of [0, L],
-    extended oddly across the endpoints (f(-s) = -f(s))."""
-    half = 2
-    ext = np.concatenate([-values[half:0:-1], values, -values[-2 : -2 - half : -1]])
-    if uniform_h is not None:
-        _, w = stencils.CENTERED[order]
-        off = half - len(w) // 2
-        out = np.zeros(values.size)
-        for k, c in enumerate(w):
-            if c != 0.0 and k != len(w) // 2:
-                out += c * (ext[off + k : off + k + values.size] - values)
-        return out / uniform_h**order
-    L = s[-1]
-    s_ext = np.concatenate([-s[half:0:-1], s, 2.0 * L - s[-2 : -2 - half : -1]])
-    out = np.empty(values.size)
-    hw = stencils.CENTERED[order][0]
-    for i in range(values.size):
-        sl = slice(half + i - hw, half + i + hw + 1)
-        w = stencils.fd_weights(s_ext[sl], s[i], order)
-        out[i] = w @ (ext[sl] - values[i])
-    return out
+def _flow_derivative(cache: GeometryCache, values: np.ndarray, order: int) -> np.ndarray:
+    # the stepper's closure: odd reflection through the pinned endpoints of
+    # open curves, periodic wrap on closed test curves
+    if cache.closed:
+        return arclength_derivative(cache, values, order)
+    return stencils.derivative(values, cache.s, order, "odd")
 
 
 def flow_arrays(state: FlowState) -> dict[str, np.ndarray]:
@@ -154,32 +155,11 @@ def flow_arrays(state: FlowState) -> dict[str, np.ndarray]:
     Open curves: endpoint curvature is pinned to zero and derivatives close
     with odd reflection, so the endpoint identities (E = 0, even-order
     curvature derivatives = 0) hold exactly. Closed test curves use
-    periodic stencils and no boundary handling. Cached per state.
+    periodic stencils and no boundary handling. `state.arrays` caches it.
     """
-    memo = state._memo.get("arrays")
-    if memo is not None:
-        return memo
     cache = state.cache
-    if cache.closed:
-        k = cache.kappa
-        arrays = {
-            "kappa": k,
-            **{
-                f"d{j}": stencils.derivative_periodic(k, cache.s, cache.total_length, j)
-                for j in (1, 2, 3, 4)
-            },
-        }
-    else:
-        kd = _dirichlet_kappa(cache)
-        arrays = {
-            "kappa": kd,
-            **{
-                f"d{j}": _odd_extension_derivative(kd, cache.s, j, cache.uniform_h)
-                for j in (1, 2, 3, 4)
-            },
-        }
-    state._memo["arrays"] = arrays
-    return arrays
+    k = cache.kappa if cache.closed else _dirichlet_kappa(cache)
+    return {"kappa": k, **{f"d{j}": _flow_derivative(cache, k, j) for j in (1, 2, 3, 4)}}
 
 
 def normal_velocity(state: FlowState) -> np.ndarray:
@@ -187,30 +167,23 @@ def normal_velocity(state: FlowState) -> np.ndarray:
 
     Negative values move the curve along +normal. On open evolving curves
     the endpoint values vanish identically by the boundary convention.
+    `state.E` caches it.
     """
-    memo = state._memo.get("E")
-    if memo is not None:
-        return memo
-    a = flow_arrays(state)
+    a = state.arrays
     k = a["kappa"]
-    E = -k + state.epsilon * (2.0 * a["d2"] + k**3)
-    state._memo["E"] = E
-    return E
+    return -k + state.epsilon * (2.0 * a["d2"] + k**3)
 
 
 def tangential_velocity(state: FlowState) -> np.ndarray:
-    """Diagnostic tangential speed: minus the running integral of E kappa."""
-    memo = state._memo.get("lam")
-    if memo is not None:
-        return memo
-    a = flow_arrays(state)
-    integrand = normal_velocity(state) * a["kappa"]
+    """Diagnostic tangential speed: minus the running integral of E kappa.
+
+    `state.lam` caches it.
+    """
+    integrand = state.E * state.arrays["kappa"]
     ds = np.diff(state.cache.s)
-    lam = -np.concatenate(
+    return -np.concatenate(
         [[0.0], np.cumsum(0.5 * (integrand[1:] + integrand[:-1]) * ds)]
     )
-    state._memo["lam"] = lam
-    return lam
 
 
 def curvature_evolution_rhs(state: FlowState, form: str = "compact") -> np.ndarray:
@@ -220,17 +193,12 @@ def curvature_evolution_rhs(state: FlowState, form: str = "compact") -> np.ndarr
     spells out the same expression in curvature derivatives. The two agree
     to the stencil order at interior nodes.
     """
-    a = flow_arrays(state)
+    a = state.arrays
     k = a["kappa"]
-    lam = tangential_velocity(state)
+    lam = state.lam
     if form == "compact":
-        E = normal_velocity(state)
-        if state.cache.closed:
-            d2E = stencils.derivative_periodic(
-                E, state.cache.s, state.cache.total_length, 2
-            )
-        else:
-            d2E = _odd_extension_derivative(E, state.cache.s, 2, state.cache.uniform_h)
+        E = state.E
+        d2E = _flow_derivative(state.cache, E, 2)
         return -d2E - k**2 * E + lam * a["d1"]
     if form == "expanded":
         eps = state.epsilon
@@ -297,37 +265,24 @@ def _assemble_uniform(n: int, h: float, dt: float, eps: float) -> np.ndarray:
 
 
 def _assemble_general(s: np.ndarray, dt: float, eps: float) -> np.ndarray:
+    """Pentadiagonal rows of I - dt (D2 - 2 eps D4) on any grid."""
     n = s.size - 1
+    i = np.arange(1, n)
+    rows = np.zeros((n - 1, 5))  # weights at offsets -2 .. 2 around node i
+    rows[:, 1:4] = -dt * stencils.fd_weights_rows(s[i[:, None] + np.arange(-1, 2)], s[i], 2)
+    if eps > 0.0:
+        # the D4 windows next to each end reach one ghost node, the point
+        # reflection X(-s) = 2P - X(s) of the node inside; fold it into the rows
+        se = np.concatenate([[2.0 * s[0] - s[1]], s, [2.0 * s[-1] - s[-2]]])
+        rows += 2.0 * eps * dt * stencils.fd_weights_rows(se[i[:, None] + np.arange(-1, 4)], s[i], 4)
+        ends, ghost, pinned = [0, -1], [0, 4], [1, 3]
+        rows[ends, pinned] += 2.0 * rows[ends, ghost]
+        rows[ends, 2] -= rows[ends, ghost]
+        rows[ends, ghost] = 0.0
+    rows[:, 2] += 1.0
     diags = np.zeros((5, n + 1))
-    sub2, sub1, main, sup1, sup2 = diags
-    main[0] = 1.0
-    main[-1] = 1.0
-    L = s[-1]
-    for i in range(1, n):
-        row = np.zeros(5)  # weights at offsets i-2 .. i+2
-        w2 = stencils.fd_weights(s[i - 1 : i + 2], s[i], 2)
-        row[1:4] -= dt * w2
-        if eps > 0.0:
-            if i == 1:
-                sg = np.concatenate([[-s[1]], s[:4]])
-                w4 = stencils.fd_weights(sg, s[1], 4)
-                # ghost X(-s1) = 2 X0 - X1
-                row[1] += 2.0 * eps * dt * 2.0 * w4[0]
-                row[2] -= 2.0 * eps * dt * w4[0]
-                row[2:5] += 2.0 * eps * dt * w4[2:]
-                row[1] += 2.0 * eps * dt * w4[1]
-            elif i == n - 1:
-                sg = np.concatenate([s[-4:], [2.0 * L - s[-2]]])
-                w4 = stencils.fd_weights(sg, s[-2], 4)
-                row[3] += 2.0 * eps * dt * 2.0 * w4[4]
-                row[2] -= 2.0 * eps * dt * w4[4]
-                row[0:3] += 2.0 * eps * dt * w4[:3]
-                row[3] += 2.0 * eps * dt * w4[3]
-            else:
-                w4 = stencils.fd_weights(s[i - 2 : i + 3], s[i], 4)
-                row += 2.0 * eps * dt * w4
-        row[2] += 1.0
-        sub2[i], sub1[i], main[i], sup1[i], sup2[i] = row
+    diags[:, 1:-1] = rows.T
+    diags[2, [0, -1]] = 1.0
     return diags
 
 
@@ -407,9 +362,9 @@ def step(state: FlowState, config: FlowConfig) -> FlowState:
 
 def _record(state: FlowState) -> DiagnosticsRecord:
     cache = state.cache
-    E = normal_velocity(state)
-    lam = tangential_velocity(state)
-    a = flow_arrays(state)
+    E = state.E
+    lam = state.lam
+    a = state.arrays
     w = cache.ds
     norms = np.array(
         [float(np.sum(w * a["kappa"] ** 2))]

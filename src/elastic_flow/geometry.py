@@ -3,15 +3,17 @@
 A curve is a polyline of n+1 nodes joining two pinned endpoints P and Q
 (a closed test mode with periodic stencils exists solely for oracle tests
 against circles; it is not part of the evolution API). All geometric
-quantities -- unit tangent, leftward unit normal, curvature and its
-arclength derivatives up to order four -- are computed by second-order
-finite differences on the polyline's chordal arclength grid.
+quantities -- unit tangent, leftward unit normal, curvature -- are computed
+by second-order finite differences on the polyline's chordal arclength
+grid; arclength derivatives of curvature up to order four are computed
+only when read (`GeometryCache.kappa_s`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -85,9 +87,10 @@ class GeometryCache:
     """Arclength data attached to one DiscreteCurve.
 
     `s` holds chordal arclength values per node, `ds` the trapezoid weights,
-    `kappa_derivs` rows 0..4 hold kappa and its arclength derivatives. For
-    open curves the endpoint curvature is a one-sided measurement (no
-    boundary condition is assumed here; the flow enforces its own).
+    `kappa` the curvature per node. Its arclength derivatives, orders 1..4,
+    are the rows of `kappa_s`, computed by `arclength_derivative` on first
+    read. For open curves the endpoint curvature is a one-sided measurement
+    (no boundary condition is assumed here; the flow enforces its own).
     """
 
     curve: DiscreteCurve
@@ -96,17 +99,13 @@ class GeometryCache:
     ds: np.ndarray
     tangent: np.ndarray
     normal: np.ndarray
-    kappa_derivs: np.ndarray
+    kappa: np.ndarray
     uniform_h: float | None = None  # grid spacing when the grid is uniform
 
-    @property
-    def kappa(self) -> np.ndarray:
-        return self.kappa_derivs[0]
-
-    @property
+    @cached_property
     def kappa_s(self) -> np.ndarray:
-        """Arclength derivatives of curvature, orders 1..4."""
-        return self.kappa_derivs[1:]
+        """Arclength derivatives of curvature, orders 1..4, as rows."""
+        return np.stack([arclength_derivative(self, self.kappa, j) for j in range(1, 5)])
 
     @property
     def closed(self) -> bool:
@@ -172,17 +171,8 @@ def _open_position_derivs(nodes: np.ndarray, s: np.ndarray, uniform_h: float | N
     return d1, d2
 
 
-def _closed_position_derivs(nodes: np.ndarray, s: np.ndarray, total: float):
-    d1 = np.empty_like(nodes)
-    d2 = np.empty_like(nodes)
-    for k in range(2):
-        d1[:, k] = stencils.derivative_periodic(nodes[:, k], s, total, 1)
-        d2[:, k] = stencils.derivative_periodic(nodes[:, k], s, total, 2)
-    return d1, d2
-
-
 def compute_geometry(curve: DiscreteCurve) -> GeometryCache:
-    """Populate length, frame, curvature and its derivatives for a curve.
+    """Populate length, frame and curvature for a curve.
 
     Curvature is the projection of the discrete second arclength derivative
     of position onto the leftward unit normal (nu = tangent rotated by +90
@@ -196,11 +186,13 @@ def compute_geometry(curve: DiscreteCurve) -> GeometryCache:
     if np.any(seg < 1e-14 * total):
         raise DegenerateCurve("segment below 1e-14 of total length")
     s = np.concatenate([[0.0], np.cumsum(seg)])[: nodes.shape[0]]
-    uniform_h = None
-    if seg.max() - seg.min() <= 1e-9 * seg.max():
-        uniform_h = total / seg.size
+    grid = _derivative_grid(s, total, curve.closed)
+    uniform_h = total / seg.size if stencils.is_uniform(grid) else None
     if curve.closed:
-        d1, d2 = _closed_position_derivs(nodes, s, total)
+        d1, d2 = (
+            np.column_stack([stencils.derivative(x, grid, j, "periodic") for x in nodes.T])
+            for j in (1, 2)
+        )
     else:
         d1, d2 = _open_position_derivs(nodes, s, uniform_h)
     tangent = d1 / np.linalg.norm(d1, axis=1)[:, None]
@@ -208,15 +200,6 @@ def compute_geometry(curve: DiscreteCurve) -> GeometryCache:
     kappa = np.einsum("ij,ij->i", d2, normal)
     if _STENCIL_CORRUPTION != 0.0:
         kappa = kappa * (1.0 + _STENCIL_CORRUPTION)
-    derivs = np.empty((5, nodes.shape[0]))
-    derivs[0] = kappa
-    for order in range(1, 5):
-        if curve.closed:
-            derivs[order] = stencils.derivative_periodic(kappa, s, total, order)
-        elif uniform_h is not None:
-            derivs[order] = stencils.derivative_uniform(kappa, uniform_h, order)
-        else:
-            derivs[order] = stencils.derivative_nonuniform(kappa, s, order)
     return GeometryCache(
         curve=curve,
         total_length=total,
@@ -224,16 +207,23 @@ def compute_geometry(curve: DiscreteCurve) -> GeometryCache:
         ds=_trapezoid_weights(s, curve.closed, total),
         tangent=tangent,
         normal=normal,
-        kappa_derivs=derivs,
+        kappa=kappa,
         uniform_h=uniform_h,
     )
+
+
+def _derivative_grid(s: np.ndarray, total: float, closed: bool) -> np.ndarray:
+    # closed curves close the grid with the wrap-around node, as the
+    # periodic boundary of `stencils.derivative` takes it
+    return np.append(s, total) if closed else s
 
 
 def arclength_derivative(cache: GeometryCache, values: np.ndarray, order: int) -> np.ndarray:
     """d^order/ds^order of a per-node field on the cache's arclength grid.
 
-    Centered stencils at interior nodes, one-sided windows at the ends;
-    exact for polynomials in s up to the stencil degree (order+1).
+    Centered stencils at interior nodes, one-sided windows at the ends of
+    open curves (periodic wrap on closed ones); exact for polynomials in s
+    up to the stencil degree (order+1).
     """
     values = np.asarray(values, dtype=float)
     if values.shape != cache.s.shape:
@@ -242,9 +232,8 @@ def arclength_derivative(cache: GeometryCache, values: np.ndarray, order: int) -
         return values.copy()
     if not 1 <= order <= 4:
         raise ValueError("order must be in 0..4")
-    if cache.closed:
-        return stencils.derivative_periodic(values, cache.s, cache.total_length, order)
-    return stencils.derivative(values, cache.s, order)
+    grid = _derivative_grid(cache.s, cache.total_length, cache.closed)
+    return stencils.derivative(values, grid, order, "periodic" if cache.closed else "one_sided")
 
 
 def _equalize_chords(spline, n: int, tol: float = 1e-13, max_iter: int = 30):

@@ -1,11 +1,12 @@
 """Finite-difference weights on arbitrary and uniform grids.
 
-All derivative evaluation in the package funnels through this module:
-weights for arbitrary node positions come from Fornberg's recursion (scalar
-for a single stencil, batched over all windows of a grid for whole-grid
-derivatives), and uniform grids take a vectorized fast path with
-precomputed integer-offset stencils (centered in the interior, one-sided
-windows at the ends).
+All whole-grid derivatives in the package go through `derivative`, which
+closes its stencils at the grid ends in one of three ways (`one_sided`,
+`odd`, `periodic`; the last two by ghost nodes). Underneath, uniform grids
+take a vectorized fast path with precomputed integer-offset stencils
+(centered in the interior, one-sided windows at the ends) and other grids
+take weights from Fornberg's recursion, batched over all windows of the
+grid. The scalar recursion `fd_weights` serves single stencils.
 """
 
 from __future__ import annotations
@@ -52,28 +53,15 @@ def fd_weights(x: np.ndarray, x0: float, order: int) -> np.ndarray:
     return w[order]
 
 
-def _one_sided_table(order: int, width: int, row: int) -> np.ndarray:
-    # weights on integer grid 0..width-1 evaluated at `row`
-    return fd_weights(np.arange(width, dtype=float), float(row), order)
-
-
-# One-sided boundary windows of width order+2 give uniform O(h^2); built once.
-_BOUNDARY: dict[tuple[int, int], np.ndarray] = {}
 _ONE_SIDED: dict[tuple[int, int, int], np.ndarray] = {}
-
-
-def boundary_weights(order: int, row: int) -> np.ndarray:
-    key = (order, row)
-    if key not in _BOUNDARY:
-        _BOUNDARY[key] = _one_sided_table(order, order + 2, row)
-    return _BOUNDARY[key]
 
 
 def one_sided_weights(order: int, width: int, row: int) -> np.ndarray:
     """Cached unit-spacing window weights; scale by h**-order at use site."""
     key = (order, width, row)
     if key not in _ONE_SIDED:
-        _ONE_SIDED[key] = _one_sided_table(order, width, row)
+        # weights on the integer grid 0..width-1 evaluated at `row`
+        _ONE_SIDED[key] = fd_weights(np.arange(width, dtype=float), float(row), order)
     return _ONE_SIDED[key]
 
 
@@ -98,11 +86,12 @@ def derivative_uniform(f: np.ndarray, h: float, order: int) -> np.ndarray:
         if c != 0.0 and k != half:
             acc += c * (f[k : k + acc.size] - center)
     out[half:-half] = acc
+    # one-sided boundary windows of width order+2 keep O(h^2) at the ends
     width = order + 2
     for row in range(half):
-        wl = boundary_weights(order, row)
+        wl = one_sided_weights(order, width, row)
         out[row] = wl @ (f[:width] - f[row])
-        wr = boundary_weights(order, width - 1 - row)
+        wr = one_sided_weights(order, width, width - 1 - row)
         out[-1 - row] = wr @ (f[-width:] - f[-1 - row])
     return out / h**order
 
@@ -164,29 +153,38 @@ def derivative_nonuniform(f: np.ndarray, s: np.ndarray, order: int) -> np.ndarra
     return out
 
 
-def derivative_periodic(f: np.ndarray, s: np.ndarray, total: float, order: int) -> np.ndarray:
-    """Centered derivative with periodic wrap; grid may be mildly nonuniform."""
+def derivative(f: np.ndarray, s: np.ndarray, order: int, boundary: str) -> np.ndarray:
+    """d^order f/ds^order at every node of the grid `s`, order 1..4, O(h^2).
+
+    `boundary` closes the stencils at the two ends of the grid:
+      one_sided  windows of width order+2 inside the grid;
+      odd        centered stencils over ghost nodes that point-reflect the
+                 samples through each end node, (s0 - x, 2 f0 - f(s0 + x));
+                 this is the odd extension of a field that vanishes there;
+      periodic   centered stencils over ghost nodes that wrap around; here
+                 `s` has one entry more than `f`, the closing node at
+                 s[0] + period.
+    Uniform grids take `derivative_uniform`, others the batched Fornberg
+    weights of `derivative_nonuniform`; ghost rows are dropped. Constant
+    fields map to exactly zero.
+    """
+    f = np.asarray(f, dtype=float)
+    # the ghost nodes repeat spacings of the grid, so it decides the path
+    uniform = is_uniform(s)
+    h = (s[-1] - s[0]) / (s.size - 1)
     half = CENTERED[order][0]
-    n = f.size
-    fe = np.concatenate([f[-half:], f, f[:half]])
-    se = np.concatenate([s[-half:] - total, s, s[:half] + total])
-    if is_uniform(se):
-        h = total / n
-        _, w = CENTERED[order]
-        acc = np.zeros(n)
-        for k, c in enumerate(w):
-            if c != 0.0 and k != half:
-                acc += c * (fe[k : k + n] - f)
-        return acc / h**order
-    out = np.empty(n)
-    for i in range(n):
-        sl = slice(i, i + 2 * half + 1)
-        out[i] = fd_weights(se[sl], s[i], order) @ (fe[sl] - f[i])
-    return out
-
-
-def derivative(f: np.ndarray, s: np.ndarray, order: int) -> np.ndarray:
-    """Dispatch between the uniform fast path and the Fornberg fallback."""
-    if is_uniform(s):
-        return derivative_uniform(np.asarray(f, dtype=float), (s[-1] - s[0]) / (s.size - 1), order)
-    return derivative_nonuniform(np.asarray(f, dtype=float), s, order)
+    if boundary == "odd":
+        f = np.concatenate([2.0 * f[0] - f[half:0:-1], f, 2.0 * f[-1] - f[-2 : -2 - half : -1]])
+        s = np.concatenate([2.0 * s[0] - s[half:0:-1], s, 2.0 * s[-1] - s[-2 : -2 - half : -1]])
+    elif boundary == "periodic":
+        period = s[-1] - s[0]
+        s = s[:-1]
+        f = np.concatenate([f[-half:], f, f[:half]])
+        s = np.concatenate([s[-half:] - period, s, s[:half] + period])
+    elif boundary != "one_sided":
+        raise ValueError("boundary must be one_sided, odd or periodic")
+    if uniform:
+        out = derivative_uniform(f, h, order)
+    else:
+        out = derivative_nonuniform(f, s, order)
+    return out if boundary == "one_sided" else out[half:-half]

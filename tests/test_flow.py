@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -102,6 +103,16 @@ class TestVelocities:
             e = curvature_evolution_rhs(st, "expanded")
             errs.append(np.max(np.abs(c - e)[3:-3]))
         assert errs[0] / errs[1] > 3.0
+
+
+    def test_replaced_state_does_not_reuse_velocities(self):
+        st = sine_state(64, amplitude=0.3, eps=0.1)
+        normal_velocity(st)
+        tangential_velocity(st)
+        changed = dataclasses.replace(st, epsilon=0.9)
+        fresh = FlowState.from_curve(st.curve, 0.9)
+        assert np.array_equal(normal_velocity(changed), normal_velocity(fresh))
+        assert np.array_equal(tangential_velocity(changed), tangential_velocity(fresh))
 
 
 class TestStep:
@@ -240,18 +251,16 @@ class TestReflectionClosedDerivatives:
     @pytest.mark.parametrize("kind", ["uniform", "graded"])
     def test_second_order_on_manufactured_odd_field(self, kind):
         # f = sin(pi s / L) is odd about both endpoints; derivatives known
-        from elastic_flow.flow import _odd_extension_derivative
+        from elastic_flow import stencils
 
         L = 1.3
         errs = []
         for n in (64, 128):
             if kind == "uniform":
                 s = np.linspace(0.0, L, n + 1)
-                h = L / n
             else:
                 v = np.linspace(0.0, 1.0, n + 1)
                 s = L * (v + 0.03 * np.sin(2.0 * np.pi * v))
-                h = None
             f = np.sin(np.pi * s / L)
             w = np.pi / L
             exact = {
@@ -262,7 +271,7 @@ class TestReflectionClosedDerivatives:
             }
             errs.append(
                 [
-                    np.max(np.abs(_odd_extension_derivative(f, s, j, h) - exact[j]))
+                    np.max(np.abs(stencils.derivative(f, s, j, "odd") - exact[j]))
                     for j in (1, 2, 3, 4)
                 ]
             )

@@ -43,7 +43,7 @@ class TestDerivativeRoutines:
         n = 128
         s = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
         f = np.sin(s)
-        d2 = stencils.derivative_periodic(f, s, 2.0 * np.pi, 2)
+        d2 = stencils.derivative(f, np.append(s, 2.0 * np.pi), 2, "periodic")
         assert np.max(np.abs(d2 + f)) <= (2.0 * np.pi / n) ** 2
 
     def test_nonuniform_matches_uniform_on_uniform_grid(self):
@@ -119,6 +119,69 @@ class TestNonuniformGradedGrid:
             assert np.all(stencils.derivative_nonuniform(f, s, order) == 0.0)
 
 
+def _periodic_graded_grid(n: int = 32, period: float = 1.7) -> np.ndarray:
+    # n nodes plus the closing node at s[0] + period; spacing varies 1.6x
+    v = np.linspace(0.0, 1.0, n + 1)
+    jitter = np.random.default_rng(5).uniform(-0.2, 0.2, n + 1) / n
+    jitter[[0, -1]] = 0.0
+    return 0.4 + period * (v + 0.05 * np.sin(2.0 * np.pi * v) + jitter)
+
+
+def _rowwise_ghosted(f, s, order, boundary):
+    # per-node loop over scalar fd_weights on the ghost-extended grid, kept
+    # as the reference for the odd and periodic boundaries
+    half = stencils.CENTERED[order][0]
+    if boundary == "odd":
+        fe = np.concatenate([2 * f[0] - f[half:0:-1], f, 2 * f[-1] - f[-2 : -2 - half : -1]])
+        se = np.concatenate([2 * s[0] - s[half:0:-1], s, 2 * s[-1] - s[-2 : -2 - half : -1]])
+    else:
+        period = s[-1] - s[0]
+        s = s[:-1]
+        fe = np.concatenate([f[-half:], f, f[:half]])
+        se = np.concatenate([s[-half:] - period, s, s[:half] + period])
+    out = np.empty(f.size)
+    for i in range(f.size):
+        sl = slice(i, i + 2 * half + 1)
+        out[i] = stencils.fd_weights(se[sl], s[i], order) @ (fe[sl] - f[i])
+    return out
+
+
+class TestGhostedBoundaries:
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_odd_matches_rowwise_reference(self, order):
+        s = _graded_grid()
+        f = np.sin(2.0 * s) + 0.3 * s**3 + 0.7
+        got = stencils.derivative(f, s, order, "odd")
+        ref = _rowwise_ghosted(f, s, order, "odd")
+        assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_periodic_matches_rowwise_reference(self, order):
+        s = _periodic_graded_grid()
+        period = s[-1] - s[0]
+        f = np.cos(2.0 * np.pi * s[:-1] / period) + 0.4 * np.sin(6.0 * np.pi * s[:-1] / period)
+        got = stencils.derivative(f, s, order, "periodic")
+        ref = _rowwise_ghosted(f, s, order, "periodic")
+        assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("graded", [False, True])
+    def test_constant_is_exactly_zero(self, graded):
+        for boundary in ("one_sided", "odd", "periodic"):
+            if boundary == "periodic":
+                s = _periodic_graded_grid() if graded else np.linspace(0.4, 2.1, 33)
+                f = np.full(s.size - 1, -1.3)
+            else:
+                s = _graded_grid() if graded else np.linspace(0.0, 1.8, 33)
+                f = np.full(s.size, -1.3)
+            for order in range(1, 5):
+                assert np.all(stencils.derivative(f, s, order, boundary) == 0.0), (boundary, order)
+
+    def test_unknown_boundary_rejected(self):
+        s = np.linspace(0.0, 1.0, 33)
+        with pytest.raises(ValueError):
+            stencils.derivative(np.sin(s), s, 1, "even")
+
+
 class TestImplicitMatrixAssembly:
     def test_general_assembly_reduces_to_uniform(self):
         # pins the reflection-ghost folding on both boundary rows
@@ -130,3 +193,39 @@ class TestImplicitMatrixAssembly:
             uni = _assemble_uniform(n, 1.5 / n, 1e-4, eps)
             gen = _assemble_general(s, 1e-4, eps)
             assert np.allclose(uni, gen, rtol=1e-9, atol=1e-6)
+
+    @pytest.mark.parametrize("eps", [0.0, 0.3])
+    def test_general_assembly_matches_rowwise_reference(self, eps):
+        from elastic_flow.flow import _assemble_general
+
+        s = _graded_grid()
+        got = _assemble_general(s, 1e-4, eps)
+        ref = _rowwise_assembly(s, 1e-4, eps)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def _rowwise_assembly(s, dt, eps):
+    # the per-row loop over scalar fd_weights, kept as the reference; the
+    # ghost node of the boundary rows is X(-s) = 2P - X(s)
+    n = s.size - 1
+    diags = np.zeros((5, n + 1))
+    diags[2, [0, -1]] = 1.0
+    for i in range(1, n):
+        row = np.zeros(5)  # weights at offsets i-2 .. i+2
+        row[1:4] -= dt * stencils.fd_weights(s[i - 1 : i + 2], s[i], 2)
+        if eps > 0.0:
+            if i == 1:
+                w4 = stencils.fd_weights(np.concatenate([[2 * s[0] - s[1]], s[:4]]), s[1], 4)
+                row[1] += 2.0 * eps * dt * (2.0 * w4[0] + w4[1])
+                row[2] -= 2.0 * eps * dt * w4[0]
+                row[2:5] += 2.0 * eps * dt * w4[2:]
+            elif i == n - 1:
+                w4 = stencils.fd_weights(np.concatenate([s[-4:], [2 * s[-1] - s[-2]]]), s[-2], 4)
+                row[3] += 2.0 * eps * dt * (2.0 * w4[4] + w4[3])
+                row[2] -= 2.0 * eps * dt * w4[4]
+                row[0:3] += 2.0 * eps * dt * w4[:3]
+            else:
+                row += 2.0 * eps * dt * stencils.fd_weights(s[i - 2 : i + 3], s[i], 4)
+        row[2] += 1.0
+        diags[:, i] = row
+    return diags
