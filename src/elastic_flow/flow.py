@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from . import stencils
 from .errors import BadParams, ConfigError, ReparamFailure, SingularityDetected, SolverFailure
@@ -141,12 +141,12 @@ def _dirichlet_kappa(cache: GeometryCache) -> np.ndarray:
     return kd
 
 
-def _flow_derivative(cache: GeometryCache, values: np.ndarray, order: int) -> np.ndarray:
+def _flow_derivatives(cache: GeometryCache, values: np.ndarray, orders: tuple[int, ...]) -> list:
     # the stepper's closure: odd reflection through the pinned endpoints of
     # open curves, periodic wrap on closed test curves
     if cache.closed:
-        return arclength_derivative(cache, values, order)
-    return stencils.derivative(values, cache.s, order, "odd")
+        return [arclength_derivative(cache, values, j) for j in orders]
+    return stencils.derivatives(values, cache.s, orders, "odd")
 
 
 def flow_arrays(state: FlowState) -> dict[str, np.ndarray]:
@@ -159,7 +159,8 @@ def flow_arrays(state: FlowState) -> dict[str, np.ndarray]:
     """
     cache = state.cache
     k = cache.kappa if cache.closed else _dirichlet_kappa(cache)
-    return {"kappa": k, **{f"d{j}": _flow_derivative(cache, k, j) for j in (1, 2, 3, 4)}}
+    d1, d2, d3, d4 = _flow_derivatives(cache, k, (1, 2, 3, 4))
+    return {"kappa": k, "d1": d1, "d2": d2, "d3": d3, "d4": d4}
 
 
 def normal_velocity(state: FlowState) -> np.ndarray:
@@ -198,7 +199,7 @@ def curvature_evolution_rhs(state: FlowState, form: str = "compact") -> np.ndarr
     lam = state.lam
     if form == "compact":
         E = state.E
-        d2E = _flow_derivative(state.cache, E, 2)
+        (d2E,) = _flow_derivatives(state.cache, E, (2,))
         return -d2E - k**2 * E + lam * a["d1"]
     if form == "expanded":
         eps = state.epsilon
@@ -286,6 +287,29 @@ def _assemble_general(s: np.ndarray, dt: float, eps: float) -> np.ndarray:
     return diags
 
 
+def solve_banded(diags: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve the pentadiagonal system `diags` x = rhs, refined once.
+
+    One banded LU factorization (dgbtrf) serves the solve and the round of
+    iterative refinement: the arithmetic of two `scipy.linalg.solve_banded`
+    calls, with one factorization fewer.
+    """
+    sub2, sub1, main, sup1, sup2 = diags
+    # LAPACK band storage with two extra rows for the pivoting fill-in
+    ab = np.zeros((7, main.size))
+    ab[2, 2:] = sup2[:-2]
+    ab[3, 1:] = sup1[:-1]
+    ab[4, :] = main
+    ab[5, :-1] = sub1[1:]
+    ab[6, :-2] = sub2[2:]
+    lu, piv, info = dgbtrf(ab, 2, 2, overwrite_ab=True)
+    if info > 0:
+        raise SolverFailure("singular implicit matrix")
+    x, _ = dgbtrs(lu, 2, 2, rhs, piv)
+    correction, _ = dgbtrs(lu, 2, 2, rhs - _band_matvec(diags, x), piv)
+    return x + correction
+
+
 def step(state: FlowState, config: FlowConfig) -> FlowState:
     """Advance one IMEX step of size dt; endpoints never move.
 
@@ -300,11 +324,10 @@ def step(state: FlowState, config: FlowConfig) -> FlowState:
     n = nodes.shape[0] - 1
     dt = config.dt
     eps = state.epsilon
-    s = cache.s
-    if stencils.is_uniform(s):
-        diags = _assemble_uniform(n, cache.total_length / n, dt, eps)
+    if cache.uniform_h is not None:
+        diags = _assemble_uniform(n, cache.uniform_h, dt, eps)
     else:
-        diags = _assemble_general(s, dt, eps)
+        diags = _assemble_general(cache.s, dt, eps)
 
     rhs = nodes.copy()
     if eps > 0.0:
@@ -313,17 +336,11 @@ def step(state: FlowState, config: FlowConfig) -> FlowState:
         rhs[0] = nodes[0]
         rhs[-1] = nodes[-1]
 
-    ab = np.zeros((5, n + 1))
-    sub2, sub1, main, sup1, sup2 = diags
-    ab[0, 2:] = sup2[:-2]
-    ab[1, 1:] = sup1[:-1]
-    ab[2, :] = main
-    ab[3, :-1] = sub1[1:]
-    ab[4, :-2] = sub2[2:]
-    new_nodes = solve_banded((2, 2), ab, rhs)
-    # one round of iterative refinement, then a backward-error check
-    resid = rhs - _band_matvec(diags, new_nodes)
-    new_nodes += solve_banded((2, 2), ab, resid)
+    # One solve alone passes the backward-error check below on every step of
+    # configs/run.cfg; the refinement stays because without it the k4 column
+    # moves by 4.9e-4 of its largest value and the b0L/b2L/b4L endpoint
+    # residuals by up to 0.31 of theirs, past perfbench/check.py's tolerances.
+    new_nodes = solve_banded(diags, rhs)
     new_nodes[0] = nodes[0]
     new_nodes[-1] = nodes[-1]
     resid = rhs - _band_matvec(diags, new_nodes)
@@ -385,18 +402,13 @@ def _record(state: FlowState) -> DiagnosticsRecord:
 
 
 def _fill_lambda_residuals(records: list[DiagnosticsRecord], dt: float):
-    out = []
-    for k, rec in enumerate(records):
-        if 0 < k < len(records) - 1:
-            ldot = (records[k + 1].length - records[k - 1].length) / (2.0 * dt)
-        elif k == 0 and len(records) > 1:
-            ldot = (records[1].length - records[0].length) / dt
-        elif k == len(records) - 1 and len(records) > 1:
-            ldot = (records[k].length - records[k - 1].length) / dt
-        else:
-            ldot = 0.0
-        out.append(replace(rec, lambda_endpoint_residual=abs(rec._lambda_end + ldot)))
-    return out
+    # dL/dt by centered differences, one-sided at the two ends
+    lengths = np.array([rec.length for rec in records])
+    ldot = np.gradient(lengths, dt).tolist() if len(records) > 1 else [0.0]
+    return [
+        replace(rec, lambda_endpoint_residual=abs(rec._lambda_end + v))
+        for rec, v in zip(records, ldot)
+    ]
 
 
 def run(
@@ -428,8 +440,9 @@ def run(
         want_times.add(k)
 
     state = FlowState.from_curve(reparametrize_constant_speed(initial), config.epsilon)
-    states = [state]
     records = [_record(state)]
+    # snapshots are copies without the velocities `_record` cached
+    states = [replace(state)]
     terminated = Terminated.REACHED_T_END
     event_time = None
     for k in range(1, nsteps + 1):
@@ -447,9 +460,9 @@ def run(
         state = replace(state, time=k * dt)
         records.append(_record(state))
         if k % snapshot_stride == 0 or k == nsteps or k in want_times:
-            states.append(state)
+            states.append(replace(state))
     if states[-1].step_index != state.step_index:
-        states.append(state)
+        states.append(replace(state))
     return Trajectory(
         states=states,
         diagnostics=_fill_lambda_residuals(records, dt),

@@ -12,12 +12,12 @@ only when read (`GeometryCache.kappa_s`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.linalg.lapack import dgtsv
 
 from . import stencils
 from .errors import BadParams, DegenerateCurve, ReparamFailure
@@ -46,10 +46,12 @@ class DiscreteCurve:
     Open curves carry n+1 nodes with nodes[0] = P and nodes[n] = Q exactly;
     closed curves carry n distinct nodes with implicit wrap-around. Nodes are
     immutable after construction; self-intersection is allowed and untracked.
+    `segments` holds the chord lengths, the closing chord last on closed curves.
     """
 
     nodes: np.ndarray
     closed: bool = False
+    segments: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         nodes = np.ascontiguousarray(self.nodes, dtype=float)
@@ -65,6 +67,7 @@ class DiscreteCurve:
         if np.any(seg <= 0.0):
             raise DegenerateCurve("coincident consecutive nodes")
         object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "segments", seg)
 
     @property
     def n(self) -> int:
@@ -112,13 +115,6 @@ class GeometryCache:
         return self.curve.closed
 
 
-def _segment_lengths(nodes: np.ndarray, closed: bool) -> np.ndarray:
-    seg = np.linalg.norm(np.diff(nodes, axis=0), axis=1)
-    if closed:
-        seg = np.append(seg, np.linalg.norm(nodes[0] - nodes[-1]))
-    return seg
-
-
 def _trapezoid_weights(s: np.ndarray, closed: bool, total: float) -> np.ndarray:
     if closed:
         se = np.concatenate([[s[-1] - total], s, [s[0] + total]])
@@ -148,12 +144,10 @@ def _open_position_derivs(nodes: np.ndarray, s: np.ndarray, uniform_h: float | N
     a2 = 2.0 / (hm * (hm + hp))
     c2 = 2.0 / (hp * (hm + hp))
     # difference form annihilates constants exactly (translation robustness)
-    for k in range(2):
-        f = nodes[:, k]
-        lo = f[:-2] - f[1:-1]
-        hi = f[2:] - f[1:-1]
-        d1[1:-1, k] = a1 * lo + c1 * hi
-        d2[1:-1, k] = a2 * lo + c2 * hi
+    lo = nodes[:-2] - nodes[1:-1]
+    hi = nodes[2:] - nodes[1:-1]
+    d1[1:-1] = a1[:, None] * lo + c1[:, None] * hi
+    d2[1:-1] = a2[:, None] * lo + c2[:, None] * hi
     if uniform_h is not None:
         w1 = stencils.one_sided_weights(1, 3, 0) / uniform_h
         w2 = stencils.one_sided_weights(2, 8, 0) / uniform_h**2
@@ -181,7 +175,7 @@ def compute_geometry(curve: DiscreteCurve) -> GeometryCache:
     Raises DegenerateCurve when any segment is below 1e-14 of the length.
     """
     nodes = curve.nodes
-    seg = _segment_lengths(nodes, curve.closed)
+    seg = curve.segments
     total = float(seg.sum())
     if np.any(seg < 1e-14 * total):
         raise DegenerateCurve("segment below 1e-14 of total length")
@@ -236,6 +230,36 @@ def arclength_derivative(cache: GeometryCache, values: np.ndarray, order: int) -
     return stencils.derivative(values, grid, order, "periodic" if cache.closed else "one_sided")
 
 
+def _not_a_knot_spline(u: np.ndarray, y: np.ndarray):
+    """Not-a-knot cubic spline through the rows of `y` at the knots `u`, as a
+    function of the parameter. It repeats the arithmetic of scipy's
+    `CubicSpline(u, y, bc_type="not-a-knot")`, so its values are the same bits."""
+    dx = np.diff(u)
+    dxr = dx[:, None]
+    slope = np.diff(y, axis=0) / dxr
+    # slopes m at the knots: continuity of the second derivative inside,
+    # continuity of the third across the second and next-to-last knots;
+    # LAPACK's gtsv is the solver `solve_banded((1, 1), ...)` calls
+    d = u[2] - u[0]
+    e = u[-1] - u[-3]
+    diag = np.concatenate([[dx[1]], 2 * (dx[:-1] + dx[1:]), [dx[-2]]])
+    rhs = np.empty_like(y)
+    rhs[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
+    rhs[0] = ((dxr[0] + 2 * d) * dxr[1] * slope[0] + dxr[0] ** 2 * slope[1]) / d
+    rhs[-1] = (dxr[-1] ** 2 * slope[-2] + (2 * e + dxr[-1]) * dxr[-2] * slope[-1]) / e
+    m = dgtsv(np.concatenate([dx[1:], [e]]), diag, np.concatenate([[d], dx[:-1]]), rhs, 1, 1, 1, 1)[3]
+    t = (m[:-1] + m[1:] - 2 * slope) / dxr
+    c0, c1, c2, c3 = t / dxr, (slope - m[:-1]) / dxr - t, m[:-1], y[:-1]
+
+    def spline(tau):
+        i = np.clip(np.searchsorted(u, tau, side="right") - 1, 0, u.size - 2)
+        z = np.asarray(tau - u[i])[..., None]
+        # PPoly's power sum, from 0.0 (which turns a lone -0.0 into +0.0)
+        return 0.0 + c3[i] + c2[i] * z + c1[i] * (z * z) + c0[i] * (z * z * z)
+
+    return spline
+
+
 def _equalize_chords(spline, n: int, tol: float = 1e-13, max_iter: int = 30):
     """Parameters tau on [0,1] whose spline images have equal chords.
 
@@ -259,7 +283,6 @@ def _equalize_chords(spline, n: int, tol: float = 1e-13, max_iter: int = 30):
         tau = np.interp(targets, cum, tau)
         tau[0], tau[-1] = 0.0, 1.0
         pts = spline(tau)
-        pts[0], pts[-1] = spline(0.0), spline(1.0)
     if dev <= 1e-10:
         return pts, dev
     raise ReparamFailure(f"chord equalization stalled at deviation {dev:.3e}")
@@ -276,13 +299,12 @@ def reparametrize_constant_speed(curve: DiscreteCurve) -> DiscreteCurve:
     """
     if curve.closed:
         raise BadParams("constant-speed redistribution applies to open curves")
-    seg = _segment_lengths(curve.nodes, closed=False)
+    seg = curve.segments
     mean = seg.mean()
     if np.max(np.abs(seg - mean)) <= 1e-13 * mean:
         return curve
     u = np.concatenate([[0.0], np.cumsum(seg)]) / seg.sum()
-    spline = CubicSpline(u, curve.nodes, axis=0, bc_type="not-a-knot")
-    pts, _ = _equalize_chords(spline, curve.n)
+    pts, _ = _equalize_chords(_not_a_knot_spline(u, curve.nodes), curve.n)
     pts[0] = curve.nodes[0]
     pts[-1] = curve.nodes[-1]
     return DiscreteCurve(pts)

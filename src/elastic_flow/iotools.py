@@ -188,13 +188,11 @@ def write_snapshot(path: str, state: FlowState) -> None:
     """Plain-text curve snapshot: one header line, then `x y kappa` rows."""
     curve = state.curve
     cache = state.cache
-    lines = [
+    header = (
         f"n={curve.n} length={fmt(cache.total_length)} "
-        f"t={fmt(state.time)} eps={fmt(state.epsilon)}"
-    ]
-    for (x, y), kap in zip(curve.nodes, cache.kappa):
-        lines.append(f"{fmt(x)} {fmt(y)} {fmt(kap)}")
-    _write_text(path, "\n".join(lines) + "\n")
+        f"t={fmt(state.time)} eps={fmt(state.epsilon)}\n"
+    )
+    _write_text(path, header + _format_rows(np.column_stack([curve.nodes, cache.kappa]), " "))
 
 
 def read_snapshot(path: str):
@@ -211,10 +209,14 @@ def read_snapshot(path: str):
 
 
 def write_diagnostics_csv(path: str, records: list[DiagnosticsRecord]) -> None:
-    lines = [DiagnosticsRecord.CSV_HEADER]
-    for rec in records:
-        lines.append(",".join(fmt(v) for v in rec.row()))
-    _write_text(path, "\n".join(lines) + "\n")
+    rows = [rec.row() for rec in records]
+    _write_text(path, DiagnosticsRecord.CSV_HEADER + "\n" + _format_rows(rows, ","))
+
+
+def _format_rows(rows, sep: str) -> str:
+    # one `%` call for the whole table; "%.17g" prints what `fmt` prints
+    line = sep.join(["%.17g"] * len(rows[0])) + "\n" if len(rows) else ""
+    return (line * len(rows)) % tuple(np.ravel(rows).tolist())
 
 
 def read_diagnostics_csv(path: str) -> np.ndarray:

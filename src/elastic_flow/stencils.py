@@ -1,9 +1,9 @@
 """Finite-difference weights on arbitrary and uniform grids.
 
-All whole-grid derivatives in the package go through `derivative`, which
-closes its stencils at the grid ends in one of three ways (`one_sided`,
-`odd`, `periodic`; the last two by ghost nodes). Underneath, uniform grids
-take a vectorized fast path with precomputed integer-offset stencils
+All whole-grid derivatives go through `derivatives` (several orders of one
+field) or `derivative` (one order), which close the stencils at the grid
+ends in one of three ways (`one_sided`, `odd`, `periodic`; the last two by
+ghost nodes). Underneath, uniform grids take integer-offset stencils
 (centered in the interior, one-sided windows at the ends) and other grids
 take weights from Fornberg's recursion, batched over all windows of the
 grid. The scalar recursion `fd_weights` serves single stencils.
@@ -72,20 +72,27 @@ def is_uniform(s: np.ndarray, rel_tol: float = 1e-9) -> bool:
     return lo > 0 and hi - lo <= rel_tol * hi
 
 
+def _centered(f: np.ndarray, order: int) -> np.ndarray:
+    """Unit-spacing centered stencil of `order` at every node with `half`
+    neighbours on each side."""
+    half, w = CENTERED[order]
+    center = f[half : f.size - half]
+    acc = np.zeros(f.size - 2 * half)
+    for k, c in enumerate(w):
+        if c != 0.0 and k != half:
+            acc += c * (f[k : k + acc.size] - center)
+    return acc
+
+
 def derivative_uniform(f: np.ndarray, h: float, order: int) -> np.ndarray:
     """Derivative of samples on a uniform grid; O(h^2) at every node.
 
     Stencils are applied to differences against the evaluation node, so
     constant fields map to exactly zero.
     """
-    half, w = CENTERED[order]
+    half = CENTERED[order][0]
     out = np.empty_like(f, dtype=float)
-    center = f[half : f.size - half]
-    acc = np.zeros(f.size - 2 * half)
-    for k, c in enumerate(w):
-        if c != 0.0 and k != half:
-            acc += c * (f[k : k + acc.size] - center)
-    out[half:-half] = acc
+    out[half:-half] = _centered(f, order)
     # one-sided boundary windows of width order+2 keep O(h^2) at the ends
     width = order + 2
     for row in range(half):
@@ -164,27 +171,39 @@ def derivative(f: np.ndarray, s: np.ndarray, order: int, boundary: str) -> np.nd
       periodic   centered stencils over ghost nodes that wrap around; here
                  `s` has one entry more than `f`, the closing node at
                  s[0] + period.
-    Uniform grids take `derivative_uniform`, others the batched Fornberg
-    weights of `derivative_nonuniform`; ghost rows are dropped. Constant
-    fields map to exactly zero.
+    Uniform grids take the unit-spacing stencils of `derivative_uniform`
+    (with ghosts, only its centered ones), others the batched Fornberg
+    weights of `derivative_nonuniform`, whose ghost rows are dropped.
+    Constant fields map to exactly zero.
     """
+    return derivatives(f, s, (order,), boundary)[0]
+
+
+def derivatives(f: np.ndarray, s: np.ndarray, orders: tuple[int, ...], boundary: str) -> list:
+    """`derivative` of one field for each of `orders`, which share the
+    uniformity test and one set of ghost nodes as wide as the widest stencil."""
     f = np.asarray(f, dtype=float)
     # the ghost nodes repeat spacings of the grid, so it decides the path
     uniform = is_uniform(s)
     h = (s[-1] - s[0]) / (s.size - 1)
-    half = CENTERED[order][0]
-    if boundary == "odd":
-        f = np.concatenate([2.0 * f[0] - f[half:0:-1], f, 2.0 * f[-1] - f[-2 : -2 - half : -1]])
-        s = np.concatenate([2.0 * s[0] - s[half:0:-1], s, 2.0 * s[-1] - s[-2 : -2 - half : -1]])
-    elif boundary == "periodic":
-        period = s[-1] - s[0]
-        s = s[:-1]
-        f = np.concatenate([f[-half:], f, f[:half]])
-        s = np.concatenate([s[-half:] - period, s, s[:half] + period])
-    elif boundary != "one_sided":
-        raise ValueError("boundary must be one_sided, odd or periodic")
+    if boundary == "one_sided":
+        return [derivative_uniform(f, h, k) if uniform else derivative_nonuniform(f, s, k) for k in orders]
+    half = max(CENTERED[k][0] for k in orders)
+    f = _ghosted(f, half, boundary)
     if uniform:
-        out = derivative_uniform(f, h, order)
-    else:
-        out = derivative_nonuniform(f, s, order)
-    return out if boundary == "one_sided" else out[half:-half]
+        # every node of the grid is an interior node of the extended samples;
+        # narrower stencils skip the ghosts they do not reach
+        skip = [half - CENTERED[k][0] for k in orders]
+        return [_centered(f[j : f.size - j], k) / h**k for j, k in zip(skip, orders)]
+    s = _ghosted(s if boundary == "odd" else s[:-1], half, boundary, s[-1] - s[0])
+    return [derivative_nonuniform(f, s, k)[half:-half] for k in orders]
+
+
+def _ghosted(x: np.ndarray, half: int, boundary: str, period: float = 0.0) -> np.ndarray:
+    # `half` ghost entries at each end: point reflection through the end
+    # entry (odd) or wrap-around shifted by `period` (periodic)
+    if boundary == "odd":
+        return np.concatenate([2.0 * x[0] - x[half:0:-1], x, 2.0 * x[-1] - x[-2 : -2 - half : -1]])
+    if boundary == "periodic":
+        return np.concatenate([x[-half:] - period, x, x[:half] + period])
+    raise ValueError("boundary must be one_sided, odd or periodic")

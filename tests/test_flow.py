@@ -178,6 +178,22 @@ class TestStep:
         with pytest.raises(BadParams):
             step(st, FlowConfig(epsilon=0.1, n=64, dt=1e-4, t_end=0.01))
 
+    def test_banded_solve_matches_two_scipy_solves(self):
+        from scipy.linalg import solve_banded as scipy_solve_banded
+
+        from elastic_flow.flow import _assemble_uniform, _band_matvec, solve_banded
+
+        state = sine_state()
+        diags = _assemble_uniform(128, 1.0 / 128, 1e-4, 0.1)
+        rhs = state.curve.nodes + 1e-3 * state.cache.normal
+        sub2, sub1, main, sup1, sup2 = diags
+        ab = np.zeros((5, 129))
+        ab[0, 2:], ab[1, 1:], ab[2] = sup2[:-2], sup1[:-1], main
+        ab[3, :-1], ab[4, :-2] = sub1[1:], sub2[2:]
+        ref = scipy_solve_banded((2, 2), ab, rhs)
+        ref += scipy_solve_banded((2, 2), ab, rhs - _band_matvec(diags, ref))
+        assert np.array_equal(solve_banded(diags, rhs), ref)
+
     def test_nonuniform_grid_path(self):
         traj = run(
             make_initial_curve("flattened_sine", 64, amplitude=0.05),
@@ -189,6 +205,16 @@ class TestStep:
 
 
 class TestRun:
+    def test_snapshots_do_not_keep_cached_velocities(self):
+        traj = run(
+            make_initial_curve("flattened_sine", 64, amplitude=0.05),
+            FlowConfig(epsilon=0.1, n=64, dt=1e-4, t_end=0.002),
+            snapshot_stride=1,
+        )
+        assert len(traj.states) == 21
+        for st in traj.states[1:]:
+            assert not {"arrays", "E", "lam"} & set(vars(st)), st.step_index
+
     def test_incompatible_initial_rejected(self):
         x = np.linspace(-1.0, 1.0, 65)
         parabola = DiscreteCurve(np.column_stack([x, x * x]))

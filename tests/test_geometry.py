@@ -177,6 +177,27 @@ class TestArclengthDerivative:
             arclength_derivative(cache, np.zeros(12), 1)
 
 
+class TestNotAKnotSpline:
+    @pytest.mark.parametrize("grid", ["graded", "jittered"])
+    def test_equals_scipy_cubic_spline(self, grid):
+        from scipy.interpolate import CubicSpline
+
+        from elastic_flow.geometry import _not_a_knot_spline
+
+        rng = np.random.default_rng(11)
+        n = 97
+        if grid == "graded":
+            seg = np.geomspace(1.0, 4.0, n)
+        else:
+            seg = 1.0 + rng.uniform(-0.3, 0.3, n)
+        u = np.concatenate([[0.0], np.cumsum(seg)]) / seg.sum()
+        y = np.column_stack([np.cos(3.0 * u), rng.normal(size=n + 1)])
+        ref = CubicSpline(u, y, axis=0, bc_type="not-a-knot")
+        spline = _not_a_knot_spline(u, y)
+        for tau in (np.linspace(0.0, 1.0, 129), rng.uniform(0.0, 1.0, 200), u, 0.0, 1.0):
+            assert np.array_equal(spline(tau), ref(tau))
+
+
 class TestReparametrize:
     def test_uniform_input_returned_unchanged(self):
         c = make_initial_curve("segment", 64)

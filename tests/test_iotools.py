@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -8,15 +9,21 @@ import pytest
 from elastic_flow import ConfigError, make_initial_curve
 from elastic_flow.convergence import SweepConfig, run_sweep
 from elastic_flow.flow import FlowConfig, run
+from elastic_flow.estimates import DiagnosticsRecord
+from elastic_flow.geometry import DiscreteCurve
 from elastic_flow.iotools import (
     RunManifest,
     emit_outputs,
+    fmt,
     parse_config,
     parse_initial_spec,
     read_diagnostics_csv,
     read_snapshot,
+    write_diagnostics_csv,
     write_snapshot,
 )
+
+SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300, -1e-300, 0.1, 1.0 / 3.0]
 
 
 def small_run(n=64, dt=1e-3, t_end=0.01, eps=0.1, stride=1):
@@ -97,6 +104,49 @@ class TestSnapshotRoundTrip:
         write_snapshot(str(p1), state)
         write_snapshot(str(p2), state)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+class TestFormattedBytes:
+    """The files equal the one-value-at-a-time `fmt` rendering, byte for byte."""
+
+    def test_snapshot_matches_per_value_fmt(self, tmp_path):
+        state = small_run().states[-1]
+        nodes = state.curve.nodes.copy()
+        nodes[1:6, 1] = [-0.0, 5e-324, -1e-300, 0.1, 1.0 / 3.0]
+        kappa = state.cache.kappa.copy()
+        kappa[3 : 3 + len(SPECIAL)] = SPECIAL
+        state = dataclasses.replace(
+            state,
+            curve=DiscreteCurve(nodes),
+            cache=dataclasses.replace(state.cache, kappa=kappa),
+        )
+        lines = [
+            f"n={state.curve.n} length={fmt(state.cache.total_length)} "
+            f"t={fmt(state.time)} eps={fmt(state.epsilon)}"
+        ]
+        for (x, y), kap in zip(nodes, kappa):
+            lines.append(f"{fmt(x)} {fmt(y)} {fmt(kap)}")
+        path = tmp_path / "snap.txt"
+        write_snapshot(str(path), state)
+        assert path.read_text(encoding="ascii") == "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("count", [0, 1, 11])
+    def test_diagnostics_csv_matches_per_value_fmt(self, tmp_path, count):
+        records = small_run().diagnostics[:count]
+        if records:
+            records[-1] = dataclasses.replace(
+                records[-1],
+                energy_Feps=SPECIAL[0],
+                dissipation_rate=SPECIAL[1],
+                kappa_l2_sq=np.array(SPECIAL[2:7]),
+                max_abs_E=SPECIAL[7],
+                max_abs_lambda=SPECIAL[8],
+            )
+        lines = [DiagnosticsRecord.CSV_HEADER]
+        lines += [",".join(fmt(v) for v in rec.row()) for rec in records]
+        path = tmp_path / "diagnostics.csv"
+        write_diagnostics_csv(str(path), records)
+        assert path.read_text(encoding="ascii") == "\n".join(lines) + "\n"
 
 
 class TestEmitOutputs:

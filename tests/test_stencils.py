@@ -176,6 +176,38 @@ class TestGhostedBoundaries:
             for order in range(1, 5):
                 assert np.all(stencils.derivative(f, s, order, boundary) == 0.0), (boundary, order)
 
+    @pytest.mark.parametrize("boundary", ["odd", "periodic"])
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_uniform_grid_equals_full_kernel_on_ghosted_samples(self, boundary, order):
+        # uniform grids apply only the centered stencils to the ghost-extended
+        # samples; the bits must equal the whole uniform kernel run on them
+        # with the ghost rows dropped
+        half = stencils.CENTERED[order][0]
+        s = np.linspace(0.3, 2.1, 65)
+        f = np.sin(3.0 * s) + 0.2 * s**2
+        if boundary == "odd":
+            fe = np.concatenate([2 * f[0] - f[half:0:-1], f, 2 * f[-1] - f[-2 : -2 - half : -1]])
+        else:
+            f = f[:-1]
+            fe = np.concatenate([f[-half:], f, f[:half]])
+        h = (s[-1] - s[0]) / (s.size - 1)
+        ref = stencils.derivative_uniform(fe, h, order)[half:-half]
+        assert np.array_equal(stencils.derivative(f, s, order, boundary), ref)
+
+    @pytest.mark.parametrize("boundary", ["one_sided", "odd", "periodic"])
+    @pytest.mark.parametrize("graded", [False, True])
+    def test_several_orders_equal_one_at_a_time(self, boundary, graded):
+        # the orders share one ghost extension, as wide as order 3/4 needs
+        if boundary == "periodic":
+            s = _periodic_graded_grid() if graded else np.linspace(0.4, 2.1, 33)
+            f = np.cos(2.0 * np.pi * (s[:-1] - s[0]) / (s[-1] - s[0]))
+        else:
+            s = _graded_grid() if graded else np.linspace(0.0, 1.8, 33)
+            f = np.sin(2.0 * s) + 0.3 * s**3
+        got = stencils.derivatives(f, s, (1, 2, 3, 4), boundary)
+        for order, d in zip((1, 2, 3, 4), got):
+            assert np.array_equal(d, stencils.derivative(f, s, order, boundary)), order
+
     def test_unknown_boundary_rejected(self):
         s = np.linspace(0.0, 1.0, 33)
         with pytest.raises(ValueError):
