@@ -63,10 +63,6 @@ class CriterionResult:
 _RUN_CACHE: dict = {}
 
 
-def clear_cache() -> None:
-    _RUN_CACHE.clear()
-
-
 def _cached_run(key, factory):
     full_key = (key, geometry._STENCIL_CORRUPTION)
     if full_key not in _RUN_CACHE:

@@ -10,9 +10,7 @@ asserted anywhere, only recorded.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -149,14 +147,9 @@ def singularity_time_estimate(traj: Trajectory) -> float | None:
 
 
 def _worker_count(n_jobs: int) -> int:
-    env = os.environ.get("ELASTIC_FLOW_THREADS")
-    if env is not None:
-        try:
-            cap = max(1, int(env))
-        except ValueError:
-            cap = 1
-        return min(n_jobs, cap)
-    return min(n_jobs, os.cpu_count() or 1, 4)
+    # sweep rows run serially; perfbench/selftest.py and perfbench/steadiness.py
+    # import this until the benchmark tools stop asking for a pool size
+    return 1
 
 
 def run_sweep(initial: DiscreteCurve, config: SweepConfig) -> ConvergenceReport:
@@ -165,31 +158,15 @@ def run_sweep(initial: DiscreteCurve, config: SweepConfig) -> ConvergenceReport:
     Distances of every row are measured against the same reference
     trajectory on [delta, t_end]. Rows whose run terminated early are
     flagged in `failed_rows` and carry NaN distances instead of aborting
-    the sweep. Rows execute on a thread pool capped by ELASTIC_FLOW_THREADS.
+    the sweep. Rows run one after another on the calling thread: each row
+    holds the GIL for most of its step, so a thread pool was slower.
     """
     times = list(config.snapshot_times)
     window = (max(config.delta, times[0]), config.base.t_end)
-
-    def run_one(eps: float) -> Trajectory:
-        cfg = FlowConfig(
-            epsilon=eps,
-            n=config.base.n,
-            dt=config.base.dt,
-            t_end=config.base.t_end,
-            reparam_every=config.base.reparam_every,
-            kappa_blowup_threshold=config.base.kappa_blowup_threshold,
-            solver_tol=config.base.solver_tol,
-        )
-        return run(initial, cfg, snapshot_times=times)
-
-    jobs = [0.0, *config.epsilons]
-    workers = _worker_count(len(jobs))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_one, jobs))
-    else:
-        results = [run_one(e) for e in jobs]
-    reference, rows = results[0], results[1:]
+    reference, *rows = [
+        run(initial, replace(config.base, epsilon=eps), snapshot_times=times)
+        for eps in (0.0, *config.epsilons)
+    ]
 
     n_eps = len(config.epsilons)
     distances = np.full((n_eps, config.k_max + 1), np.nan)

@@ -61,11 +61,15 @@ class DiagnosticsRecord:
 
 def energy(state) -> float:
     """Length-plus-bending functional: trapezoid of (1 + eps kappa^2) ds."""
-    cache = state.cache
-    eps = state.epsilon
+    return float(energies(state.cache.total_length, state.cache.ds, state.cache.kappa, state.epsilon))
+
+
+def energies(length, ds: np.ndarray, kappa: np.ndarray, eps: float):
+    """`energy` along the last axis: one value per row of `ds` and `kappa`,
+    `length` holding the total length of each row."""
     if eps == 0.0:
-        return float(cache.total_length)
-    return float(np.sum(cache.ds * (1.0 + eps * cache.kappa**2)))
+        return length
+    return np.sum(ds * (1.0 + eps * kappa**2), axis=-1)
 
 
 def dissipation_residual(traj, k: int) -> float:
@@ -86,18 +90,27 @@ def boundary_residuals(state_or_cache) -> np.ndarray:
     window at full derivative order gives away one power of h).
     """
     cache = state_or_cache if isinstance(state_or_cache, GeometryCache) else state_or_cache.cache
-    kappa, s = cache.kappa, cache.s
-    out = np.empty((3, 2))
-    out[0] = np.abs(kappa[0]), np.abs(kappa[-1])
+    return endpoint_residuals(cache.kappa[None], cache.s[None], [cache.uniform_h])[0]
+
+
+def endpoint_residuals(kappa: np.ndarray, s: np.ndarray, uniform_h: list) -> np.ndarray:
+    """`boundary_residuals` of each row of `kappa` on the grid in that row of
+    `s`, shape (rows, 3, 2); `uniform_h` is each row's spacing or None."""
+    out = np.empty((kappa.shape[0], 3, 2))
+    out[:, 0] = np.abs(kappa[:, [0, -1]])
+    uniform = [i for i, h in enumerate(uniform_h) if h is not None]
+    k = kappa[uniform]
     for row, (order, width) in enumerate(((2, 4), (4, 5)), start=1):
-        if cache.uniform_h is not None:
-            # even orders are insensitive to window orientation
-            w = stencils.one_sided_weights(order, width, 0) / cache.uniform_h**order
-            out[row] = abs(w @ kappa[:width]), abs(w @ kappa[-width:][::-1])
-        else:
-            wl = stencils.fd_weights(s[:width], s[0], order)
-            wr = stencils.fd_weights(s[-width:], s[-1], order)
-            out[row] = abs(wl @ kappa[:width]), abs(wr @ kappa[-width:])
+        # even orders are insensitive to window orientation; matmul on the
+        # reversed view repeats the arithmetic of `w @ x` row by row
+        w = np.array([stencils.one_sided_weights(order, width, 0) / uniform_h[i] ** order for i in uniform])
+        for side, x in enumerate((k[:, :width], k[:, -width:][:, ::-1])):
+            out[uniform, row, side] = np.abs(np.matmul(w.reshape(-1, 1, width), x[:, :, None])[:, 0, 0])
+        for i, h in enumerate(uniform_h):
+            if h is None:
+                wl = stencils.fd_weights(s[i, :width], s[i, 0], order)
+                wr = stencils.fd_weights(s[i, -width:], s[i, -1], order)
+                out[i, row] = abs(wl @ kappa[i, :width]), abs(wr @ kappa[i, -width:])
     return out
 
 

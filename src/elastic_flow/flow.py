@@ -26,7 +26,7 @@ from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from . import stencils
 from .errors import BadParams, ConfigError, ReparamFailure, SingularityDetected, SolverFailure
-from .estimates import DiagnosticsRecord, boundary_residuals, energy
+from .estimates import DiagnosticsRecord, endpoint_residuals, energies
 from .geometry import (
     DiscreteCurve,
     GeometryCache,
@@ -112,6 +112,7 @@ class Terminated(enum.Enum):
     REACHED_T_END = "reached_t_end"
     SINGULARITY_DETECTED = "singularity_detected"
     SOLVER_FAILURE = "solver_failure"
+    REPARAM_FAILURE = "reparam_failure"
 
 
 @dataclass
@@ -134,10 +135,9 @@ class Trajectory:
         raise KeyError(f"no snapshot at t = {t}")
 
 
-def _dirichlet_kappa(cache: GeometryCache) -> np.ndarray:
-    kd = cache.kappa.copy()
-    kd[0] = 0.0
-    kd[-1] = 0.0
+def _dirichlet_kappa(kappa: np.ndarray) -> np.ndarray:
+    kd = kappa.copy()
+    kd[..., [0, -1]] = 0.0
     return kd
 
 
@@ -158,7 +158,7 @@ def flow_arrays(state: FlowState) -> dict[str, np.ndarray]:
     periodic stencils and no boundary handling. `state.arrays` caches it.
     """
     cache = state.cache
-    k = cache.kappa if cache.closed else _dirichlet_kappa(cache)
+    k = cache.kappa if cache.closed else _dirichlet_kappa(cache.kappa)
     d1, d2, d3, d4 = _flow_derivatives(cache, k, (1, 2, 3, 4))
     return {"kappa": k, "d1": d1, "d2": d2, "d3": d3, "d4": d4}
 
@@ -171,8 +171,7 @@ def normal_velocity(state: FlowState) -> np.ndarray:
     `state.E` caches it.
     """
     a = state.arrays
-    k = a["kappa"]
-    return -k + state.epsilon * (2.0 * a["d2"] + k**3)
+    return _normal_speed(a["kappa"], a["d2"], state.epsilon)
 
 
 def tangential_velocity(state: FlowState) -> np.ndarray:
@@ -180,11 +179,20 @@ def tangential_velocity(state: FlowState) -> np.ndarray:
 
     `state.lam` caches it.
     """
-    integrand = state.E * state.arrays["kappa"]
-    ds = np.diff(state.cache.s)
-    return -np.concatenate(
-        [[0.0], np.cumsum(0.5 * (integrand[1:] + integrand[:-1]) * ds)]
-    )
+    return _tangential_speed(state.E, state.arrays["kappa"], state.cache.s)
+
+
+# The two speeds work along the last axis, so one state and a block of
+# states (`_records`) share their arithmetic.
+def _normal_speed(k: np.ndarray, d2: np.ndarray, eps: float) -> np.ndarray:
+    return -k + eps * (2.0 * d2 + k**3)
+
+
+def _tangential_speed(E: np.ndarray, k: np.ndarray, s: np.ndarray) -> np.ndarray:
+    integrand = E * k
+    ds = np.diff(s, axis=-1)
+    running = np.cumsum(0.5 * (integrand[..., 1:] + integrand[..., :-1]) * ds, axis=-1)
+    return -np.concatenate([np.zeros(running.shape[:-1] + (1,)), running], axis=-1)
 
 
 def curvature_evolution_rhs(state: FlowState, form: str = "compact") -> np.ndarray:
@@ -314,7 +322,8 @@ def step(state: FlowState, config: FlowConfig) -> FlowState:
     """Advance one IMEX step of size dt; endpoints never move.
 
     Raises SolverFailure when the post-refinement linear residual exceeds
-    solver_tol, SingularityDetected when max |kappa| crosses the blow-up
+    solver_tol, ReparamFailure when the constant-speed redistribution
+    stalls, SingularityDetected when max |kappa| crosses the blow-up
     threshold or the mesh degenerates.
     """
     if state.curve.closed:
@@ -331,7 +340,7 @@ def step(state: FlowState, config: FlowConfig) -> FlowState:
 
     rhs = nodes.copy()
     if eps > 0.0:
-        kd = _dirichlet_kappa(cache)
+        kd = _dirichlet_kappa(cache.kappa)
         rhs += dt * (-3.0 * eps * kd**3)[:, None] * cache.normal
         rhs[0] = nodes[0]
         rhs[-1] = nodes[-1]
@@ -355,10 +364,7 @@ def step(state: FlowState, config: FlowConfig) -> FlowState:
 
     new_curve = DiscreteCurve(new_nodes)
     if (state.step_index + 1) % config.reparam_every == 0:
-        try:
-            new_curve = reparametrize_constant_speed(new_curve)
-        except ReparamFailure as exc:
-            raise SolverFailure(str(exc)) from exc
+        new_curve = reparametrize_constant_speed(new_curve)
     new_cache = compute_geometry(new_curve)
     if np.max(np.abs(new_cache.kappa)) > config.kappa_blowup_threshold:
         raise SingularityDetected(
@@ -377,28 +383,46 @@ def step(state: FlowState, config: FlowConfig) -> FlowState:
     )
 
 
-def _record(state: FlowState) -> DiagnosticsRecord:
+RECORD_BLOCK = 64  # states whose diagnostics `run` computes in one array pass
+
+
+def _record_inputs(state: FlowState) -> tuple:
+    # what a diagnostics record reads of a state
     cache = state.cache
-    E = state.E
-    lam = state.lam
-    a = state.arrays
-    w = cache.ds
-    norms = np.array(
-        [float(np.sum(w * a["kappa"] ** 2))]
-        + [float(np.sum(w * a[f"d{j}"] ** 2)) for j in (1, 2, 3, 4)]
-    )
-    return DiagnosticsRecord(
-        t=state.time,
-        length=cache.total_length,
-        energy_Feps=energy(state),
-        dissipation_rate=float(np.sum(w * E**2)),
-        kappa_l2_sq=norms,
-        boundary_residuals=boundary_residuals(state),
-        lambda_endpoint_residual=math.nan,
-        max_abs_E=float(np.max(np.abs(E))),
-        max_abs_lambda=float(np.max(np.abs(lam))),
-        _lambda_end=float(lam[-1]),
-    )
+    return state.time, cache.total_length, cache.uniform_h, cache.kappa, cache.s, cache.ds
+
+
+def _records(block: list[tuple], eps: float) -> list[DiagnosticsRecord]:
+    """Diagnostics records of the states whose `_record_inputs` are `block`,
+    in one pass along the last axis of their stacked arrays."""
+    if not block:
+        return []
+    t, length, uniform_h, kappa, s, w = zip(*block)
+    kappa, s, w = np.stack(kappa), np.stack(s), np.stack(w)
+    k = _dirichlet_kappa(kappa)
+    # d1..d4 as `flow_arrays` takes them; nonuniform rows occur only with reparam_every > 1
+    d = np.empty((4,) + k.shape)
+    uniform = [i for i, h in enumerate(uniform_h) if h is not None]
+    d[:, uniform] = stencils.uniform_row_derivatives(k[uniform], s[uniform], (1, 2, 3, 4), "odd")
+    for i, h in enumerate(uniform_h):
+        if h is None:
+            d[:, i] = stencils.derivatives(k[i], s[i], (1, 2, 3, 4), "odd")
+    E = _normal_speed(k, d[1], eps)
+    lam = _tangential_speed(E, k, s)
+    norms = np.stack([np.sum(w * x**2, axis=1) for x in (k, *d)], axis=1)
+    scalars = [
+        energies(np.array(length), w, kappa, eps),
+        np.sum(w * E**2, axis=1),
+        np.max(np.abs(E), axis=1),
+        np.max(np.abs(lam), axis=1),
+        lam[:, -1],
+    ]
+    return [
+        DiagnosticsRecord(ti, li, f, diss, n.copy(), b.copy(), math.nan, e, m, end)
+        for ti, li, (f, diss, e, m, end), n, b in zip(
+            t, length, np.stack(scalars, axis=1).tolist(), norms, endpoint_residuals(kappa, s, uniform_h)
+        )
+    ]
 
 
 def _fill_lambda_residuals(records: list[DiagnosticsRecord], dt: float):
@@ -423,7 +447,8 @@ def run(
     at any requested snapshot_times (which must sit on the dt grid), and
     always at the first and last computed step. The initial curve must have
     endpoint curvature below 1e-6; it is redistributed to constant speed
-    before stepping.
+    before stepping. Diagnostics are computed in blocks of RECORD_BLOCK
+    states, and once more for the states left when the run ends.
     """
     cache0 = compute_geometry(initial)
     if max(abs(cache0.kappa[0]), abs(cache0.kappa[-1])) > 1e-6:
@@ -432,6 +457,8 @@ def run(
     dt = config.dt
     if snapshot_stride is None:
         snapshot_stride = max(1, nsteps // 200)
+    if snapshot_stride < 1:
+        raise ConfigError("snapshot_stride", "must be at least 1")
     want_times = set()
     for t_req in snapshot_times or ():
         k = round(t_req / dt)
@@ -440,9 +467,9 @@ def run(
         want_times.add(k)
 
     state = FlowState.from_curve(reparametrize_constant_speed(initial), config.epsilon)
-    records = [_record(state)]
-    # snapshots are copies without the velocities `_record` cached
-    states = [replace(state)]
+    block = [_record_inputs(state)]
+    records = []
+    states = [state]
     terminated = Terminated.REACHED_T_END
     event_time = None
     for k in range(1, nsteps + 1):
@@ -450,19 +477,24 @@ def run(
             state = step(state, config)
         except SingularityDetected:
             terminated = Terminated.SINGULARITY_DETECTED
-            event_time = state.time + dt
-            break
         except SolverFailure:
             terminated = Terminated.SOLVER_FAILURE
+        except ReparamFailure:
+            terminated = Terminated.REPARAM_FAILURE
+        if terminated is not Terminated.REACHED_T_END:
             event_time = state.time + dt
             break
         # keep the time grid exactly k * dt (no accumulation drift)
         state = replace(state, time=k * dt)
-        records.append(_record(state))
+        block.append(_record_inputs(state))
+        if len(block) == RECORD_BLOCK:
+            records += _records(block, config.epsilon)
+            block = []
         if k % snapshot_stride == 0 or k == nsteps or k in want_times:
-            states.append(replace(state))
+            states.append(state)
+    records += _records(block, config.epsilon)
     if states[-1].step_index != state.step_index:
-        states.append(replace(state))
+        states.append(state)
     return Trajectory(
         states=states,
         diagnostics=_fill_lambda_residuals(records, dt),

@@ -81,9 +81,6 @@ class DiscreteCurve:
     def endpoint_q(self) -> Point2:
         return Point2(*self.nodes[-1])
 
-    def with_nodes(self, nodes: np.ndarray) -> "DiscreteCurve":
-        return DiscreteCurve(nodes, closed=self.closed)
-
 
 @dataclass(frozen=True)
 class GeometryCache:

@@ -74,13 +74,14 @@ def is_uniform(s: np.ndarray, rel_tol: float = 1e-9) -> bool:
 
 def _centered(f: np.ndarray, order: int) -> np.ndarray:
     """Unit-spacing centered stencil of `order` at every node with `half`
-    neighbours on each side."""
+    neighbours on each side, along the last axis of `f`."""
     half, w = CENTERED[order]
-    center = f[half : f.size - half]
-    acc = np.zeros(f.size - 2 * half)
+    m = f.shape[-1] - 2 * half
+    center = f[..., half : half + m]
+    acc = np.zeros(center.shape)
     for k, c in enumerate(w):
         if c != 0.0 and k != half:
-            acc += c * (f[k : k + acc.size] - center)
+            acc += c * (f[..., k : k + m] - center)
     return acc
 
 
@@ -185,25 +186,46 @@ def derivatives(f: np.ndarray, s: np.ndarray, orders: tuple[int, ...], boundary:
     f = np.asarray(f, dtype=float)
     # the ghost nodes repeat spacings of the grid, so it decides the path
     uniform = is_uniform(s)
-    h = (s[-1] - s[0]) / (s.size - 1)
     if boundary == "one_sided":
+        h = _spacing(s)
         return [derivative_uniform(f, h, k) if uniform else derivative_nonuniform(f, s, k) for k in orders]
+    if uniform:
+        return [d[0] for d in uniform_row_derivatives(f[None], s[None], orders, boundary)]
     half = max(CENTERED[k][0] for k in orders)
     f = _ghosted(f, half, boundary)
-    if uniform:
-        # every node of the grid is an interior node of the extended samples;
-        # narrower stencils skip the ghosts they do not reach
-        skip = [half - CENTERED[k][0] for k in orders]
-        return [_centered(f[j : f.size - j], k) / h**k for j, k in zip(skip, orders)]
     s = _ghosted(s if boundary == "odd" else s[:-1], half, boundary, s[-1] - s[0])
     return [derivative_nonuniform(f, s, k)[half:-half] for k in orders]
 
 
+def uniform_row_derivatives(f: np.ndarray, s: np.ndarray, orders: tuple[int, ...], boundary: str) -> list:
+    """`derivatives` of each row of `f` on the uniform grid in that row of
+    `s`, with `odd` or `periodic` ends."""
+    # every node of the grid is an interior node of the extended samples;
+    # narrower stencils skip the ghosts they do not reach
+    half = max(CENTERED[k][0] for k in orders)
+    f = _ghosted(f, half, boundary)
+    m = f.shape[-1]
+    h = _spacing(s)
+    out = []
+    for k in orders:
+        j = half - CENTERED[k][0]
+        # one scalar power per row: the array power h[:, None]**k differs in the last bit
+        out.append(_centered(f[:, j : m - j], k) / np.array([hi**k for hi in h])[:, None])
+    return out
+
+
+def _spacing(s: np.ndarray) -> np.ndarray:
+    # spacing of the uniform grid along the last axis of `s`
+    return (s[..., -1] - s[..., 0]) / (s.shape[-1] - 1)
+
+
 def _ghosted(x: np.ndarray, half: int, boundary: str, period: float = 0.0) -> np.ndarray:
-    # `half` ghost entries at each end: point reflection through the end
-    # entry (odd) or wrap-around shifted by `period` (periodic)
+    # `half` ghost entries at each end of the last axis: point reflection
+    # through the end entry (odd) or wrap-around shifted by `period` (periodic)
     if boundary == "odd":
-        return np.concatenate([2.0 * x[0] - x[half:0:-1], x, 2.0 * x[-1] - x[-2 : -2 - half : -1]])
-    if boundary == "periodic":
-        return np.concatenate([x[-half:] - period, x, x[:half] + period])
-    raise ValueError("boundary must be one_sided, odd or periodic")
+        ends = 2.0 * x[..., :1] - x[..., half:0:-1], 2.0 * x[..., -1:] - x[..., -2 : -2 - half : -1]
+    elif boundary == "periodic":
+        ends = x[..., -half:] - period, x[..., :half] + period
+    else:
+        raise ValueError("boundary must be one_sided, odd or periodic")
+    return np.concatenate([ends[0], x, ends[1]], axis=-1)

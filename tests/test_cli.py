@@ -56,6 +56,13 @@ class TestSimulate:
         assert "diagnostics.csv" in names
         assert sum(n.startswith("snapshot_") for n in names) == 3  # steps 0, 5, 10
 
+    def test_zero_stride_reports_error(self, tmp_path, cfg_file, capsys):
+        out = tmp_path / "out"
+        code = main(["simulate", "-c", cfg_file(SIMULATE_CFG), "-o", str(out), "--stride", "0"])
+        assert code == 2
+        assert "error: snapshot_stride" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_rerun_byte_identical(self, tmp_path, cfg_file):
         cfg = cfg_file(SIMULATE_CFG)
         out_a, out_b = tmp_path / "a", tmp_path / "b"

@@ -146,6 +146,23 @@ class TestSweepInfrastructure:
             states.append(run(curve, cfg).states[0])
         assert np.max(np.abs(states[0].curve.nodes - states[1].curve.nodes)) <= 1e-12
 
+    def test_rows_run_on_calling_thread(self, monkeypatch):
+        import threading
+
+        from elastic_flow import convergence
+
+        threads = []
+
+        def traced_run(*args, **kwargs):
+            threads.append(threading.get_ident())
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(convergence, "run", traced_run)
+        base = FlowConfig(epsilon=0.1, n=64, dt=1e-3, t_end=0.005)
+        cfg = SweepConfig(epsilons=(0.2, 0.1, 0.05), base=base, delta=0.0, k_max=0)
+        run_sweep(make_initial_curve("flattened_sine", 64, amplitude=0.05), cfg)
+        assert threads == [threading.get_ident()] * 4
+
     def test_thread_cap_env_var(self, monkeypatch):
         base = FlowConfig(epsilon=0.1, n=64, dt=1e-3, t_end=0.005)
         cfg = SweepConfig(epsilons=(0.2, 0.1), base=base, delta=0.0, k_max=0)

@@ -12,6 +12,7 @@ from elastic_flow.estimates import (
     comparison_check,
     curvature_growth_rate,
     dissipation_residual,
+    endpoint_residuals,
     energy,
     gn_check,
     gn_corpus,
@@ -103,6 +104,30 @@ class TestBoundaryResiduals:
             traj = run(fs, FlowConfig(epsilon=0.1, n=n, dt=dt, t_end=0.05))
             vals[n] = boundary_residuals(traj.states[-1])
         assert np.all(vals[256][2] <= vals[128][2])
+
+    def test_stacked_rows_equal_one_row_at_a_time(self):
+        # reference: per-row weights applied with `w @ x`, the order `run`'s
+        # records were computed in one state at a time
+        from elastic_flow import stencils
+
+        rng = np.random.default_rng(3)
+        kappa = rng.normal(size=(40, 65)) * rng.uniform(0.01, 100.0, size=(40, 1))
+        v = np.linspace(0.0, 1.0, 65)
+        s = np.vstack([v, v + 0.03 * np.sin(2.0 * np.pi * v)] * 20)
+        uniform_h = [1.0 / 64 if i % 2 == 0 else None for i in range(40)]
+        got = endpoint_residuals(kappa, s, uniform_h)
+        for i, (k, si, h) in enumerate(zip(kappa, s, uniform_h)):
+            want = np.empty((3, 2))
+            want[0] = abs(k[0]), abs(k[-1])
+            for row, (order, width) in enumerate(((2, 4), (4, 5)), start=1):
+                if h is not None:
+                    w = stencils.one_sided_weights(order, width, 0) / h**order
+                    want[row] = abs(w @ k[:width]), abs(w @ k[-width:][::-1])
+                else:
+                    wl = stencils.fd_weights(si[:width], si[0], order)
+                    wr = stencils.fd_weights(si[-width:], si[-1], order)
+                    want[row] = abs(wl @ k[:width]), abs(wr @ k[-width:])
+            assert np.array_equal(got[i], want), i
 
 
 class TestGNInequalities:

@@ -10,10 +10,13 @@ from elastic_flow import (
     DiscreteCurve,
     make_initial_curve,
 )
+from elastic_flow.estimates import DiagnosticsRecord, boundary_residuals, energy
 from elastic_flow.flow import (
+    RECORD_BLOCK,
     FlowConfig,
     FlowState,
     Terminated,
+    _fill_lambda_residuals,
     curvature_evolution_rhs,
     normal_velocity,
     run,
@@ -205,6 +208,25 @@ class TestStep:
 
 
 class TestRun:
+    def test_snapshot_stride_below_one_rejected(self):
+        with pytest.raises(ConfigError) as info:
+            run(
+                make_initial_curve("flattened_sine", 64, amplitude=0.05),
+                FlowConfig(epsilon=0.1, n=64, dt=1e-4, t_end=0.001),
+                snapshot_stride=0,
+            )
+        assert info.value.key == "snapshot_stride"
+
+    def test_redistribution_stall_has_its_own_reason(self):
+        # the chord equalization stalls at deviation 1.467e-10 in step 20
+        traj = run(
+            make_initial_curve("arc_with_flat_ends", 64, turn_angle=3.0),
+            FlowConfig(epsilon=0.5, n=64, dt=5e-3, t_end=0.2),
+        )
+        assert traj.terminated_by is Terminated.REPARAM_FAILURE
+        assert traj.event_time == pytest.approx(0.1)
+        assert len(traj.diagnostics) == 20
+
     def test_snapshots_do_not_keep_cached_velocities(self):
         traj = run(
             make_initial_curve("flattened_sine", 64, amplitude=0.05),
@@ -260,6 +282,85 @@ class TestRun:
         traj = run(fs, FlowConfig(epsilon=0.3, n=64, dt=1e-4, t_end=0.01))
         for rec in traj.diagnostics:
             assert rec.energy_Feps >= rec.length
+
+
+def _record(state):
+    # reference: the diagnostics record of one state, from its cached arrays
+    cache = state.cache
+    E = state.E
+    lam = state.lam
+    a = state.arrays
+    w = cache.ds
+    norms = np.array(
+        [float(np.sum(w * a["kappa"] ** 2))]
+        + [float(np.sum(w * a[f"d{j}"] ** 2)) for j in (1, 2, 3, 4)]
+    )
+    return DiagnosticsRecord(
+        t=state.time,
+        length=cache.total_length,
+        energy_Feps=energy(state),
+        dissipation_rate=float(np.sum(w * E**2)),
+        kappa_l2_sq=norms,
+        boundary_residuals=boundary_residuals(state),
+        lambda_endpoint_residual=math.nan,
+        max_abs_E=float(np.max(np.abs(E))),
+        max_abs_lambda=float(np.max(np.abs(lam))),
+        _lambda_end=float(lam[-1]),
+    )
+
+
+def assert_records_match_reference(traj):
+    # with snapshot stride 1 the trajectory keeps every computed state
+    assert len(traj.states) == len(traj.diagnostics)
+    ref = _fill_lambda_residuals([_record(st) for st in traj.states], traj.config.dt)
+    for got, want in zip(traj.diagnostics, ref):
+        for f in dataclasses.fields(DiagnosticsRecord):
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            assert np.array_equal(a, b, equal_nan=True), (got.t, f.name, a, b)
+
+
+class TestBatchedRecords:
+    @pytest.mark.parametrize("eps", [0.0, 0.1, 1.0])
+    @pytest.mark.parametrize("count", [RECORD_BLOCK, RECORD_BLOCK + 1, 2 * RECORD_BLOCK + 2])
+    def test_records_equal_per_state_reference(self, eps, count):
+        traj = run(
+            make_initial_curve("flattened_sine", 64, amplitude=0.3),
+            FlowConfig(epsilon=eps, n=64, dt=1e-4, t_end=(count - 1) * 1e-4),
+            snapshot_stride=1,
+        )
+        assert traj.terminated_by is Terminated.REACHED_T_END
+        assert len(traj.diagnostics) == count
+        assert_records_match_reference(traj)
+
+    def test_uniform_and_nonuniform_rows_in_one_block(self):
+        traj = run(
+            make_initial_curve("flattened_sine", 64, amplitude=0.3),
+            FlowConfig(epsilon=0.1, n=64, dt=1e-4, t_end=RECORD_BLOCK * 1e-4, reparam_every=2),
+            snapshot_stride=1,
+        )
+        kinds = {st.cache.uniform_h is None for st in traj.states[:RECORD_BLOCK]}
+        assert kinds == {True, False}
+        assert_records_match_reference(traj)
+
+    def test_run_stopped_at_first_step_has_one_record(self):
+        traj = run(
+            make_initial_curve("flattened_sine", 64, amplitude=0.05),
+            FlowConfig(epsilon=0.1, n=64, dt=1e-4, t_end=0.01, kappa_blowup_threshold=0.1),
+            snapshot_stride=1,
+        )
+        assert traj.terminated_by is Terminated.SINGULARITY_DETECTED
+        assert len(traj.diagnostics) == 1
+        assert_records_match_reference(traj)
+
+    def test_singular_run_has_one_record_per_computed_step(self):
+        loop = make_initial_curve("arc_with_flat_ends", 64, turn_angle=2.6 * math.pi)
+        cfg = FlowConfig(epsilon=0.0, n=64, dt=5e-5, t_end=0.02, kappa_blowup_threshold=20.0)
+        traj = run(loop, cfg, snapshot_stride=1)
+        assert traj.terminated_by is Terminated.SINGULARITY_DETECTED
+        computed = round(traj.event_time / cfg.dt)  # steps 0 .. computed - 1
+        assert computed > RECORD_BLOCK
+        assert [round(r.t / cfg.dt) for r in traj.diagnostics] == list(range(computed))
+        assert_records_match_reference(traj)
 
 
 class TestEndpointTangentialIdentity:

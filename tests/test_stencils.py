@@ -194,6 +194,29 @@ class TestGhostedBoundaries:
         ref = stencils.derivative_uniform(fe, h, order)[half:-half]
         assert np.array_equal(stencils.derivative(f, s, order, boundary), ref)
 
+    @pytest.mark.parametrize("boundary", ["odd", "periodic"])
+    def test_stacked_rows_equal_one_row_at_a_time(self, boundary):
+        # each row has its own spacing; the bits must equal the whole uniform
+        # kernel run on that row's ghost-extended samples, as above
+        rng = np.random.default_rng(7)
+        lengths = rng.uniform(0.5, 3.0, 40)
+        s = lengths[:, None] * np.linspace(0.0, 1.0, 65)
+        f = np.sin(3.0 * s) + rng.normal(0.0, 0.1, s.shape)
+        if boundary == "periodic":
+            f = f[:, :-1]
+        got = stencils.uniform_row_derivatives(f, s, (1, 2, 3, 4), boundary)
+        for order, g in enumerate(got, start=1):
+            half = stencils.CENTERED[order][0]
+            for i in range(s.shape[0]):
+                fi = f[i]
+                if boundary == "odd":
+                    fe = np.concatenate([2 * fi[0] - fi[half:0:-1], fi, 2 * fi[-1] - fi[-2 : -2 - half : -1]])
+                else:
+                    fe = np.concatenate([fi[-half:], fi, fi[:half]])
+                h = (s[i, -1] - s[i, 0]) / (s.shape[1] - 1)
+                ref = stencils.derivative_uniform(fe, h, order)[half:-half]
+                assert np.array_equal(g[i], ref), (order, i)
+
     @pytest.mark.parametrize("boundary", ["one_sided", "odd", "periodic"])
     @pytest.mark.parametrize("graded", [False, True])
     def test_several_orders_equal_one_at_a_time(self, boundary, graded):

@@ -17,3 +17,9 @@ def test_every_traced_function_exists():
         if not hasattr(importlib.import_module(f"{tracer.PACKAGE}.{module}"), func)
     ]
     assert not missing, f"traced names gone from the package: {missing}"
+
+
+def test_benchmark_tools_find_the_worker_count():
+    # perfbench/selftest.py and perfbench/steadiness.py import it
+    convergence = importlib.import_module("elastic_flow.convergence")
+    assert callable(getattr(convergence, "_worker_count", None))
