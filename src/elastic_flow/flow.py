@@ -25,7 +25,8 @@ import numpy as np
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from . import stencils
-from .errors import BadParams, ConfigError, ReparamFailure, SingularityDetected, SolverFailure
+from .errors import BadParams, ConfigError, DegenerateCurve, ReparamFailure
+from .errors import SingularityDetected, SolverFailure
 from .estimates import DiagnosticsRecord, endpoint_residuals, energies
 from .geometry import (
     DiscreteCurve,
@@ -113,6 +114,8 @@ class Terminated(enum.Enum):
     SINGULARITY_DETECTED = "singularity_detected"
     SOLVER_FAILURE = "solver_failure"
     REPARAM_FAILURE = "reparam_failure"
+    NON_FINITE_STATE = "non_finite_state"
+    DEGENERATE_MESH = "degenerate_mesh"
 
 
 @dataclass
@@ -324,7 +327,8 @@ def step(state: FlowState, config: FlowConfig) -> FlowState:
     Raises SolverFailure when the post-refinement linear residual exceeds
     solver_tol, ReparamFailure when the constant-speed redistribution
     stalls, SingularityDetected when max |kappa| crosses the blow-up
-    threshold or the mesh degenerates.
+    threshold or the mesh degenerates. A non-finite or coincident new node
+    raises BadParams or DegenerateCurve from the curve it would build.
     """
     if state.curve.closed:
         raise BadParams("the evolution is defined for open pinned curves")
@@ -447,8 +451,10 @@ def run(
     at any requested snapshot_times (which must sit on the dt grid), and
     always at the first and last computed step. The initial curve must have
     endpoint curvature below 1e-6; it is redistributed to constant speed
-    before stepping. Diagnostics are computed in blocks of RECORD_BLOCK
-    states, and once more for the states left when the run ends.
+    before stepping. Once stepping starts, every failure ends the run with
+    its Terminated reason, keeping the records up to the last good step.
+    Diagnostics are computed in blocks of RECORD_BLOCK states, and once
+    more for the states left when the run ends.
     """
     cache0 = compute_geometry(initial)
     if max(abs(cache0.kappa[0]), abs(cache0.kappa[-1])) > 1e-6:
@@ -481,6 +487,12 @@ def run(
             terminated = Terminated.SOLVER_FAILURE
         except ReparamFailure:
             terminated = Terminated.REPARAM_FAILURE
+        except DegenerateCurve:
+            terminated = Terminated.DEGENERATE_MESH
+        except BadParams:
+            # the rest of the CurveError family: the admitted curve is open,
+            # so this is a non-finite node from the solve or redistribution
+            terminated = Terminated.NON_FINITE_STATE
         if terminated is not Terminated.REACHED_T_END:
             event_time = state.time + dt
             break

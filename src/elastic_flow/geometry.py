@@ -383,9 +383,16 @@ def make_initial_curve(family: str, n: int = 128, **params) -> DiscreteCurve:
       arc_with_flat_ends      constant-curvature plateau with straight
                               lead-in/out; params: turn_angle
 
-    Every family has vanishing discrete curvature at both endpoints (below
-    1e-8 for the documented parameter ranges), so the data is admissible for
-    the pinned evolution.
+    Every family has zero curvature at both endpoints in the continuum; the
+    discrete endpoint curvature is below 1e-8 over the documented parameter
+    ranges only from some n on (measured on grids over each range): every n
+    for segment, n >= 64 for arc_with_flat_ends, and n >= 256 for
+    flattened_sine (at n = 128 up to 2.7e-8, 9.6e-11 at amplitude 0.05) and
+    bump_perturbed_segment (at n = 128 up to 2.8e-5). Coarser curves miss it
+    by up to O(1): at n = 16 flattened_sine with amplitude 1 gives 1.1,
+    arc_with_flat_ends with turn_angle 6 gives 7.4 and the bump at amplitude
+    2 gives 2.4. `run` refuses endpoint curvature above 1e-6, so it refuses
+    flattened_sine with amplitude 0.5 or 1 at n = 32.
     """
     if family not in _FAMILIES:
         raise BadParams(f"unknown family {family!r}; choose from {_FAMILIES}")

@@ -1,9 +1,11 @@
 """Scalar comparison ODE g' = Z(g): majorant solutions and doubling times.
 
 The default right-hand side is the calibrated power law
-Z(p) = C (p^5 + p^3 + p^2); test laws can be injected for oracle checks.
-Solutions are strictly increasing, so level queries reduce to monotone
-bisection on the dense output.
+Z(p) = C (p^5 + p^3 + p^2); test laws can be injected for oracle checks
+and must accept numpy arrays. The law is autonomous with Z > 0, so the time
+at which g reaches a level is the integral of 1/Z from g0 to that level:
+solutions are 8-point Gauss-Legendre sums on geometric nodes (Golub & Welsch,
+Math. Comp. 23, 1969), and doubling times are one adaptive quadrature each.
 """
 
 from __future__ import annotations
@@ -14,26 +16,19 @@ from typing import Callable
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from .errors import OutOfDomain
 
 BLOWUP_CAP = 1e12
 
-# Dormand-Prince 5(4) tableau
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = [
-    [],
-    [1 / 5],
-    [3 / 40, 9 / 40],
-    [44 / 45, -56 / 15, 32 / 9],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
-]
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_B4 = np.array(
-    [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
-)
+NODE_RATIO = 1.02  # g_{i+1} / g_i of the quadrature nodes
+# 8-point Gauss-Legendre rule on [-1, 1], numpy's leggauss(8) written out:
+# computing it at import would cost every command the eigensolver's memory
+_GL_NODES = np.array([0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362])
+_GL_WEIGHTS = np.array([0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706])
+_GL_X = np.concatenate([-_GL_NODES[::-1], _GL_NODES])
+_GL_W = np.concatenate([_GL_WEIGHTS[::-1], _GL_WEIGHTS])
 
 
 @dataclass(frozen=True)
@@ -60,8 +55,9 @@ class GronwallSetup:
 class GronwallSolution:
     """Dense strictly-increasing solution on [0, t_end].
 
-    Evaluation uses cubic Hermite interpolation on the accepted integrator
-    steps; the derivative at every node equals Z(g) exactly by construction.
+    Evaluation uses cubic Hermite interpolation on the quadrature nodes
+    (t_i, g_i); the derivative at every node equals Z(g_i) exactly by
+    construction.
     `blow_up_time` is finite when the solution crossed the cap, in which case
     it includes the analytic tail integral of 1/Z beyond the cap.
     """
@@ -76,10 +72,6 @@ class GronwallSolution:
     @property
     def t_end(self) -> float:
         return float(self.ts[-1])
-
-    @property
-    def g_end(self) -> float:
-        return float(self.gs[-1])
 
     def __call__(self, t):
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
@@ -101,106 +93,93 @@ class GronwallSolution:
         )
         return out if np.ndim(t) else float(out[0])
 
-    def inverse(self, level: float, tol: float = 1e-12) -> float:
-        """Monotone bisection: the time at which g reaches `level`."""
+    def inverse(self, level: float) -> float:
+        """The time at which g reaches `level`: t_k plus the integral of 1/Z from g_k."""
         if level < self.gs[0] * (1 - 1e-12) or level > self.gs[-1] * (1 + 1e-12):
             raise OutOfDomain(
                 f"level {level:.6g} outside computed range "
                 f"[{self.gs[0]:.6g}, {self.gs[-1]:.6g}]"
             )
-        lo, hi = 0.0, self.t_end
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if self(mid) < level:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+        if level <= self.gs[0]:
+            return 0.0
+        k = min(int(np.searchsorted(self.gs, level)) - 1, self.gs.size - 2)
+        return float(self.ts[k] + _integral(self.law, self.gs[k], level))
 
 
-def _rk45_step(f, t, y, h):
-    k = np.empty(7)
-    k[0] = f(y)
-    for i in range(1, 7):
-        acc = 0.0
-        for j, a in enumerate(_A[i]):
-            acc += a * k[j]
-        k[i] = f(y + h * acc)
-    y5 = y + h * float(_B5 @ k)
-    y4 = y + h * float(_B4 @ k)
-    return y5, abs(y5 - y4), k[0]
+def _integral(Z, a, b):
+    """8-point Gauss-Legendre sums of 1/Z over the intervals [a, b], elementwise."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    half = 0.5 * (b - a)
+    p = (a + half)[..., None] + half[..., None] * _GL_X
+    return half * ((1.0 / Z(p)) @ _GL_W)
 
 
 def gronwall_solve(
     setup: GronwallSetup,
     law: Callable[[float], float] | None = None,
-    rel_tol: float = 1e-11,
     cap: float = BLOWUP_CAP,
-    stop_level: float | None = None,
 ) -> GronwallSolution:
-    """Integrate g' = Z(g), g(0) = g0 adaptively up to t_max_query or blow-up.
+    """Solve g' = Z(g), g(0) = g0 up to t_max_query or blow-up.
 
-    Returns a dense solution; if g crossed `cap` the reported blow-up time is
-    the crossing time plus the tail integral of 1/Z from the cap upward.
-    A `stop_level` ends the integration early once g has passed it (used by
-    level queries that have no need to ride the blow-up).
+    The law is autonomous with Z > 0, so t(g) is the integral of 1/Z from
+    g0 to g. Nodes g_i = g0 * NODE_RATIO**i run from g0 to the first node at
+    or above `cap`. If the times pass t_max_query first, the last node is
+    placed at t_max_query exactly; otherwise g crossed `cap`, and the
+    reported blow-up time is the time of the last node plus the tail
+    integral of 1/Z from there upward.
     """
     Z = law if law is not None else setup.law()
-    t, g = 0.0, float(setup.g0)
-    f0 = Z(g)
-    if not f0 > 0.0:
+    g0, t_max = float(setup.g0), setup.t_max_query
+    if not Z(g0) > 0.0:
         # flat law: the majorant is the constant g0
-        ts = np.array([0.0, setup.t_max_query])
-        return GronwallSolution(ts, np.array([g, g]), np.array([0.0, 0.0]), None, Z)
-    ts, gs, fs = [t], [g], [f0]
-    h = min(0.1 * setup.t_max_query, 0.1 * g / f0)
-    t_final = setup.t_max_query
+        ts = np.array([0.0, t_max])
+        return GronwallSolution(ts, np.array([g0, g0]), np.array([0.0, 0.0]), None, Z)
+    count = max(1, math.ceil(math.log(cap / g0) / math.log(NODE_RATIO)))
+    gs = g0 * NODE_RATIO ** np.arange(count + 1)
+    ts = np.concatenate(([0.0], np.cumsum(_integral(Z, gs[:-1], gs[1:]))))
     blow_up = None
-    max_steps = 100_000
-    for _ in range(max_steps):
-        if t >= t_final or g >= cap:
-            break
-        if stop_level is not None and g >= stop_level:
-            break
-        h = min(h, t_final - t)
-        g_new, err, _ = _rk45_step(Z, t, g, h)
-        scale = rel_tol * max(abs(g), abs(g_new), 1e-30)
-        if err <= scale or h <= 1e-15 * max(t, 1.0):
-            t += h
-            g = g_new
-            ts.append(t)
-            gs.append(g)
-            fs.append(Z(g))
-        factor = 0.9 * (scale / err) ** 0.2 if err > 0 else 2.0
-        h *= min(4.0, max(0.2, factor))
-    if g >= cap:
-        tail, _ = quad(lambda p: 1.0 / Z(p), g, np.inf, limit=200)
-        blow_up = t + tail
-    return GronwallSolution(np.array(ts), np.array(gs), np.array(fs), blow_up, Z)
+    if ts[-1] > t_max:
+        # end at t_max inside the interval [t_k, t_{k+1}] that holds it; the
+        # bracket reaches one ratio past g_{k+1} so that rounding in t_{k+1}
+        # cannot leave the root outside it
+        k = int(np.searchsorted(ts, t_max, side="left")) - 1
+        rest = t_max - ts[k]
+        g_end = brentq(
+            lambda g: float(_integral(Z, gs[k], g)) - rest,
+            gs[k], gs[k + 1] * NODE_RATIO, xtol=1e-15 * gs[k],
+        )
+        ts = np.append(ts[: k + 1], t_max)
+        gs = np.append(gs[: k + 1], g_end)
+    else:
+        # near blow-up the steps in t can fall below the rounding of t itself;
+        # the nodes end where t stops increasing and the tail covers the rest
+        stalled = np.flatnonzero(np.diff(ts) <= 0.0)
+        if stalled.size:
+            ts, gs = ts[: stalled[0] + 1], gs[: stalled[0] + 1]
+        tail, _ = quad(lambda p: 1.0 / Z(p), gs[-1], np.inf, limit=200)
+        blow_up = float(ts[-1]) + tail
+    return GronwallSolution(ts, gs, Z(gs), blow_up, Z)
 
 
 def doubling_time(
     setup: GronwallSetup,
     s: float,
     law: Callable[[float], float] | None = None,
-    rel_tol: float = 1e-11,
 ) -> float:
     """Time for the majorant to grow from level s to level 2s.
 
-    For s below g0 the law is restarted from s itself (the construction with
-    a smaller initial value); for s at or above g0 this equals
-    g^{-1}(2s) - g^{-1}(s) for the setup's own solution, by uniqueness of the
-    autonomous flow.
+    By autonomy this is the integral of 1/Z from s to 2s, whatever g0 is:
+    for s below g0 it is the doubling time of the solution restarted from s,
+    and for s at or above g0 it equals g^{-1}(2s) - g^{-1}(s).
     """
     if not s > 0.0:
         raise ValueError("level s must be positive")
-    sub = GronwallSetup(g0=s, coeff_C=setup.coeff_C, t_max_query=setup.t_max_query)
-    sol = gronwall_solve(sub, law=law, rel_tol=rel_tol, stop_level=2.05 * s)
-    if sol.g_end < 2.0 * s:
-        if sol.blow_up_time is None and sol.t_end >= setup.t_max_query:
-            raise OutOfDomain("level 2s not reached within t_max_query")
+    Z = law if law is not None else setup.law()
+    if 2.0 * s > BLOWUP_CAP:
         raise OutOfDomain("level 2s beyond the blow-up guard")
-    theta = sol.inverse(2.0 * s)
+    theta = quad(lambda p: 1.0 / Z(p), s, 2.0 * s)[0] if Z(s) > 0.0 else math.inf
+    if theta > setup.t_max_query:
+        raise OutOfDomain("level 2s not reached within t_max_query")
     if not theta > 0.0:
         raise OutOfDomain("degenerate doubling interval")
     return theta

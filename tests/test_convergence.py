@@ -93,6 +93,29 @@ class TestRunSweep:
         assert np.all(rep.distances[:, 1] >= rep.distances[:, 0])
         assert rep.fitted_order[0] is not None and rep.fitted_order[0] > 0.0
 
+    def test_row_with_a_non_finite_state_is_a_failed_row(self, monkeypatch):
+        from elastic_flow import flow
+
+        real = flow.solve_banded
+        calls = []
+
+        def solve(diags, rhs):
+            # five steps per run: call 13 is step 3 of the second ladder row
+            calls.append(None)
+            out = real(diags, rhs)
+            if len(calls) == 13:
+                out[3, 1] = np.nan
+            return out
+
+        monkeypatch.setattr(flow, "solve_banded", solve)
+        base = FlowConfig(epsilon=0.1, n=64, dt=1e-3, t_end=0.005)
+        cfg = SweepConfig(epsilons=(0.2, 0.1, 0.05), base=base, delta=0.0, k_max=0)
+        rep = run_sweep(make_initial_curve("flattened_sine", 64, amplitude=0.05), cfg)
+        assert len(calls) == 5 + 5 + 3 + 5
+        assert rep.failed_rows == [1]
+        assert np.isnan(rep.distances[1, 0])
+        assert np.all(np.isfinite(rep.distances[[0, 2], 0]))
+
     def test_initial_snapshot_shared_when_delta_zero(self):
         # all flows start from the same curve, so the t = dt distance is tiny
         base = FlowConfig(epsilon=0.1, n=64, dt=1e-3, t_end=0.01)

@@ -7,7 +7,9 @@ import pytest
 from elastic_flow import (
     BadParams,
     ConfigError,
+    DegenerateCurve,
     DiscreteCurve,
+    flow,
     make_initial_curve,
 )
 from elastic_flow.estimates import DiagnosticsRecord, boundary_residuals, energy
@@ -23,6 +25,18 @@ from elastic_flow.flow import (
     step,
     tangential_velocity,
 )
+
+
+def _poison_call(monkeypatch, name, at, poison):
+    """Replace the `at`-th call of flow.<name> by poison(real, *args)."""
+    real = getattr(flow, name)
+    calls = []
+
+    def wrapped(*args):
+        calls.append(args)
+        return poison(real, *args) if len(calls) == at else real(*args)
+
+    monkeypatch.setattr(flow, name, wrapped)
 
 
 def circle_state(n, r, eps):
@@ -226,6 +240,39 @@ class TestRun:
         assert traj.terminated_by is Terminated.REPARAM_FAILURE
         assert traj.event_time == pytest.approx(0.1)
         assert len(traj.diagnostics) == 20
+
+    def test_non_finite_solve_has_its_own_reason(self, monkeypatch):
+        # a NaN node passes the residual check (NaN > tol is False) and is
+        # refused by DiscreteCurve in step 5
+        def nan_node(real, diags, rhs):
+            out = real(diags, rhs)
+            out[3, 1] = np.nan
+            return out
+
+        _poison_call(monkeypatch, "solve_banded", 5, nan_node)
+        traj = run(
+            make_initial_curve("flattened_sine", 64, amplitude=0.05),
+            FlowConfig(epsilon=0.1, n=64, dt=1e-4, t_end=0.002),
+        )
+        assert traj.terminated_by is Terminated.NON_FINITE_STATE
+        assert traj.event_time == pytest.approx(5e-4)
+        assert len(traj.diagnostics) == 5
+        assert traj.states[-1].step_index == 4
+
+    def test_degenerate_mesh_has_its_own_reason(self, monkeypatch):
+        # call 1 redistributes the initial curve, call 6 is step 5's
+        def collapse(real, curve):
+            raise DegenerateCurve("interpolant collapsed during redistribution")
+
+        _poison_call(monkeypatch, "reparametrize_constant_speed", 6, collapse)
+        traj = run(
+            make_initial_curve("flattened_sine", 64, amplitude=0.05),
+            FlowConfig(epsilon=0.1, n=64, dt=1e-4, t_end=0.002),
+        )
+        assert traj.terminated_by is Terminated.DEGENERATE_MESH
+        assert traj.event_time == pytest.approx(5e-4)
+        assert len(traj.diagnostics) == 5
+        assert traj.states[-1].step_index == 4
 
     def test_snapshots_do_not_keep_cached_velocities(self):
         traj = run(

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from elastic_flow import OutOfDomain
+from elastic_flow import OutOfDomain, gronwall
 from elastic_flow.gronwall import (
+    BLOWUP_CAP,
     GronwallSetup,
     comparison_margin,
     doubling_time,
@@ -48,6 +51,38 @@ class TestGronwallSolve:
         assert sol.blow_up_time is not None
         assert 0.0 < sol.blow_up_time < 1.0
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        k=st.sampled_from([2, 3, 5]),
+        g0=st.floats(0.05, 2.0),
+        coeff=st.floats(0.2, 3.0),
+    )
+    def test_power_law_closed_form(self, k, g0, coeff):
+        # Z(p) = C p^k: g(t) = (g0^{1-k} - C (k-1) t)^{1/(1-k)}, blow-up at T*
+        t_star = g0 ** (1 - k) / (coeff * (k - 1))
+        law = lambda p: coeff * p**k
+        setup = GronwallSetup(g0=g0, coeff_C=coeff, t_max_query=2.0 * t_star)
+        sol = gronwall_solve(setup, law=law)
+        ts = np.linspace(0.0, 0.9 * t_star, 31)
+        exact = (g0 ** (1 - k) - coeff * (k - 1) * ts) ** (1.0 / (1 - k))
+        assert np.max(np.abs(sol(ts) - exact) / exact) < 1e-6
+        assert sol.blow_up_time == pytest.approx(t_star, rel=1e-9)
+        assert np.all(np.diff(sol.ts) > 0.0)
+        assert np.array_equal(sol.fs, law(sol.gs))
+
+    def test_ends_exactly_at_the_query_horizon(self):
+        # no blow-up before t_max_query: the last node sits on it
+        for law, g0, t_max in ((lambda p: p, 0.7, 5.0), (lambda p: p * p, 1.0, 0.9), (None, 0.3, 0.1)):
+            setup = GronwallSetup(g0=g0, coeff_C=1.5, t_max_query=t_max)
+            sol = gronwall_solve(setup, law=law)
+            assert sol.blow_up_time is None
+            assert sol.t_end == t_max
+            assert float(sol(t_max)) == pytest.approx(sol.gs[-1], rel=1e-15)
+
+    def test_written_out_rule_is_numpys(self):
+        x, w = np.polynomial.legendre.leggauss(8)
+        assert np.array_equal(gronwall._GL_X, x) and np.array_equal(gronwall._GL_W, w)
+
     def test_domain_guard(self):
         setup = GronwallSetup(g0=1.0, coeff_C=1.0, t_max_query=1.0)
         sol = gronwall_solve(setup, law=lambda p: p)
@@ -80,6 +115,16 @@ class TestDoublingTime:
         theta = doubling_time(setup, 0.01, law=lambda p: p)
         assert theta == pytest.approx(math.log(2.0), abs=1e-8)
 
+    def test_horizon_shorter_than_theta_is_out_of_domain(self):
+        setup = GronwallSetup(g0=1.0, coeff_C=1.0, t_max_query=0.5)
+        with pytest.raises(OutOfDomain, match="t_max_query"):
+            doubling_time(setup, 1.0, law=lambda p: p)  # theta = log 2 > 0.5
+
+    def test_level_above_the_cap_is_out_of_domain(self):
+        setup = GronwallSetup(g0=1.0, coeff_C=1.0, t_max_query=10.0)
+        with pytest.raises(OutOfDomain, match="blow-up guard"):
+            doubling_time(setup, 0.75 * BLOWUP_CAP, law=lambda p: p * p)
+
     def test_bound_holds_on_the_doubling_window(self):
         # conclusion check: g(t) <= 2 g(T) for t in [T, T + Theta(g(T))]
         rng = np.random.default_rng(3)
@@ -87,11 +132,11 @@ class TestDoublingTime:
             g0 = rng.uniform(0.05, 2.0)
             coeff = rng.uniform(0.2, 3.0)
             setup = GronwallSetup(g0=g0, coeff_C=coeff, t_max_query=50.0)
-            sol = gronwall_solve(setup, rel_tol=1e-9, cap=1e6)
+            sol = gronwall_solve(setup, cap=1e6)
             t_guard = sol.t_end
             T = rng.uniform(0.0, 0.5) * t_guard
             level = float(sol(T))
-            theta = doubling_time(setup, level, rel_tol=1e-9)
+            theta = doubling_time(setup, level)
             upper = min(T + theta, t_guard)
             ts = np.linspace(T, upper, 64)
             # blow-up sensitivity magnifies the integrator tolerance
