@@ -87,30 +87,26 @@ def boundary_residuals(state_or_cache) -> np.ndarray:
 
     Measured with one-sided windows on the curvature samples: 4 points for
     j = 2 (second order) and 5 points for j = 4 (first order; a one-sided
-    window at full derivative order gives away one power of h).
+    window at full derivative order gives away one power of h). The grid
+    must be uniform, as every evolved state's is; otherwise ValueError.
     """
     cache = state_or_cache if isinstance(state_or_cache, GeometryCache) else state_or_cache.cache
-    return endpoint_residuals(cache.kappa[None], cache.s[None], [cache.uniform_h])[0]
+    if cache.uniform_h is None:
+        raise ValueError("boundary residuals need a uniform grid; redistribute first")
+    return endpoint_residuals(cache.kappa[None], [cache.uniform_h])[0]
 
 
-def endpoint_residuals(kappa: np.ndarray, s: np.ndarray, uniform_h: list) -> np.ndarray:
-    """`boundary_residuals` of each row of `kappa` on the grid in that row of
-    `s`, shape (rows, 3, 2); `uniform_h` is each row's spacing or None."""
+def endpoint_residuals(kappa: np.ndarray, h) -> np.ndarray:
+    """`boundary_residuals` of each row of `kappa` on a uniform grid of
+    spacing `h[row]`, shape (rows, 3, 2)."""
     out = np.empty((kappa.shape[0], 3, 2))
     out[:, 0] = np.abs(kappa[:, [0, -1]])
-    uniform = [i for i, h in enumerate(uniform_h) if h is not None]
-    k = kappa[uniform]
     for row, (order, width) in enumerate(((2, 4), (4, 5)), start=1):
         # even orders are insensitive to window orientation; matmul on the
         # reversed view repeats the arithmetic of `w @ x` row by row
-        w = np.array([stencils.one_sided_weights(order, width, 0) / uniform_h[i] ** order for i in uniform])
-        for side, x in enumerate((k[:, :width], k[:, -width:][:, ::-1])):
-            out[uniform, row, side] = np.abs(np.matmul(w.reshape(-1, 1, width), x[:, :, None])[:, 0, 0])
-        for i, h in enumerate(uniform_h):
-            if h is None:
-                wl = stencils.fd_weights(s[i, :width], s[i, 0], order)
-                wr = stencils.fd_weights(s[i, -width:], s[i, -1], order)
-                out[i, row] = abs(wl @ kappa[i, :width]), abs(wr @ kappa[i, -width:])
+        w = np.array([stencils.one_sided_weights(order, width, 0) / hi**order for hi in h])
+        for side, x in enumerate((kappa[:, :width], kappa[:, -width:][:, ::-1])):
+            out[:, row, side] = np.abs(np.matmul(w.reshape(-1, 1, width), x[:, :, None])[:, 0, 0])
     return out
 
 

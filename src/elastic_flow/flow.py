@@ -45,7 +45,6 @@ class FlowConfig:
     n: int = 128
     dt: float | None = None
     t_end: float = 0.1
-    reparam_every: int = 1
     kappa_blowup_threshold: float = 1e3
     solver_tol: float = 1e-10
 
@@ -61,8 +60,6 @@ class FlowConfig:
             raise ConfigError("dt", "must be positive")
         if not self.t_end > 0.0:
             raise ConfigError("t_end", "must be positive")
-        if self.reparam_every < 1:
-            raise ConfigError("reparam_every", "must be at least 1")
         if not self.kappa_blowup_threshold > 0.0:
             raise ConfigError("kappa_blowup_threshold", "must be positive")
         if not self.solver_tol > 0.0:
@@ -276,28 +273,6 @@ def _assemble_uniform(n: int, h: float, dt: float, eps: float) -> np.ndarray:
     return diags
 
 
-def _assemble_general(s: np.ndarray, dt: float, eps: float) -> np.ndarray:
-    """Pentadiagonal rows of I - dt (D2 - 2 eps D4) on any grid."""
-    n = s.size - 1
-    i = np.arange(1, n)
-    rows = np.zeros((n - 1, 5))  # weights at offsets -2 .. 2 around node i
-    rows[:, 1:4] = -dt * stencils.fd_weights_rows(s[i[:, None] + np.arange(-1, 2)], s[i], 2)
-    if eps > 0.0:
-        # the D4 windows next to each end reach one ghost node, the point
-        # reflection X(-s) = 2P - X(s) of the node inside; fold it into the rows
-        se = np.concatenate([[2.0 * s[0] - s[1]], s, [2.0 * s[-1] - s[-2]]])
-        rows += 2.0 * eps * dt * stencils.fd_weights_rows(se[i[:, None] + np.arange(-1, 4)], s[i], 4)
-        ends, ghost, pinned = [0, -1], [0, 4], [1, 3]
-        rows[ends, pinned] += 2.0 * rows[ends, ghost]
-        rows[ends, 2] -= rows[ends, ghost]
-        rows[ends, ghost] = 0.0
-    rows[:, 2] += 1.0
-    diags = np.zeros((5, n + 1))
-    diags[:, 1:-1] = rows.T
-    diags[2, [0, -1]] = 1.0
-    return diags
-
-
 def solve_banded(diags: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve the pentadiagonal system `diags` x = rhs, refined once.
 
@@ -324,6 +299,9 @@ def solve_banded(diags: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def step(state: FlowState, config: FlowConfig) -> FlowState:
     """Advance one IMEX step of size dt; endpoints never move.
 
+    Takes a constant-speed state (its cache has `uniform_h`, as every state
+    that `run` and `step` produce does) and redistributes the new curve to
+    constant speed before returning it; any other state raises BadParams.
     Raises SolverFailure when the post-refinement linear residual exceeds
     solver_tol, ReparamFailure when the constant-speed redistribution
     stalls, SingularityDetected when max |kappa| crosses the blow-up
@@ -333,14 +311,13 @@ def step(state: FlowState, config: FlowConfig) -> FlowState:
     if state.curve.closed:
         raise BadParams("the evolution is defined for open pinned curves")
     cache = state.cache
+    if cache.uniform_h is None:
+        raise BadParams("step needs a constant-speed state; redistribute first")
     nodes = cache.curve.nodes
     n = nodes.shape[0] - 1
     dt = config.dt
     eps = state.epsilon
-    if cache.uniform_h is not None:
-        diags = _assemble_uniform(n, cache.uniform_h, dt, eps)
-    else:
-        diags = _assemble_general(cache.s, dt, eps)
+    diags = _assemble_uniform(n, cache.uniform_h, dt, eps)
 
     rhs = nodes.copy()
     if eps > 0.0:
@@ -366,9 +343,7 @@ def step(state: FlowState, config: FlowConfig) -> FlowState:
             f"{np.max(np.abs(resid)) / scale:.3e} exceeds tolerance"
         )
 
-    new_curve = DiscreteCurve(new_nodes)
-    if (state.step_index + 1) % config.reparam_every == 0:
-        new_curve = reparametrize_constant_speed(new_curve)
+    new_curve = reparametrize_constant_speed(DiscreteCurve(new_nodes))
     new_cache = compute_geometry(new_curve)
     if np.max(np.abs(new_cache.kappa)) > config.kappa_blowup_threshold:
         raise SingularityDetected(
@@ -404,13 +379,7 @@ def _records(block: list[tuple], eps: float) -> list[DiagnosticsRecord]:
     t, length, uniform_h, kappa, s, w = zip(*block)
     kappa, s, w = np.stack(kappa), np.stack(s), np.stack(w)
     k = _dirichlet_kappa(kappa)
-    # d1..d4 as `flow_arrays` takes them; nonuniform rows occur only with reparam_every > 1
-    d = np.empty((4,) + k.shape)
-    uniform = [i for i, h in enumerate(uniform_h) if h is not None]
-    d[:, uniform] = stencils.uniform_row_derivatives(k[uniform], s[uniform], (1, 2, 3, 4), "odd")
-    for i, h in enumerate(uniform_h):
-        if h is None:
-            d[:, i] = stencils.derivatives(k[i], s[i], (1, 2, 3, 4), "odd")
+    d = stencils.uniform_row_derivatives(k, s, (1, 2, 3, 4), "odd")
     E = _normal_speed(k, d[1], eps)
     lam = _tangential_speed(E, k, s)
     norms = np.stack([np.sum(w * x**2, axis=1) for x in (k, *d)], axis=1)
@@ -424,7 +393,7 @@ def _records(block: list[tuple], eps: float) -> list[DiagnosticsRecord]:
     return [
         DiagnosticsRecord(ti, li, f, diss, n.copy(), b.copy(), math.nan, e, m, end)
         for ti, li, (f, diss, e, m, end), n, b in zip(
-            t, length, np.stack(scalars, axis=1).tolist(), norms, endpoint_residuals(kappa, s, uniform_h)
+            t, length, np.stack(scalars, axis=1).tolist(), norms, endpoint_residuals(kappa, uniform_h)
         )
     ]
 
@@ -450,11 +419,12 @@ def run(
     Snapshots are kept at stride multiples (default: about 200 per run),
     at any requested snapshot_times (which must sit on the dt grid), and
     always at the first and last computed step. The initial curve must have
-    endpoint curvature below 1e-6; it is redistributed to constant speed
-    before stepping. Once stepping starts, every failure ends the run with
-    its Terminated reason, keeping the records up to the last good step.
-    Diagnostics are computed in blocks of RECORD_BLOCK states, and once
-    more for the states left when the run ends.
+    endpoint curvature below 1e-6 and must admit the redistribution to
+    constant speed that precedes stepping; otherwise BadParams is raised.
+    Once stepping starts, every failure ends the run with its Terminated
+    reason, keeping the records up to the last good step. Diagnostics are
+    computed in blocks of RECORD_BLOCK states, and once more for the states
+    left when the run ends.
     """
     cache0 = compute_geometry(initial)
     if max(abs(cache0.kappa[0]), abs(cache0.kappa[-1])) > 1e-6:
@@ -472,7 +442,11 @@ def run(
             raise ConfigError("snapshot_times", f"{t_req} is not a multiple of dt")
         want_times.add(k)
 
-    state = FlowState.from_curve(reparametrize_constant_speed(initial), config.epsilon)
+    try:
+        start = reparametrize_constant_speed(initial)
+    except ReparamFailure as exc:
+        raise BadParams(f"initial curve cannot be redistributed to constant speed: {exc}") from None
+    state = FlowState.from_curve(start, config.epsilon)
     block = [_record_inputs(state)]
     records = []
     states = [state]

@@ -5,15 +5,13 @@ A curve is a polyline of n+1 nodes joining two pinned endpoints P and Q
 against circles; it is not part of the evolution API). All geometric
 quantities -- unit tangent, leftward unit normal, curvature -- are computed
 by second-order finite differences on the polyline's chordal arclength
-grid; arclength derivatives of curvature up to order four are computed
-only when read (`GeometryCache.kappa_s`).
+grid.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -87,10 +85,9 @@ class GeometryCache:
     """Arclength data attached to one DiscreteCurve.
 
     `s` holds chordal arclength values per node, `ds` the trapezoid weights,
-    `kappa` the curvature per node. Its arclength derivatives, orders 1..4,
-    are the rows of `kappa_s`, computed by `arclength_derivative` on first
-    read. For open curves the endpoint curvature is a one-sided measurement
-    (no boundary condition is assumed here; the flow enforces its own).
+    `kappa` the curvature per node. For open curves the endpoint curvature
+    is a one-sided measurement (no boundary condition is assumed here; the
+    flow enforces its own).
     """
 
     curve: DiscreteCurve
@@ -101,11 +98,6 @@ class GeometryCache:
     normal: np.ndarray
     kappa: np.ndarray
     uniform_h: float | None = None  # grid spacing when the grid is uniform
-
-    @cached_property
-    def kappa_s(self) -> np.ndarray:
-        """Arclength derivatives of curvature, orders 1..4, as rows."""
-        return np.stack([arclength_derivative(self, self.kappa, j) for j in range(1, 5)])
 
     @property
     def closed(self) -> bool:

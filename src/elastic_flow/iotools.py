@@ -51,7 +51,6 @@ _FLOW_KEYS = {
     "n",
     "dt",
     "t_end",
-    "reparam_every",
     "kappa_blowup_threshold",
     "solver_tol",
 }
@@ -110,7 +109,7 @@ def _build_flow_config(entries: dict[str, str]) -> FlowConfig:
         raise ConfigError(f"flow.{sorted(unknown)[0]}", "unknown key")
     kwargs = {}
     for key, value in entries.items():
-        if key in ("n", "reparam_every"):
+        if key == "n":
             kwargs[key] = _as_int("flow", key, value)
         else:
             kwargs[key] = _as_float("flow", key, value)

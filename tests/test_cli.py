@@ -71,6 +71,17 @@ class TestSimulate:
         for name in sorted(os.listdir(out_a)):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
+    def test_unredistributable_initial_curve_reports_error(self, tmp_path, cfg_file, capsys):
+        cfg = SIMULATE_CFG.replace("epsilon = 0.1", "epsilon = 0").replace("n = 64", "n = 63")
+        cfg = cfg.replace("dt = 1e-3", "dt = 5e-4").replace("t_end = 0.01", "t_end = 5e-3")
+        cfg = cfg.replace("flattened_sine", "bump_perturbed_segment").replace("0.05", "0.852")
+        out = tmp_path / "out"
+        code = main(["simulate", "-c", cfg_file(cfg), "-o", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: initial curve cannot be redistributed to constant speed")
+        assert not out.exists()
+
     def test_sweep_config_rejected(self, tmp_path, cfg_file, capsys):
         code = main(
             ["simulate", "-c", cfg_file(SWEEP_CFG), "-o", str(tmp_path / "x")]

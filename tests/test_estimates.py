@@ -85,8 +85,14 @@ class TestDissipation:
 class TestBoundaryResiduals:
     def test_compatible_initial_data_j0(self):
         cache = compute_geometry(make_initial_curve("flattened_sine", 128, amplitude=0.1))
-        res = boundary_residuals(cache)
-        assert res[0].max() <= 1e-8
+        assert np.abs(cache.kappa[[0, -1]]).max() <= 1e-8
+
+    def test_nonuniform_grid_rejected(self):
+        # the raw graph-parametrized sine has unequal chords
+        cache = compute_geometry(make_initial_curve("flattened_sine", 64, amplitude=0.1))
+        assert cache.uniform_h is None
+        with pytest.raises(ValueError, match="uniform grid"):
+            boundary_residuals(cache)
 
     def test_j2_refines_under_doubling(self):
         vals = {}
@@ -112,21 +118,16 @@ class TestBoundaryResiduals:
 
         rng = np.random.default_rng(3)
         kappa = rng.normal(size=(40, 65)) * rng.uniform(0.01, 100.0, size=(40, 1))
-        v = np.linspace(0.0, 1.0, 65)
-        s = np.vstack([v, v + 0.03 * np.sin(2.0 * np.pi * v)] * 20)
-        uniform_h = [1.0 / 64 if i % 2 == 0 else None for i in range(40)]
-        got = endpoint_residuals(kappa, s, uniform_h)
-        for i, (k, si, h) in enumerate(zip(kappa, s, uniform_h)):
+        spacings = rng.uniform(0.5, 3.0, size=40).tolist()
+        assert len(set(spacings)) == 40
+        spacings = [length / 64 for length in spacings]
+        got = endpoint_residuals(kappa, spacings)
+        for i, (k, h) in enumerate(zip(kappa, spacings)):
             want = np.empty((3, 2))
             want[0] = abs(k[0]), abs(k[-1])
             for row, (order, width) in enumerate(((2, 4), (4, 5)), start=1):
-                if h is not None:
-                    w = stencils.one_sided_weights(order, width, 0) / h**order
-                    want[row] = abs(w @ k[:width]), abs(w @ k[-width:][::-1])
-                else:
-                    wl = stencils.fd_weights(si[:width], si[0], order)
-                    wr = stencils.fd_weights(si[-width:], si[-1], order)
-                    want[row] = abs(wl @ k[:width]), abs(wr @ k[-width:])
+                w = stencils.one_sided_weights(order, width, 0) / h**order
+                want[row] = abs(w @ k[:width]), abs(w @ k[-width:][::-1])
             assert np.array_equal(got[i], want), i
 
 

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from elastic_flow import (
     BadParams,
@@ -211,14 +213,12 @@ class TestStep:
         ref += scipy_solve_banded((2, 2), ab, rhs - _band_matvec(diags, ref))
         assert np.array_equal(solve_banded(diags, rhs), ref)
 
-    def test_nonuniform_grid_path(self):
-        traj = run(
-            make_initial_curve("flattened_sine", 64, amplitude=0.05),
-            FlowConfig(epsilon=0.1, n=64, dt=1e-4, t_end=0.005, reparam_every=5),
-        )
-        assert traj.terminated_by is Terminated.REACHED_T_END
-        energies = np.array([r.energy_Feps for r in traj.diagnostics])
-        assert np.all(np.diff(energies) <= 1e-10 + 10.0 * 1e-4**2)
+    def test_nonuniform_state_rejected(self):
+        # the raw graph-parametrized sine has unequal chords
+        state = sine_state(64)
+        assert state.cache.uniform_h is None
+        with pytest.raises(BadParams, match="redistribute first"):
+            step(state, FlowConfig(epsilon=0.1, n=64, dt=1e-4, t_end=0.01))
 
 
 class TestRun:
@@ -284,6 +284,13 @@ class TestRun:
         for st in traj.states[1:]:
             assert not {"arrays", "E", "lam"} & set(vars(st)), st.step_index
 
+    def test_unredistributable_initial_curve_refused(self):
+        # the not-a-knot redistribution of this admitted bump stalls at
+        # chord deviation 2.2e-6, before any step is taken
+        bump = make_initial_curve("bump_perturbed_segment", 63, amplitude=0.852)
+        with pytest.raises(BadParams, match="cannot be redistributed to constant speed"):
+            run(bump, FlowConfig(epsilon=0.0, n=63, dt=5e-4, t_end=5e-3))
+
     def test_incompatible_initial_rejected(self):
         x = np.linspace(-1.0, 1.0, 65)
         parabola = DiscreteCurve(np.column_stack([x, x * x]))
@@ -329,6 +336,55 @@ class TestRun:
         traj = run(fs, FlowConfig(epsilon=0.3, n=64, dt=1e-4, t_end=0.01))
         for rec in traj.diagnostics:
             assert rec.energy_Feps >= rec.length
+
+
+_FAMILY_PARAMS = st.one_of(
+    st.tuples(st.just("segment"), st.fixed_dictionaries({})),
+    st.tuples(st.just("flattened_sine"), st.fixed_dictionaries({"amplitude": st.floats(-2.0, 2.0)})),
+    st.tuples(
+        st.just("bump_perturbed_segment"),
+        st.fixed_dictionaries(
+            {
+                "amplitude": st.floats(-2.0, 2.0),
+                # the margin keeps b - a >= 0.1 after rounding
+                "support": st.floats(0.05, 0.84).flatmap(
+                    lambda a: st.tuples(st.just(a), st.floats(a + 0.1 + 1e-12, 0.95))
+                ),
+            }
+        ),
+    ),
+    st.tuples(
+        st.just("arc_with_flat_ends"),
+        st.fixed_dictionaries({"turn_angle": st.floats(-4.0 * math.pi, 4.0 * math.pi)}),
+    ),
+)
+
+
+class TestRunOverDocumentedRanges:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        family_params=_FAMILY_PARAMS,
+        n=st.integers(16, 128),
+        dt=st.floats(1e-6, 1e-2),
+        eps=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+    )
+    @example(
+        family_params=("bump_perturbed_segment", {"amplitude": 0.852, "support": (0.3, 0.7)}),
+        n=63,
+        dt=5e-4,
+        eps=0.0,
+    )
+    def test_refuses_at_admission_or_ends_with_a_reason(self, family_params, n, dt, eps):
+        family, params = family_params
+        config = FlowConfig(epsilon=eps, n=n, dt=dt, t_end=10 * dt)
+        try:
+            # the family itself refuses some documented turn angles
+            traj = run(make_initial_curve(family, n, **params), config, snapshot_stride=1)
+        except BadParams:
+            return
+        assert isinstance(traj.terminated_by, Terminated)
+        # every evolved state sits on a constant-speed grid
+        assert all(state.cache.uniform_h is not None for state in traj.states)
 
 
 def _record(state):
@@ -377,16 +433,6 @@ class TestBatchedRecords:
         )
         assert traj.terminated_by is Terminated.REACHED_T_END
         assert len(traj.diagnostics) == count
-        assert_records_match_reference(traj)
-
-    def test_uniform_and_nonuniform_rows_in_one_block(self):
-        traj = run(
-            make_initial_curve("flattened_sine", 64, amplitude=0.3),
-            FlowConfig(epsilon=0.1, n=64, dt=1e-4, t_end=RECORD_BLOCK * 1e-4, reparam_every=2),
-            snapshot_stride=1,
-        )
-        kinds = {st.cache.uniform_h is None for st in traj.states[:RECORD_BLOCK]}
-        assert kinds == {True, False}
         assert_records_match_reference(traj)
 
     def test_run_stopped_at_first_step_has_one_record(self):

@@ -288,16 +288,3 @@ class TestInitialFamilies:
             make_initial_curve("bump_perturbed_segment", 64, support=(0.0, 1.0))
         with pytest.raises(BadParams):
             make_initial_curve("flattened_sine", 64, amplitude=0.1, bogus=1)
-
-
-def test_cache_exposes_curvature_derivative_rows():
-    cache = compute_geometry(make_initial_curve("flattened_sine", 64, amplitude=0.1))
-    assert cache.kappa_s.shape == (4, 65)
-    assert np.array_equal(cache.kappa_s[0], arclength_derivative(cache, cache.kappa, 1))
-
-
-def test_curvature_derivatives_computed_on_first_read():
-    cache = compute_geometry(make_initial_curve("flattened_sine", 64, amplitude=0.1))
-    assert "kappa_s" not in vars(cache)
-    rows = cache.kappa_s
-    assert cache.kappa_s is rows

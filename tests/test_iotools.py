@@ -38,7 +38,6 @@ class TestParseConfig:
         assert isinstance(cfg, FlowConfig)
         assert cfg.epsilon == 0.1
         assert cfg.n == 128
-        assert cfg.reparam_every == 1
         assert cfg.kappa_blowup_threshold == 1e3
         assert cfg.solver_tol == 1e-10
 
@@ -51,6 +50,12 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as err:
             parse_config("[flow]\nepsilon = 0.1\nwibble = 3\n")
         assert "flow.wibble" in str(err.value)
+
+    def test_reparam_every_refused(self):
+        # the stepper redistributes after every step; the key is gone
+        with pytest.raises(ConfigError) as err:
+            parse_config("[flow]\nepsilon = 0.1\nreparam_every = 2\n")
+        assert "flow.reparam_every" in str(err.value)
 
     def test_sweep_document(self):
         text = """
