@@ -45,6 +45,7 @@ from .flow import (
     curvature_evolution_rhs,
     curvature_rate_consistency,
     run,
+    run_batch,
 )
 from .geometry import compute_geometry, make_initial_curve
 from .gronwall import GronwallSetup, doubling_time, gronwall_solve
@@ -80,13 +81,17 @@ def _sine_run(n, dt, t_end, eps=0.1, snapshot_times=None):
     return _cached_run(key, factory)
 
 
-def _segment_run(eps, dt=1e-3, t_end=1.0, n=128):
+def _segment_runs(dt=1e-3, t_end=1.0, n=128):
+    """The stationary segment runs for eps in 0, 0.1 and 1, stepped as one
+    batch, by eps."""
+    epsilons = (0.0, 0.1, 1.0)
+
     def factory():
         curve = make_initial_curve("segment", n)
-        cfg = FlowConfig(epsilon=eps, n=n, dt=dt, t_end=t_end)
-        return run(curve, cfg, snapshot_stride=200)
+        configs = [FlowConfig(epsilon=eps, n=n, dt=dt, t_end=t_end) for eps in epsilons]
+        return dict(zip(epsilons, run_batch(curve, configs, snapshot_stride=200)))
 
-    return _cached_run(("segment", n, dt, t_end, eps), factory)
+    return _cached_run(("segment", n, dt, t_end), factory)
 
 
 def _budget(traj) -> float:
@@ -103,8 +108,7 @@ def crit_stationarity(seed: int) -> CriterionResult:
     worst = 0.0
     ok = True
     segment = make_initial_curve("segment", 128)
-    for eps in (0.0, 0.1, 1.0):
-        traj = _segment_run(eps)
+    for traj in _segment_runs().values():
         ok &= traj.terminated_by is Terminated.REACHED_T_END
         disp = max(
             float(np.max(np.linalg.norm(st.curve.nodes - segment.nodes, axis=1)))
@@ -151,7 +155,7 @@ def crit_length_bounds(seed: int) -> CriterionResult:
     runs = [
         _sine_run(128, 1e-4, 0.2, snapshot_times=[0.1]),
         _sine_run(256, 5e-5, 0.2),
-        _segment_run(0.1),
+        _segment_runs()[0.1],
     ]
     for traj in runs:
         f0 = traj.diagnostics[0].energy_Feps

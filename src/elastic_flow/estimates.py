@@ -38,7 +38,6 @@ class DiagnosticsRecord:
     lambda_endpoint_residual: float
     max_abs_E: float
     max_abs_lambda: float
-    _lambda_end: float = math.nan  # raw endpoint value, used to fill the residual
 
     CSV_HEADER = (
         "t,length,energy,dissipation,k0,k1,k2,k3,k4,"

@@ -12,12 +12,18 @@ encodes the endpoint conditions kappa = 0 without extra constraint rows.
 Tangential motion is never prescribed: nodes are redistributed to constant
 speed between steps, and the tangential velocity is computed purely as a
 diagnostic.
+
+Runs from one initial curve on one (n, dt, t_end) grid that differ only in
+eps step together as one stack of curves (`run_batch`), so that the
+per-call cost of numpy on 129-node arrays is paid once per step rather
+than once per run; `run` and `step` are batches of one. Every operation
+works along the rows of the stack, and LAPACK runs once per row, so each
+run gets the bits it gets alone.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -32,8 +38,12 @@ from .geometry import (
     DiscreteCurve,
     GeometryCache,
     arclength_derivative,
+    chord_lengths,
     compute_geometry,
+    open_geometry,
+    redistribute,
     reparametrize_constant_speed,
+    stack_nodes,
 )
 
 
@@ -137,7 +147,8 @@ class Trajectory:
 
 def _dirichlet_kappa(kappa: np.ndarray) -> np.ndarray:
     kd = kappa.copy()
-    kd[..., [0, -1]] = 0.0
+    kd[..., 0] = 0.0
+    kd[..., -1] = 0.0
     return kd
 
 
@@ -243,13 +254,16 @@ def curvature_rate_consistency(traj: "Trajectory", t: float, interior: int = 4) 
 
 
 def _band_matvec(diags: np.ndarray, x: np.ndarray) -> np.ndarray:
-    sub2, sub1, main, sup1, sup2 = diags
-    out = main[:, None] * x
-    out[1:] += sub1[1:, None] * x[:-1]
-    out[2:] += sub2[2:, None] * x[:-2]
-    out[:-1] += sup1[:-1, None] * x[1:]
-    out[:-2] += sup2[:-2, None] * x[2:]
-    return out
+    # along the last two axes: `diags` (..., 5, n+1), `x` (..., n+1, 2);
+    # the arithmetic runs along the nodes, coordinate by coordinate
+    x = np.swapaxes(x, -1, -2)
+    sub2, sub1, main, sup1, sup2 = (diags[..., i : i + 1, :] for i in range(5))
+    out = main * x
+    out[..., 1:] += sub1[..., 1:] * x[..., :-1]
+    out[..., 2:] += sub2[..., 2:] * x[..., :-2]
+    out[..., :-1] += sup1[..., :-1] * x[..., 1:]
+    out[..., :-2] += sup2[..., :-2] * x[..., 2:]
+    return np.swapaxes(out, -1, -2)
 
 
 def _assemble_uniform(n: int, h: float, dt: float, eps: float) -> np.ndarray:
@@ -274,26 +288,181 @@ def _assemble_uniform(n: int, h: float, dt: float, eps: float) -> np.ndarray:
 
 
 def solve_banded(diags: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve the pentadiagonal system `diags` x = rhs, refined once.
+    """Solve the pentadiagonal system `diags` x = rhs, refined once; with a
+    first axis on both, each system of the stack.
 
-    One banded LU factorization (dgbtrf) serves the solve and the round of
-    iterative refinement: the arithmetic of two `scipy.linalg.solve_banded`
-    calls, with one factorization fewer.
+    One banded LU factorization (dgbtrf) per system serves the solve and
+    the round of iterative refinement: the arithmetic of two
+    `scipy.linalg.solve_banded` calls, with one factorization fewer.
+    Raises SolverFailure when a matrix is singular.
     """
-    sub2, sub1, main, sup1, sup2 = diags
+    if diags.ndim == 2:
+        return solve_banded(diags[None], rhs[None])[0]
     # LAPACK band storage with two extra rows for the pivoting fill-in
-    ab = np.zeros((7, main.size))
-    ab[2, 2:] = sup2[:-2]
-    ab[3, 1:] = sup1[:-1]
-    ab[4, :] = main
-    ab[5, :-1] = sub1[1:]
-    ab[6, :-2] = sub2[2:]
-    lu, piv, info = dgbtrf(ab, 2, 2, overwrite_ab=True)
-    if info > 0:
+    ab = np.zeros((len(diags), 7, diags.shape[-1]))
+    ab[:, 2, 2:] = diags[:, 4, :-2]
+    ab[:, 3, 1:] = diags[:, 3, :-1]
+    ab[:, 4] = diags[:, 2]
+    ab[:, 5, :-1] = diags[:, 1, 1:]
+    ab[:, 6, :-2] = diags[:, 0, 2:]
+    factors = [dgbtrf(a, 2, 2, overwrite_ab=True) for a in ab]
+    if any(info > 0 for _, _, info in factors):
         raise SolverFailure("singular implicit matrix")
-    x, _ = dgbtrs(lu, 2, 2, rhs, piv)
-    correction, _ = dgbtrs(lu, 2, 2, rhs - _band_matvec(diags, x), piv)
-    return x + correction
+    x = stack_nodes([dgbtrs(lu, 2, 2, b, piv)[0] for (lu, piv, _), b in zip(factors, rhs)])
+    resid = rhs - _band_matvec(diags, x)
+    return x + stack_nodes([dgbtrs(lu, 2, 2, b, piv)[0] for (lu, piv, _), b in zip(factors, resid)])
+
+
+@dataclass
+class _Rows:
+    """Constant-speed open curves stepped together, each array stacked along
+    its first axis: one row per curve, all with the same node count."""
+
+    eps: list
+    h: list  # grid spacing per row
+    nodes: np.ndarray
+    seg: np.ndarray
+    total: np.ndarray
+    s: np.ndarray
+    w: np.ndarray
+    tangent: np.ndarray
+    normal: np.ndarray
+    kappa: np.ndarray
+
+    @classmethod
+    def of(cls, cache: GeometryCache, eps: list) -> "_Rows":
+        """One row per entry of `eps`, each a copy of the curve of `cache`."""
+        nodes, tangent, normal = (
+            stack_nodes([x] * len(eps)) for x in (cache.curve.nodes, cache.tangent, cache.normal)
+        )
+        seg, s, w, kappa = (
+            np.repeat(x[None], len(eps), axis=0) for x in (cache.curve.segments, cache.s, cache.ds, cache.kappa)
+        )
+        return cls(list(eps), [cache.uniform_h] * len(eps), nodes, seg, np.full(len(eps), cache.total_length),
+                   s, w, tangent, normal, kappa)
+
+    def take(self, keep: list) -> "_Rows":
+        return _Rows([self.eps[j] for j in keep], [self.h[j] for j in keep], *(
+            x[keep] for x in (self.nodes, self.seg, self.total, self.s, self.w, self.tangent, self.normal, self.kappa)
+        ))
+
+    def state(self, j: int, time: float, step_index: int) -> FlowState:
+        curve = DiscreteCurve._checked(np.ascontiguousarray(self.nodes[j]), self.seg[j])
+        cache = GeometryCache(
+            curve, float(self.total[j]), self.s[j], self.w[j], np.ascontiguousarray(self.tangent[j]),
+            np.ascontiguousarray(self.normal[j]), self.kappa[j], self.h[j],
+        )
+        return FlowState(curve, cache, time, self.eps[j], step_index)
+
+
+def _amax(x: np.ndarray) -> np.ndarray:
+    # max |x| of each row of a stack
+    return np.maximum.reduce(np.abs(x), axis=(1, 2))
+
+
+def _curve_failures(nodes: np.ndarray, seg: np.ndarray, failed: dict, at: list) -> None:
+    """What building a DiscreteCurve from each row of `nodes`, whose chord
+    lengths are `seg`, raises, into `failed` under the row's entry of `at`."""
+    # a non-finite node makes a non-finite chord
+    if np.minimum.reduce(seg, axis=None) > 0.0 and np.isfinite(np.add.reduce(seg, axis=None)):
+        return
+    for j, x in enumerate(nodes):
+        if not np.isfinite(x).all():
+            failed.setdefault(at[j], BadParams("nodes must have finite coordinates"))
+        elif np.any(seg[j] <= 0.0):
+            failed.setdefault(at[j], DegenerateCurve("coincident consecutive nodes"))
+
+
+def _advance(rows: _Rows, config: FlowConfig, time: float) -> tuple:
+    """One IMEX step of size dt for every row, ending at `time`.
+
+    Returns the rows that survive the step, in order (None if none does),
+    and the exception that ends each other row, under its index in `rows`:
+    the exceptions `step` raises, checked in the same order.
+    """
+    nodes, eps, dt = rows.nodes, rows.eps, config.dt
+    count = len(eps)
+    diags = np.array([_assemble_uniform(nodes.shape[1] - 1, h, dt, e) for h, e in zip(rows.h, eps)])
+    rhs = nodes.copy(order="K")
+    # rows with eps = 0 skip the explicit term, whose +0.0 would turn a -0.0
+    # coordinate into +0.0
+    live = [j for j in range(count) if eps[j] > 0.0]
+    if live:
+        if len(live) == count:
+            live = slice(None)
+        kd = _dirichlet_kappa(rows.kappa[live])
+        rhs[live] += dt * ((-3.0 * np.array(eps)[live])[:, None] * kd**3)[..., None] * rows.normal[live]
+        rhs[:, 0] = nodes[:, 0]
+        rhs[:, -1] = nodes[:, -1]
+
+    # One solve alone passes the backward-error check below on every step of
+    # configs/run.cfg; the refinement stays because without it the k4 column
+    # moves by 4.9e-4 of its largest value and the b0L/b2L/b4L endpoint
+    # residuals by up to 0.31 of theirs, past perfbench/check.py's tolerances.
+    failed = {}
+    try:
+        new = solve_banded(diags, rhs)
+    except SolverFailure:
+        # a singular matrix ends its own row: solve the rows one at a time
+        new = nodes.copy(order="K")
+        for j in range(count):
+            try:
+                new[j] = solve_banded(diags[j], rhs[j])
+            except SolverFailure as exc:
+                failed[j] = exc
+    new[:, 0] = nodes[:, 0]
+    new[:, -1] = nodes[:, -1]
+    resid = _amax(rhs - _band_matvec(diags, new))
+    scale = np.maximum.reduce(np.add.reduce(np.abs(diags), axis=1), axis=-1) * _amax(new) + _amax(rhs)
+    for j in (resid > config.solver_tol * scale).nonzero()[0]:
+        failed.setdefault(int(j), SolverFailure(
+            f"relative linear residual {resid[j] / scale[j]:.3e} exceeds tolerance"
+        ))
+    at = list(range(count))  # each working row's index in `rows`
+    seg = chord_lengths(new)
+    _curve_failures(new, seg, failed, at)
+
+    def survivors(*arrays):
+        keep = [j for j in range(len(at)) if at[j] not in failed]
+        return [at[j] for j in keep], *(x[keep] for x in arrays)
+
+    if failed:
+        at, new, seg = survivors(new, seg)
+        if not at:
+            return None, failed
+    new, moved, why = redistribute(new, seg)
+    failed.update((at[j], exc) for j, exc in why.items())
+    if np.logical_and.reduce(moved):
+        seg = chord_lengths(new)
+        _curve_failures(new, seg, failed, at)
+    elif np.logical_or.reduce(moved):
+        moved = moved.nonzero()[0]
+        seg[moved] = chord_lengths(new[moved])
+        _curve_failures(new[moved], seg[moved], failed, [at[j] for j in moved])
+    total = np.add.reduce(seg, axis=-1)
+    for j in np.logical_or.reduce(seg < 1e-14 * total[:, None], axis=-1).nonzero()[0]:
+        failed.setdefault(at[j], DegenerateCurve("segment below 1e-14 of total length"))
+    if failed:
+        at, new, seg, total = survivors(new, seg, total)
+        if not at:
+            return None, failed
+    s, w, tangent, normal, kappa, h = open_geometry(new, seg, total)
+    peak = np.maximum.reduce(np.abs(kappa), axis=-1)
+    blowup = peak > config.kappa_blowup_threshold
+    coarse = np.minimum.reduce(s[:, 1:] - s[:, :-1], axis=-1) < 1e-6 * total
+    for j in (blowup | coarse | [x is None for x in h]).nonzero()[0]:
+        if h[j] is None:
+            exc = ReparamFailure("redistributed grid is not uniform")
+        elif blowup[j]:
+            exc = SingularityDetected(f"max |kappa| = {peak[j]:.3e} at t = {time:.6g}")
+        else:
+            exc = SingularityDetected(f"mesh degenerated at t = {time:.6g}")
+        failed[at[j]] = exc
+    kept = _Rows([eps[j] for j in at], h, new, seg, total, s, w, tangent, normal, kappa)
+    keep = [j for j in range(len(at)) if at[j] not in failed]
+    if len(keep) < len(at):
+        kept = kept.take(keep) if keep else None
+    return kept, failed
 
 
 def step(state: FlowState, config: FlowConfig) -> FlowState:
@@ -307,104 +476,67 @@ def step(state: FlowState, config: FlowConfig) -> FlowState:
     stalls, SingularityDetected when max |kappa| crosses the blow-up
     threshold or the mesh degenerates. A non-finite or coincident new node
     raises BadParams or DegenerateCurve from the curve it would build.
+    It is the batch of one of `run_batch`'s stepping.
     """
     if state.curve.closed:
         raise BadParams("the evolution is defined for open pinned curves")
-    cache = state.cache
-    if cache.uniform_h is None:
+    if state.cache.uniform_h is None:
         raise BadParams("step needs a constant-speed state; redistribute first")
-    nodes = cache.curve.nodes
-    n = nodes.shape[0] - 1
-    dt = config.dt
-    eps = state.epsilon
-    diags = _assemble_uniform(n, cache.uniform_h, dt, eps)
-
-    rhs = nodes.copy()
-    if eps > 0.0:
-        kd = _dirichlet_kappa(cache.kappa)
-        rhs += dt * (-3.0 * eps * kd**3)[:, None] * cache.normal
-        rhs[0] = nodes[0]
-        rhs[-1] = nodes[-1]
-
-    # One solve alone passes the backward-error check below on every step of
-    # configs/run.cfg; the refinement stays because without it the k4 column
-    # moves by 4.9e-4 of its largest value and the b0L/b2L/b4L endpoint
-    # residuals by up to 0.31 of theirs, past perfbench/check.py's tolerances.
-    new_nodes = solve_banded(diags, rhs)
-    new_nodes[0] = nodes[0]
-    new_nodes[-1] = nodes[-1]
-    resid = rhs - _band_matvec(diags, new_nodes)
-    scale = float(np.abs(diags).sum(axis=0).max()) * float(
-        np.max(np.abs(new_nodes))
-    ) + float(np.max(np.abs(rhs)))
-    if np.max(np.abs(resid)) > config.solver_tol * scale:
-        raise SolverFailure(
-            f"relative linear residual "
-            f"{np.max(np.abs(resid)) / scale:.3e} exceeds tolerance"
-        )
-
-    new_curve = reparametrize_constant_speed(DiscreteCurve(new_nodes))
-    new_cache = compute_geometry(new_curve)
-    if np.max(np.abs(new_cache.kappa)) > config.kappa_blowup_threshold:
-        raise SingularityDetected(
-            f"max |kappa| = {np.max(np.abs(new_cache.kappa)):.3e} at "
-            f"t = {state.time + dt:.6g}"
-        )
-    seg = np.diff(new_cache.s)
-    if np.min(seg) < 1e-6 * new_cache.total_length:
-        raise SingularityDetected(f"mesh degenerated at t = {state.time + dt:.6g}")
-    return FlowState(
-        curve=new_curve,
-        cache=new_cache,
-        time=state.time + dt,
-        epsilon=eps,
-        step_index=state.step_index + 1,
-    )
+    time = state.time + config.dt
+    rows, failed = _advance(_Rows.of(state.cache, [state.epsilon]), config, time)
+    if failed:
+        raise failed[0]
+    return rows.state(0, time, state.step_index + 1)
 
 
 RECORD_BLOCK = 64  # states whose diagnostics `run` computes in one array pass
 
+# the reason a run ends with when `step` raises
+_REASONS = (
+    (SingularityDetected, Terminated.SINGULARITY_DETECTED),
+    (SolverFailure, Terminated.SOLVER_FAILURE),
+    (ReparamFailure, Terminated.REPARAM_FAILURE),
+    (DegenerateCurve, Terminated.DEGENERATE_MESH),
+    # the rest of the CurveError family: the admitted curve is open, so this
+    # is a non-finite node from the solve or redistribution
+    (BadParams, Terminated.NON_FINITE_STATE),
+)
 
-def _record_inputs(state: FlowState) -> tuple:
-    # what a diagnostics record reads of a state
-    cache = state.cache
-    return state.time, cache.total_length, cache.uniform_h, cache.kappa, cache.s, cache.ds
 
-
-def _records(block: list[tuple], eps: float) -> list[DiagnosticsRecord]:
-    """Diagnostics records of the states whose `_record_inputs` are `block`,
-    in one pass along the last axis of their stacked arrays."""
-    if not block:
-        return []
-    t, length, uniform_h, kappa, s, w = zip(*block)
-    kappa, s, w = np.stack(kappa), np.stack(s), np.stack(w)
+def _record_columns(t, length, h, kappa, s, w, eps: float) -> tuple:
+    """Diagnostics of a block of states of one run, in one pass along the
+    last axis of their stacked arrays: the columns t, length, energy,
+    dissipation, max|E|, max|lambda| and the endpoint lambda (rows, 7), the
+    squared curvature-derivative norms (rows, 5) and the boundary residuals
+    (rows, 3, 2)."""
     k = _dirichlet_kappa(kappa)
     d = stencils.uniform_row_derivatives(k, s, (1, 2, 3, 4), "odd")
     E = _normal_speed(k, d[1], eps)
     lam = _tangential_speed(E, k, s)
     norms = np.stack([np.sum(w * x**2, axis=1) for x in (k, *d)], axis=1)
-    scalars = [
-        energies(np.array(length), w, kappa, eps),
+    scalars = np.stack([
+        t,
+        length,
+        energies(length, w, kappa, eps),
         np.sum(w * E**2, axis=1),
         np.max(np.abs(E), axis=1),
         np.max(np.abs(lam), axis=1),
         lam[:, -1],
-    ]
-    return [
-        DiagnosticsRecord(ti, li, f, diss, n.copy(), b.copy(), math.nan, e, m, end)
-        for ti, li, (f, diss, e, m, end), n, b in zip(
-            t, length, np.stack(scalars, axis=1).tolist(), norms, endpoint_residuals(kappa, uniform_h)
-        )
-    ]
+    ], axis=1)
+    return scalars, norms, endpoint_residuals(kappa, h)
 
 
-def _fill_lambda_residuals(records: list[DiagnosticsRecord], dt: float):
-    # dL/dt by centered differences, one-sided at the two ends
-    lengths = np.array([rec.length for rec in records])
-    ldot = np.gradient(lengths, dt).tolist() if len(records) > 1 else [0.0]
+def _diagnostics(blocks: list[tuple], dt: float) -> list[DiagnosticsRecord]:
+    """The records of a run from its `_record_columns` blocks; the endpoint
+    tangential residual |lambda(L) + dL/dt| takes dL/dt by centered
+    differences of the length column, one-sided at the two ends."""
+    scalars, norms, residuals = (np.concatenate(x) for x in zip(*blocks))
+    t, length, energy, dissipation, max_e, max_lam, lam_end = scalars.T
+    ldot = np.gradient(length, dt) if length.size > 1 else np.zeros(1)
+    columns = np.stack([t, length, energy, dissipation, np.abs(lam_end + ldot), max_e, max_lam], axis=1)
     return [
-        replace(rec, lambda_endpoint_residual=abs(rec._lambda_end + v))
-        for rec, v in zip(records, ldot)
+        DiagnosticsRecord(*row[:4], n, b, *row[4:])
+        for row, n, b in zip(columns.tolist(), norms, residuals)
     ]
 
 
@@ -422,10 +554,29 @@ def run(
     endpoint curvature below 1e-6 and must admit the redistribution to
     constant speed that precedes stepping; otherwise BadParams is raised.
     Once stepping starts, every failure ends the run with its Terminated
-    reason, keeping the records up to the last good step. Diagnostics are
-    computed in blocks of RECORD_BLOCK states, and once more for the states
-    left when the run ends.
+    reason, keeping the records up to the last good step. It is the batch
+    of one of `run_batch`.
     """
+    return run_batch(initial, [config], snapshot_stride, snapshot_times)[0]
+
+
+def run_batch(
+    initial: DiscreteCurve,
+    configs: list[FlowConfig],
+    snapshot_stride: int | None = None,
+    snapshot_times: list[float] | None = None,
+) -> list[Trajectory]:
+    """`run` for each of `configs`, which differ only in epsilon, stepped
+    together as one stack of curves.
+
+    Each trajectory holds the bits its `run` would give. A row that stops
+    leaves the stack with its own reason, records and snapshots. Diagnostics
+    are computed in blocks of RECORD_BLOCK states, and once more for the
+    states left when a row ends.
+    """
+    config = configs[0]
+    if any(replace(c, epsilon=config.epsilon) != config for c in configs):
+        raise ConfigError("configs", "a batch of runs may differ only in epsilon")
     cache0 = compute_geometry(initial)
     if max(abs(cache0.kappa[0]), abs(cache0.kappa[-1])) > 1e-6:
         raise BadParams("initial curve violates the endpoint curvature condition")
@@ -446,45 +597,61 @@ def run(
         start = reparametrize_constant_speed(initial)
     except ReparamFailure as exc:
         raise BadParams(f"initial curve cannot be redistributed to constant speed: {exc}") from None
-    state = FlowState.from_curve(start, config.epsilon)
-    block = [_record_inputs(state)]
-    records = []
-    states = [state]
-    terminated = Terminated.REACHED_T_END
-    event_time = None
+    cache = compute_geometry(start)
+    if cache.uniform_h is None:
+        raise BadParams("initial curve cannot be redistributed to constant speed")
+    rows = _Rows.of(cache, [c.epsilon for c in configs])
+    states = [[FlowState(start, cache, 0.0, c.epsilon)] for c in configs]
+    blocks = [[] for _ in configs]
+    ends = [(Terminated.REACHED_T_END, None)] * len(configs)
+    ids = list(range(len(configs)))  # the config of each row of `rows`
+    n1 = rows.nodes.shape[1]
+    # what the records read of each row's last RECORD_BLOCK states
+    buf = {name: np.empty((len(ids), RECORD_BLOCK) + shape) for name, shape in (
+        ("total", ()), ("h", ()), ("kappa", (n1,)), ("s", (n1,)), ("w", (n1,))
+    )}
+    times = []
+
+    def record(rows, time):
+        times.append(time)
+        for name, x in buf.items():
+            x[:, len(times) - 1] = getattr(rows, name)
+
+    def flush(j):
+        # the records of row j's buffered states
+        length, h, kappa, s, w = (x[j, : len(times)] for x in buf.values())
+        blocks[ids[j]].append(
+            _record_columns(times, length, h.tolist(), kappa, s, w, configs[ids[j]].epsilon)
+        )
+
+    record(rows, 0.0)
     for k in range(1, nsteps + 1):
-        try:
-            state = step(state, config)
-        except SingularityDetected:
-            terminated = Terminated.SINGULARITY_DETECTED
-        except SolverFailure:
-            terminated = Terminated.SOLVER_FAILURE
-        except ReparamFailure:
-            terminated = Terminated.REPARAM_FAILURE
-        except DegenerateCurve:
-            terminated = Terminated.DEGENERATE_MESH
-        except BadParams:
-            # the rest of the CurveError family: the admitted curve is open,
-            # so this is a non-finite node from the solve or redistribution
-            terminated = Terminated.NON_FINITE_STATE
-        if terminated is not Terminated.REACHED_T_END:
-            event_time = state.time + dt
-            break
-        # keep the time grid exactly k * dt (no accumulation drift)
-        state = replace(state, time=k * dt)
-        block.append(_record_inputs(state))
-        if len(block) == RECORD_BLOCK:
-            records += _records(block, config.epsilon)
-            block = []
+        # the time `step` gives the state after the one at (k - 1) dt
+        now = (k - 1) * dt + dt
+        prev, (rows, failed) = rows, _advance(rows, config, now)
+        for j, exc in failed.items():
+            r = ids[j]
+            ends[r] = (next(reason for kind, reason in _REASONS if isinstance(exc, kind)), now)
+            flush(j)
+            if states[r][-1].step_index != k - 1:
+                states[r].append(prev.state(j, (k - 1) * dt, k - 1))
+        if failed:
+            keep = [j for j in range(len(ids)) if j not in failed]
+            ids = [ids[j] for j in keep]
+            buf = {name: x[keep] for name, x in buf.items()}
+            if not ids:
+                break
+        if len(times) == RECORD_BLOCK:
+            for j in range(len(ids)):
+                flush(j)
+            times = []
+        record(rows, k * dt)
         if k % snapshot_stride == 0 or k == nsteps or k in want_times:
-            states.append(state)
-    records += _records(block, config.epsilon)
-    if states[-1].step_index != state.step_index:
-        states.append(state)
-    return Trajectory(
-        states=states,
-        diagnostics=_fill_lambda_residuals(records, dt),
-        terminated_by=terminated,
-        event_time=event_time,
-        config=config,
-    )
+            for j, r in enumerate(ids):
+                states[r].append(rows.state(j, k * dt, k))
+    for j in range(len(ids)):
+        flush(j)
+    return [
+        Trajectory(states[r], _diagnostics(blocks[r], dt), reason, event_time, c)
+        for r, (c, (reason, event_time)) in enumerate(zip(configs, ends))
+    ]

@@ -59,13 +59,22 @@ class DiscreteCurve:
             raise BadParams("nodes must have finite coordinates")
         if nodes.shape[0] < MIN_NODE_COUNT + (0 if self.closed else 1):
             raise BadParams(f"need at least n = {MIN_NODE_COUNT} segments")
-        seg = np.linalg.norm(np.diff(nodes, axis=0), axis=1)
+        seg = chord_lengths(nodes)
         if self.closed:
             seg = np.append(seg, np.linalg.norm(nodes[0] - nodes[-1]))
         if np.any(seg <= 0.0):
             raise DegenerateCurve("coincident consecutive nodes")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "segments", seg)
+
+    @classmethod
+    def _checked(cls, nodes: np.ndarray, segments: np.ndarray) -> "DiscreteCurve":
+        # the open curve of C-contiguous `nodes` that have passed the checks
+        # of __post_init__, with their chord lengths `segments`
+        curve = object.__new__(cls)
+        for name, value in (("nodes", nodes), ("closed", False), ("segments", segments)):
+            object.__setattr__(curve, name, value)
+        return curve
 
     @property
     def n(self) -> int:
@@ -105,53 +114,98 @@ class GeometryCache:
 
 
 def _trapezoid_weights(s: np.ndarray, closed: bool, total: float) -> np.ndarray:
+    # along the last axis of `s`; closed grids take one row
     if closed:
         se = np.concatenate([[s[-1] - total], s, [s[0] + total]])
         return 0.5 * (se[2:] - se[:-2])
     w = np.empty_like(s)
-    w[1:-1] = 0.5 * (s[2:] - s[:-2])
-    w[0] = 0.5 * (s[1] - s[0])
-    w[-1] = 0.5 * (s[-1] - s[-2])
+    w[..., 1:-1] = 0.5 * (s[..., 2:] - s[..., :-2])
+    w[..., 0] = 0.5 * (s[..., 1] - s[..., 0])
+    w[..., -1] = 0.5 * (s[..., -1] - s[..., -2])
     return w
 
 
-def _open_position_derivs(nodes: np.ndarray, s: np.ndarray, uniform_h: float | None):
-    """First and second s-derivatives of the position, per component.
+# signs of the first-derivative end weights on the left and right window
+_SIDES = np.array([1.0, -1.0])[:, None, None]
+
+
+def _open_position_derivs(nodes: np.ndarray, s: np.ndarray, h: list):
+    """First and second s-derivatives of the position, per component, of
+    each curve in the stack `nodes` (rows, n+1, 2) on its row of `s`.
 
     Interior nodes use the classic nonuniform three-point formulas; boundary
     rows use one-sided windows (8 points for the second derivative: on data
     with odd symmetry about the ends the even-order truncation terms vanish,
-    leaving an O(h^7) endpoint curvature measurement).
+    leaving an O(h^7) endpoint curvature measurement). `h[row]` is the
+    spacing of a uniform row, whose windows take integer-offset weights, or
+    None, whose windows take Fornberg weights.
     """
-    n1 = nodes.shape[0]
     d1 = np.empty_like(nodes)
     d2 = np.empty_like(nodes)
-    hm = s[1:-1] - s[:-2]
-    hp = s[2:] - s[1:-1]
-    a1 = -hp / (hm * (hm + hp))
-    c1 = hm / (hp * (hm + hp))
-    a2 = 2.0 / (hm * (hm + hp))
-    c2 = 2.0 / (hp * (hm + hp))
+    hm = (s[:, 1:-1] - s[:, :-2])[..., None]
+    hp = (s[:, 2:] - s[:, 1:-1])[..., None]
+    wm = hm * (hm + hp)
+    wp = hp * (hm + hp)
     # difference form annihilates constants exactly (translation robustness)
-    lo = nodes[:-2] - nodes[1:-1]
-    hi = nodes[2:] - nodes[1:-1]
-    d1[1:-1] = a1[:, None] * lo + c1[:, None] * hi
-    d2[1:-1] = a2[:, None] * lo + c2[:, None] * hi
-    if uniform_h is not None:
-        w1 = stencils.one_sided_weights(1, 3, 0) / uniform_h
-        w2 = stencils.one_sided_weights(2, 8, 0) / uniform_h**2
-        d1[0] = w1 @ (nodes[:3] - nodes[0])
-        d1[-1] = -w1 @ (nodes[-3:][::-1] - nodes[-1])
-        d2[0] = w2 @ (nodes[:8] - nodes[0])
-        d2[-1] = w2 @ (nodes[-8:][::-1] - nodes[-1])
-        return d1, d2
-    for i, rows in ((0, slice(0, 3)), (n1 - 1, slice(n1 - 3, n1))):
-        w = stencils.fd_weights(s[rows], s[i], 1)
-        d1[i] = w @ (nodes[rows] - nodes[i])
-    for i, rows in ((0, slice(0, 8)), (n1 - 1, slice(n1 - 8, n1))):
-        w = stencils.fd_weights(s[rows], s[i], 2)
-        d2[i] = w @ (nodes[rows] - nodes[i])
+    lo = nodes[:, :-2] - nodes[:, 1:-1]
+    hi = nodes[:, 2:] - nodes[:, 1:-1]
+    d1[:, 1:-1] = -hp / wm * lo + hm / wp * hi
+    d2[:, 1:-1] = 2.0 / wm * lo + 2.0 / wp * hi
+    n1 = nodes.shape[1]
+    uniform = [row for row, spacing in enumerate(h) if spacing is not None]
+    if uniform:
+        at = np.array(uniform)[:, None]
+        # both 8-node end windows, the right one read from its end, as
+        # differences from the end node; C-contiguous windows make matmul
+        # repeat the arithmetic of `w @ x` window by window
+        x = np.ascontiguousarray(nodes[uniform][:, [range(8), range(n1 - 1, n1 - 9, -1)]])
+        x -= x[:, :, :1]
+        # one scalar power per row: the array power differs in the last bit
+        hu = np.array([[h[row], h[row] ** 2] for row in uniform])[:, :, None, None, None]
+        w1 = stencils.one_sided_weights(1, 3, 0) / hu[:, 0] * _SIDES
+        w2 = stencils.one_sided_weights(2, 8, 0) / hu[:, 1]
+        d1[at, [0, n1 - 1]] = np.matmul(w1, np.ascontiguousarray(x[:, :, :3]))[:, :, 0]
+        d2[at, [0, n1 - 1]] = np.matmul(w2, x)[:, :, 0]
+    for row in (row for row, spacing in enumerate(h) if spacing is None):
+        x, t = nodes[row], s[row]
+        for i, sl in ((0, slice(0, 3)), (n1 - 1, slice(n1 - 3, n1))):
+            d1[row, i] = stencils.fd_weights(t[sl], t[i], 1) @ (x[sl] - x[i])
+        for i, sl in ((0, slice(0, 8)), (n1 - 1, slice(n1 - 8, n1))):
+            d2[row, i] = stencils.fd_weights(t[sl], t[i], 2) @ (x[sl] - x[i])
     return d1, d2
+
+
+def _frame(d1: np.ndarray, d2: np.ndarray):
+    """Unit tangent, leftward unit normal and curvature from the position
+    derivatives, along the last axis."""
+    tangent = d1 / _norm(d1)[..., None]
+    normal = np.empty_like(tangent)
+    np.negative(tangent[..., 1], out=normal[..., 0])
+    normal[..., 1] = tangent[..., 0]
+    # einsum("ij,ij->i", d2, normal), whose sum starts from 0.0
+    kappa = 0.0 + d2[..., 0] * normal[..., 0] + d2[..., 1] * normal[..., 1]
+    if _STENCIL_CORRUPTION != 0.0:
+        kappa = kappa * (1.0 + _STENCIL_CORRUPTION)
+    return tangent, normal, kappa
+
+
+def _norm(v: np.ndarray) -> np.ndarray:
+    # np.linalg.norm(v, axis=-1) of pairs, by its arithmetic; C order, so
+    # that sums along the result's last axis are pairwise as for one row
+    v = v * v
+    return np.sqrt(np.add(v[..., 0], v[..., 1], order="C"))
+
+
+def stack_nodes(arrays) -> np.ndarray:
+    """The (n+1, 2) arrays as one (rows, n+1, 2) stack, stored coordinate
+    by coordinate, so that operations along the nodes run over contiguous
+    memory."""
+    return np.array([x.T for x in arrays]).transpose(0, 2, 1)
+
+
+def chord_lengths(nodes: np.ndarray) -> np.ndarray:
+    """Segment lengths of the polyline(s) along the second-to-last axis."""
+    return _norm(nodes[..., 1:, :] - nodes[..., :-1, :])
 
 
 def compute_geometry(curve: DiscreteCurve) -> GeometryCache:
@@ -168,31 +222,51 @@ def compute_geometry(curve: DiscreteCurve) -> GeometryCache:
     total = float(seg.sum())
     if np.any(seg < 1e-14 * total):
         raise DegenerateCurve("segment below 1e-14 of total length")
-    s = np.concatenate([[0.0], np.cumsum(seg)])[: nodes.shape[0]]
-    grid = _derivative_grid(s, total, curve.closed)
-    uniform_h = total / seg.size if stencils.is_uniform(grid) else None
-    if curve.closed:
-        d1, d2 = (
-            np.column_stack([stencils.derivative(x, grid, j, "periodic") for x in nodes.T])
-            for j in (1, 2)
+    if not curve.closed:
+        s, w, tangent, normal, kappa, h = (
+            x[0] for x in open_geometry(nodes[None], seg[None], np.array([total]))
         )
-    else:
-        d1, d2 = _open_position_derivs(nodes, s, uniform_h)
-    tangent = d1 / np.linalg.norm(d1, axis=1)[:, None]
-    normal = np.column_stack([-tangent[:, 1], tangent[:, 0]])
-    kappa = np.einsum("ij,ij->i", d2, normal)
-    if _STENCIL_CORRUPTION != 0.0:
-        kappa = kappa * (1.0 + _STENCIL_CORRUPTION)
+        return GeometryCache(curve, total, s, w, tangent, normal, kappa, h)
+    s = np.concatenate([[0.0], np.cumsum(seg)])[: nodes.shape[0]]
+    grid = _derivative_grid(s, total, True)
+    d1, d2 = (
+        np.column_stack([stencils.derivative(x, grid, j, "periodic") for x in nodes.T])
+        for j in (1, 2)
+    )
+    tangent, normal, kappa = _frame(d1, d2)
     return GeometryCache(
         curve=curve,
         total_length=total,
         s=s,
-        ds=_trapezoid_weights(s, curve.closed, total),
+        ds=_trapezoid_weights(s, True, total),
         tangent=tangent,
         normal=normal,
         kappa=kappa,
-        uniform_h=uniform_h,
+        uniform_h=total / seg.size if stencils.is_uniform(grid) else None,
     )
+
+
+def _running_sum(x: np.ndarray) -> np.ndarray:
+    # np.concatenate([[0.0], np.cumsum(x)]) along the last axis of (rows, n)
+    out = np.zeros((x.shape[0], x.shape[1] + 1))
+    np.cumsum(x, axis=-1, out=out[:, 1:])
+    return out
+
+
+def open_geometry(nodes: np.ndarray, seg: np.ndarray, total: np.ndarray):
+    """`compute_geometry` of each open curve in the stack `nodes` (rows,
+    n+1, 2), given its chord lengths `seg` and their sums `total`.
+
+    Returns the arclength grids, trapezoid weights, tangents, normals and
+    curvatures stacked along the rows, and the list of grid spacings (None
+    for a row whose grid is not uniform). Every operation works along the
+    rows, so each row gets the bits `compute_geometry` gives its curve.
+    """
+    n = seg.shape[1]
+    s = _running_sum(seg)
+    h = [t / n if u else None for t, u in zip(total.tolist(), stencils.is_uniform(s).tolist())]
+    d1, d2 = _open_position_derivs(nodes, s, h)
+    return (s, _trapezoid_weights(s, False, 0.0), *_frame(d1, d2), h)
 
 
 def _derivative_grid(s: np.ndarray, total: float, closed: bool) -> np.ndarray:
@@ -220,61 +294,125 @@ def arclength_derivative(cache: GeometryCache, values: np.ndarray, order: int) -
 
 
 def _not_a_knot_spline(u: np.ndarray, y: np.ndarray):
-    """Not-a-knot cubic spline through the rows of `y` at the knots `u`, as a
-    function of the parameter. It repeats the arithmetic of scipy's
+    """Not-a-knot cubic splines through the stack `y` (rows, m, 2) at the
+    knots `u` (rows, m), as a function `spline(tau, rows)` of the parameters
+    `tau` of the curves `rows`. Each row repeats the arithmetic of scipy's
     `CubicSpline(u, y, bc_type="not-a-knot")`, so its values are the same bits."""
-    dx = np.diff(u)
-    dxr = dx[:, None]
-    slope = np.diff(y, axis=0) / dxr
+    count, size = u.shape
+    dx = u[:, 1:] - u[:, :-1]
+    dxr = dx[..., None]
+    slope = (y[:, 1:] - y[:, :-1]) / dxr
     # slopes m at the knots: continuity of the second derivative inside,
     # continuity of the third across the second and next-to-last knots;
     # LAPACK's gtsv is the solver `solve_banded((1, 1), ...)` calls
-    d = u[2] - u[0]
-    e = u[-1] - u[-3]
-    diag = np.concatenate([[dx[1]], 2 * (dx[:-1] + dx[1:]), [dx[-2]]])
+    d = (u[:, 2] - u[:, 0])[:, None]
+    e = (u[:, -1] - u[:, -3])[:, None]
+    diag = np.concatenate([dx[:, 1:2], 2 * (dx[:, :-1] + dx[:, 1:]), dx[:, -2:-1]], axis=-1)
     rhs = np.empty_like(y)
-    rhs[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
-    rhs[0] = ((dxr[0] + 2 * d) * dxr[1] * slope[0] + dxr[0] ** 2 * slope[1]) / d
-    rhs[-1] = (dxr[-1] ** 2 * slope[-2] + (2 * e + dxr[-1]) * dxr[-2] * slope[-1]) / e
-    m = dgtsv(np.concatenate([dx[1:], [e]]), diag, np.concatenate([[d], dx[:-1]]), rhs, 1, 1, 1, 1)[3]
-    t = (m[:-1] + m[1:] - 2 * slope) / dxr
-    c0, c1, c2, c3 = t / dxr, (slope - m[:-1]) / dxr - t, m[:-1], y[:-1]
+    rhs[:, 1:-1] = 3 * (dxr[:, 1:] * slope[:, :-1] + dxr[:, :-1] * slope[:, 1:])
+    rhs[:, 0] = ((dxr[:, 0] + 2 * d) * dxr[:, 1] * slope[:, 0] + dxr[:, 0] ** 2 * slope[:, 1]) / d
+    rhs[:, -1] = (dxr[:, -1] ** 2 * slope[:, -2] + (2 * e + dxr[:, -1]) * dxr[:, -2] * slope[:, -1]) / e
+    lower = np.concatenate([dx[:, 1:], e], axis=-1)
+    upper = np.concatenate([d, dx[:, :-1]], axis=-1)
+    m = stack_nodes([dgtsv(*bands, 1, 1, 1, 1)[3] for bands in zip(lower, diag, upper, rhs)])
+    t = (m[:, :-1] + m[:, 1:] - 2 * slope) / dxr
+    # the power coefficients c0..c3 of each interval, by coordinate, with
+    # the intervals of all rows along the last axis; and their left knots
+    coef = np.empty((4, 2, count, size - 1))
+    np.divide(t, dxr, out=coef[0].transpose(1, 2, 0))
+    np.subtract((slope - m[:, :-1]) / dxr, t, out=coef[1].transpose(1, 2, 0))
+    coef[2] = m[:, :-1].transpose(2, 0, 1)
+    coef[3] = y[:, :-1].transpose(2, 0, 1)
+    coef = coef.reshape(4, 2, -1)
+    left = u[:, :-1].reshape(-1)
+    inner = u[:, 1:-1]
 
-    def spline(tau):
-        i = np.clip(np.searchsorted(u, tau, side="right") - 1, 0, u.size - 2)
-        z = np.asarray(tau - u[i])[..., None]
-        # PPoly's power sum, from 0.0 (which turns a lone -0.0 into +0.0)
-        return 0.0 + c3[i] + c2[i] * z + c1[i] * (z * z) + c0[i] * (z * z * z)
+    def spline(tau, rows):
+        # searching the inner knots clips the interval to the first and last
+        i = np.array([inner[r].searchsorted(x, "right") for r, x in zip(rows, tau)])
+        i += (size - 1) * rows[:, None]
+        c = np.take(coef, i, axis=-1)
+        z = tau - np.take(left, i)
+        # PPoly's power sum, from 0.0 (which turns a lone -0.0 into +0.0),
+        # coordinate by coordinate
+        return (0.0 + c[3] + c[2] * z + c[1] * (z * z) + c[0] * (z * z * z)).transpose(1, 2, 0)
 
     return spline
 
 
-def _equalize_chords(spline, n: int, tol: float = 1e-13, max_iter: int = 30):
-    """Parameters tau on [0,1] whose spline images have equal chords.
+def _equalize_chords(spline, rows: int, n: int, tol: float = 1e-13, max_iter: int = 30):
+    """Parameters tau on [0,1] whose spline images have equal chords, for
+    each of the `rows` curves of `spline`.
 
-    Fixed-point iteration on the cumulative-chord map; stops at `tol`
-    relative deviation or when roundoff stalls further progress.
+    Fixed-point iteration on the cumulative-chord map; a row stops at `tol`
+    relative deviation or when roundoff stalls further progress, and leaves
+    the iteration. Returns the images (rows, n+1, 2) and the exception that
+    ends each row that failed, by row.
     """
-    tau = np.linspace(0.0, 1.0, n + 1)
-    pts = spline(tau)
-    prev_dev = math.inf
+    active = np.arange(rows)
+    tau = np.repeat(np.linspace(0.0, 1.0, n + 1)[None], rows, axis=0)
+    pts = spline(tau, active)
+    out = np.empty_like(pts)
+    failed = {}
+    prev_dev = np.full(rows, math.inf)
     for _ in range(max_iter):
-        chords = np.linalg.norm(np.diff(pts, axis=0), axis=1)
-        if np.any(chords <= 0.0):
-            raise DegenerateCurve("interpolant collapsed during redistribution")
-        mean = chords.mean()
-        dev = np.max(np.abs(chords - mean)) / mean
-        if dev <= tol or (dev <= 1e-11 and dev >= 0.5 * prev_dev):
-            return pts, dev
+        chords = chord_lengths(pts)
+        mean = np.add.reduce(chords, axis=-1) / n
+        dev = np.maximum.reduce(np.abs(chords - mean[:, None]), axis=-1) / mean
+        done = (dev <= tol) | ((dev <= 1e-11) & (dev >= 0.5 * prev_dev))
+        if active.size == rows and np.logical_and.reduce(done):
+            return pts, failed
+        collapsed = np.logical_or.reduce(chords <= 0.0, axis=-1)
+        leaving = done | collapsed
+        if np.logical_or.reduce(leaving):
+            for j in collapsed.nonzero()[0]:
+                failed[int(active[j])] = DegenerateCurve("interpolant collapsed during redistribution")
+            out[active[leaving]] = pts[leaving]
+            going = ~leaving
+            if not np.logical_or.reduce(going):
+                return out, failed
+            active, tau, pts, chords, dev = (x[going] for x in (active, tau, pts, chords, dev))
         prev_dev = dev
-        cum = np.concatenate([[0.0], np.cumsum(chords)])
-        targets = np.linspace(0.0, cum[-1], n + 1)
-        tau = np.interp(targets, cum, tau)
-        tau[0], tau[-1] = 0.0, 1.0
-        pts = spline(tau)
-    if dev <= 1e-10:
-        return pts, dev
-    raise ReparamFailure(f"chord equalization stalled at deviation {dev:.3e}")
+        cum = _running_sum(chords)
+        targets = np.linspace(0.0, cum[:, -1], n + 1, axis=-1)
+        tau = np.array([np.interp(*row) for row in zip(targets, cum, tau)])
+        tau[:, 0] = 0.0
+        tau[:, -1] = 1.0
+        pts = spline(tau, active)
+    out[active] = pts
+    for j in (~(dev <= 1e-10)).nonzero()[0]:
+        failed[int(active[j])] = ReparamFailure(f"chord equalization stalled at deviation {dev[j]:.3e}")
+    return out, failed
+
+
+def redistribute(nodes: np.ndarray, seg: np.ndarray):
+    """Constant-speed redistribution of each open curve in the stack `nodes`
+    (rows, n+1, 2) with chord lengths `seg`, as `reparametrize_constant_speed`
+    does it for one curve.
+
+    Returns the new stack, a mask of the rows that moved (a row already
+    uniform to 1e-13 stays as it is), and the exception that ends each row
+    that failed, by row.
+    """
+    n = seg.shape[1]
+    length = np.add.reduce(seg, axis=-1)
+    mean = length / n
+    moved = ~(np.maximum.reduce(np.abs(seg - mean[:, None]), axis=-1) <= 1e-13 * mean)
+    if not np.logical_or.reduce(moved):
+        return nodes, moved, {}
+    rows = np.flatnonzero(moved)
+    x = nodes
+    if rows.size < moved.size:
+        x, seg, length = nodes[rows], seg[rows], length[rows]
+    u = _running_sum(seg)
+    u /= length[:, None]
+    pts, failed = _equalize_chords(_not_a_knot_spline(u, x), rows.size, n)
+    pts[:, 0] = x[:, 0]
+    pts[:, -1] = x[:, -1]
+    if rows.size < moved.size:
+        x, pts = pts, nodes.copy(order="K")
+        pts[rows] = x
+    return pts, moved, {int(rows[j]): exc for j, exc in failed.items()}
 
 
 def reparametrize_constant_speed(curve: DiscreteCurve) -> DiscreteCurve:
@@ -288,15 +426,10 @@ def reparametrize_constant_speed(curve: DiscreteCurve) -> DiscreteCurve:
     """
     if curve.closed:
         raise BadParams("constant-speed redistribution applies to open curves")
-    seg = curve.segments
-    mean = seg.mean()
-    if np.max(np.abs(seg - mean)) <= 1e-13 * mean:
-        return curve
-    u = np.concatenate([[0.0], np.cumsum(seg)]) / seg.sum()
-    pts, _ = _equalize_chords(_not_a_knot_spline(u, curve.nodes), curve.n)
-    pts[0] = curve.nodes[0]
-    pts[-1] = curve.nodes[-1]
-    return DiscreteCurve(pts)
+    pts, moved, failed = redistribute(curve.nodes[None], curve.segments[None])
+    if failed:
+        raise failed[0]
+    return DiscreteCurve(pts[0]) if moved[0] else curve
 
 
 # ---------------------------------------------------------------------------

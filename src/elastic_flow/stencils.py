@@ -65,11 +65,12 @@ def one_sided_weights(order: int, width: int, row: int) -> np.ndarray:
     return _ONE_SIDED[key]
 
 
-def is_uniform(s: np.ndarray, rel_tol: float = 1e-9) -> bool:
-    ds = np.diff(s)
-    lo = ds.min()
-    hi = ds.max()
-    return lo > 0 and hi - lo <= rel_tol * hi
+def is_uniform(s: np.ndarray, rel_tol: float = 1e-9):
+    """Whether the grid `s` is uniform to `rel_tol`, along the last axis."""
+    ds = s[..., 1:] - s[..., :-1]
+    lo = np.minimum.reduce(ds, axis=-1)
+    hi = np.maximum.reduce(ds, axis=-1)
+    return (lo > 0) & (hi - lo <= rel_tol * hi)
 
 
 def _centered(f: np.ndarray, order: int) -> np.ndarray:

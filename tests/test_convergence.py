@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,12 @@ from elastic_flow.convergence import (
     run_sweep,
     singularity_time_estimate,
 )
-from elastic_flow.flow import FlowConfig, run
+from elastic_flow.flow import FlowConfig, Terminated, run, run_batch
+
+
+def _bits(x):
+    # the float64 bits, so that -0.0 and 0.0 differ
+    return np.asarray(x, dtype=float).view(np.uint64)
 
 
 def short_run(n=64, eps=0.1, dt=1e-4, t_end=0.01, family="flattened_sine", **kw):
@@ -100,18 +106,21 @@ class TestRunSweep:
         calls = []
 
         def solve(diags, rhs):
-            # five steps per run: call 13 is step 3 of the second ladder row
-            calls.append(None)
+            # one call per step solves every row still running, in the order
+            # reference, 0.2, 0.1, 0.05: call 3 is step 3, row 2 the second
+            # ladder row
+            calls.append(len(rhs))
             out = real(diags, rhs)
-            if len(calls) == 13:
-                out[3, 1] = np.nan
+            if len(calls) == 3:
+                out[2, 3, 1] = np.nan
             return out
 
         monkeypatch.setattr(flow, "solve_banded", solve)
         base = FlowConfig(epsilon=0.1, n=64, dt=1e-3, t_end=0.005)
         cfg = SweepConfig(epsilons=(0.2, 0.1, 0.05), base=base, delta=0.0, k_max=0)
         rep = run_sweep(make_initial_curve("flattened_sine", 64, amplitude=0.05), cfg)
-        assert len(calls) == 5 + 5 + 3 + 5
+        assert sum(calls) == 5 + 5 + 3 + 5
+        assert calls == [4, 4, 4, 3, 3]
         assert rep.failed_rows == [1]
         assert np.isnan(rep.distances[1, 0])
         assert np.all(np.isfinite(rep.distances[[0, 2], 0]))
@@ -172,29 +181,41 @@ class TestSweepInfrastructure:
     def test_rows_run_on_calling_thread(self, monkeypatch):
         import threading
 
-        from elastic_flow import convergence
+        from elastic_flow import flow
 
+        real = flow.solve_banded
         threads = []
 
-        def traced_run(*args, **kwargs):
-            threads.append(threading.get_ident())
-            return run(*args, **kwargs)
+        def traced_solve(diags, rhs):
+            # one entry per row and step
+            threads.extend([threading.get_ident()] * len(rhs))
+            return real(diags, rhs)
 
-        monkeypatch.setattr(convergence, "run", traced_run)
+        monkeypatch.setattr(flow, "solve_banded", traced_solve)
         base = FlowConfig(epsilon=0.1, n=64, dt=1e-3, t_end=0.005)
         cfg = SweepConfig(epsilons=(0.2, 0.1, 0.05), base=base, delta=0.0, k_max=0)
         run_sweep(make_initial_curve("flattened_sine", 64, amplitude=0.05), cfg)
-        assert threads == [threading.get_ident()] * 4
+        assert threads == [threading.get_ident()] * (4 * 5)
 
-    def test_thread_cap_env_var(self, monkeypatch):
-        base = FlowConfig(epsilon=0.1, n=64, dt=1e-3, t_end=0.005)
-        cfg = SweepConfig(epsilons=(0.2, 0.1), base=base, delta=0.0, k_max=0)
-        curve = make_initial_curve("flattened_sine", 64, amplitude=0.05)
-        monkeypatch.setenv("ELASTIC_FLOW_THREADS", "1")
-        rep_serial = run_sweep(curve, cfg)
-        monkeypatch.setenv("ELASTIC_FLOW_THREADS", "3")
-        rep_pool = run_sweep(curve, cfg)
-        assert np.array_equal(rep_serial.distances, rep_pool.distances)
+    def test_batched_ladder_equals_rows_run_one_at_a_time(self):
+        # the eps = 0 row and two rows that end early (at steps 26 and 34
+        # with reparam_failure) among the rows of one batch
+        curve = make_initial_curve("arc_with_flat_ends", 64, turn_angle=3.0)
+        base = FlowConfig(epsilon=0.1, n=64, dt=2e-3, t_end=0.1)
+        configs = [replace(base, epsilon=eps) for eps in (0.0, 1.0, 0.5, 0.1)]
+        batched = run_batch(curve, configs, snapshot_stride=1)
+        alone = [run(curve, c, snapshot_stride=1) for c in configs]
+        assert [t.terminated_by for t in batched] == [t.terminated_by for t in alone]
+        assert [t.terminated_by for t in alone].count(Terminated.REACHED_T_END) == 2
+        for got, want in zip(batched, alone):
+            assert got.event_time == want.event_time
+            assert [st.step_index for st in got.states] == [st.step_index for st in want.states]
+            for a, b in zip(got.states, want.states):
+                assert np.array_equal(_bits(a.curve.nodes), _bits(b.curve.nodes))
+                assert np.array_equal(_bits(a.cache.kappa), _bits(b.cache.kappa))
+                assert a.time == b.time
+            rows = [np.array([r.row() for r in t.diagnostics]) for t in (got, want)]
+            assert np.array_equal(*map(_bits, rows))
 
 
 def test_ck_distance_between_regularized_and_limit_flow():

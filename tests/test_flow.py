@@ -20,7 +20,6 @@ from elastic_flow.flow import (
     FlowConfig,
     FlowState,
     Terminated,
-    _fill_lambda_residuals,
     curvature_evolution_rhs,
     normal_velocity,
     run,
@@ -243,10 +242,10 @@ class TestRun:
 
     def test_non_finite_solve_has_its_own_reason(self, monkeypatch):
         # a NaN node passes the residual check (NaN > tol is False) and is
-        # refused by DiscreteCurve in step 5
+        # refused as a curve node in step 5
         def nan_node(real, diags, rhs):
             out = real(diags, rhs)
-            out[3, 1] = np.nan
+            out[..., 3, 1] = np.nan
             return out
 
         _poison_call(monkeypatch, "solve_banded", 5, nan_node)
@@ -260,11 +259,12 @@ class TestRun:
         assert traj.states[-1].step_index == 4
 
     def test_degenerate_mesh_has_its_own_reason(self, monkeypatch):
-        # call 1 redistributes the initial curve, call 6 is step 5's
-        def collapse(real, curve):
-            raise DegenerateCurve("interpolant collapsed during redistribution")
+        # call 5 is step 5's redistribution of the stepped curves
+        def collapse(real, nodes, seg):
+            pts, moved, _ = real(nodes, seg)
+            return pts, moved, {0: DegenerateCurve("interpolant collapsed during redistribution")}
 
-        _poison_call(monkeypatch, "reparametrize_constant_speed", 6, collapse)
+        _poison_call(monkeypatch, "redistribute", 5, collapse)
         traj = run(
             make_initial_curve("flattened_sine", 64, amplitude=0.05),
             FlowConfig(epsilon=0.1, n=64, dt=1e-4, t_end=0.002),
@@ -387,8 +387,9 @@ class TestRunOverDocumentedRanges:
         assert all(state.cache.uniform_h is not None for state in traj.states)
 
 
-def _record(state):
-    # reference: the diagnostics record of one state, from its cached arrays
+def _record(state, ldot):
+    # reference: the diagnostics record of one state, from its cached arrays,
+    # given the run's dL/dt at that state
     cache = state.cache
     E = state.E
     lam = state.lam
@@ -405,17 +406,19 @@ def _record(state):
         dissipation_rate=float(np.sum(w * E**2)),
         kappa_l2_sq=norms,
         boundary_residuals=boundary_residuals(state),
-        lambda_endpoint_residual=math.nan,
+        lambda_endpoint_residual=abs(float(lam[-1]) + ldot),
         max_abs_E=float(np.max(np.abs(E))),
         max_abs_lambda=float(np.max(np.abs(lam))),
-        _lambda_end=float(lam[-1]),
     )
 
 
 def assert_records_match_reference(traj):
     # with snapshot stride 1 the trajectory keeps every computed state
     assert len(traj.states) == len(traj.diagnostics)
-    ref = _fill_lambda_residuals([_record(st) for st in traj.states], traj.config.dt)
+    # dL/dt by centered differences, one-sided at the two ends
+    lengths = np.array([st.cache.total_length for st in traj.states])
+    ldot = np.gradient(lengths, traj.config.dt).tolist() if len(lengths) > 1 else [0.0]
+    ref = [_record(st, v) for st, v in zip(traj.states, ldot)]
     for got, want in zip(traj.diagnostics, ref):
         for f in dataclasses.fields(DiagnosticsRecord):
             a, b = getattr(got, f.name), getattr(want, f.name)

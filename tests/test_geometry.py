@@ -192,10 +192,16 @@ class TestNotAKnotSpline:
             seg = 1.0 + rng.uniform(-0.3, 0.3, n)
         u = np.concatenate([[0.0], np.cumsum(seg)]) / seg.sum()
         y = np.column_stack([np.cos(3.0 * u), rng.normal(size=n + 1)])
-        ref = CubicSpline(u, y, axis=0, bc_type="not-a-knot")
-        spline = _not_a_knot_spline(u, y)
-        for tau in (np.linspace(0.0, 1.0, 129), rng.uniform(0.0, 1.0, 200), u, 0.0, 1.0):
-            assert np.array_equal(spline(tau), ref(tau))
+        # a stack of this curve and a second one on uniform knots
+        knots = np.stack([u, np.linspace(0.0, 1.0, n + 1)])
+        ys = np.stack([y, y[::-1]])
+        spline = _not_a_knot_spline(knots, ys)
+        for row in (0, 1):
+            ref = CubicSpline(knots[row], ys[row], axis=0, bc_type="not-a-knot")
+            for tau in (np.linspace(0.0, 1.0, 129), rng.uniform(0.0, 1.0, 200), u, 0.0, 1.0):
+                want = ref(tau)
+                got = spline(np.atleast_1d(tau)[None], np.array([row]))[0]
+                assert np.array_equal(got.reshape(want.shape), want)
 
 
 class TestReparametrize:
