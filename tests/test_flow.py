@@ -284,6 +284,14 @@ class TestRun:
         for st in traj.states[1:]:
             assert not {"arrays", "E", "lam"} & set(vars(st)), st.step_index
 
+    def test_batch_refuses_configs_that_differ_beyond_epsilon(self):
+        base = FlowConfig(epsilon=0.1, n=64, dt=1e-4, t_end=0.01)
+        with pytest.raises(ConfigError, match="only in epsilon"):
+            flow.run_batch(
+                make_initial_curve("flattened_sine", 64, amplitude=0.05),
+                [base, dataclasses.replace(base, dt=2e-4, epsilon=0.2)],
+            )
+
     def test_unredistributable_initial_curve_refused(self):
         # the not-a-knot redistribution of this admitted bump stalls at
         # chord deviation 2.2e-6, before any step is taken
