@@ -246,6 +246,18 @@ def compute_geometry(curve: DiscreteCurve) -> GeometryCache:
     )
 
 
+def stacked_grids(curves):
+    """Chord lengths (rows, n), total lengths (rows,), and arclength grids
+    and trapezoid weights (rows, n+1) of open curves with n segments each.
+    Raises DegenerateCurve as `compute_geometry` does."""
+    seg = np.array([curve.segments for curve in curves])
+    total = np.add.reduce(seg, axis=-1)
+    if np.any(seg < 1e-14 * total[:, None]):
+        raise DegenerateCurve("segment below 1e-14 of total length")
+    s = _running_sum(seg)
+    return seg, total, s, _trapezoid_weights(s, False, 0.0)
+
+
 def _running_sum(x: np.ndarray) -> np.ndarray:
     # np.concatenate([[0.0], np.cumsum(x)]) along the last axis of (rows, n)
     out = np.zeros((x.shape[0], x.shape[1] + 1))

@@ -124,9 +124,10 @@ def gronwall_solve(
     The law is autonomous with Z > 0, so t(g) is the integral of 1/Z from
     g0 to g. Nodes g_i = g0 * NODE_RATIO**i run from g0 to the first node at
     or above `cap`. If the times pass t_max_query first, the last node is
-    placed at t_max_query exactly; otherwise g crossed `cap`, and the
-    reported blow-up time is the time of the last node plus the tail
-    integral of 1/Z from there upward.
+    placed at t_max_query exactly; otherwise g crossed `cap` or the steps
+    in t fell to 1e-10 of t, the nodes end there, and the reported blow-up
+    time is the time of the last node plus the tail integral of 1/Z from
+    there upward.
     """
     Z = law if law is not None else setup.law()
     g0, t_max = float(setup.g0), setup.t_max_query
@@ -151,12 +152,17 @@ def gronwall_solve(
         ts = np.append(ts[: k + 1], t_max)
         gs = np.append(gs[: k + 1], g_end)
     else:
-        # near blow-up the steps in t can fall below the rounding of t itself;
-        # the nodes end where t stops increasing and the tail covers the rest
-        stalled = np.flatnonzero(np.diff(ts) <= 0.0)
+        # near blow-up the steps in t shrink toward the rounding of t itself,
+        # and a Hermite interval a few ulps wide interpolates badly; the nodes
+        # end where a step falls to 1e-10 of t and the tail covers the rest
+        stalled = np.flatnonzero(np.diff(ts) <= 1e-10 * ts[:-1])
         if stalled.size:
             ts, gs = ts[: stalled[0] + 1], gs[: stalled[0] + 1]
-        tail, _ = quad(lambda p: 1.0 / Z(p), gs[-1], np.inf, limit=200)
+        # the tail integral of 1/Z from a = g_end up, over x = a / p in (0, 1]
+        # and scaled to order one: quad's absolute tolerance (1.5e-8) would
+        # swallow a tail of that size
+        a, za = gs[-1], Z(gs[-1])
+        tail = a / za * quad(lambda x: za / (x * x * Z(a / x)), 0.0, 1.0, limit=200)[0]
         blow_up = float(ts[-1]) + tail
     return GronwallSolution(ts, gs, Z(gs), blow_up, Z)
 

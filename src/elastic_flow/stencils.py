@@ -5,8 +5,9 @@ field) or `derivative` (one order), which close the stencils at the grid
 ends in one of three ways (`one_sided`, `odd`, `periodic`; the last two by
 ghost nodes). Underneath, uniform grids take integer-offset stencils
 (centered in the interior, one-sided windows at the ends) and other grids
-take weights from Fornberg's recursion, batched over all windows of the
-grid. The scalar recursion `fd_weights` serves single stencils.
+take weights from Fornberg's recursion, batched over all windows of a grid
+or of a stack of grids. The scalar recursion `fd_weights` serves single
+stencils.
 """
 
 from __future__ import annotations
@@ -139,27 +140,31 @@ def fd_weights_rows(x: np.ndarray, x0: np.ndarray, order: int) -> np.ndarray:
 
 
 def derivative_nonuniform(f: np.ndarray, s: np.ndarray, order: int) -> np.ndarray:
-    """Derivative on an irregular grid with Fornberg weights, batched.
+    """Derivative on irregular grids with Fornberg weights, batched over
+    all windows of every row of `f`, each on the grid in that row of `s`.
 
     The windows match `derivative_uniform`: centered ones in the interior,
     one-sided windows of width order+2 for the first and last `half` nodes.
     Weights are applied to differences against the evaluation node, so
     constant fields map to exactly zero.
     """
-    n1 = f.size
+    n1 = f.shape[-1]
+    f2, s2 = f.reshape(-1, n1), s.reshape(-1, n1)
     half = CENTERED[order][0]
     width = order + 2
     rows = np.arange(half, n1 - half)
     ends = np.r_[0:half, n1 - half : n1]
     starts = np.where(ends < half, 0, n1 - width)
-    out = np.empty(n1)
+    out = np.empty(f2.shape)
     for at, window in (
         (rows, rows[:, None] + np.arange(-half, half + 1)),
         (ends, starts[:, None] + np.arange(width)),
     ):
-        w = fd_weights_rows(s[window], s[at], order)
-        out[at] = np.einsum("ij,ij->i", w, f[window] - f[at, None])
-    return out
+        points = window.shape[1]
+        w = fd_weights_rows(s2[:, window].reshape(-1, points), s2[:, at].reshape(-1), order)
+        x = (f2[:, window] - f2[:, at, None]).reshape(-1, points)
+        out[:, at] = np.einsum("ij,ij->i", w, x).reshape(-1, at.size)
+    return out.reshape(f.shape)
 
 
 def derivative(f: np.ndarray, s: np.ndarray, order: int, boundary: str) -> np.ndarray:
@@ -183,14 +188,22 @@ def derivative(f: np.ndarray, s: np.ndarray, order: int, boundary: str) -> np.nd
 
 def derivatives(f: np.ndarray, s: np.ndarray, orders: tuple[int, ...], boundary: str) -> list:
     """`derivative` of one field for each of `orders`, which share the
-    uniformity test and one set of ghost nodes as wide as the widest stencil."""
+    uniformity test and one set of ghost nodes as wide as the widest stencil.
+    With `one_sided` ends, `f` and `s` may be stacks (rows, n+1) of fields,
+    each on its own grid."""
     f = np.asarray(f, dtype=float)
-    # the ghost nodes repeat spacings of the grid, so it decides the path
-    uniform = is_uniform(s)
     if boundary == "one_sided":
-        h = _spacing(s)
-        return [derivative_uniform(f, h, k) if uniform else derivative_nonuniform(f, s, k) for k in orders]
-    if uniform:
+        f2, s2 = f.reshape(-1, f.shape[-1]), s.reshape(-1, s.shape[-1])
+        uniform = is_uniform(s2)
+        out = [np.empty(f2.shape) for _ in orders]
+        for d, k in zip(out, orders):
+            if not uniform.all():
+                d[~uniform] = derivative_nonuniform(f2[~uniform], s2[~uniform], k)
+            for row in np.flatnonzero(uniform):
+                d[row] = derivative_uniform(f2[row], _spacing(s2[row]), k)
+        return [d.reshape(f.shape) for d in out]
+    # the ghost nodes repeat spacings of the grid, so it decides the path
+    if is_uniform(s):
         return [d[0] for d in uniform_row_derivatives(f[None], s[None], orders, boundary)]
     half = max(CENTERED[k][0] for k in orders)
     f = _ghosted(f, half, boundary)

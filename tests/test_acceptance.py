@@ -44,3 +44,9 @@ def test_verify_exit_status_zero():
     status, text = acceptance.verify(seed=0)
     assert status == 0, text
     assert "12/12 criteria passed" in text
+
+
+@pytest.mark.parametrize("seed,slack", [(0, "3.168e-08"), (1, "3.277e-08"), (7, "6.720e-08")])
+def test_criterion_8_detail_is_golden(seed, slack):
+    result = acceptance.crit_gn_inequalities(seed)
+    assert result.detail == f"1000 fresh samples, min slack {slack}; runtime within 30 s budget"

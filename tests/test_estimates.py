@@ -16,13 +16,66 @@ from elastic_flow.estimates import (
     energy,
     gn_check,
     gn_corpus,
+    gn_slacks,
+    gn_specialized_slacks,
     gn_specialized_u4,
     gn_specialized_u6,
     random_curve,
     random_field,
 )
 from elastic_flow.flow import FlowConfig, FlowState, run
+from elastic_flow.geometry import arclength_derivative
 from elastic_flow.gronwall import GronwallSetup
+
+
+GN_CASES = ((0, 1, 4), (0, 2, 6), (1, 2, 2), (0, 1, math.inf))
+
+
+def _lp(values, w, p):
+    if p == math.inf:
+        return float(np.max(np.abs(values)))
+    return float(np.sum(w * np.abs(values) ** p) ** (1.0 / p))
+
+
+def _persample_gn_reference(seed, count, n=96):
+    # the per-sample loop over geometry caches that the blocked corpus
+    # replaced, kept as the reference: the doubled calibrated constants, then
+    # every sample's slacks under them
+    rng = np.random.default_rng(seed)
+    samples = []
+    for _ in range(count):
+        cache = compute_geometry(random_curve(rng, n))
+        u = random_field(rng, n)
+        w, L = cache.ds, cache.total_length
+        d = (u, arclength_derivative(cache, u, 1), arclength_derivative(cache, u, 2))
+        sums = [float(np.sum(w * x)) for x in (u**2, u**4, u**6, d[1] ** 2, d[2] ** 2)]
+        norms = {case: (_lp(d[case[0]], w, case[2]), _lp(d[case[1]], w, 2), _lp(u, w, 2)) for case in GN_CASES}
+        samples.append((L, *sums, norms))
+    consts = {"u4": 0.0, "u6": 0.0, **{case: 0.0 for case in GN_CASES}}
+    for L, i_u2, i_u4, i_u6, i_du2, i_d2u2, norms in samples:
+        for kind, excess, denom in (
+            ("u4", i_u4 - i_du2, i_u2**3 + i_u2**2 / L),
+            ("u6", i_u6 - i_d2u2, i_u2**5 + i_u2**3 / L**2),
+        ):
+            if excess > 0.0 and denom > 0.0:
+                consts[kind] = max(consts[kind], excess / denom)
+        for (n_ord, j_ord, p), (lhs, uj2, u2) in norms.items():
+            sigma = (n_ord + 0.5 - (0.0 if p == math.inf else 1.0 / p)) / j_ord
+            denom = uj2**sigma * u2 ** (1.0 - sigma) + u2 / L ** (j_ord * sigma)
+            if denom > 0.0:
+                consts[n_ord, j_ord, p] = max(consts[n_ord, j_ord, p], lhs / denom)
+    consts = {key: 2.0 * c for key, c in consts.items()}
+    slacks = {key: [] for key in consts}
+    for L, i_u2, i_u4, i_u6, i_du2, i_d2u2, norms in samples:
+        c4, c6 = consts["u4"], consts["u6"]
+        slacks["u4"].append(i_du2 + c4 * i_u2**3 + c4 / L * i_u2**2 - i_u4)
+        slacks["u6"].append(i_d2u2 + c6 * i_u2**5 + c6 / L**2 * i_u2**3 - i_u6)
+        for (n_ord, j_ord, p), (lhs, uj2, u2) in norms.items():
+            c = consts[n_ord, j_ord, p]
+            sigma = (n_ord + 0.5 - (0.0 if p == math.inf else 1.0 / p)) / j_ord
+            rhs = c * uj2**sigma * u2 ** (1.0 - sigma) + c / L ** (j_ord * sigma) * u2
+            slacks[n_ord, j_ord, p].append(rhs - lhs)
+    return consts, slacks
 
 
 def closed_circle_state(n, r, eps):
@@ -181,6 +234,19 @@ class TestGNInequalities:
             assert gn_specialized_u6(cache, u, c6) >= 0.0
             assert gn_check(cache, u, 0, 1, 4, cg, cg) >= 0.0
 
+    def test_blocked_corpus_matches_the_per_sample_loop_bit_for_bit(self):
+        corpus = gn_corpus(seed=11, count=200)
+        assert [block.length.size for block in corpus] == [32] * 6 + [8]
+        consts, slacks = _persample_gn_reference(11, 200)
+        got = {kind: 2.0 * calibrate_gn_specialized(corpus, kind) for kind in ("u4", "u6")}
+        got.update({case: 2.0 * calibrate_gn_general(corpus, *case) for case in GN_CASES})
+        assert got == consts
+        for kind in ("u4", "u6"):
+            assert [x for b in corpus for x in gn_specialized_slacks(b, kind, consts[kind])] == slacks[kind]
+        for case in GN_CASES:
+            c = consts[case]
+            assert [x for b in corpus for x in gn_slacks(b, *case, c, c)] == slacks[case]
+
     def test_evolved_curvature_satisfies_u4(self):
         corpus = gn_corpus(seed=11, count=200)
         c4 = 2.0 * calibrate_gn_specialized(corpus, "u4")
@@ -208,6 +274,18 @@ class TestComparison:
         setup = GronwallSetup(g0=g0, coeff_C=coeff, t_max_query=0.05)
         ok, margin = comparison_check(traj, setup)
         assert ok and margin > 0.0
+
+    def test_blocked_calibration_matches_the_per_sample_loop_bit_for_bit(self):
+        # the per-sample loop over geometry caches, kept as the reference
+        rng = np.random.default_rng(5)
+        worst = 0.0
+        for _ in range(200):
+            cache = compute_geometry(random_curve(rng, 96))
+            rate = curvature_growth_rate(cache, rng.uniform(0.0, 1.0) or 1.0)
+            p = float(np.sum(cache.ds * cache.kappa**2))
+            if rate > 0.0:
+                worst = max(worst, rate / (p**5 + p**3 + p**2))
+        assert calibrate_comparison_constant(seed=5, count=200) == worst
 
     def test_flat_majorant_fails_when_curvature_grows(self):
         # strong hook: int kappa^4 beats the gradient term initially, so

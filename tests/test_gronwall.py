@@ -45,6 +45,14 @@ class TestGronwallSolve:
         zg = np.array([sol.law(g) for g in sol.gs])
         assert np.max(np.abs(sol.fs - zg) / (1.0 + np.abs(zg))) <= 1e-9
 
+    def test_inverse_round_trip_up_to_the_last_node(self):
+        # near blow-up the steps in t shrink to a few ulps of t; the nodes
+        # end before their Hermite intervals get that narrow
+        sol = gronwall_solve(GronwallSetup(g0=0.3, coeff_C=1.5, t_max_query=10.0))
+        levels = np.geomspace(sol.gs[0], sol.gs[-1], 400)
+        err = max(abs(sol(sol.inverse(g)) - g) / g for g in levels)
+        assert err <= 1e-6
+
     def test_default_law_blows_up(self):
         setup = GronwallSetup(g0=1.0, coeff_C=1.0, t_max_query=100.0)
         sol = gronwall_solve(setup)

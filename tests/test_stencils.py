@@ -146,6 +146,34 @@ def _rowwise_ghosted(f, s, order, boundary):
     return out
 
 
+def _stacked_grids(rows: int = 12, n1: int = 33):
+    # graded grids of several lengths, jitters and gradings, and two uniform
+    # ones, made explicitly because random grids rarely are
+    rng = np.random.default_rng(9)
+    t = np.linspace(0.0, 1.0, n1)
+    jitter = rng.uniform(-0.2, 0.2, (rows, n1)) / (n1 - 1)
+    jitter[:, [0, -1]] = 0.0
+    s = rng.uniform(0.5, 3.0, (rows, 1)) * (t + rng.uniform(0.2, 1.0, (rows, 1)) * t**2 + jitter)
+    s[[2, 7]] = rng.uniform(0.5, 3.0, (2, 1)) * t
+    f = np.sin(3.0 * s) + rng.normal(0.0, 0.1, s.shape)
+    return s, f
+
+
+class TestStackedOneSided:
+    @pytest.mark.parametrize("uniform_rows", [[2, 7], []])
+    def test_stacked_rows_equal_one_row_at_a_time(self, uniform_rows):
+        s, f = _stacked_grids()
+        if not uniform_rows:
+            s, f = np.delete(s, [2, 7], axis=0), np.delete(f, [2, 7], axis=0)
+        assert np.flatnonzero(stencils.is_uniform(s)).tolist() == uniform_rows
+        got = stencils.derivatives(f, s, (1, 2, 3, 4), "one_sided")
+        for order, d in zip((1, 2, 3, 4), got):
+            fornberg = stencils.derivative_nonuniform(f, s, order)
+            for i in range(s.shape[0]):
+                assert np.array_equal(d[i], stencils.derivative(f[i], s[i], order, "one_sided")), (order, i)
+                assert np.array_equal(fornberg[i], stencils.derivative_nonuniform(f[i], s[i], order)), (order, i)
+
+
 class TestGhostedBoundaries:
     @pytest.mark.parametrize("order", [1, 2, 3, 4])
     def test_odd_matches_rowwise_reference(self, order):
