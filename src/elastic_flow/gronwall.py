@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .errors import OutOfDomain
 
@@ -129,6 +127,10 @@ def gronwall_solve(
     time is the time of the last node plus the tail integral of 1/Z from
     there upward.
     """
+    # imported on use: commands that never solve the law skip their load time
+    from scipy.integrate import quad
+    from scipy.optimize import brentq
+
     Z = law if law is not None else setup.law()
     g0, t_max = float(setup.g0), setup.t_max_query
     if not Z(g0) > 0.0:
@@ -178,6 +180,8 @@ def doubling_time(
     for s below g0 it is the doubling time of the solution restarted from s,
     and for s at or above g0 it equals g^{-1}(2s) - g^{-1}(s).
     """
+    from scipy.integrate import quad
+
     if not s > 0.0:
         raise ValueError("level s must be positive")
     Z = law if law is not None else setup.law()

@@ -1,4 +1,7 @@
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -133,3 +136,20 @@ class TestVerify:
         assert main(["verify", "--filter", "gronwall", "--seed", "11"]) == 0
         second = capsys.readouterr().out
         assert first == second
+
+
+def test_start_up_imports_no_scipy_beyond_linalg():
+    # a fresh interpreter, so the suite's own imports do not count: every
+    # command pays for what importing the entry points loads
+    src = str(Path(geometry.__file__).resolve().parents[1])
+    code = (
+        "import sys, elastic_flow.cli, elastic_flow.acceptance\n"
+        "print(' '.join(sorted(sys.modules)))"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    loaded = set(subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout.split())
+    assert "scipy.linalg" in loaded
+    lazy = ("scipy.interpolate", "scipy.integrate", "scipy.optimize", "scipy.special")
+    assert [m for m in lazy if m in loaded] == []

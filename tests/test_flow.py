@@ -382,6 +382,13 @@ class TestRunOverDocumentedRanges:
         dt=5e-4,
         eps=0.0,
     )
+    # stops at step 3 with `reparam_failure`, so the stopped-run checks run
+    @example(
+        family_params=("bump_perturbed_segment", {"amplitude": 1.5, "support": (0.3, 0.7)}),
+        n=32,
+        dt=1e-3,
+        eps=0.5,
+    )
     def test_refuses_at_admission_or_ends_with_a_reason(self, family_params, n, dt, eps):
         family, params = family_params
         config = FlowConfig(epsilon=eps, n=n, dt=dt, t_end=10 * dt)
@@ -393,6 +400,16 @@ class TestRunOverDocumentedRanges:
         assert isinstance(traj.terminated_by, Terminated)
         # every evolved state sits on a constant-speed grid
         assert all(state.cache.uniform_h is not None for state in traj.states)
+        # the reason matches the records: a finished run records t_end, a
+        # stopped one stops one step after its last good record
+        last = traj.diagnostics[-1].t
+        if traj.terminated_by is Terminated.REACHED_T_END:
+            assert traj.event_time is None
+            assert last == pytest.approx(config.t_end, rel=1e-9)
+        else:
+            assert traj.event_time == last + dt
+            assert traj.event_time <= config.t_end * (1 + 1e-9)
+        assert all(np.all(np.isfinite(state.curve.nodes)) for state in traj.states)
 
 
 def _record(state, ldot):
