@@ -9,6 +9,7 @@ uses to enforce its boundary conditions.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -114,9 +115,9 @@ def endpoint_residuals(kappa: np.ndarray, h) -> np.ndarray:
 # interpolation inequalities
 # ---------------------------------------------------------------------------
 
-# samples per block of a randomized corpus: `verify --filter gn` peaks at
-# 85.5 MB resident with 32, 86.5 MB with 64 and 86.6 MB sample by sample, at
-# the same speed (2-core Intel Xeon, numpy 2.4.6)
+# samples per block of a randomized corpus: `verify --filter gn --seed 0`
+# takes 0.77 / 0.37 / 0.35 s in process and peaks at 37.2 / 41.9 / 46.3 MB
+# resident with 4 / 32 / 64 (medians of 5; 2-core Intel Xeon, numpy 2.4.6)
 CORPUS_BLOCK = 32
 
 
@@ -219,6 +220,57 @@ def gn_specialized_u6(cache: GeometryCache, u: np.ndarray, const_c: float) -> fl
 # randomized corpus and constant calibration
 # ---------------------------------------------------------------------------
 
+def _draw_curve(rng: np.random.Generator):
+    # a curve's length and mode amplitudes, drawn in the order `random_curve` gives
+    length, strength, modes = rng.uniform(0.5, 3.0), 10.0 ** rng.uniform(-0.5, 0.9), rng.integers(1, 5)
+    return length, strength * rng.normal(0.0, 1.0, modes) / (1.0 + np.arange(modes)) ** 2
+
+
+def _draw_field(rng: np.random.Generator):
+    # a field's numbers, drawn in the order `random_field` gives
+    offset, wiggle = rng.normal(0.0, 1.0), 10.0 ** rng.uniform(-3.0, 0.5)
+    return offset, wiggle, [rng.normal(0.0, 1.0, 2) for _ in range(5)], 10.0 ** rng.uniform(-1.0, 1.0)
+
+
+@functools.cache
+def _modes(points: int, count: int):
+    # cos and sin of m pi sigma, m = 1..count, on `points` sigma in [0, 1]
+    arg = np.outer(np.arange(1, count + 1) * np.pi, np.linspace(0.0, 1.0, points))
+    table = np.array([np.cos(arg), np.sin(arg)])
+    table.setflags(write=False)
+    return table
+
+
+def _curve_block(n: int, draws) -> np.ndarray:
+    # the nodes (rows, n+1, 2) of `_draw_curve` draws, each row as it is alone
+    length, amps = zip(*draws)
+    present = np.arange(4) < np.array([a.size for a in amps])[:, None]
+    padded = np.zeros(present.shape)
+    padded[present] = np.concatenate(amps)
+    kappa = np.zeros((len(draws), 16 * n + 1))
+    for a, sine, mask in zip(padded.T, _modes(16 * n + 1, 4)[1], present.T):
+        # a sample without this mode gets no term: adding +0.0 turns a -0.0
+        np.add(kappa, a[:, None] * sine, out=kappa, where=mask[:, None])
+    dsig = np.diff(np.linspace(0.0, 1.0, 16 * n + 1))
+    theta = np.zeros_like(kappa)
+    np.cumsum(0.5 * (kappa[:, 1:] + kappa[:, :-1]) * dsig, axis=-1, out=theta[:, 1:])
+    # the coordinates as contiguous planes (2, rows, 16n+1), the nodes in C order
+    vel = np.array([np.cos(theta), np.sin(theta)])
+    pos = np.zeros_like(vel)
+    np.cumsum(0.5 * (vel[..., 1:] + vel[..., :-1]) * dsig, axis=-1, out=pos[..., 1:])
+    return np.multiply(np.array(length)[:, None, None], pos[..., ::16].transpose(1, 2, 0), order="C")
+
+
+def _field_block(n: int, draws) -> np.ndarray:
+    # the fields (rows, n+1) of `_draw_field` draws, each row as it is alone
+    offset, wiggle, pairs, scale = (np.array(x) for x in zip(*draws))
+    coef = wiggle[:, None, None] * pairs / (2.0 + np.arange(5))[:, None] ** 2
+    u = np.repeat(offset[:, None], n + 1, axis=1)
+    for (a, b), cos, sin in zip(coef.transpose(1, 2, 0), *_modes(n + 1, 5)):
+        u += a[:, None] * cos + b[:, None] * sin
+    return u * scale[:, None]
+
+
 def random_curve(rng: np.random.Generator, n: int = 128) -> DiscreteCurve:
     """Random smooth open curve, unit speed by construction.
 
@@ -233,23 +285,12 @@ def random_curve(rng: np.random.Generator, n: int = 128) -> DiscreteCurve:
     Lengths and curvature strengths vary across samples (including strongly
     bent hooks, which are the samples that exercise the quartic terms of the
     growth-rate calibration).
+
+    Draws length, strength, mode count and a normal per mode, in that
+    order: the corpora draw every sample so, then build a block of curves
+    at once, each with the bits it has alone. This is a block of one.
     """
-    length = rng.uniform(0.5, 3.0)
-    strength = 10.0 ** rng.uniform(-0.5, 0.9)
-    modes = rng.integers(1, 5)
-    amps = strength * rng.normal(0.0, 1.0, modes) / (1.0 + np.arange(modes)) ** 2
-    sig = np.linspace(0.0, 1.0, 16 * n + 1)
-    kappa = np.zeros_like(sig)
-    for m, a in enumerate(amps, start=1):
-        kappa += a * np.sin(m * np.pi * sig)
-    theta = np.concatenate(
-        [[0.0], np.cumsum(0.5 * (kappa[1:] + kappa[:-1]) * np.diff(sig))]
-    )
-    vel = np.column_stack([np.cos(theta), np.sin(theta)])
-    pos = np.vstack(
-        [[0.0, 0.0], np.cumsum(0.5 * (vel[1:] + vel[:-1]) * np.diff(sig)[:, None], axis=0)]
-    )
-    return DiscreteCurve(length * pos[::16])
+    return DiscreteCurve(_curve_block(n, [_draw_curve(rng)])[0])
 
 
 def random_field(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -259,32 +300,29 @@ def random_field(rng: np.random.Generator, n: int) -> np.ndarray:
     so the corpus covers the near-constant regime, where the excess ratios
     of the specialized inequalities approach their supremum, as well as the
     oscillatory and the large/small-amplitude regimes.
+
+    Draws offset, wiggle, a (cos, sin) pair of normals for each mode 1 to
+    5, and scale, in that order; a block of one, as for `random_curve`.
     """
-    sig = np.linspace(0.0, 1.0, n + 1)
-    offset = rng.normal(0.0, 1.0)
-    wiggle = 10.0 ** rng.uniform(-3.0, 0.5)
-    u = np.full(n + 1, offset)
-    for m in range(1, 6):
-        a, b = wiggle * rng.normal(0.0, 1.0, 2) / (1.0 + m) ** 2
-        u += a * np.cos(m * np.pi * sig) + b * np.sin(m * np.pi * sig)
-    return u * 10.0 ** rng.uniform(-1.0, 1.0)
+    return _field_block(n, [_draw_field(rng)])[0]
 
 
 def _draw_blocks(seed: int, count: int, n: int, draw):
-    # `count` samples, each a random_curve and then draw(rng), in blocks of
-    # at most CORPUS_BLOCK: the curves, the draws, and the curves' stacked grids
+    # `count` samples, each a random curve and then draw(rng), in blocks of at
+    # most CORPUS_BLOCK: the curves' node stack, the draws, the stacked grids
     rng = np.random.default_rng(seed)
     for start in range(0, count, CORPUS_BLOCK):
-        curves, draws = zip(*[(random_curve(rng, n), draw(rng)) for _ in range(min(CORPUS_BLOCK, count - start))])
-        yield curves, draws, stacked_grids(curves)
+        curves, draws = zip(*[(_draw_curve(rng), draw(rng)) for _ in range(min(CORPUS_BLOCK, count - start))])
+        nodes = _curve_block(n, curves)
+        yield nodes, draws, stacked_grids(nodes)
 
 
 def gn_blocks(seed: int, count: int, n: int = 96):
     """`count` random fields on random curves (a `random_curve`, then a
     `random_field`, per sample), yielded in blocks of at most CORPUS_BLOCK
     samples with the field's first and second arclength derivatives."""
-    for _, fields, (_, length, s, ds) in _draw_blocks(seed, count, n, lambda rng: random_field(rng, n)):
-        u = np.array(fields)
+    for _, fields, (_, length, s, ds) in _draw_blocks(seed, count, n, _draw_field):
+        u = _field_block(n, fields)
         yield GnBlock(ds, length, (u, *stencils.derivatives(u, s, (1, 2), "one_sided")))
 
 
@@ -336,12 +374,17 @@ def curvature_growth_rate(cache: GeometryCache, eps: float) -> float:
     return float(base) + eps * float(reg)
 
 
+def _draw_eps(rng: np.random.Generator) -> float:
+    # eps in (0, 1] of a sample of `calibrate_comparison_constant`
+    return rng.uniform(0.0, 1.0) or 1.0
+
+
 def calibrate_comparison_constant(seed: int, count: int = 200, n: int = 96) -> float:
     """Smallest C with growth-rate <= C (p^5 + p^3 + p^2), p = int kappa^2,
     over a randomized corpus of curves with random eps in (0, 1]."""
     worst = 0.0
-    for curves, eps, (seg, total, _, _) in _draw_blocks(seed, count, n, lambda rng: rng.uniform(0.0, 1.0) or 1.0):
-        s, ds, _, _, k, _ = open_geometry(np.array([c.nodes for c in curves]), seg, total)
+    for nodes, eps, (seg, total, _, _) in _draw_blocks(seed, count, n, _draw_eps):
+        s, ds, _, _, k, _ = open_geometry(nodes, seg, total)
         base, reg = _growth_parts(ds, k, *stencils.derivatives(k, s, (1, 2), "one_sided"))
         for b, r, e, p in zip(base.tolist(), reg.tolist(), eps, np.sum(ds * k**2, axis=-1).tolist()):
             rate = b + e * r

@@ -28,7 +28,6 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from . import stencils
 from .errors import BadParams, ConfigError, DegenerateCurve, ReparamFailure
@@ -298,6 +297,8 @@ def solve_banded(diags: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """
     if diags.ndim == 2:
         return solve_banded(diags[None], rhs[None])[0]
+    # imported on use: commands that never step skip its load time
+    from scipy.linalg.lapack import dgbtrf, dgbtrs
     # LAPACK band storage with two extra rows for the pivoting fill-in
     ab = np.zeros((len(diags), 7, diags.shape[-1]))
     ab[:, 2, 2:] = diags[:, 4, :-2]

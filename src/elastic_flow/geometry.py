@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
 from . import stencils
 from .errors import BadParams, DegenerateCurve, ReparamFailure
@@ -37,6 +36,21 @@ class Point2(NamedTuple):
     y: float
 
 
+def _checked_chords(nodes: np.ndarray, closed: bool = False) -> np.ndarray:
+    # chord lengths of the curve(s) `nodes` (..., m, 2), the closing chord
+    # last on a closed curve; raises on the nodes DiscreteCurve refuses
+    if not np.all(np.isfinite(nodes)):
+        raise BadParams("nodes must have finite coordinates")
+    if nodes.shape[-2] < MIN_NODE_COUNT + (0 if closed else 1):
+        raise BadParams(f"need at least n = {MIN_NODE_COUNT} segments")
+    seg = chord_lengths(nodes)
+    if closed:
+        seg = np.append(seg, np.linalg.norm(nodes[0] - nodes[-1]))
+    if np.any(seg <= 0.0):
+        raise DegenerateCurve("coincident consecutive nodes")
+    return seg
+
+
 @dataclass(frozen=True)
 class DiscreteCurve:
     """Polyline sample of an immersed plane curve.
@@ -55,15 +69,7 @@ class DiscreteCurve:
         nodes = np.ascontiguousarray(self.nodes, dtype=float)
         if nodes.ndim != 2 or nodes.shape[1] != 2:
             raise BadParams("nodes must be an (m, 2) array")
-        if not np.all(np.isfinite(nodes)):
-            raise BadParams("nodes must have finite coordinates")
-        if nodes.shape[0] < MIN_NODE_COUNT + (0 if self.closed else 1):
-            raise BadParams(f"need at least n = {MIN_NODE_COUNT} segments")
-        seg = chord_lengths(nodes)
-        if self.closed:
-            seg = np.append(seg, np.linalg.norm(nodes[0] - nodes[-1]))
-        if np.any(seg <= 0.0):
-            raise DegenerateCurve("coincident consecutive nodes")
+        seg = _checked_chords(nodes, self.closed)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "segments", seg)
 
@@ -246,11 +252,12 @@ def compute_geometry(curve: DiscreteCurve) -> GeometryCache:
     )
 
 
-def stacked_grids(curves):
+def stacked_grids(nodes: np.ndarray):
     """Chord lengths (rows, n), total lengths (rows,), and arclength grids
-    and trapezoid weights (rows, n+1) of open curves with n segments each.
-    Raises DegenerateCurve as `compute_geometry` does."""
-    seg = np.array([curve.segments for curve in curves])
+    and trapezoid weights (rows, n+1) of the open curves in the stack
+    `nodes` (rows, n+1, 2). Raises as `DiscreteCurve` and then
+    `compute_geometry` do."""
+    seg = _checked_chords(nodes)
     total = np.add.reduce(seg, axis=-1)
     if np.any(seg < 1e-14 * total[:, None]):
         raise DegenerateCurve("segment below 1e-14 of total length")
@@ -310,6 +317,8 @@ def _not_a_knot_spline(u: np.ndarray, y: np.ndarray):
     knots `u` (rows, m), as a function `spline(tau, rows)` of the parameters
     `tau` of the curves `rows`. Each row repeats the arithmetic of scipy's
     `CubicSpline(u, y, bc_type="not-a-knot")`, so its values are the same bits."""
+    # imported on use: commands that never redistribute skip its load time
+    from scipy.linalg.lapack import dgtsv
     count, size = u.shape
     dx = u[:, 1:] - u[:, :-1]
     dxr = dx[..., None]

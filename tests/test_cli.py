@@ -138,18 +138,27 @@ class TestVerify:
         assert first == second
 
 
-def test_start_up_imports_no_scipy_beyond_linalg():
-    # a fresh interpreter, so the suite's own imports do not count: every
-    # command pays for what importing the entry points loads
+def _scipy_modules_after(code: str) -> list:
+    # a fresh interpreter, so the suite's own imports do not count: the
+    # SciPy modules loaded once `code` has run
     src = str(Path(geometry.__file__).resolve().parents[1])
-    code = (
-        "import sys, elastic_flow.cli, elastic_flow.acceptance\n"
-        "print(' '.join(sorted(sys.modules)))"
-    )
+    code += "\nimport sys\nprint(' '.join(sorted(sys.modules)))"
     env = {**os.environ, "PYTHONPATH": src}
-    loaded = set(subprocess.run(
+    out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    ).stdout.split())
-    assert "scipy.linalg" in loaded
-    lazy = ("scipy.interpolate", "scipy.integrate", "scipy.optimize", "scipy.special")
-    assert [m for m in lazy if m in loaded] == []
+    ).stdout.split()
+    return [m for m in out if m == "scipy" or m.startswith("scipy.")]
+
+
+def test_start_up_imports_no_scipy():
+    # every command pays for what importing the entry points loads; LAPACK
+    # loads on the first banded or tridiagonal solve
+    assert _scipy_modules_after("import elastic_flow.cli, elastic_flow.acceptance") == []
+
+
+def test_gn_verification_loads_no_scipy():
+    code = (
+        "from contextlib import redirect_stdout\nimport io\nfrom elastic_flow.cli import main\n"
+        "with redirect_stdout(io.StringIO()):\n    assert main(['verify', '--filter', 'gn', '--seed', '0']) == 0"
+    )
+    assert _scipy_modules_after(code) == []

@@ -2,9 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from elastic_flow import BadExponent, DiscreteCurve, compute_geometry, make_initial_curve
 from elastic_flow.estimates import (
+    _draw_blocks,
+    _draw_eps,
+    _draw_field,
+    _field_block,
     boundary_residuals,
     calibrate_comparison_constant,
     calibrate_gn_general,
@@ -37,15 +43,64 @@ def _lp(values, w, p):
     return float(np.sum(w * np.abs(values) ** p) ** (1.0 / p))
 
 
+def _frozen_random_curve(rng, n):
+    # random_curve as it was drawn sample by sample before the corpora were
+    # built in stacks, kept as the reference: the nodes and the mode count
+    length = rng.uniform(0.5, 3.0)
+    strength = 10.0 ** rng.uniform(-0.5, 0.9)
+    modes = rng.integers(1, 5)
+    amps = strength * rng.normal(0.0, 1.0, modes) / (1.0 + np.arange(modes)) ** 2
+    sig = np.linspace(0.0, 1.0, 16 * n + 1)
+    kappa = np.zeros_like(sig)
+    for m, a in enumerate(amps, start=1):
+        kappa += a * np.sin(m * np.pi * sig)
+    theta = np.concatenate(
+        [[0.0], np.cumsum(0.5 * (kappa[1:] + kappa[:-1]) * np.diff(sig))]
+    )
+    vel = np.column_stack([np.cos(theta), np.sin(theta)])
+    pos = np.vstack(
+        [[0.0, 0.0], np.cumsum(0.5 * (vel[1:] + vel[:-1]) * np.diff(sig)[:, None], axis=0)]
+    )
+    return length * pos[::16], int(modes)
+
+
+def _frozen_random_field(rng, n):
+    # random_field as it was drawn sample by sample, kept as the reference
+    sig = np.linspace(0.0, 1.0, n + 1)
+    offset = rng.normal(0.0, 1.0)
+    wiggle = 10.0 ** rng.uniform(-3.0, 0.5)
+    u = np.full(n + 1, offset)
+    for m in range(1, 6):
+        a, b = wiggle * rng.normal(0.0, 1.0, 2) / (1.0 + m) ** 2
+        u += a * np.cos(m * np.pi * sig) + b * np.sin(m * np.pi * sig)
+    return u * 10.0 ** rng.uniform(-1.0, 1.0)
+
+
+def _frozen_samples(seed, count, n, draw):
+    # the per-sample loop: each sample's curve nodes, mode count and draw(rng)
+    rng = np.random.default_rng(seed)
+    return [(*_frozen_random_curve(rng, n), draw(rng)) for _ in range(count)]
+
+
+def _frozen_field(n):
+    return lambda rng: _frozen_random_field(rng, n)
+
+
+def _frozen_eps(rng):
+    return rng.uniform(0.0, 1.0) or 1.0
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
 def _persample_gn_reference(seed, count, n=96):
     # the per-sample loop over geometry caches that the blocked corpus
     # replaced, kept as the reference: the doubled calibrated constants, then
     # every sample's slacks under them
-    rng = np.random.default_rng(seed)
     samples = []
-    for _ in range(count):
-        cache = compute_geometry(random_curve(rng, n))
-        u = random_field(rng, n)
+    for nodes, _, u in _frozen_samples(seed, count, n, _frozen_field(n)):
+        cache = compute_geometry(DiscreteCurve(nodes))
         w, L = cache.ds, cache.total_length
         d = (u, arclength_derivative(cache, u, 1), arclength_derivative(cache, u, 2))
         sums = [float(np.sum(w * x)) for x in (u**2, u**4, u**6, d[1] ** 2, d[2] ** 2)]
@@ -256,6 +311,52 @@ class TestGNInequalities:
         assert gn_specialized_u4(st.cache, st.cache.kappa, c4) >= 0.0
 
 
+class TestStackedDraws:
+    # criterion 8 draws fields (1,200 samples a seed), criterion 10 eps (200);
+    # counts 1, 33 and 200 end in a partial block
+    @pytest.mark.parametrize(
+        "kind, seed, count",
+        [("field", seed, 1200) for seed in range(10)]
+        + [("eps", seed, 200) for seed in range(10)]
+        + [(kind, 3, count) for kind in ("field", "eps") for count in (1, 33)],
+    )
+    def test_draws_match_the_frozen_per_sample_code_bit_for_bit(self, kind, seed, count):
+        draw, frozen = {"field": (_draw_field, _frozen_field(96)), "eps": (_draw_eps, _frozen_eps)}[kind]
+        want = _frozen_samples(seed, count, 96, frozen)
+        got = []
+        for nodes, draws, _ in _draw_blocks(seed, count, 96, draw):
+            values = _field_block(96, draws) if draw is _draw_field else draws
+            got += [(_bits(x), _bits(v)) for x, v in zip(nodes, values)]
+        assert got == [(_bits(x), _bits(v)) for x, _, v in want]
+        # every full block stacks curves of 1, 2, 3 and 4 modes
+        modes = [m for _, m, _ in want]
+        assert all({1, 2, 3, 4} <= set(modes[i : i + 32]) for i in range(0, count // 32 * 32, 32))
+
+    def test_single_draws_match_the_frozen_per_sample_code_bit_for_bit(self):
+        for n in (16, 96, 128):
+            mine, frozen = np.random.default_rng(n), np.random.default_rng(n)
+            for _ in range(20):
+                assert _bits(random_curve(mine, n).nodes) == _bits(_frozen_random_curve(frozen, n)[0])
+                assert _bits(random_field(mine, n)) == _bits(_frozen_random_field(frozen, n))
+
+    @settings(max_examples=12, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 70))
+    # blocks of 32, 32 and 6 samples, each full one mixing 1 to 4 modes
+    @example(seed=0, count=70)
+    def test_corpus_matches_the_frozen_per_sample_loop(self, seed, count):
+        rows = [
+            (_bits(b.ds[i]), float(b.length[i]), *(_bits(d[i]) for d in b.d))
+            for b in gn_corpus(seed, count)
+            for i in range(b.length.size)
+        ]
+        want = []
+        for nodes, _, u in _frozen_samples(seed, count, 96, _frozen_field(96)):
+            cache = compute_geometry(DiscreteCurve(nodes))
+            d = (u, *(arclength_derivative(cache, u, k) for k in (1, 2)))
+            want.append((_bits(cache.ds), cache.total_length, *map(_bits, d)))
+        assert rows == want
+
+
 class TestComparison:
     def test_stationary_segment_always_below_majorant(self):
         traj = run(
@@ -277,11 +378,10 @@ class TestComparison:
 
     def test_blocked_calibration_matches_the_per_sample_loop_bit_for_bit(self):
         # the per-sample loop over geometry caches, kept as the reference
-        rng = np.random.default_rng(5)
         worst = 0.0
-        for _ in range(200):
-            cache = compute_geometry(random_curve(rng, 96))
-            rate = curvature_growth_rate(cache, rng.uniform(0.0, 1.0) or 1.0)
+        for nodes, _, eps in _frozen_samples(5, 200, 96, _frozen_eps):
+            cache = compute_geometry(DiscreteCurve(nodes))
+            rate = curvature_growth_rate(cache, eps)
             p = float(np.sum(cache.ds * cache.kappa**2))
             if rate > 0.0:
                 worst = max(worst, rate / (p**5 + p**3 + p**2))

@@ -14,6 +14,7 @@ from elastic_flow import (
     make_initial_curve,
     reparametrize_constant_speed,
 )
+from elastic_flow.geometry import stacked_grids
 
 
 def circle(n, r=2.0, grade=0.0):
@@ -43,6 +44,24 @@ class TestDiscreteCurve:
         nodes[3, 1] = np.nan
         with pytest.raises(BadParams):
             DiscreteCurve(nodes)
+
+    @pytest.mark.parametrize(
+        "size, row, col, value, error",
+        [
+            (10, 0, 0, 0.0, BadParams),  # too few nodes
+            (33, 5, 0, 4 / 32, DegenerateCurve),  # coincident with node 4
+            (33, 3, 1, np.nan, BadParams),
+            (33, 7, 0, 6 / 32 + 1e-16, DegenerateCurve),  # below 1e-14 of the length
+        ],
+    )
+    def test_stacked_grids_refuse_what_a_curve_and_its_geometry_refuse(self, size, row, col, value, error):
+        good = np.column_stack([np.linspace(0, 1, size), np.zeros(size)])
+        bad = good.copy()
+        bad[row, col] = value
+        with pytest.raises(error):
+            compute_geometry(DiscreteCurve(bad))
+        with pytest.raises(error):
+            stacked_grids(np.array([good, bad, good]))
 
     def test_endpoints_are_first_and_last_nodes(self):
         c = make_initial_curve("flattened_sine", 64, amplitude=0.1)
