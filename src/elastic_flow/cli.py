@@ -32,12 +32,14 @@ def _cmd_simulate(args) -> int:
     if isinstance(config, SweepConfig):
         raise ConfigError("sweep", "config declares a sweep; use the sweep command")
     curve = _initial_curve(text, config.n)
-    traj = run(curve, config, snapshot_stride=args.stride)
+    written = []
+    traj = run(curve, config, snapshot_stride=args.stride,
+               sink=lambda _, states: written.extend(iotools.write_snapshots(args.out, states)))
     manifest = iotools.RunManifest(
         command="simulate", config_path=args.config, out_dir=args.out,
         stride=args.stride,
     )
-    written = iotools.emit_outputs(traj, manifest)
+    written += iotools.emit_outputs(traj, manifest)
     print(f"{traj.terminated_by.value}; wrote {len(written)} files to {args.out}")
     return 0
 

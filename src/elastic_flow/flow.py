@@ -126,7 +126,8 @@ class Terminated(enum.Enum):
 
 @dataclass
 class Trajectory:
-    """Strided state snapshots plus per-step diagnostics of one run."""
+    """Strided state snapshots plus per-step diagnostics of one run; when
+    `run_batch` handed the snapshots to a sink, `states` is empty."""
 
     states: list[FlowState]
     diagnostics: list[DiagnosticsRecord]
@@ -546,6 +547,7 @@ def run(
     config: FlowConfig,
     snapshot_stride: int | None = None,
     snapshot_times: list[float] | None = None,
+    sink=None,
 ) -> Trajectory:
     """Evolve `initial` to t_end, collecting diagnostics every step.
 
@@ -556,9 +558,9 @@ def run(
     constant speed that precedes stepping; otherwise BadParams is raised.
     Once stepping starts, every failure ends the run with its Terminated
     reason, keeping the records up to the last good step. It is the batch
-    of one of `run_batch`.
+    of one of `run_batch`, which says what `sink` receives.
     """
-    return run_batch(initial, [config], snapshot_stride, snapshot_times)[0]
+    return run_batch(initial, [config], snapshot_stride, snapshot_times, sink)[0]
 
 
 def run_batch(
@@ -566,6 +568,7 @@ def run_batch(
     configs: list[FlowConfig],
     snapshot_stride: int | None = None,
     snapshot_times: list[float] | None = None,
+    sink=None,
 ) -> list[Trajectory]:
     """`run` for each of `configs`, which differ only in epsilon, stepped
     together as one stack of curves.
@@ -574,6 +577,12 @@ def run_batch(
     leaves the stack with its own reason, records and snapshots. Diagnostics
     are computed in blocks of RECORD_BLOCK states, and once more for the
     states left when a row ends.
+
+    Snapshots go to `sink(r, states)`, r the index of the config, in step
+    order: the initial state once the run is admitted, then each block's
+    states with its diagnostics, a stopped row's last good state included.
+    By default they collect in `Trajectory.states`. An exception the sink
+    raises propagates and stops the run.
     """
     config = configs[0]
     if any(replace(c, epsilon=config.epsilon) != config for c in configs):
@@ -602,7 +611,10 @@ def run_batch(
     if cache.uniform_h is None:
         raise BadParams("initial curve cannot be redistributed to constant speed")
     rows = _Rows.of(cache, [c.epsilon for c in configs])
-    states = [[FlowState(start, cache, 0.0, c.epsilon)] for c in configs]
+    states = [[] for _ in configs]
+    if sink is None:
+        sink = lambda r, batch: states[r].extend(batch)
+    pending = [[] for _ in configs]  # snapshots of each config not yet handed over
     blocks = [[] for _ in configs]
     ends = [(Terminated.REACHED_T_END, None)] * len(configs)
     ids = list(range(len(configs)))  # the config of each row of `rows`
@@ -619,12 +631,18 @@ def run_batch(
             x[:, len(times) - 1] = getattr(rows, name)
 
     def flush(j):
-        # the records of row j's buffered states
+        # the records of row j's buffered states, and its pending snapshots
+        r = ids[j]
         length, h, kappa, s, w = (x[j, : len(times)] for x in buf.values())
-        blocks[ids[j]].append(
-            _record_columns(times, length, h.tolist(), kappa, s, w, configs[ids[j]].epsilon)
-        )
+        blocks[r].append(_record_columns(times, length, h.tolist(), kappa, s, w, configs[r].epsilon))
+        sink(r, pending[r])
+        pending[r] = []
 
+    def kept(k):
+        return k % snapshot_stride == 0 or k == nsteps or k in want_times
+
+    for r, c in enumerate(configs):
+        sink(r, [FlowState(start, cache, 0.0, c.epsilon)])
     record(rows, 0.0)
     for k in range(1, nsteps + 1):
         # the time `step` gives the state after the one at (k - 1) dt
@@ -633,9 +651,9 @@ def run_batch(
         for j, exc in failed.items():
             r = ids[j]
             ends[r] = (next(reason for kind, reason in _REASONS if isinstance(exc, kind)), now)
+            if not kept(k - 1):
+                pending[r].append(prev.state(j, (k - 1) * dt, k - 1))
             flush(j)
-            if states[r][-1].step_index != k - 1:
-                states[r].append(prev.state(j, (k - 1) * dt, k - 1))
         if failed:
             keep = [j for j in range(len(ids)) if j not in failed]
             ids = [ids[j] for j in keep]
@@ -647,9 +665,9 @@ def run_batch(
                 flush(j)
             times = []
         record(rows, k * dt)
-        if k % snapshot_stride == 0 or k == nsteps or k in want_times:
+        if kept(k):
             for j, r in enumerate(ids):
-                states[r].append(rows.state(j, k * dt, k))
+                pending[r].append(rows.state(j, k * dt, k))
     for j in range(len(ids)):
         flush(j)
     return [

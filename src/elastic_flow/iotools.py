@@ -207,6 +207,15 @@ def read_snapshot(path: str):
     return data[:, :2], data[:, 2], t, eps
 
 
+def write_snapshots(out_dir: str, states: list[FlowState]) -> list[str]:
+    """Write out_dir/snapshot_<step>.txt for each state, creating out_dir."""
+    _make_dir(out_dir)
+    paths = [os.path.join(out_dir, f"snapshot_{st.step_index:06d}.txt") for st in states]
+    for path, state in zip(paths, states):
+        write_snapshot(path, state)
+    return paths
+
+
 def write_diagnostics_csv(path: str, records: list[DiagnosticsRecord]) -> None:
     rows = [rec.row() for rec in records]
     _write_text(path, DiagnosticsRecord.CSV_HEADER + "\n" + _format_rows(rows, ","))
@@ -281,6 +290,13 @@ def write_report_json(path: str, report: ConvergenceReport) -> None:
     _write_text(path, json.dumps(_report_payload(report), indent=2, sort_keys=True) + "\n")
 
 
+def _make_dir(path: str) -> None:
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise IoError(f"cannot create {path}: {exc}") from exc
+
+
 def _write_text(path: str, content: str) -> None:
     try:
         with open(path, "w", encoding="ascii", newline="\n") as fh:
@@ -297,9 +313,10 @@ def run_verify(manifest: RunManifest, tag_filter: str | None = None) -> tuple[in
     """
     from .acceptance import verify as _verify
 
+    if manifest.out_dir:
+        _make_dir(manifest.out_dir)
     status, text = _verify(seed=manifest.seed, tag_filter=tag_filter)
     if manifest.out_dir:
-        os.makedirs(manifest.out_dir, exist_ok=True)
         _write_text(os.path.join(manifest.out_dir, "verify_report.txt"), text + "\n")
     return status, text
 
@@ -307,19 +324,16 @@ def run_verify(manifest: RunManifest, tag_filter: str | None = None) -> tuple[in
 def emit_outputs(artifact, manifest: RunManifest) -> list[str]:
     """Write a trajectory or sweep report to manifest.out_dir.
 
-    Trajectories produce snapshot_<step>.txt per stored state plus
-    diagnostics.csv; reports produce report.txt and report.json with
-    identical values. Output is deterministic for fixed inputs.
+    Trajectories produce snapshot_<step>.txt per stored state (none when
+    a sink took them as the run went) plus diagnostics.csv; reports produce
+    report.txt and report.json with identical values. Output is
+    deterministic for fixed inputs. An unwritable path raises IoError.
     """
     out_dir = manifest.out_dir or "."
-    os.makedirs(out_dir, exist_ok=True)
+    _make_dir(out_dir)
     written = []
     if isinstance(artifact, Trajectory):
-        for state in artifact.states:
-            name = f"snapshot_{state.step_index:06d}.txt"
-            path = os.path.join(out_dir, name)
-            write_snapshot(path, state)
-            written.append(path)
+        written = write_snapshots(out_dir, artifact.states)
         path = os.path.join(out_dir, "diagnostics.csv")
         write_diagnostics_csv(path, artifact.diagnostics)
         written.append(path)

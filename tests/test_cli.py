@@ -1,12 +1,16 @@
+import io
 import os
 import subprocess
 import sys
+import tracemalloc
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 
-from elastic_flow import geometry
+from elastic_flow import acceptance, flow, geometry, make_initial_curve
 from elastic_flow.cli import main
+from elastic_flow.iotools import RunManifest, emit_outputs, parse_config
 
 SIMULATE_CFG = """
 [flow]
@@ -36,6 +40,10 @@ k_max = 1
 family = flattened_sine
 amplitude = 0.05
 """
+
+
+# 200 steps: three full record blocks and a partial fourth
+LONG_CFG = SIMULATE_CFG.replace("dt = 1e-3", "dt = 1e-4").replace("t_end = 0.01", "t_end = 0.02")
 
 
 @pytest.fixture
@@ -100,6 +108,73 @@ class TestSimulate:
         assert "epsilon" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("stride", [1, 7])
+    def test_streamed_files_equal_in_memory_files(self, tmp_path, cfg_file, capsys, stride):
+        streamed, stored = tmp_path / "streamed", tmp_path / "stored"
+        assert main(["simulate", "-c", cfg_file(LONG_CFG), "-o", str(streamed), "--stride", str(stride)]) == 0
+        traj = flow.run(
+            make_initial_curve("flattened_sine", 64, amplitude=0.05), parse_config(LONG_CFG),
+            snapshot_stride=stride,
+        )
+        written = emit_outputs(traj, RunManifest(command="simulate", out_dir=str(stored), stride=stride))
+        assert f"reached_t_end; wrote {len(written)} files to" in capsys.readouterr().out
+        names = sorted(os.listdir(stored))
+        assert sorted(os.listdir(streamed)) == names
+        for name in names:
+            assert (streamed / name).read_bytes() == (stored / name).read_bytes(), name
+
+    def test_uncreatable_output_fails_before_stepping(self, tmp_path, cfg_file, capsys, monkeypatch):
+        steps = _count_calls(monkeypatch, flow, "_advance")
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code = main(["simulate", "-c", cfg_file(SIMULATE_CFG), "-o", str(blocker / "sub")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: cannot create")
+        assert steps == []
+
+    def test_failing_write_stops_the_run_within_a_block(self, tmp_path, cfg_file, capsys, monkeypatch):
+        steps = _count_calls(monkeypatch, flow, "_advance")
+        out = tmp_path / "out"
+        (out / "snapshot_000000.txt").mkdir(parents=True)
+        code = main(["simulate", "-c", cfg_file(LONG_CFG), "-o", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: cannot write")
+        assert len(steps) <= flow.RECORD_BLOCK
+        assert not (out / "diagnostics.csv").exists()
+
+    def test_memory_does_not_grow_with_snapshot_count(self, tmp_path, cfg_file):
+        # tracemalloc sees numpy's buffers. A stored n = 128 state holds about
+        # 10 kB of arrays, so keeping 600 more would add about 6 MB; the 600
+        # more diagnostics records add about 0.2 MB.
+        cfg = LONG_CFG.replace("n = 64", "n = 128")
+        peaks = []
+        for steps in (1, 200, 800):
+            path = cfg_file(cfg.replace("t_end = 0.02", f"t_end = {steps * 1e-4}"), f"{steps}.cfg")
+            # the untraced one-step run loads what the first run of a
+            # process loads, so neither traced run counts it
+            if steps > 1:
+                tracemalloc.start()
+            try:
+                with redirect_stdout(io.StringIO()):
+                    assert main(["simulate", "-c", path, "-o", str(tmp_path / str(steps))]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[2] - peaks[1] < 600 * 10_000 / 5
+
+
+def _count_calls(monkeypatch, module, name) -> list:
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 class TestSweep:
     def test_writes_report_pair(self, tmp_path, cfg_file):
         out = tmp_path / "out"
@@ -111,6 +186,13 @@ class TestSweep:
         code = main(["sweep", "-c", cfg_file(SIMULATE_CFG), "-o", str(tmp_path / "x")])
         assert code == 2
 
+    def test_uncreatable_output_reports_error(self, tmp_path, cfg_file, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code = main(["sweep", "-c", cfg_file(SWEEP_CFG), "-o", str(blocker / "sub")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: cannot create")
+
 
 class TestVerify:
     def test_filtered_verify_passes_and_writes_report(self, tmp_path, capsys):
@@ -119,6 +201,15 @@ class TestVerify:
         assert code == 0
         assert "gronwall" in out
         assert (tmp_path / "verify_report.txt").exists()
+
+    def test_uncreatable_output_fails_before_the_suite(self, tmp_path, capsys, monkeypatch):
+        suites = _count_calls(monkeypatch, acceptance, "verify")
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code = main(["verify", "--filter", "gronwall", "-o", str(blocker)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: cannot create")
+        assert suites == []
 
     def test_corrupted_stencil_fails(self, capsys):
         # a biased curvature stencil puts a dt-independent offset into the

@@ -26,6 +26,7 @@ from elastic_flow.flow import (
     step,
     tangential_velocity,
 )
+from elastic_flow.iotools import write_snapshot
 
 
 def _poison_call(monkeypatch, name, at, poison):
@@ -38,6 +39,14 @@ def _poison_call(monkeypatch, name, at, poison):
         return poison(real, *args) if len(calls) == at else real(*args)
 
     monkeypatch.setattr(flow, name, wrapped)
+
+
+def _nan_node(real, diags, rhs):
+    # a NaN node passes the residual check (NaN > tol is False) and is
+    # refused as a curve node
+    out = real(diags, rhs)
+    out[..., 3, 1] = np.nan
+    return out
 
 
 def circle_state(n, r, eps):
@@ -241,14 +250,8 @@ class TestRun:
         assert len(traj.diagnostics) == 20
 
     def test_non_finite_solve_has_its_own_reason(self, monkeypatch):
-        # a NaN node passes the residual check (NaN > tol is False) and is
-        # refused as a curve node in step 5
-        def nan_node(real, diags, rhs):
-            out = real(diags, rhs)
-            out[..., 3, 1] = np.nan
-            return out
-
-        _poison_call(monkeypatch, "solve_banded", 5, nan_node)
+        # call 5 is step 5's solve
+        _poison_call(monkeypatch, "solve_banded", 5, _nan_node)
         traj = run(
             make_initial_curve("flattened_sine", 64, amplitude=0.05),
             FlowConfig(epsilon=0.1, n=64, dt=1e-4, t_end=0.002),
@@ -482,6 +485,72 @@ class TestBatchedRecords:
         assert computed > RECORD_BLOCK
         assert [round(r.t / cfg.dt) for r in traj.diagnostics] == list(range(computed))
         assert_records_match_reference(traj)
+
+
+class TestSink:
+    """A sink receives each row's snapshots, in step order and in record
+    blocks, exactly as the sinkless call stores them."""
+
+    @staticmethod
+    def assert_sink_matches_states(tmp_path, batch) -> list:
+        # batch(sink) runs the evolution, returning its trajectories; returns
+        # those of the sinkless call
+        handed = []
+        streamed = batch(lambda r, states: handed.append((r, list(states))))
+        stored = batch(None)
+        assert all(traj.states == [] for traj in streamed)
+        for r, traj in enumerate(stored):
+            blocks = [states for row, states in handed if row == r]
+            # the initial state alone, then one handover per record block
+            assert len(blocks[0]) == 1
+            assert len(blocks) == 1 + math.ceil(len(traj.diagnostics) / RECORD_BLOCK)
+            got = [st for states in blocks for st in states]
+            assert [st.step_index for st in got] == [st.step_index for st in traj.states]
+            if traj.terminated_by is not Terminated.REACHED_T_END:
+                # the last good state
+                assert got[-1].step_index == round(traj.event_time / traj.config.dt) - 1
+            for a, b in zip(got, traj.states):
+                write_snapshot(str(tmp_path / "a"), a)
+                write_snapshot(str(tmp_path / "b"), b)
+                assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes(), a.step_index
+        return stored
+
+    @pytest.mark.parametrize("stride", [None, 7])
+    def test_non_finite_run(self, tmp_path, monkeypatch, stride):
+        def batch(sink):
+            monkeypatch.undo()
+            _poison_call(monkeypatch, "solve_banded", 5, _nan_node)
+            return [run(
+                make_initial_curve("flattened_sine", 64, amplitude=0.05),
+                FlowConfig(epsilon=0.1, n=64, dt=1e-4, t_end=0.002), stride, sink=sink,
+            )]
+
+        (traj,) = self.assert_sink_matches_states(tmp_path, batch)
+        assert traj.terminated_by is Terminated.NON_FINITE_STATE
+
+    @pytest.mark.parametrize("stride", [None, 7])
+    def test_stalled_run(self, tmp_path, stride):
+        def batch(sink):
+            return [run(
+                make_initial_curve("arc_with_flat_ends", 64, turn_angle=3.0),
+                FlowConfig(epsilon=0.5, n=64, dt=5e-3, t_end=0.2), stride, sink=sink,
+            )]
+
+        (traj,) = self.assert_sink_matches_states(tmp_path, batch)
+        assert traj.terminated_by is Terminated.REPARAM_FAILURE
+
+    def test_batch_with_a_row_stopping_mid_block(self, tmp_path):
+        # eps = 0 blows up in step 98; eps = 0.01 runs all 200 steps
+        loop = make_initial_curve("arc_with_flat_ends", 64, turn_angle=2.6 * math.pi)
+        base = FlowConfig(epsilon=0.0, n=64, dt=5e-5, t_end=0.01, kappa_blowup_threshold=20.0)
+        configs = [base, dataclasses.replace(base, epsilon=0.01)]
+
+        def batch(sink):
+            return flow.run_batch(loop, configs, 7, sink=sink)
+
+        stored = self.assert_sink_matches_states(tmp_path, batch)
+        reasons = [traj.terminated_by for traj in stored]
+        assert reasons == [Terminated.SINGULARITY_DETECTED, Terminated.REACHED_T_END]
 
 
 class TestEndpointTangentialIdentity:
