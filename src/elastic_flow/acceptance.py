@@ -93,10 +93,8 @@ def _segment_runs(dt=1e-3, t_end=1.0, n=128):
 
 
 def _budget(traj) -> float:
-    energies = np.array([r.energy_Feps for r in traj.diagnostics])
-    diss = np.array([r.dissipation_rate for r in traj.diagnostics])
-    dt = traj.config.dt
-    return abs(energies[-1] + dt * np.sum(diss[:-1]) - energies[0])
+    recs = traj.diagnostics
+    return abs(recs.energy_Feps[-1] + traj.config.dt * np.sum(recs.dissipation_rate[:-1]) - recs.energy_Feps[0])
 
 
 # --- criteria -------------------------------------------------------------
@@ -123,7 +121,7 @@ def crit_stationarity(seed: int) -> CriterionResult:
 def crit_energy_dissipation(seed: int) -> CriterionResult:
     dt = 1e-4
     traj = _sine_run(128, dt, 0.2, snapshot_times=[0.1])
-    energies = np.array([r.energy_Feps for r in traj.diagnostics])
+    energies = traj.diagnostics.energy_Feps
     tol = 1e-10 + 10.0 * dt * dt
     monotone = bool(np.all(np.diff(energies) <= tol))
     t_star = 0.1
@@ -160,9 +158,9 @@ def crit_length_bounds(seed: int) -> CriterionResult:
         p = traj.states[0].curve.nodes[0]
         q = traj.states[0].curve.nodes[-1]
         chord = float(np.linalg.norm(q - p))
-        for rec in traj.diagnostics:
-            ok &= chord - 1e-12 <= rec.length <= f0 + 1e-8
-            worst = min(worst, f0 + 1e-8 - rec.length, rec.length - chord + 1e-12)
+        length = traj.diagnostics.length
+        ok &= bool(np.all((chord - 1e-12 <= length) & (length <= f0 + 1e-8)))
+        worst = min(worst, np.min(f0 + 1e-8 - length), np.min(length - chord + 1e-12))
     detail = f"chord <= length <= initial energy on all runs; worst margin {worst:.3e}"
     return CriterionResult("length-bounds", ("flow",), ok, detail)
 

@@ -32,6 +32,7 @@ def _cmd_simulate(args) -> int:
     if isinstance(config, SweepConfig):
         raise ConfigError("sweep", "config declares a sweep; use the sweep command")
     curve = _initial_curve(text, config.n)
+    iotools.refuse_earlier_outputs(args.out)
     written = []
     traj = run(curve, config, snapshot_stride=args.stride,
                sink=lambda _, states: written.extend(iotools.write_snapshots(args.out, states)))
@@ -50,6 +51,7 @@ def _cmd_sweep(args) -> int:
     if isinstance(config, FlowConfig):
         raise ConfigError("sweep", "config lacks a [sweep] section")
     curve = _initial_curve(text, config.base.n)
+    iotools.make_dir(args.out)
     report = run_sweep(curve, config)
     manifest = iotools.RunManifest(
         command="sweep", config_path=args.config, out_dir=args.out

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -22,42 +21,23 @@ from .geometry import DiscreteCurve, GeometryCache, arclength_derivative, open_g
 from .gronwall import GronwallSetup, comparison_margin
 
 
-@dataclass(frozen=True)
-class DiagnosticsRecord:
-    """Per-step scalars recorded along a trajectory.
-
-    kappa_l2_sq[j] holds the squared L^2 norm of the j-th arclength
-    derivative of curvature for j = 0..4; boundary_residuals is a (3, 2)
-    array of |d^j kappa/ds^j| at the (left, right) endpoint for j = 0, 2, 4.
-    """
-
-    t: float
-    length: float
-    energy_Feps: float
-    dissipation_rate: float
-    kappa_l2_sq: np.ndarray
-    boundary_residuals: np.ndarray
-    lambda_endpoint_residual: float
-    max_abs_E: float
-    max_abs_lambda: float
-
-    CSV_HEADER = (
-        "t,length,energy,dissipation,k0,k1,k2,k3,k4,"
-        "b0L,b0R,b2L,b2R,b4L,b4R,lam_res,maxE,maxLam"
-    )
-
-    def row(self) -> list[float]:
-        return [
-            self.t,
-            self.length,
-            self.energy_Feps,
-            self.dissipation_rate,
-            *self.kappa_l2_sq.tolist(),
-            *self.boundary_residuals.reshape(-1).tolist(),
-            self.lambda_endpoint_residual,
-            self.max_abs_E,
-            self.max_abs_lambda,
-        ]
+# The per-step scalars recorded along a trajectory, one record per step and
+# the fields in the column order of diagnostics.csv: kappa_l2_sq[j] holds the
+# squared L^2 norm of the j-th arclength derivative of curvature for
+# j = 0..4; boundary_residuals is a (3, 2) array of |d^j kappa/ds^j| at the
+# (left, right) endpoint for j = 0, 2, 4.
+DIAGNOSTICS = np.dtype([
+    ("t", float),
+    ("length", float),
+    ("energy_Feps", float),
+    ("dissipation_rate", float),
+    ("kappa_l2_sq", float, (5,)),
+    ("boundary_residuals", float, (3, 2)),
+    ("lambda_endpoint_residual", float),
+    ("max_abs_E", float),
+    ("max_abs_lambda", float),
+])
+DIAGNOSTICS_HEADER = "t,length,energy,dissipation,k0,k1,k2,k3,k4,b0L,b0R,b2L,b2R,b4L,b4R,lam_res,maxE,maxLam"
 
 
 def energy(state) -> float:
@@ -402,6 +382,5 @@ def comparison_check(traj, setup: GronwallSetup):
     The setup's g0 should be the measured value at the trajectory start;
     returns (ok, margin) with margin = min over recorded times of g - measured.
     """
-    times = np.array([r.t for r in traj.diagnostics])
-    measured = np.array([r.kappa_l2_sq[0] for r in traj.diagnostics])
-    return comparison_margin(times - times[0], measured, setup)
+    recs = traj.diagnostics
+    return comparison_margin(recs.t - recs.t[0], recs.kappa_l2_sq[:, 0], setup)

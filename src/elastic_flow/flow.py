@@ -32,7 +32,7 @@ import numpy as np
 from . import stencils
 from .errors import BadParams, ConfigError, DegenerateCurve, ReparamFailure
 from .errors import SingularityDetected, SolverFailure
-from .estimates import DiagnosticsRecord, endpoint_residuals, energies
+from .estimates import DIAGNOSTICS, endpoint_residuals, energies
 from .geometry import (
     DiscreteCurve,
     GeometryCache,
@@ -126,17 +126,15 @@ class Terminated(enum.Enum):
 
 @dataclass
 class Trajectory:
-    """Strided state snapshots plus per-step diagnostics of one run; when
+    """Strided state snapshots plus per-step diagnostics of one run, a
+    record array of `estimates.DIAGNOSTICS` with one record per step; when
     `run_batch` handed the snapshots to a sink, `states` is empty."""
 
     states: list[FlowState]
-    diagnostics: list[DiagnosticsRecord]
+    diagnostics: np.recarray
     terminated_by: Terminated
     event_time: float | None = None
     config: FlowConfig | None = None
-
-    def times(self) -> np.ndarray:
-        return np.array([r.t for r in self.diagnostics])
 
     def state_at(self, t: float) -> FlowState:
         for st in self.states:
@@ -505,41 +503,36 @@ _REASONS = (
 )
 
 
-def _record_columns(t, length, h, kappa, s, w, eps: float) -> tuple:
+def _record_columns(t, length, h, kappa, s, w, eps: float) -> np.ndarray:
     """Diagnostics of a block of states of one run, in one pass along the
-    last axis of their stacked arrays: the columns t, length, energy,
-    dissipation, max|E|, max|lambda| and the endpoint lambda (rows, 7), the
-    squared curvature-derivative norms (rows, 5) and the boundary residuals
-    (rows, 3, 2)."""
+    last axis of their stacked arrays: the (rows, 18) table of the
+    `DIAGNOSTICS` columns, with the endpoint lambda in place of its
+    residual, which needs the whole run."""
     k = _dirichlet_kappa(kappa)
     d = stencils.uniform_row_derivatives(k, s, (1, 2, 3, 4), "odd")
     E = _normal_speed(k, d[1], eps)
     lam = _tangential_speed(E, k, s)
-    norms = np.stack([np.sum(w * x**2, axis=1) for x in (k, *d)], axis=1)
-    scalars = np.stack([
+    return np.column_stack([
         t,
         length,
         energies(length, w, kappa, eps),
         np.sum(w * E**2, axis=1),
+        *(np.sum(w * x**2, axis=1) for x in (k, *d)),
+        endpoint_residuals(kappa, h).reshape(-1, 6),
+        lam[:, -1],
         np.max(np.abs(E), axis=1),
         np.max(np.abs(lam), axis=1),
-        lam[:, -1],
-    ], axis=1)
-    return scalars, norms, endpoint_residuals(kappa, h)
+    ])
 
 
-def _diagnostics(blocks: list[tuple], dt: float) -> list[DiagnosticsRecord]:
+def _diagnostics(blocks: list[np.ndarray], dt: float) -> np.recarray:
     """The records of a run from its `_record_columns` blocks; the endpoint
     tangential residual |lambda(L) + dL/dt| takes dL/dt by centered
     differences of the length column, one-sided at the two ends."""
-    scalars, norms, residuals = (np.concatenate(x) for x in zip(*blocks))
-    t, length, energy, dissipation, max_e, max_lam, lam_end = scalars.T
-    ldot = np.gradient(length, dt) if length.size > 1 else np.zeros(1)
-    columns = np.stack([t, length, energy, dissipation, np.abs(lam_end + ldot), max_e, max_lam], axis=1)
-    return [
-        DiagnosticsRecord(*row[:4], n, b, *row[4:])
-        for row, n, b in zip(columns.tolist(), norms, residuals)
-    ]
+    recs = np.concatenate(blocks).view(DIAGNOSTICS)[:, 0].view(np.recarray)
+    ldot = np.gradient(recs.length, dt) if len(recs) > 1 else 0.0
+    recs.lambda_endpoint_residual = np.abs(recs.lambda_endpoint_residual + ldot)
+    return recs
 
 
 def run(
@@ -554,8 +547,9 @@ def run(
     Snapshots are kept at stride multiples (default: about 200 per run),
     at any requested snapshot_times (which must sit on the dt grid), and
     always at the first and last computed step. The initial curve must have
-    endpoint curvature below 1e-6 and must admit the redistribution to
-    constant speed that precedes stepping; otherwise BadParams is raised.
+    config.n segments (ConfigError otherwise), endpoint curvature below 1e-6
+    and must admit the redistribution to constant speed that precedes
+    stepping; otherwise BadParams is raised.
     Once stepping starts, every failure ends the run with its Terminated
     reason, keeping the records up to the last good step. It is the batch
     of one of `run_batch`, which says what `sink` receives.
@@ -587,6 +581,8 @@ def run_batch(
     config = configs[0]
     if any(replace(c, epsilon=config.epsilon) != config for c in configs):
         raise ConfigError("configs", "a batch of runs may differ only in epsilon")
+    if initial.n != config.n:
+        raise ConfigError("n", f"{config.n} segments configured, the initial curve has {initial.n}")
     cache0 = compute_geometry(initial)
     if max(abs(cache0.kappa[0]), abs(cache0.kappa[-1])) > 1e-6:
         raise BadParams("initial curve violates the endpoint curvature condition")

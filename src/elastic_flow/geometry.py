@@ -172,12 +172,17 @@ def _open_position_derivs(nodes: np.ndarray, s: np.ndarray, h: list):
         w2 = stencils.one_sided_weights(2, 8, 0) / hu[:, 1]
         d1[at, [0, n1 - 1]] = np.matmul(w1, np.ascontiguousarray(x[:, :, :3]))[:, :, 0]
         d2[at, [0, n1 - 1]] = np.matmul(w2, x)[:, :, 0]
-    for row in (row for row, spacing in enumerate(h) if spacing is None):
-        x, t = nodes[row], s[row]
-        for i, sl in ((0, slice(0, 3)), (n1 - 1, slice(n1 - 3, n1))):
-            d1[row, i] = stencils.fd_weights(t[sl], t[i], 1) @ (x[sl] - x[i])
-        for i, sl in ((0, slice(0, 8)), (n1 - 1, slice(n1 - 8, n1))):
-            d2[row, i] = stencils.fd_weights(t[sl], t[i], 2) @ (x[sl] - x[i])
+    raw = [row for row, spacing in enumerate(h) if spacing is None]
+    if raw:
+        rows = np.array(raw)[:, None]
+        ends = rows, [0, n1 - 1]
+        for order, width, d in ((1, 3, d1), (2, 8, d2)):
+            # both end windows of every nonuniform row, weighted at their end
+            # node and applied to differences from it
+            window = rows[:, None], np.array([range(width), range(n1 - width, n1)])
+            w = stencils.fd_weights_rows(s[window].reshape(-1, width), s[ends].reshape(-1), order)
+            x = nodes[window] - nodes[ends][:, :, None]
+            d[ends] = np.matmul(np.ascontiguousarray(w).reshape(len(raw), 2, 1, width), x)[:, :, 0]
     return d1, d2
 
 

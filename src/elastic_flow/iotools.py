@@ -17,7 +17,7 @@ import numpy as np
 
 from .convergence import ConvergenceReport, SweepConfig
 from .errors import ConfigError, IoError
-from .estimates import DiagnosticsRecord
+from .estimates import DIAGNOSTICS, DIAGNOSTICS_HEADER
 from .flow import FlowConfig, FlowState, Trajectory
 
 
@@ -209,16 +209,17 @@ def read_snapshot(path: str):
 
 def write_snapshots(out_dir: str, states: list[FlowState]) -> list[str]:
     """Write out_dir/snapshot_<step>.txt for each state, creating out_dir."""
-    _make_dir(out_dir)
+    make_dir(out_dir)
     paths = [os.path.join(out_dir, f"snapshot_{st.step_index:06d}.txt") for st in states]
     for path, state in zip(paths, states):
         write_snapshot(path, state)
     return paths
 
 
-def write_diagnostics_csv(path: str, records: list[DiagnosticsRecord]) -> None:
-    rows = [rec.row() for rec in records]
-    _write_text(path, DiagnosticsRecord.CSV_HEADER + "\n" + _format_rows(rows, ","))
+def write_diagnostics_csv(path: str, records: np.ndarray) -> None:
+    """One CSV row per record of `DIAGNOSTICS`, its fields flattened in order."""
+    table = np.ascontiguousarray(records, dtype=DIAGNOSTICS).view((float, DIAGNOSTICS.itemsize // 8))
+    _write_text(path, DIAGNOSTICS_HEADER + "\n" + _format_rows(table, ","))
 
 
 def _format_rows(rows, sep: str) -> str:
@@ -230,7 +231,7 @@ def _format_rows(rows, sep: str) -> str:
 def read_diagnostics_csv(path: str) -> np.ndarray:
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().strip()
-    if header != DiagnosticsRecord.CSV_HEADER:
+    if header != DIAGNOSTICS_HEADER:
         raise IoError(f"unexpected diagnostics header in {path}")
     return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
 
@@ -290,11 +291,22 @@ def write_report_json(path: str, report: ConvergenceReport) -> None:
     _write_text(path, json.dumps(_report_payload(report), indent=2, sort_keys=True) + "\n")
 
 
-def _make_dir(path: str) -> None:
+def make_dir(path: str) -> None:
     try:
         os.makedirs(path, exist_ok=True)
     except OSError as exc:
         raise IoError(f"cannot create {path}: {exc}") from exc
+
+
+def refuse_earlier_outputs(out_dir: str) -> None:
+    """Raise IoError if `out_dir` already holds snapshot or diagnostics
+    files, which a new run's files would mix with."""
+    try:
+        names = [entry.name for entry in os.scandir(out_dir) if entry.is_file()]
+    except OSError:
+        return  # no directory yet: creating it reports its own errors
+    if "diagnostics.csv" in names or any(n.startswith("snapshot_") and n.endswith(".txt") for n in names):
+        raise IoError(f"{out_dir} already holds the outputs of an earlier run")
 
 
 def _write_text(path: str, content: str) -> None:
@@ -314,7 +326,7 @@ def run_verify(manifest: RunManifest, tag_filter: str | None = None) -> tuple[in
     from .acceptance import verify as _verify
 
     if manifest.out_dir:
-        _make_dir(manifest.out_dir)
+        make_dir(manifest.out_dir)
     status, text = _verify(seed=manifest.seed, tag_filter=tag_filter)
     if manifest.out_dir:
         _write_text(os.path.join(manifest.out_dir, "verify_report.txt"), text + "\n")
@@ -330,7 +342,7 @@ def emit_outputs(artifact, manifest: RunManifest) -> list[str]:
     deterministic for fixed inputs. An unwritable path raises IoError.
     """
     out_dir = manifest.out_dir or "."
-    _make_dir(out_dir)
+    make_dir(out_dir)
     written = []
     if isinstance(artifact, Trajectory):
         written = write_snapshots(out_dir, artifact.states)

@@ -6,8 +6,8 @@ ends in one of three ways (`one_sided`, `odd`, `periodic`; the last two by
 ghost nodes). Underneath, uniform grids take integer-offset stencils
 (centered in the interior, one-sided windows at the ends) and other grids
 take weights from Fornberg's recursion, batched over all windows of a grid
-or of a stack of grids. The scalar recursion `fd_weights` serves single
-stencils.
+or of a stack of grids (`fd_weights_rows`; `fd_weights` is its block of
+one).
 """
 
 from __future__ import annotations
@@ -27,31 +27,10 @@ CENTERED = {
 def fd_weights(x: np.ndarray, x0: float, order: int) -> np.ndarray:
     """Weights w with sum(w * f(x)) ~ f^(order)(x0), exact for deg < len(x).
 
-    Fornberg's one-pass recursion; `x` must have distinct entries.
+    Fornberg's one-pass recursion; `x` must have distinct entries. It is
+    the block of one of `fd_weights_rows`.
     """
-    x = np.asarray(x, dtype=float)
-    npts = x.size
-    if order >= npts:
-        raise ValueError("need more than `order` points")
-    w = np.zeros((order + 1, npts))
-    w[0, 0] = 1.0
-    c1 = 1.0
-    for j in range(1, npts):
-        c2 = 1.0
-        mn = min(j, order)
-        for k in range(j):
-            c3 = x[j] - x[k]
-            c2 *= c3
-            if k == j - 1:
-                # new node's weights must use row k before it is updated
-                for d in range(mn, 0, -1):
-                    w[d, j] = c1 * (d * w[d - 1, k] - (x[k] - x0) * w[d, k]) / c2
-                w[0, j] = -c1 * (x[k] - x0) * w[0, k] / c2
-            for d in range(mn, 0, -1):
-                w[d, k] = ((x[j] - x0) * w[d, k] - d * w[d - 1, k]) / c3
-            w[0, k] = (x[j] - x0) * w[0, k] / c3
-        c1 = c2
-    return w[order]
+    return fd_weights_rows(np.asarray(x, dtype=float)[None], np.array([x0], dtype=float), order)[0]
 
 
 _ONE_SIDED: dict[tuple[int, int, int], np.ndarray] = {}
@@ -108,11 +87,11 @@ def derivative_uniform(f: np.ndarray, h: float, order: int) -> np.ndarray:
 
 def fd_weights_rows(x: np.ndarray, x0: np.ndarray, order: int) -> np.ndarray:
     """Fornberg weights for many stencils in one pass: row r of the result
-    is `fd_weights(x[r], x0[r], order)`, up to rounding.
+    holds the weights w with sum(w * f(x[r])) ~ f^(order)(x0[r]).
 
-    `x` has shape (rows, points); each row must have distinct entries. The
-    recursion of `fd_weights` runs once, with every step vectorized over
-    the rows and over the derivative orders.
+    `x` has shape (rows, points); each row must have distinct entries.
+    Fornberg's one-pass recursion runs once, with every step vectorized
+    over the rows and over the derivative orders.
     """
     xt = np.asarray(x, dtype=float).T
     npts, nrows = xt.shape

@@ -132,6 +132,17 @@ class TestSimulate:
         assert capsys.readouterr().err.startswith("error: cannot create")
         assert steps == []
 
+    def test_reused_output_refused_before_stepping(self, tmp_path, cfg_file, capsys, monkeypatch):
+        cfg, out = cfg_file(SIMULATE_CFG), tmp_path / "out"
+        assert main(["simulate", "-c", cfg, "-o", str(out), "--stride", "7"]) == 0
+        first = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert len(first) == 4  # steps 0, 7, 10 and diagnostics.csv
+        steps = _count_calls(monkeypatch, flow, "_advance")
+        assert main(["simulate", "-c", cfg, "-o", str(out), "--stride", "1000"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert steps == []
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == first
+
     def test_failing_write_stops_the_run_within_a_block(self, tmp_path, cfg_file, capsys, monkeypatch):
         steps = _count_calls(monkeypatch, flow, "_advance")
         out = tmp_path / "out"
@@ -186,12 +197,14 @@ class TestSweep:
         code = main(["sweep", "-c", cfg_file(SIMULATE_CFG), "-o", str(tmp_path / "x")])
         assert code == 2
 
-    def test_uncreatable_output_reports_error(self, tmp_path, cfg_file, capsys):
+    def test_uncreatable_output_reports_error(self, tmp_path, cfg_file, capsys, monkeypatch):
+        steps = _count_calls(monkeypatch, flow, "_advance")
         blocker = tmp_path / "file"
         blocker.write_text("")
         code = main(["sweep", "-c", cfg_file(SWEEP_CFG), "-o", str(blocker / "sub")])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: cannot create")
+        assert steps == []
 
 
 class TestVerify:

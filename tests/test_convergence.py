@@ -214,8 +214,9 @@ class TestSweepInfrastructure:
                 assert np.array_equal(_bits(a.curve.nodes), _bits(b.curve.nodes))
                 assert np.array_equal(_bits(a.cache.kappa), _bits(b.cache.kappa))
                 assert a.time == b.time
-            rows = [np.array([r.row() for r in t.diagnostics]) for t in (got, want)]
-            assert np.array_equal(*map(_bits, rows))
+            # the flat float tables of the records
+            tables = [np.ascontiguousarray(t.diagnostics).view((float, 18)) for t in (got, want)]
+            assert np.array_equal(*map(_bits, tables))
 
 
 def test_ck_distance_between_regularized_and_limit_flow():

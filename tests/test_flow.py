@@ -14,7 +14,7 @@ from elastic_flow import (
     flow,
     make_initial_curve,
 )
-from elastic_flow.estimates import DiagnosticsRecord, boundary_residuals, energy
+from elastic_flow.estimates import DIAGNOSTICS, boundary_residuals, energy
 from elastic_flow.flow import (
     RECORD_BLOCK,
     FlowConfig,
@@ -295,6 +295,15 @@ class TestRun:
                 [base, dataclasses.replace(base, dt=2e-4, epsilon=0.2)],
             )
 
+    def test_curve_with_other_node_count_refused(self, monkeypatch):
+        # a 64-segment curve under n = 256 would otherwise run to t_end on 64
+        steps = []
+        monkeypatch.setattr(flow, "_advance", lambda *args: steps.append(args))
+        with pytest.raises(ConfigError) as info:
+            run(make_initial_curve("flattened_sine", 64, amplitude=0.05), FlowConfig(n=256, dt=1e-4, t_end=1e-3))
+        assert info.value.key == "n"
+        assert steps == []
+
     def test_unredistributable_initial_curve_refused(self):
         # the not-a-knot redistribution of this admitted bump stalls at
         # chord deviation 2.2e-6, before any step is taken
@@ -313,7 +322,7 @@ class TestRun:
             make_initial_curve("flattened_sine", 64, amplitude=0.05),
             FlowConfig(epsilon=0.1, n=64, dt=1e-4, t_end=0.01),
         )
-        assert np.all(np.diff(traj.times()) > 0.0)
+        assert np.all(np.diff(traj.diagnostics.t) > 0.0)
         assert np.all(np.diff([st.time for st in traj.states]) > 0.0)
 
     def test_snapshot_times_are_honored(self):
@@ -415,9 +424,9 @@ class TestRunOverDocumentedRanges:
         assert all(np.all(np.isfinite(state.curve.nodes)) for state in traj.states)
 
 
-def _record(state, ldot):
-    # reference: the diagnostics record of one state, from its cached arrays,
-    # given the run's dL/dt at that state
+def _record(state, ldot) -> dict:
+    # reference: the diagnostics record of one state by field name, from its
+    # cached arrays, given the run's dL/dt at that state
     cache = state.cache
     E = state.E
     lam = state.lam
@@ -427,7 +436,7 @@ def _record(state, ldot):
         [float(np.sum(w * a["kappa"] ** 2))]
         + [float(np.sum(w * a[f"d{j}"] ** 2)) for j in (1, 2, 3, 4)]
     )
-    return DiagnosticsRecord(
+    return dict(
         t=state.time,
         length=cache.total_length,
         energy_Feps=energy(state),
@@ -448,9 +457,9 @@ def assert_records_match_reference(traj):
     ldot = np.gradient(lengths, traj.config.dt).tolist() if len(lengths) > 1 else [0.0]
     ref = [_record(st, v) for st, v in zip(traj.states, ldot)]
     for got, want in zip(traj.diagnostics, ref):
-        for f in dataclasses.fields(DiagnosticsRecord):
-            a, b = getattr(got, f.name), getattr(want, f.name)
-            assert np.array_equal(a, b, equal_nan=True), (got.t, f.name, a, b)
+        for name in DIAGNOSTICS.names:
+            a, b = got[name], want[name]
+            assert np.array_equal(a, b, equal_nan=True), (got.t, name, a, b)
 
 
 class TestBatchedRecords:

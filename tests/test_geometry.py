@@ -14,7 +14,8 @@ from elastic_flow import (
     make_initial_curve,
     reparametrize_constant_speed,
 )
-from elastic_flow.geometry import stacked_grids
+from elastic_flow import stencils
+from elastic_flow.geometry import _open_position_derivs, stacked_grids
 
 
 def circle(n, r=2.0, grade=0.0):
@@ -134,6 +135,25 @@ class TestComputeGeometry:
             res.append(np.max(np.abs(dnu + cache.kappa[:, None] * cache.tangent)))
         assert res[0] > res[1] > res[2]
         assert math.log2(res[0] / res[2]) / 2.0 >= 1.6
+
+    def test_raw_end_windows_repeat_one_stencil_per_window(self):
+        # the end rows of a stack of nonuniform grids, bit for bit against
+        # `fd_weights @ differences` one window at a time
+        nodes = np.array([
+            make_initial_curve(family, 64, **params).nodes
+            for family, params in (
+                ("flattened_sine", {"amplitude": 0.3}),
+                ("arc_with_flat_ends", {"turn_angle": 3.0}),
+                ("bump_perturbed_segment", {"amplitude": 0.6}),
+            )
+        ])
+        s = stacked_grids(nodes)[2]
+        d1, d2 = _open_position_derivs(nodes, s, [None] * len(nodes))
+        for r, (x, t) in enumerate(zip(nodes, s)):
+            for order, width, d in ((1, 3, d1), (2, 8, d2)):
+                for i, sl in ((0, slice(0, width)), (64, slice(65 - width, 65))):
+                    want = stencils.fd_weights(t[sl], t[i], order) @ (x[sl] - x[i])
+                    assert np.array_equal(d[r, i].view(np.uint64), want.view(np.uint64)), (r, order, i)
 
     def test_degenerate_segment_raises(self):
         nodes = np.column_stack([np.linspace(0, 1, 33), np.zeros(33)])

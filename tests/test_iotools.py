@@ -9,7 +9,7 @@ import pytest
 from elastic_flow import ConfigError, make_initial_curve
 from elastic_flow.convergence import SweepConfig, run_sweep
 from elastic_flow.flow import FlowConfig, run
-from elastic_flow.estimates import DiagnosticsRecord
+from elastic_flow.estimates import DIAGNOSTICS_HEADER
 from elastic_flow.geometry import DiscreteCurve
 from elastic_flow.iotools import (
     RunManifest,
@@ -137,21 +137,30 @@ class TestFormattedBytes:
 
     @pytest.mark.parametrize("count", [0, 1, 11])
     def test_diagnostics_csv_matches_per_value_fmt(self, tmp_path, count):
-        records = small_run().diagnostics[:count]
-        if records:
-            records[-1] = dataclasses.replace(
-                records[-1],
-                energy_Feps=SPECIAL[0],
-                dissipation_rate=SPECIAL[1],
-                kappa_l2_sq=np.array(SPECIAL[2:7]),
-                max_abs_E=SPECIAL[7],
-                max_abs_lambda=SPECIAL[8],
-            )
-        lines = [DiagnosticsRecord.CSV_HEADER]
-        lines += [",".join(fmt(v) for v in rec.row()) for rec in records]
+        records = small_run().diagnostics[:count].copy()
+        if count:
+            records.energy_Feps[-1] = SPECIAL[0]
+            records.dissipation_rate[-1] = SPECIAL[1]
+            records.kappa_l2_sq[-1] = SPECIAL[2:7]
+            records.max_abs_E[-1] = SPECIAL[7]
+            records.max_abs_lambda[-1] = SPECIAL[8]
+        lines = [DIAGNOSTICS_HEADER]
+        for rec in records:
+            values = [rec.t, rec.length, rec.energy_Feps, rec.dissipation_rate, *rec.kappa_l2_sq,
+                      *rec.boundary_residuals.reshape(-1), rec.lambda_endpoint_residual, rec.max_abs_E,
+                      rec.max_abs_lambda]
+            lines.append(",".join(fmt(v) for v in values))
         path = tmp_path / "diagnostics.csv"
         write_diagnostics_csv(str(path), records)
         assert path.read_text(encoding="ascii") == "\n".join(lines) + "\n"
+
+    def test_strided_records_write_the_rows_they_hold(self, tmp_path):
+        records = small_run().diagnostics
+        write_diagnostics_csv(str(tmp_path / "all.csv"), records)
+        write_diagnostics_csv(str(tmp_path / "strided.csv"), records[::3])
+        lines = (tmp_path / "all.csv").read_text(encoding="ascii").splitlines()
+        assert len(lines) == 1 + 11
+        assert (tmp_path / "strided.csv").read_text(encoding="ascii").splitlines() == lines[:1] + lines[1::3]
 
 
 class TestEmitOutputs:
@@ -187,9 +196,9 @@ class TestEmitOutputs:
         emit_outputs(traj, manifest)
         data = read_diagnostics_csv(str(tmp_path / "diagnostics.csv"))
         assert data.shape == (len(traj.diagnostics), 18)
-        assert np.array_equal(data[:, 0], np.array([r.t for r in traj.diagnostics]))
-        energies = np.array([r.energy_Feps for r in traj.diagnostics])
-        assert np.array_equal(data[:, 2], energies)
+        # the flat float table of the records, bit for bit
+        table = np.ascontiguousarray(traj.diagnostics).view((float, 18))
+        assert np.array_equal(data.view(np.uint64), table.view(np.uint64))
 
     def test_report_text_and_json_agree(self, tmp_path):
         base = FlowConfig(epsilon=0.1, n=64, dt=1e-3, t_end=0.01)

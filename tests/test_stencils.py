@@ -6,6 +6,32 @@ import pytest
 from elastic_flow import stencils
 
 
+def _scalar_fd_weights(x, x0, order):
+    # Fornberg's one-pass recursion, one stencil at a time, kept as the
+    # reference for the batched weights
+    x = np.asarray(x, dtype=float)
+    npts = x.size
+    w = np.zeros((order + 1, npts))
+    w[0, 0] = 1.0
+    c1 = 1.0
+    for j in range(1, npts):
+        c2 = 1.0
+        mn = min(j, order)
+        for k in range(j):
+            c3 = x[j] - x[k]
+            c2 *= c3
+            if k == j - 1:
+                # new node's weights must use row k before it is updated
+                for d in range(mn, 0, -1):
+                    w[d, j] = c1 * (d * w[d - 1, k] - (x[k] - x0) * w[d, k]) / c2
+                w[0, j] = -c1 * (x[k] - x0) * w[0, k] / c2
+            for d in range(mn, 0, -1):
+                w[d, k] = ((x[j] - x0) * w[d, k] - d * w[d - 1, k]) / c3
+            w[0, k] = (x[j] - x0) * w[0, k] / c3
+        c1 = c2
+    return w[order]
+
+
 class TestFdWeights:
     @pytest.mark.parametrize(
         "x,x0,order,expected",
@@ -31,6 +57,16 @@ class TestFdWeights:
         for order in range(5):
             w = stencils.fd_weights(x, x0, order)
             assert w @ poly(x) == pytest.approx(poly.deriv(order)(x0), rel=1e-8)
+
+    def test_integer_windows_keep_the_scalar_bits(self):
+        # the unit-spacing windows of `one_sided_weights`, every evaluation row
+        for order in range(1, 5):
+            for width in range(order + 1, 9):
+                x = np.arange(width, dtype=float)
+                for row in range(width):
+                    got = stencils.fd_weights(x, float(row), order)
+                    want = _scalar_fd_weights(x, float(row), order)
+                    assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (order, width, row)
 
 
 class TestDerivativeRoutines:
@@ -64,7 +100,7 @@ def _graded_grid(n1: int = 33) -> np.ndarray:
 
 
 def _rowwise_nonuniform(f, s, order):
-    # the per-node loop over scalar fd_weights, kept as the reference
+    # the per-node loop over the scalar recursion, kept as the reference
     n1 = f.size
     half = stencils.CENTERED[order][0]
     width = order + 2
@@ -75,7 +111,7 @@ def _rowwise_nonuniform(f, s, order):
         else:
             lo = 0 if i < half else n1 - width
             hi = lo + width
-        out[i] = stencils.fd_weights(s[lo:hi], s[i], order) @ (f[lo:hi] - f[i])
+        out[i] = _scalar_fd_weights(s[lo:hi], s[i], order) @ (f[lo:hi] - f[i])
     return out
 
 
@@ -86,7 +122,7 @@ class TestNonuniformGradedGrid:
         windows = np.arange(s.size - order - 1)[:, None] + np.arange(order + 2)
         x0 = s[windows[:, 1]]
         w = stencils.fd_weights_rows(s[windows], x0, order)
-        ref = np.array([stencils.fd_weights(s[r], c, order) for r, c in zip(windows, x0)])
+        ref = np.array([_scalar_fd_weights(s[r], c, order) for r, c in zip(windows, x0)])
         assert np.allclose(w, ref, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref)))
 
     @pytest.mark.parametrize("order", [1, 2, 3, 4])
@@ -128,7 +164,7 @@ def _periodic_graded_grid(n: int = 32, period: float = 1.7) -> np.ndarray:
 
 
 def _rowwise_ghosted(f, s, order, boundary):
-    # per-node loop over scalar fd_weights on the ghost-extended grid, kept
+    # per-node loop over the scalar recursion on the ghost-extended grid, kept
     # as the reference for the odd and periodic boundaries
     half = stencils.CENTERED[order][0]
     if boundary == "odd":
@@ -142,7 +178,7 @@ def _rowwise_ghosted(f, s, order, boundary):
     out = np.empty(f.size)
     for i in range(f.size):
         sl = slice(i, i + 2 * half + 1)
-        out[i] = stencils.fd_weights(se[sl], s[i], order) @ (fe[sl] - f[i])
+        out[i] = _scalar_fd_weights(se[sl], s[i], order) @ (fe[sl] - f[i])
     return out
 
 
@@ -279,27 +315,27 @@ class TestImplicitMatrixAssembly:
 
 
 def _rowwise_assembly(s, dt, eps):
-    # the per-row loop over scalar fd_weights, kept as the reference; the
+    # the per-row loop over the scalar recursion, kept as the reference; the
     # ghost node of the boundary rows is X(-s) = 2P - X(s)
     n = s.size - 1
     diags = np.zeros((5, n + 1))
     diags[2, [0, -1]] = 1.0
     for i in range(1, n):
         row = np.zeros(5)  # weights at offsets i-2 .. i+2
-        row[1:4] -= dt * stencils.fd_weights(s[i - 1 : i + 2], s[i], 2)
+        row[1:4] -= dt * _scalar_fd_weights(s[i - 1 : i + 2], s[i], 2)
         if eps > 0.0:
             if i == 1:
-                w4 = stencils.fd_weights(np.concatenate([[2 * s[0] - s[1]], s[:4]]), s[1], 4)
+                w4 = _scalar_fd_weights(np.concatenate([[2 * s[0] - s[1]], s[:4]]), s[1], 4)
                 row[1] += 2.0 * eps * dt * (2.0 * w4[0] + w4[1])
                 row[2] -= 2.0 * eps * dt * w4[0]
                 row[2:5] += 2.0 * eps * dt * w4[2:]
             elif i == n - 1:
-                w4 = stencils.fd_weights(np.concatenate([s[-4:], [2 * s[-1] - s[-2]]]), s[-2], 4)
+                w4 = _scalar_fd_weights(np.concatenate([s[-4:], [2 * s[-1] - s[-2]]]), s[-2], 4)
                 row[3] += 2.0 * eps * dt * (2.0 * w4[4] + w4[3])
                 row[2] -= 2.0 * eps * dt * w4[4]
                 row[0:3] += 2.0 * eps * dt * w4[:3]
             else:
-                row += 2.0 * eps * dt * stencils.fd_weights(s[i - 2 : i + 3], s[i], 4)
+                row += 2.0 * eps * dt * _scalar_fd_weights(s[i - 2 : i + 3], s[i], 4)
         row[2] += 1.0
         diags[:, i] = row
     return diags
