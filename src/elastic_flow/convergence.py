@@ -101,17 +101,15 @@ def _common_snapshots(a: Trajectory, b: Trajectory, window):
             raise WindowMismatch(
                 f"trajectory ended at t = {last:.6g} before the window end {t1:.6g}"
             )
-    times_b = {round(st.time / (b.config.dt if b.config else 1e-12)): st for st in b.states}
+    dt_b = b.config.dt
+    times_b = {round(st.time / dt_b): st for st in b.states}
     pairs = []
-    dt_b = b.config.dt if b.config else None
     for st in a.states:
         if not (t0 - eps_t <= st.time <= t1 + eps_t):
             continue
-        if dt_b is not None:
-            key = round(st.time / dt_b)
-            other = times_b.get(key)
-            if other is not None and abs(other.time - st.time) <= eps_t:
-                pairs.append((st, other))
+        other = times_b.get(round(st.time / dt_b))
+        if other is not None and abs(other.time - st.time) <= eps_t:
+            pairs.append((st, other))
     if not pairs:
         raise WindowMismatch("no common snapshot times inside the window")
     return pairs
@@ -129,11 +127,10 @@ def ck_distance(traj_a: Trajectory, traj_b: Trajectory, k: int, window) -> float
     pairs = _common_snapshots(traj_a, traj_b, window)
     worst = 0.0
     for st_a, st_b in pairs:
-        na = st_a.curve.n
-        nb = st_b.curve.n
-        n_common = min(na, nb)
-        nodes_a = _resample(st_a.curve.nodes, n_common)
-        nodes_b = _resample(st_b.curve.nodes, n_common)
+        nodes_a, nodes_b = (np.ascontiguousarray(st.cache.nodes) for st in (st_a, st_b))
+        n_common = min(len(nodes_a), len(nodes_b)) - 1
+        nodes_a = _resample(nodes_a, n_common)
+        nodes_b = _resample(nodes_b, n_common)
         for order in range(k + 1):
             diff = _param_derivative(nodes_a, order) - _param_derivative(nodes_b, order)
             worst = max(worst, float(np.max(np.linalg.norm(diff, axis=1))))

@@ -364,8 +364,9 @@ def calibrate_comparison_constant(seed: int, count: int = 200, n: int = 96) -> f
     over a randomized corpus of curves with random eps in (0, 1]."""
     worst = 0.0
     for nodes, eps, (seg, total, _, _) in _draw_blocks(seed, count, n, _draw_eps):
-        s, ds, _, _, k, _ = open_geometry(nodes, seg, total)
-        base, reg = _growth_parts(ds, k, *stencils.derivatives(k, s, (1, 2), "one_sided"))
+        geo = open_geometry(nodes, seg, total)
+        ds, k = geo.ds, geo.kappa
+        base, reg = _growth_parts(ds, k, *stencils.derivatives(k, geo.s, (1, 2), "one_sided"))
         for b, r, e, p in zip(base.tolist(), reg.tolist(), eps, np.sum(ds * k**2, axis=-1).tolist()):
             rate = b + e * r
             if rate <= 0.0:

@@ -14,11 +14,11 @@ speed between steps, and the tangential velocity is computed purely as a
 diagnostic.
 
 Runs from one initial curve on one (n, dt, t_end) grid that differ only in
-eps step together as one stack of curves (`run_batch`), so that the
-per-call cost of numpy on 129-node arrays is paid once per step rather
-than once per run; `run` and `step` are batches of one. Every operation
-works along the rows of the stack, and LAPACK runs once per row, so each
-run gets the bits it gets alone.
+eps step together as one stack of curves, a `GeometryCache` (`run_batch`),
+so that the per-call cost of numpy on 129-node arrays is paid once per step
+rather than once per run; `run` and `step` are batches of one. Every
+operation works along the rows of the stack, and LAPACK runs once per row,
+so each run gets the bits it gets alone. A snapshot is a row of the stack.
 """
 
 from __future__ import annotations
@@ -36,10 +36,12 @@ from .estimates import DIAGNOSTICS, endpoint_residuals, energies
 from .geometry import (
     DiscreteCurve,
     GeometryCache,
-    arclength_derivative,
     chord_lengths,
     compute_geometry,
+    curve_failures,
+    grid_failures,
     open_geometry,
+    raise_first,
     redistribute,
     reparametrize_constant_speed,
     stack_nodes,
@@ -84,15 +86,14 @@ class FlowConfig:
 
 @dataclass(frozen=True)
 class FlowState:
-    """One curve along an evolution, with its geometry attached.
+    """One curve along an evolution: `cache` is its geometry, a row of the
+    stack it was stepped in.
 
-    `arrays`, `E` and `lam` hold `flow_arrays`, `normal_velocity` and
-    `tangential_velocity` of the state, computed on first read. They live
-    in the instance dict, so a copy made by `dataclasses.replace` starts
-    without them.
+    `arrays` holds `flow_arrays` of the state, computed on first read, and
+    `E` and `lam` read it. It lives in the instance dict, so a copy made by
+    `dataclasses.replace` starts without it.
     """
 
-    curve: DiscreteCurve
     cache: GeometryCache
     time: float
     epsilon: float
@@ -100,19 +101,23 @@ class FlowState:
 
     @classmethod
     def from_curve(cls, curve: DiscreteCurve, epsilon: float, time: float = 0.0):
-        return cls(curve, compute_geometry(curve), time, epsilon)
+        return cls(compute_geometry(curve), time, epsilon)
+
+    @property
+    def curve(self) -> DiscreteCurve:
+        return DiscreteCurve(self.cache.nodes)
 
     @cached_property
     def arrays(self) -> dict[str, np.ndarray]:
         return flow_arrays(self)
 
-    @cached_property
+    @property
     def E(self) -> np.ndarray:
-        return normal_velocity(self)
+        return self.arrays["E"]
 
-    @cached_property
+    @property
     def lam(self) -> np.ndarray:
-        return tangential_velocity(self)
+        return self.arrays["lam"]
 
 
 class Terminated(enum.Enum):
@@ -133,8 +138,8 @@ class Trajectory:
     states: list[FlowState]
     diagnostics: np.recarray
     terminated_by: Terminated
-    event_time: float | None = None
-    config: FlowConfig | None = None
+    event_time: float | None
+    config: FlowConfig
 
     def state_at(self, t: float) -> FlowState:
         for st in self.states:
@@ -150,26 +155,32 @@ def _dirichlet_kappa(kappa: np.ndarray) -> np.ndarray:
     return kd
 
 
-def _flow_derivatives(cache: GeometryCache, values: np.ndarray, orders: tuple[int, ...]) -> list:
-    # the stepper's closure: odd reflection through the pinned endpoints of
-    # open curves, periodic wrap on closed test curves
-    if cache.closed:
-        return [arclength_derivative(cache, values, j) for j in orders]
-    return stencils.derivatives(values, cache.s, orders, "odd")
+_FLOW_ARRAYS = ("kappa", "d1", "d2", "d3", "d4", "E", "lam")
+
+
+def _flow_fields(kappa: np.ndarray, s: np.ndarray, eps: float) -> tuple:
+    """The `flow_arrays` of each row of a stack of curvatures `kappa` on the
+    grids `s` (rows, n+1), in the order of `_FLOW_ARRAYS`: one pass along
+    the last axis serves one state and a block of states (`_record_columns`)."""
+    k = _dirichlet_kappa(kappa)
+    d = stencils.derivatives(k, s, (1, 2, 3, 4), "odd")
+    E = -k + eps * (2.0 * d[1] + k**3)
+    integrand = E * k
+    running = np.cumsum(0.5 * (integrand[:, 1:] + integrand[:, :-1]) * np.diff(s, axis=-1), axis=-1)
+    lam = -np.concatenate([np.zeros((len(s), 1)), running], axis=-1)
+    return k, *d, E, lam
 
 
 def flow_arrays(state: FlowState) -> dict[str, np.ndarray]:
-    """Curvature and derivatives in the convention the stepper enforces.
+    """Curvature, its derivatives d1..d4, and the normal and tangential
+    speeds E and lam, in the convention the stepper enforces.
 
-    Open curves: endpoint curvature is pinned to zero and derivatives close
-    with odd reflection, so the endpoint identities (E = 0, even-order
-    curvature derivatives = 0) hold exactly. Closed test curves use
-    periodic stencils and no boundary handling. `state.arrays` caches it.
+    Endpoint curvature is pinned to zero and derivatives close with odd
+    reflection, so the endpoint identities (E = 0, even-order curvature
+    derivatives = 0) hold exactly. `state.arrays` caches it.
     """
-    cache = state.cache
-    k = cache.kappa if cache.closed else _dirichlet_kappa(cache.kappa)
-    d1, d2, d3, d4 = _flow_derivatives(cache, k, (1, 2, 3, 4))
-    return {"kappa": k, "d1": d1, "d2": d2, "d3": d3, "d4": d4}
+    fields = _flow_fields(state.cache.kappa[None], state.cache.s[None], state.epsilon)
+    return {name: x[0] for name, x in zip(_FLOW_ARRAYS, fields)}
 
 
 def normal_velocity(state: FlowState) -> np.ndarray:
@@ -177,31 +188,13 @@ def normal_velocity(state: FlowState) -> np.ndarray:
 
     Negative values move the curve along +normal. On open evolving curves
     the endpoint values vanish identically by the boundary convention.
-    `state.E` caches it.
     """
-    a = state.arrays
-    return _normal_speed(a["kappa"], a["d2"], state.epsilon)
+    return state.E
 
 
 def tangential_velocity(state: FlowState) -> np.ndarray:
-    """Diagnostic tangential speed: minus the running integral of E kappa.
-
-    `state.lam` caches it.
-    """
-    return _tangential_speed(state.E, state.arrays["kappa"], state.cache.s)
-
-
-# The two speeds work along the last axis, so one state and a block of
-# states (`_records`) share their arithmetic.
-def _normal_speed(k: np.ndarray, d2: np.ndarray, eps: float) -> np.ndarray:
-    return -k + eps * (2.0 * d2 + k**3)
-
-
-def _tangential_speed(E: np.ndarray, k: np.ndarray, s: np.ndarray) -> np.ndarray:
-    integrand = E * k
-    ds = np.diff(s, axis=-1)
-    running = np.cumsum(0.5 * (integrand[..., 1:] + integrand[..., :-1]) * ds, axis=-1)
-    return -np.concatenate([np.zeros(running.shape[:-1] + (1,)), running], axis=-1)
+    """Diagnostic tangential speed: minus the running integral of E kappa."""
+    return state.lam
 
 
 def curvature_evolution_rhs(state: FlowState, form: str = "compact") -> np.ndarray:
@@ -216,7 +209,7 @@ def curvature_evolution_rhs(state: FlowState, form: str = "compact") -> np.ndarr
     lam = state.lam
     if form == "compact":
         E = state.E
-        (d2E,) = _flow_derivatives(state.cache, E, (2,))
+        d2E = stencils.derivative(E, state.cache.s, 2, "odd")
         return -d2E - k**2 * E + lam * a["d1"]
     if form == "expanded":
         eps = state.epsilon
@@ -313,76 +306,22 @@ def solve_banded(diags: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x + stack_nodes([dgbtrs(lu, 2, 2, b, piv)[0] for (lu, piv, _), b in zip(factors, resid)])
 
 
-@dataclass
-class _Rows:
-    """Constant-speed open curves stepped together, each array stacked along
-    its first axis: one row per curve, all with the same node count."""
-
-    eps: list
-    h: list  # grid spacing per row
-    nodes: np.ndarray
-    seg: np.ndarray
-    total: np.ndarray
-    s: np.ndarray
-    w: np.ndarray
-    tangent: np.ndarray
-    normal: np.ndarray
-    kappa: np.ndarray
-
-    @classmethod
-    def of(cls, cache: GeometryCache, eps: list) -> "_Rows":
-        """One row per entry of `eps`, each a copy of the curve of `cache`."""
-        nodes, tangent, normal = (
-            stack_nodes([x] * len(eps)) for x in (cache.curve.nodes, cache.tangent, cache.normal)
-        )
-        seg, s, w, kappa = (
-            np.repeat(x[None], len(eps), axis=0) for x in (cache.curve.segments, cache.s, cache.ds, cache.kappa)
-        )
-        return cls(list(eps), [cache.uniform_h] * len(eps), nodes, seg, np.full(len(eps), cache.total_length),
-                   s, w, tangent, normal, kappa)
-
-    def take(self, keep: list) -> "_Rows":
-        return _Rows([self.eps[j] for j in keep], [self.h[j] for j in keep], *(
-            x[keep] for x in (self.nodes, self.seg, self.total, self.s, self.w, self.tangent, self.normal, self.kappa)
-        ))
-
-    def state(self, j: int, time: float, step_index: int) -> FlowState:
-        curve = DiscreteCurve._checked(np.ascontiguousarray(self.nodes[j]), self.seg[j])
-        cache = GeometryCache(
-            curve, float(self.total[j]), self.s[j], self.w[j], np.ascontiguousarray(self.tangent[j]),
-            np.ascontiguousarray(self.normal[j]), self.kappa[j], self.h[j],
-        )
-        return FlowState(curve, cache, time, self.eps[j], step_index)
-
-
 def _amax(x: np.ndarray) -> np.ndarray:
     # max |x| of each row of a stack
     return np.maximum.reduce(np.abs(x), axis=(1, 2))
 
 
-def _curve_failures(nodes: np.ndarray, seg: np.ndarray, failed: dict, at: list) -> None:
-    """What building a DiscreteCurve from each row of `nodes`, whose chord
-    lengths are `seg`, raises, into `failed` under the row's entry of `at`."""
-    # a non-finite node makes a non-finite chord
-    if np.minimum.reduce(seg, axis=None) > 0.0 and np.isfinite(np.add.reduce(seg, axis=None)):
-        return
-    for j, x in enumerate(nodes):
-        if not np.isfinite(x).all():
-            failed.setdefault(at[j], BadParams("nodes must have finite coordinates"))
-        elif np.any(seg[j] <= 0.0):
-            failed.setdefault(at[j], DegenerateCurve("coincident consecutive nodes"))
+def _advance(geo: GeometryCache, eps: list, config: FlowConfig, time: float) -> tuple:
+    """One IMEX step of size dt for every row of the stack `geo`, row j
+    under eps[j], ending at `time`. Each row must be constant-speed.
 
-
-def _advance(rows: _Rows, config: FlowConfig, time: float) -> tuple:
-    """One IMEX step of size dt for every row, ending at `time`.
-
-    Returns the rows that survive the step, in order (None if none does),
-    and the exception that ends each other row, under its index in `rows`:
-    the exceptions `step` raises, checked in the same order.
+    Returns the geometry of the rows that survive the step, in order (None
+    if none does), and the exception that ends each other row, under its
+    index in `geo`: the exceptions `step` raises, checked in the same order.
     """
-    nodes, eps, dt = rows.nodes, rows.eps, config.dt
+    nodes, dt = geo.nodes, config.dt
     count = len(eps)
-    diags = np.array([_assemble_uniform(nodes.shape[1] - 1, h, dt, e) for h, e in zip(rows.h, eps)])
+    diags = np.array([_assemble_uniform(nodes.shape[1] - 1, h, dt, e) for h, e in zip(geo.uniform_h, eps)])
     rhs = nodes.copy(order="K")
     # rows with eps = 0 skip the explicit term, whose +0.0 would turn a -0.0
     # coordinate into +0.0
@@ -390,8 +329,8 @@ def _advance(rows: _Rows, config: FlowConfig, time: float) -> tuple:
     if live:
         if len(live) == count:
             live = slice(None)
-        kd = _dirichlet_kappa(rows.kappa[live])
-        rhs[live] += dt * ((-3.0 * np.array(eps)[live])[:, None] * kd**3)[..., None] * rows.normal[live]
+        kd = _dirichlet_kappa(geo.kappa[live])
+        rhs[live] += dt * ((-3.0 * np.array(eps)[live])[:, None] * kd**3)[..., None] * geo.normal[live]
         rhs[:, 0] = nodes[:, 0]
         rhs[:, -1] = nodes[:, -1]
 
@@ -418,38 +357,43 @@ def _advance(rows: _Rows, config: FlowConfig, time: float) -> tuple:
         failed.setdefault(int(j), SolverFailure(
             f"relative linear residual {resid[j] / scale[j]:.3e} exceeds tolerance"
         ))
-    at = list(range(count))  # each working row's index in `rows`
-    seg = chord_lengths(new)
-    _curve_failures(new, seg, failed, at)
+    at = list(range(count))  # each working row's index in `geo`
+
+    def fail(found: dict, rows: list) -> None:
+        # the first exception of a row is the one that ends it
+        for j, exc in found.items():
+            failed.setdefault(rows[j], exc)
 
     def survivors(*arrays):
         keep = [j for j in range(len(at)) if at[j] not in failed]
         return [at[j] for j in keep], *(x[keep] for x in arrays)
 
+    seg = chord_lengths(new)
+    fail(curve_failures(new, seg), at)
     if failed:
         at, new, seg = survivors(new, seg)
         if not at:
             return None, failed
     new, moved, why = redistribute(new, seg)
-    failed.update((at[j], exc) for j, exc in why.items())
+    fail(why, at)
     if np.logical_and.reduce(moved):
         seg = chord_lengths(new)
-        _curve_failures(new, seg, failed, at)
+        fail(curve_failures(new, seg), at)
     elif np.logical_or.reduce(moved):
         moved = moved.nonzero()[0]
         seg[moved] = chord_lengths(new[moved])
-        _curve_failures(new[moved], seg[moved], failed, [at[j] for j in moved])
+        fail(curve_failures(new[moved], seg[moved]), [at[j] for j in moved])
     total = np.add.reduce(seg, axis=-1)
-    for j in np.logical_or.reduce(seg < 1e-14 * total[:, None], axis=-1).nonzero()[0]:
-        failed.setdefault(at[j], DegenerateCurve("segment below 1e-14 of total length"))
+    fail(grid_failures(seg, total), at)
     if failed:
         at, new, seg, total = survivors(new, seg, total)
         if not at:
             return None, failed
-    s, w, tangent, normal, kappa, h = open_geometry(new, seg, total)
-    peak = np.maximum.reduce(np.abs(kappa), axis=-1)
+    geo = open_geometry(new, seg, total)
+    peak = np.maximum.reduce(np.abs(geo.kappa), axis=-1)
     blowup = peak > config.kappa_blowup_threshold
-    coarse = np.minimum.reduce(s[:, 1:] - s[:, :-1], axis=-1) < 1e-6 * total
+    coarse = np.minimum.reduce(geo.s[:, 1:] - geo.s[:, :-1], axis=-1) < 1e-6 * total
+    h = geo.uniform_h
     for j in (blowup | coarse | [x is None for x in h]).nonzero()[0]:
         if h[j] is None:
             exc = ReparamFailure("redistributed grid is not uniform")
@@ -458,11 +402,10 @@ def _advance(rows: _Rows, config: FlowConfig, time: float) -> tuple:
         else:
             exc = SingularityDetected(f"mesh degenerated at t = {time:.6g}")
         failed[at[j]] = exc
-    kept = _Rows([eps[j] for j in at], h, new, seg, total, s, w, tangent, normal, kappa)
     keep = [j for j in range(len(at)) if at[j] not in failed]
     if len(keep) < len(at):
-        kept = kept.take(keep) if keep else None
-    return kept, failed
+        geo = geo[keep] if keep else None
+    return geo, failed
 
 
 def step(state: FlowState, config: FlowConfig) -> FlowState:
@@ -478,15 +421,12 @@ def step(state: FlowState, config: FlowConfig) -> FlowState:
     raises BadParams or DegenerateCurve from the curve it would build.
     It is the batch of one of `run_batch`'s stepping.
     """
-    if state.curve.closed:
-        raise BadParams("the evolution is defined for open pinned curves")
     if state.cache.uniform_h is None:
         raise BadParams("step needs a constant-speed state; redistribute first")
     time = state.time + config.dt
-    rows, failed = _advance(_Rows.of(state.cache, [state.epsilon]), config, time)
-    if failed:
-        raise failed[0]
-    return rows.state(0, time, state.step_index + 1)
+    geo, failed = _advance(state.cache[None], [state.epsilon], config, time)
+    raise_first(failed)
+    return FlowState(geo[0], time, state.epsilon, state.step_index + 1)
 
 
 RECORD_BLOCK = 64  # states whose diagnostics `run` computes in one array pass
@@ -508,10 +448,7 @@ def _record_columns(t, length, h, kappa, s, w, eps: float) -> np.ndarray:
     last axis of their stacked arrays: the (rows, 18) table of the
     `DIAGNOSTICS` columns, with the endpoint lambda in place of its
     residual, which needs the whole run."""
-    k = _dirichlet_kappa(kappa)
-    d = stencils.uniform_row_derivatives(k, s, (1, 2, 3, 4), "odd")
-    E = _normal_speed(k, d[1], eps)
-    lam = _tangential_speed(E, k, s)
+    k, *d, E, lam = _flow_fields(kappa, s, eps)
     return np.column_stack([
         t,
         length,
@@ -597,6 +534,8 @@ def run_batch(
         k = round(t_req / dt)
         if abs(k * dt - t_req) > 1e-9 * max(1.0, t_req):
             raise ConfigError("snapshot_times", f"{t_req} is not a multiple of dt")
+        if not 0 <= k <= nsteps:
+            raise ConfigError("snapshot_times", f"{t_req} is outside [0, t_end]")
         want_times.add(k)
 
     try:
@@ -606,25 +545,26 @@ def run_batch(
     cache = compute_geometry(start)
     if cache.uniform_h is None:
         raise BadParams("initial curve cannot be redistributed to constant speed")
-    rows = _Rows.of(cache, [c.epsilon for c in configs])
+    geo = cache[None][[0] * len(configs)]  # a row of the start curve per config
     states = [[] for _ in configs]
     if sink is None:
         sink = lambda r, batch: states[r].extend(batch)
     pending = [[] for _ in configs]  # snapshots of each config not yet handed over
     blocks = [[] for _ in configs]
     ends = [(Terminated.REACHED_T_END, None)] * len(configs)
-    ids = list(range(len(configs)))  # the config of each row of `rows`
-    n1 = rows.nodes.shape[1]
+    ids = list(range(len(configs)))  # the config of each row of `geo`
+    eps = [c.epsilon for c in configs]  # and its epsilon
+    n1 = geo.nodes.shape[1]
     # what the records read of each row's last RECORD_BLOCK states
     buf = {name: np.empty((len(ids), RECORD_BLOCK) + shape) for name, shape in (
-        ("total", ()), ("h", ()), ("kappa", (n1,)), ("s", (n1,)), ("w", (n1,))
+        ("total_length", ()), ("uniform_h", ()), ("kappa", (n1,)), ("s", (n1,)), ("ds", (n1,))
     )}
     times = []
 
-    def record(rows, time):
+    def record(geo, time):
         times.append(time)
         for name, x in buf.items():
-            x[:, len(times) - 1] = getattr(rows, name)
+            x[:, len(times) - 1] = getattr(geo, name)
 
     def flush(j):
         # the records of row j's buffered states, and its pending snapshots
@@ -638,21 +578,21 @@ def run_batch(
         return k % snapshot_stride == 0 or k == nsteps or k in want_times
 
     for r, c in enumerate(configs):
-        sink(r, [FlowState(start, cache, 0.0, c.epsilon)])
-    record(rows, 0.0)
+        sink(r, [FlowState(cache, 0.0, c.epsilon)])
+    record(geo, 0.0)
     for k in range(1, nsteps + 1):
         # the time `step` gives the state after the one at (k - 1) dt
         now = (k - 1) * dt + dt
-        prev, (rows, failed) = rows, _advance(rows, config, now)
+        prev, (geo, failed) = geo, _advance(geo, eps, config, now)
         for j, exc in failed.items():
             r = ids[j]
             ends[r] = (next(reason for kind, reason in _REASONS if isinstance(exc, kind)), now)
             if not kept(k - 1):
-                pending[r].append(prev.state(j, (k - 1) * dt, k - 1))
+                pending[r].append(FlowState(prev[j], (k - 1) * dt, eps[j], k - 1))
             flush(j)
         if failed:
             keep = [j for j in range(len(ids)) if j not in failed]
-            ids = [ids[j] for j in keep]
+            ids, eps = [ids[j] for j in keep], [eps[j] for j in keep]
             buf = {name: x[keep] for name, x in buf.items()}
             if not ids:
                 break
@@ -660,10 +600,10 @@ def run_batch(
             for j in range(len(ids)):
                 flush(j)
             times = []
-        record(rows, k * dt)
+        record(geo, k * dt)
         if kept(k):
             for j, r in enumerate(ids):
-                pending[r].append(rows.state(j, k * dt, k))
+                pending[r].append(FlowState(geo[j], k * dt, eps[j], k))
     for j in range(len(ids)):
         flush(j)
     return [

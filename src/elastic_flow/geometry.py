@@ -1,18 +1,20 @@
 """Discrete open plane curves and their arclength calculus.
 
-A curve is a polyline of n+1 nodes joining two pinned endpoints P and Q
-(a closed test mode with periodic stencils exists solely for oracle tests
-against circles; it is not part of the evolution API). All geometric
-quantities -- unit tangent, leftward unit normal, curvature -- are computed
-by second-order finite differences on the polyline's chordal arclength
-grid.
+A curve is a polyline of n+1 nodes joining two pinned endpoints P and Q.
+Its geometry -- chordal arclength grid, trapezoid weights, unit tangent,
+leftward unit normal, curvature -- comes from second-order finite
+differences on that grid. `GeometryCache` holds it for a stack of curves
+with one node count, one row per curve, and `cache[j]` is the row of one
+curve: `compute_geometry` gives a curve's geometry as the row of a stack of
+one. Each of the two validity checks, a curve's (`curve_failures`) and its
+grid's (`grid_failures`), runs on stacks and names each failing row's
+exception; a caller of one curve raises it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -31,99 +33,108 @@ def set_stencil_corruption(delta: float) -> None:
     _STENCIL_CORRUPTION = float(delta)
 
 
-class Point2(NamedTuple):
-    x: float
-    y: float
+def curve_failures(nodes: np.ndarray, seg: np.ndarray) -> dict:
+    """The exception `DiscreteCurve` raises for each curve of the stack
+    `nodes` (rows, m, 2) with chord lengths `seg`, by row; a valid curve
+    has none. Too few nodes, a non-finite node and coincident consecutive
+    nodes fail, checked in that order."""
+    if nodes.shape[1] < MIN_NODE_COUNT + 1:
+        return {j: BadParams(f"need at least n = {MIN_NODE_COUNT} segments") for j in range(len(nodes))}
+    # a non-finite node makes a non-finite chord
+    if np.minimum.reduce(seg, axis=None) > 0.0 and np.isfinite(np.add.reduce(seg, axis=None)):
+        return {}
+    failed = {}
+    for j, x in enumerate(nodes):
+        if not np.isfinite(x).all():
+            failed[j] = BadParams("nodes must have finite coordinates")
+        elif np.any(seg[j] <= 0.0):
+            failed[j] = DegenerateCurve("coincident consecutive nodes")
+    return failed
 
 
-def _checked_chords(nodes: np.ndarray, closed: bool = False) -> np.ndarray:
-    # chord lengths of the curve(s) `nodes` (..., m, 2), the closing chord
-    # last on a closed curve; raises on the nodes DiscreteCurve refuses
-    if not np.all(np.isfinite(nodes)):
-        raise BadParams("nodes must have finite coordinates")
-    if nodes.shape[-2] < MIN_NODE_COUNT + (0 if closed else 1):
-        raise BadParams(f"need at least n = {MIN_NODE_COUNT} segments")
-    seg = chord_lengths(nodes)
-    if closed:
-        seg = np.append(seg, np.linalg.norm(nodes[0] - nodes[-1]))
-    if np.any(seg <= 0.0):
-        raise DegenerateCurve("coincident consecutive nodes")
-    return seg
+def grid_failures(seg: np.ndarray, total: np.ndarray) -> dict:
+    """The exception `compute_geometry` raises for each grid of the stack of
+    chord lengths `seg` (rows, n) with sums `total`, by row: a segment
+    below 1e-14 of the length."""
+    short = np.logical_or.reduce(seg < 1e-14 * total[:, None], axis=-1)
+    return {int(j): DegenerateCurve("segment below 1e-14 of total length") for j in short.nonzero()[0]}
+
+
+def raise_first(failed: dict) -> None:
+    # what a caller of one curve raises: the exception of the first failed row
+    if failed:
+        raise failed[min(failed)]
 
 
 @dataclass(frozen=True)
 class DiscreteCurve:
-    """Polyline sample of an immersed plane curve.
+    """Polyline sample of an immersed open plane curve.
 
-    Open curves carry n+1 nodes with nodes[0] = P and nodes[n] = Q exactly;
-    closed curves carry n distinct nodes with implicit wrap-around. Nodes are
-    immutable after construction; self-intersection is allowed and untracked.
-    `segments` holds the chord lengths, the closing chord last on closed curves.
+    n+1 nodes with nodes[0] = P and nodes[n] = Q exactly, and `segments`
+    their chord lengths. Nodes are immutable after construction;
+    self-intersection is allowed and untracked.
     """
 
     nodes: np.ndarray
-    closed: bool = False
     segments: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         nodes = np.ascontiguousarray(self.nodes, dtype=float)
         if nodes.ndim != 2 or nodes.shape[1] != 2:
             raise BadParams("nodes must be an (m, 2) array")
-        seg = _checked_chords(nodes, self.closed)
+        seg = chord_lengths(nodes)
+        raise_first(curve_failures(nodes[None], seg[None]))
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "segments", seg)
 
-    @classmethod
-    def _checked(cls, nodes: np.ndarray, segments: np.ndarray) -> "DiscreteCurve":
-        # the open curve of C-contiguous `nodes` that have passed the checks
-        # of __post_init__, with their chord lengths `segments`
-        curve = object.__new__(cls)
-        for name, value in (("nodes", nodes), ("closed", False), ("segments", segments)):
-            object.__setattr__(curve, name, value)
-        return curve
-
     @property
     def n(self) -> int:
-        return self.nodes.shape[0] - (0 if self.closed else 1)
-
-    @property
-    def endpoint_p(self) -> Point2:
-        return Point2(*self.nodes[0])
-
-    @property
-    def endpoint_q(self) -> Point2:
-        return Point2(*self.nodes[-1])
+        return self.nodes.shape[0] - 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GeometryCache:
-    """Arclength data attached to one DiscreteCurve.
+    """Arclength data of a stack of open curves with one node count, each
+    array with a leading row axis, one row per curve; `cache[j]` is the data
+    of curve j alone, that axis dropped.
 
-    `s` holds chordal arclength values per node, `ds` the trapezoid weights,
-    `kappa` the curvature per node. For open curves the endpoint curvature
-    is a one-sided measurement (no boundary condition is assumed here; the
-    flow enforces its own).
+    `nodes` and `segments` hold the curves and their chord lengths,
+    `total_length` their lengths, `s` the chordal arclength per node, `ds`
+    the trapezoid weights, `kappa` the curvature per node, and `uniform_h`
+    the spacing of each grid, None for a grid that is not uniform. The
+    endpoint curvature is a one-sided measurement (no boundary condition is
+    assumed here; the flow enforces its own).
     """
 
-    curve: DiscreteCurve
-    total_length: float
+    nodes: np.ndarray
+    segments: np.ndarray
+    total_length: np.ndarray
     s: np.ndarray
     ds: np.ndarray
     tangent: np.ndarray
     normal: np.ndarray
     kappa: np.ndarray
-    uniform_h: float | None = None  # grid spacing when the grid is uniform
+    uniform_h: list | float | None
 
-    @property
-    def closed(self) -> bool:
-        return self.curve.closed
+    def __getitem__(self, rows) -> "GeometryCache":
+        """The rows `rows`, indexed as numpy indexes the leading axis: an int
+        gives one curve's data (views of the arrays), a list of ints a stack
+        (repeats allowed), and None makes one curve's data a stack of one."""
+        h = self.uniform_h
+        if rows is None:
+            h = [h]
+        elif isinstance(rows, (int, np.integer)):
+            h = h[rows]
+        else:
+            h = [h[j] for j in rows]
+        # field by field: `dataclasses.fields` builds a 9-tuple by resizing,
+        # which CPython 3.11 then keeps on its tuple free list, one per call
+        return GeometryCache(self.nodes[rows], self.segments[rows], self.total_length[rows], self.s[rows],
+                             self.ds[rows], self.tangent[rows], self.normal[rows], self.kappa[rows], h)
 
 
-def _trapezoid_weights(s: np.ndarray, closed: bool, total: float) -> np.ndarray:
-    # along the last axis of `s`; closed grids take one row
-    if closed:
-        se = np.concatenate([[s[-1] - total], s, [s[0] + total]])
-        return 0.5 * (se[2:] - se[:-2])
+def _trapezoid_weights(s: np.ndarray) -> np.ndarray:
+    # along the last axis of `s`
     w = np.empty_like(s)
     w[..., 1:-1] = 0.5 * (s[..., 2:] - s[..., :-2])
     w[..., 0] = 0.5 * (s[..., 1] - s[..., 0])
@@ -220,7 +231,8 @@ def chord_lengths(nodes: np.ndarray) -> np.ndarray:
 
 
 def compute_geometry(curve: DiscreteCurve) -> GeometryCache:
-    """Populate length, frame and curvature for a curve.
+    """Populate length, frame and curvature for a curve: the row of
+    `open_geometry` of the stack of one.
 
     Curvature is the projection of the discrete second arclength derivative
     of position onto the leftward unit normal (nu = tangent rotated by +90
@@ -228,46 +240,23 @@ def compute_geometry(curve: DiscreteCurve) -> GeometryCache:
 
     Raises DegenerateCurve when any segment is below 1e-14 of the length.
     """
-    nodes = curve.nodes
-    seg = curve.segments
-    total = float(seg.sum())
-    if np.any(seg < 1e-14 * total):
-        raise DegenerateCurve("segment below 1e-14 of total length")
-    if not curve.closed:
-        s, w, tangent, normal, kappa, h = (
-            x[0] for x in open_geometry(nodes[None], seg[None], np.array([total]))
-        )
-        return GeometryCache(curve, total, s, w, tangent, normal, kappa, h)
-    s = np.concatenate([[0.0], np.cumsum(seg)])[: nodes.shape[0]]
-    grid = _derivative_grid(s, total, True)
-    d1, d2 = (
-        np.column_stack([stencils.derivative(x, grid, j, "periodic") for x in nodes.T])
-        for j in (1, 2)
-    )
-    tangent, normal, kappa = _frame(d1, d2)
-    return GeometryCache(
-        curve=curve,
-        total_length=total,
-        s=s,
-        ds=_trapezoid_weights(s, True, total),
-        tangent=tangent,
-        normal=normal,
-        kappa=kappa,
-        uniform_h=total / seg.size if stencils.is_uniform(grid) else None,
-    )
+    seg = curve.segments[None]
+    total = np.add.reduce(seg, axis=-1)
+    raise_first(grid_failures(seg, total))
+    return open_geometry(curve.nodes[None], seg, total)[0]
 
 
 def stacked_grids(nodes: np.ndarray):
     """Chord lengths (rows, n), total lengths (rows,), and arclength grids
     and trapezoid weights (rows, n+1) of the open curves in the stack
     `nodes` (rows, n+1, 2). Raises as `DiscreteCurve` and then
-    `compute_geometry` do."""
-    seg = _checked_chords(nodes)
+    `compute_geometry` do for the first row that fails."""
+    seg = chord_lengths(nodes)
+    raise_first(curve_failures(nodes, seg))
     total = np.add.reduce(seg, axis=-1)
-    if np.any(seg < 1e-14 * total[:, None]):
-        raise DegenerateCurve("segment below 1e-14 of total length")
+    raise_first(grid_failures(seg, total))
     s = _running_sum(seg)
-    return seg, total, s, _trapezoid_weights(s, False, 0.0)
+    return seg, total, s, _trapezoid_weights(s)
 
 
 def _running_sum(x: np.ndarray) -> np.ndarray:
@@ -277,34 +266,23 @@ def _running_sum(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def open_geometry(nodes: np.ndarray, seg: np.ndarray, total: np.ndarray):
-    """`compute_geometry` of each open curve in the stack `nodes` (rows,
-    n+1, 2), given its chord lengths `seg` and their sums `total`.
-
-    Returns the arclength grids, trapezoid weights, tangents, normals and
-    curvatures stacked along the rows, and the list of grid spacings (None
-    for a row whose grid is not uniform). Every operation works along the
-    rows, so each row gets the bits `compute_geometry` gives its curve.
-    """
+def open_geometry(nodes: np.ndarray, seg: np.ndarray, total: np.ndarray) -> GeometryCache:
+    """The geometry of the open curves in the stack `nodes` (rows, n+1, 2),
+    given their chord lengths `seg` and the sums `total`. Every operation
+    works along the rows, so each row gets the bits it gets alone."""
     n = seg.shape[1]
     s = _running_sum(seg)
     h = [t / n if u else None for t, u in zip(total.tolist(), stencils.is_uniform(s).tolist())]
-    d1, d2 = _open_position_derivs(nodes, s, h)
-    return (s, _trapezoid_weights(s, False, 0.0), *_frame(d1, d2), h)
-
-
-def _derivative_grid(s: np.ndarray, total: float, closed: bool) -> np.ndarray:
-    # closed curves close the grid with the wrap-around node, as the
-    # periodic boundary of `stencils.derivative` takes it
-    return np.append(s, total) if closed else s
+    tangent, normal, kappa = _frame(*_open_position_derivs(nodes, s, h))
+    return GeometryCache(nodes, seg, total, s, _trapezoid_weights(s), tangent, normal, kappa, h)
 
 
 def arclength_derivative(cache: GeometryCache, values: np.ndarray, order: int) -> np.ndarray:
-    """d^order/ds^order of a per-node field on the cache's arclength grid.
+    """d^order/ds^order of a per-node field on the arclength grid of one
+    curve's cache.
 
-    Centered stencils at interior nodes, one-sided windows at the ends of
-    open curves (periodic wrap on closed ones); exact for polynomials in s
-    up to the stencil degree (order+1).
+    Centered stencils at interior nodes, one-sided windows at the ends;
+    exact for polynomials in s up to the stencil degree (order+1).
     """
     values = np.asarray(values, dtype=float)
     if values.shape != cache.s.shape:
@@ -313,8 +291,7 @@ def arclength_derivative(cache: GeometryCache, values: np.ndarray, order: int) -
         return values.copy()
     if not 1 <= order <= 4:
         raise ValueError("order must be in 0..4")
-    grid = _derivative_grid(cache.s, cache.total_length, cache.closed)
-    return stencils.derivative(values, grid, order, "periodic" if cache.closed else "one_sided")
+    return stencils.derivative(values, cache.s, order, "one_sided")
 
 
 def _not_a_knot_spline(u: np.ndarray, y: np.ndarray):
@@ -450,11 +427,8 @@ def reparametrize_constant_speed(curve: DiscreteCurve) -> DiscreteCurve:
     of the result agree to 1e-10 relative; already-uniform input is returned
     unchanged, making the operation idempotent.
     """
-    if curve.closed:
-        raise BadParams("constant-speed redistribution applies to open curves")
     pts, moved, failed = redistribute(curve.nodes[None], curve.segments[None])
-    if failed:
-        raise failed[0]
+    raise_first(failed)
     return DiscreteCurve(pts[0]) if moved[0] else curve
 
 

@@ -185,13 +185,12 @@ def parse_initial_spec(text: str) -> dict:
 
 def write_snapshot(path: str, state: FlowState) -> None:
     """Plain-text curve snapshot: one header line, then `x y kappa` rows."""
-    curve = state.curve
     cache = state.cache
     header = (
-        f"n={curve.n} length={fmt(cache.total_length)} "
+        f"n={len(cache.nodes) - 1} length={fmt(cache.total_length)} "
         f"t={fmt(state.time)} eps={fmt(state.epsilon)}\n"
     )
-    _write_text(path, header + _format_rows(np.column_stack([curve.nodes, cache.kappa]), " "))
+    _write_text(path, header + _format_rows(np.column_stack([cache.nodes, cache.kappa]), " "))
 
 
 def read_snapshot(path: str):

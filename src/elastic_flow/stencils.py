@@ -1,13 +1,13 @@
 """Finite-difference weights on arbitrary and uniform grids.
 
 All whole-grid derivatives go through `derivatives` (several orders of one
-field) or `derivative` (one order), which close the stencils at the grid
-ends in one of three ways (`one_sided`, `odd`, `periodic`; the last two by
-ghost nodes). Underneath, uniform grids take integer-offset stencils
-(centered in the interior, one-sided windows at the ends) and other grids
-take weights from Fornberg's recursion, batched over all windows of a grid
-or of a stack of grids (`fd_weights_rows`; `fd_weights` is its block of
-one).
+field or of a stack of fields) or `derivative` (one order), which close the
+stencils at the grid ends in one of two ways (`one_sided` windows inside
+the grid, or `odd` ghost nodes). Underneath, uniform grids take
+integer-offset stencils (centered in the interior, one-sided windows at
+the ends) and other grids take weights from Fornberg's recursion, batched
+over all windows of a grid or of a stack of grids (`fd_weights_rows`;
+`fd_weights` is its block of one).
 """
 
 from __future__ import annotations
@@ -153,10 +153,7 @@ def derivative(f: np.ndarray, s: np.ndarray, order: int, boundary: str) -> np.nd
       one_sided  windows of width order+2 inside the grid;
       odd        centered stencils over ghost nodes that point-reflect the
                  samples through each end node, (s0 - x, 2 f0 - f(s0 + x));
-                 this is the odd extension of a field that vanishes there;
-      periodic   centered stencils over ghost nodes that wrap around; here
-                 `s` has one entry more than `f`, the closing node at
-                 s[0] + period.
+                 this is the odd extension of a field that vanishes there.
     Uniform grids take the unit-spacing stencils of `derivative_uniform`
     (with ghosts, only its centered ones), others the batched Fornberg
     weights of `derivative_nonuniform`, whose ghost rows are dropped.
@@ -168,35 +165,48 @@ def derivative(f: np.ndarray, s: np.ndarray, order: int, boundary: str) -> np.nd
 def derivatives(f: np.ndarray, s: np.ndarray, orders: tuple[int, ...], boundary: str) -> list:
     """`derivative` of one field for each of `orders`, which share the
     uniformity test and one set of ghost nodes as wide as the widest stencil.
-    With `one_sided` ends, `f` and `s` may be stacks (rows, n+1) of fields,
-    each on its own grid."""
+    `f` and `s` may be stacks (rows, n+1) of fields, each on its own grid,
+    whose uniformity decides its path."""
+    if boundary not in ("one_sided", "odd"):
+        raise ValueError("boundary must be one_sided or odd")
     f = np.asarray(f, dtype=float)
-    if boundary == "one_sided":
-        f2, s2 = f.reshape(-1, f.shape[-1]), s.reshape(-1, s.shape[-1])
-        uniform = is_uniform(s2)
+    f2, s2 = f.reshape(-1, f.shape[-1]), s.reshape(-1, s.shape[-1])
+    # the ghost nodes repeat spacings of the grid, so the grid decides a row's path
+    uniform = is_uniform(s2)
+    if uniform.all():
+        out = _uniform_rows(f2, s2, orders, boundary)
+    else:
         out = [np.empty(f2.shape) for _ in orders]
-        for d, k in zip(out, orders):
-            if not uniform.all():
-                d[~uniform] = derivative_nonuniform(f2[~uniform], s2[~uniform], k)
-            for row in np.flatnonzero(uniform):
-                d[row] = derivative_uniform(f2[row], _spacing(s2[row]), k)
-        return [d.reshape(f.shape) for d in out]
-    # the ghost nodes repeat spacings of the grid, so it decides the path
-    if is_uniform(s):
-        return [d[0] for d in uniform_row_derivatives(f[None], s[None], orders, boundary)]
+        for rows, kernel in ((uniform, _uniform_rows), (~uniform, _fornberg_rows)):
+            if rows.any():
+                for d, x in zip(out, kernel(f2[rows], s2[rows], orders, boundary)):
+                    d[rows] = x
+    return [d.reshape(f.shape) for d in out]
+
+
+def _uniform_rows(f: np.ndarray, s: np.ndarray, orders: tuple[int, ...], boundary: str) -> list:
+    # `derivatives` of a stack of fields on uniform grids
+    if boundary == "odd":
+        return uniform_row_derivatives(f, s, orders)
+    return [np.array([derivative_uniform(x, h, k) for x, h in zip(f, _spacing(s))]) for k in orders]
+
+
+def _fornberg_rows(f: np.ndarray, s: np.ndarray, orders: tuple[int, ...], boundary: str) -> list:
+    # `derivatives` of a stack of fields on other grids
+    if boundary == "one_sided":
+        return [derivative_nonuniform(f, s, k) for k in orders]
     half = max(CENTERED[k][0] for k in orders)
-    f = _ghosted(f, half, boundary)
-    s = _ghosted(s if boundary == "odd" else s[:-1], half, boundary, s[-1] - s[0])
-    return [derivative_nonuniform(f, s, k)[half:-half] for k in orders]
+    f, s = _ghosted(f, half), _ghosted(s, half)
+    return [derivative_nonuniform(f, s, k)[:, half:-half] for k in orders]
 
 
-def uniform_row_derivatives(f: np.ndarray, s: np.ndarray, orders: tuple[int, ...], boundary: str) -> list:
-    """`derivatives` of each row of `f` on the uniform grid in that row of
-    `s`, with `odd` or `periodic` ends."""
+def uniform_row_derivatives(f: np.ndarray, s: np.ndarray, orders: tuple[int, ...]) -> list:
+    """`derivatives` with `odd` ends of each row of `f` on the uniform grid
+    in that row of `s`."""
     # every node of the grid is an interior node of the extended samples;
     # narrower stencils skip the ghosts they do not reach
     half = max(CENTERED[k][0] for k in orders)
-    f = _ghosted(f, half, boundary)
+    f = _ghosted(f, half)
     m = f.shape[-1]
     h = _spacing(s)
     out = []
@@ -212,13 +222,8 @@ def _spacing(s: np.ndarray) -> np.ndarray:
     return (s[..., -1] - s[..., 0]) / (s.shape[-1] - 1)
 
 
-def _ghosted(x: np.ndarray, half: int, boundary: str, period: float = 0.0) -> np.ndarray:
-    # `half` ghost entries at each end of the last axis: point reflection
-    # through the end entry (odd) or wrap-around shifted by `period` (periodic)
-    if boundary == "odd":
-        ends = 2.0 * x[..., :1] - x[..., half:0:-1], 2.0 * x[..., -1:] - x[..., -2 : -2 - half : -1]
-    elif boundary == "periodic":
-        ends = x[..., -half:] - period, x[..., :half] + period
-    else:
-        raise ValueError("boundary must be one_sided, odd or periodic")
+def _ghosted(x: np.ndarray, half: int) -> np.ndarray:
+    # `half` ghost entries at each end of the last axis, the point
+    # reflection through the end entry
+    ends = 2.0 * x[..., :1] - x[..., half:0:-1], 2.0 * x[..., -1:] - x[..., -2 : -2 - half : -1]
     return np.concatenate([ends[0], x, ends[1]], axis=-1)

@@ -133,9 +133,10 @@ def _persample_gn_reference(seed, count, n=96):
     return consts, slacks
 
 
-def closed_circle_state(n, r, eps):
-    th = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-    curve = DiscreteCurve(np.column_stack([r * np.cos(th), r * np.sin(th)]), closed=True)
+def circle_arc_state(n, r, eps):
+    # an open arc of the circle of radius r, spanning 1.5 pi in n equal chords
+    th = np.linspace(0.0, 1.5 * np.pi, n + 1)
+    curve = DiscreteCurve(np.column_stack([r * np.cos(th), r * np.sin(th)]))
     return FlowState.from_curve(curve, eps)
 
 
@@ -150,10 +151,10 @@ class TestEnergy:
         assert energy(st) == pytest.approx(1.0, abs=1e-15)
 
     def test_circle_energy_value(self):
-        # 2 pi r + eps (1/r^2)(2 pi r) with r = 2, eps = 1/4
-        st = closed_circle_state(256, 2.0, 0.25)
-        expected = 4.0 * math.pi + 0.25 * math.pi
-        h = 4.0 * math.pi / 256
+        # L + eps (1/r^2) L with the arc length L = 1.5 pi r, r = 2, eps = 1/4
+        st = circle_arc_state(256, 2.0, 0.25)
+        expected = 3.0 * math.pi + 0.25 * 0.25 * 3.0 * math.pi
+        h = 3.0 * math.pi / 256
         assert energy(st) == pytest.approx(expected, abs=h**2)
 
     def test_eps_zero_energy_is_length(self):
@@ -202,22 +203,22 @@ class TestBoundaryResiduals:
         with pytest.raises(ValueError, match="uniform grid"):
             boundary_residuals(cache)
 
-    def test_j2_refines_under_doubling(self):
+    @pytest.fixture(scope="class")
+    def doubled(self):
+        # the residuals at t = 0.05 of one sine run at n = 128 and at n = 256
         vals = {}
         for n, dt in ((128, 1e-4), (256, 2.5e-5)):
             fs = make_initial_curve("flattened_sine", n, amplitude=0.05)
             traj = run(fs, FlowConfig(epsilon=0.1, n=n, dt=dt, t_end=0.05))
             vals[n] = boundary_residuals(traj.states[-1])
-        ratios = vals[128][1] / vals[256][1]
+        return vals
+
+    def test_j2_refines_under_doubling(self, doubled):
+        ratios = doubled[128][1] / doubled[256][1]
         assert np.all(ratios >= 3.0)
 
-    def test_j4_stays_bounded_under_doubling(self):
-        vals = {}
-        for n, dt in ((128, 1e-4), (256, 2.5e-5)):
-            fs = make_initial_curve("flattened_sine", n, amplitude=0.05)
-            traj = run(fs, FlowConfig(epsilon=0.1, n=n, dt=dt, t_end=0.05))
-            vals[n] = boundary_residuals(traj.states[-1])
-        assert np.all(vals[256][2] <= vals[128][2])
+    def test_j4_stays_bounded_under_doubling(self, doubled):
+        assert np.all(doubled[256][2] <= doubled[128][2])
 
     def test_stacked_rows_equal_one_row_at_a_time(self):
         # reference: per-row weights applied with `w @ x`, the order `run`'s

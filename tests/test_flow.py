@@ -11,6 +11,7 @@ from elastic_flow import (
     ConfigError,
     DegenerateCurve,
     DiscreteCurve,
+    SingularityDetected,
     flow,
     make_initial_curve,
 )
@@ -50,10 +51,11 @@ def _nan_node(real, diags, rhs):
 
 
 def circle_state(n, r, eps):
-    th = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-    curve = DiscreteCurve(
-        np.column_stack([r * np.cos(th), r * np.sin(th)]), closed=True
-    )
+    # an open arc of the circle of radius r, spanning 1.5 pi in n equal
+    # chords; the flow pins kappa = 0 at the two end nodes, so the circle's
+    # values hold on the nodes [2:-2]
+    th = np.linspace(0.0, 1.5 * np.pi, n + 1)
+    curve = DiscreteCurve(np.column_stack([r * np.cos(th), r * np.sin(th)]))
     return FlowState.from_curve(curve, eps)
 
 
@@ -89,20 +91,23 @@ class TestVelocities:
     def test_unit_circle_eps_one_is_stationary(self):
         # E = -1 + 1*(0 + 1) = 0
         E = normal_velocity(circle_state(256, 1.0, 1.0))
-        assert np.max(np.abs(E)) < 1e-6
+        assert np.max(np.abs(E[2:-2])) < 1e-6
 
     def test_circle_normal_velocity_value(self):
         # E = -1/2 + 0.5*(1/8) = -0.4375
-        E = normal_velocity(circle_state(256, 2.0, 0.5))
-        h = 4.0 * np.pi / 256
-        assert np.max(np.abs(E + 0.4375)) <= h**2
+        st = circle_state(256, 2.0, 0.5)
+        E = normal_velocity(st)
+        h = st.cache.uniform_h
+        assert np.max(np.abs(E[2:-2] + 0.4375)) <= h**2
 
     def test_circle_tangential_velocity_linear(self):
+        # slope -E kappa = 0.21875 past the pinned end nodes
         st = circle_state(256, 2.0, 0.5)
         lam = tangential_velocity(st)
-        expected = 0.21875 * st.cache.s
-        h = 4.0 * np.pi / 256
-        assert np.max(np.abs(lam - expected)) <= h**2
+        s = st.cache.s
+        expected = 0.21875 * (s[2:-2] - s[2])
+        h = st.cache.uniform_h
+        assert np.max(np.abs(lam[2:-2] - lam[2] - expected)) <= h**2
         assert lam[0] == 0.0
 
     def test_endpoint_velocity_identities_on_evolving_state(self):
@@ -118,9 +123,10 @@ class TestVelocities:
 
     def test_shrinking_circle_curvature_rate(self):
         # eps = 0: d(kappa)/dt = kappa^3 = 1 on the unit circle
-        rhs = curvature_evolution_rhs(circle_state(256, 1.0, 0.0), "compact")
-        h = 2.0 * np.pi / 256
-        assert np.max(np.abs(rhs - 1.0)) <= h**2
+        st = circle_state(256, 1.0, 0.0)
+        rhs = curvature_evolution_rhs(st, "compact")
+        h = st.cache.uniform_h
+        assert np.max(np.abs(rhs[2:-2] - 1.0)) <= h**2
 
     def test_compact_and_expanded_forms_agree_at_stencil_order(self):
         errs = []
@@ -131,6 +137,32 @@ class TestVelocities:
             errs.append(np.max(np.abs(c - e)[3:-3]))
         assert errs[0] / errs[1] > 3.0
 
+
+    def test_stack_rows_equal_each_state_alone(self):
+        # one pass over a stack of raw (nonuniform) and constant-speed
+        # geometries gives each state's own flow arrays, E and lambda
+        from elastic_flow.geometry import open_geometry, stacked_grids
+
+        curves = [
+            make_initial_curve("flattened_sine", 64, amplitude=0.3),
+            run(
+                make_initial_curve("flattened_sine", 64, amplitude=0.3),
+                FlowConfig(epsilon=0.3, n=64, dt=1e-4, t_end=1e-3),
+            ).states[-1].curve,
+            make_initial_curve("bump_perturbed_segment", 64, amplitude=0.6),
+        ]
+        nodes = np.array([c.nodes for c in curves])
+        geo = open_geometry(nodes, *stacked_grids(nodes)[:2])
+        assert [h is None for h in geo.uniform_h] == [True, False, True]
+        stacked = dict(zip(flow._FLOW_ARRAYS, flow._flow_fields(geo.kappa, geo.s, 0.3)))
+        for j, curve in enumerate(curves):
+            alone = FlowState.from_curve(curve, 0.3)
+            row = FlowState(geo[j], 0.0, 0.3)
+            want = {**flow.flow_arrays(alone), "E": normal_velocity(alone), "lam": tangential_velocity(alone)}
+            assert want.keys() == stacked.keys()
+            for name, x in want.items():
+                assert x.tobytes() == stacked[name][j].tobytes(), (j, name)
+                assert x.tobytes() == row.arrays[name].tobytes(), (j, name)
 
     def test_replaced_state_does_not_reuse_velocities(self):
         st = sine_state(64, amplitude=0.3, eps=0.1)
@@ -200,11 +232,6 @@ class TestStep:
         assert abs(arrays["d2"][0]) < 1e-12 and abs(arrays["d2"][-1]) < 1e-12
         assert abs(arrays["d4"][0]) < 1e-12 and abs(arrays["d4"][-1]) < 1e-12
 
-    def test_closed_curve_rejected(self):
-        st = circle_state(64, 1.0, 0.1)
-        with pytest.raises(BadParams):
-            step(st, FlowConfig(epsilon=0.1, n=64, dt=1e-4, t_end=0.01))
-
     def test_banded_solve_matches_two_scipy_solves(self):
         from scipy.linalg import solve_banded as scipy_solve_banded
 
@@ -220,6 +247,46 @@ class TestStep:
         ref = scipy_solve_banded((2, 2), ab, rhs)
         ref += scipy_solve_banded((2, 2), ab, rhs - _band_matvec(diags, ref))
         assert np.array_equal(solve_banded(diags, rhs), ref)
+
+    def test_step_continues_a_run_bit_for_bit(self):
+        # `step` is the batch of one of the stepping: from any state of a run
+        # it gives the run's next state
+        traj = run(
+            make_initial_curve("flattened_sine", 64, amplitude=0.3),
+            FlowConfig(epsilon=0.2, n=64, dt=1e-4, t_end=1e-3),
+            snapshot_stride=1,
+        )
+        config = traj.config
+        for before, after in zip(traj.states[:-1], traj.states[1:]):
+            got = step(before, config)
+            assert got.step_index == after.step_index
+            assert got.time == pytest.approx(after.time, rel=1e-12)
+            for name in ("nodes", "segments", "s", "ds", "tangent", "normal", "kappa"):
+                assert getattr(got.cache, name).tobytes() == getattr(after.cache, name).tobytes(), name
+            assert got.cache.total_length == after.cache.total_length
+
+    @pytest.mark.parametrize("failure", ["blowup", "non_finite", "collapse"])
+    def test_step_raises_what_ends_the_row(self, monkeypatch, failure):
+        state = run(
+            make_initial_curve("flattened_sine", 64, amplitude=0.05),
+            FlowConfig(epsilon=0.1, n=64, dt=1e-4, t_end=1e-4),
+        ).states[-1]
+        config = FlowConfig(epsilon=0.1, n=64, dt=1e-4, t_end=0.01)
+        if failure == "blowup":
+            config = dataclasses.replace(config, kappa_blowup_threshold=0.1)
+            error = SingularityDetected
+        elif failure == "non_finite":
+            _poison_call(monkeypatch, "solve_banded", 1, _nan_node)
+            error = BadParams
+        else:
+            def collapse(real, nodes, seg):
+                pts, moved, _ = real(nodes, seg)
+                return pts, moved, {0: DegenerateCurve("interpolant collapsed during redistribution")}
+
+            _poison_call(monkeypatch, "redistribute", 1, collapse)
+            error = DegenerateCurve
+        with pytest.raises(error):
+            step(state, config)
 
     def test_nonuniform_state_rejected(self):
         # the raw graph-parametrized sine has unequal chords
@@ -324,6 +391,29 @@ class TestRun:
         )
         assert np.all(np.diff(traj.diagnostics.t) > 0.0)
         assert np.all(np.diff([st.time for st in traj.states]) > 0.0)
+
+    @pytest.mark.parametrize("t", [5e-3, -2e-4])
+    def test_snapshot_times_outside_the_run_rejected(self, monkeypatch, t):
+        # on the dt grid, but before 0 or after t_end: no state could be kept
+        steps = []
+        monkeypatch.setattr(flow, "_advance", lambda *args: steps.append(args))
+        with pytest.raises(ConfigError) as info:
+            run(
+                make_initial_curve("segment", 64),
+                FlowConfig(epsilon=0.1, n=64, dt=1e-4, t_end=1e-3),
+                snapshot_times=[t],
+            )
+        assert info.value.key == "snapshot_times"
+        assert steps == []
+
+    def test_snapshot_times_at_both_ends_accepted(self):
+        traj = run(
+            make_initial_curve("segment", 64),
+            FlowConfig(epsilon=0.1, n=64, dt=1e-4, t_end=1e-3),
+            snapshot_stride=4,
+            snapshot_times=[0.0, 1e-3],
+        )
+        assert [st.step_index for st in traj.states] == [0, 4, 8, 10]
 
     def test_snapshot_times_are_honored(self):
         traj = run(
@@ -547,6 +637,21 @@ class TestSink:
 
         (traj,) = self.assert_sink_matches_states(tmp_path, batch)
         assert traj.terminated_by is Terminated.REPARAM_FAILURE
+
+    def test_batch_snapshots_are_rows_of_one_stack(self):
+        # a snapshot wraps its row of the stack it was stepped in, not a copy
+        base = FlowConfig(epsilon=0.1, n=64, dt=1e-4, t_end=1e-3)
+        a, b = flow.run_batch(
+            make_initial_curve("flattened_sine", 64, amplitude=0.05),
+            [base, dataclasses.replace(base, epsilon=0.2)],
+            snapshot_stride=5,
+        )
+        for x, y in zip(a.states[1:], b.states[1:]):
+            assert x.step_index == y.step_index
+            for name in ("nodes", "kappa", "normal"):
+                xa, ya = getattr(x.cache, name), getattr(y.cache, name)
+                assert xa.base is not None and xa.base is ya.base, name
+            assert np.array_equal(x.curve.nodes, x.cache.nodes)
 
     def test_batch_with_a_row_stopping_mid_block(self, tmp_path):
         # eps = 0 blows up in step 98; eps = 0.01 runs all 200 steps

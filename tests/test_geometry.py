@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from elastic_flow import (
     BadParams,
+    CurveError,
     DegenerateCurve,
     DiscreteCurve,
     arclength_derivative,
@@ -15,13 +16,26 @@ from elastic_flow import (
     reparametrize_constant_speed,
 )
 from elastic_flow import stencils
-from elastic_flow.geometry import _open_position_derivs, stacked_grids
+from elastic_flow.geometry import (
+    _open_position_derivs,
+    chord_lengths,
+    curve_failures,
+    grid_failures,
+    open_geometry,
+    stacked_grids,
+)
 
 
 def circle(n, r=2.0, grade=0.0):
-    v = np.linspace(0.0, 1.0, n, endpoint=False)
-    th = 2.0 * np.pi * (v + grade * np.sin(2.0 * np.pi * v))
-    return DiscreteCurve(np.column_stack([r * np.cos(th), r * np.sin(th)]), closed=True)
+    # an open arc of the circle of radius r, spanning 1.5 pi; a nonzero grade
+    # samples it unevenly
+    v = np.linspace(0.0, 1.0, n + 1)
+    th = 1.5 * np.pi * (v + grade * np.sin(2.0 * np.pi * v))
+    return DiscreteCurve(np.column_stack([r * np.cos(th), r * np.sin(th)]))
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
 
 
 def unit_speed_segment(length=1.0, n=128):
@@ -61,13 +75,46 @@ class TestDiscreteCurve:
         bad[row, col] = value
         with pytest.raises(error):
             compute_geometry(DiscreteCurve(bad))
+        stack = np.array([good, bad, good])
         with pytest.raises(error):
-            stacked_grids(np.array([good, bad, good]))
+            stacked_grids(stack)
+
+        def alone(nodes):
+            # what one curve and its geometry raise, as (type, message)
+            try:
+                compute_geometry(DiscreteCurve(nodes))
+            except CurveError as exc:
+                return type(exc), str(exc)
+            return None
+
+        # the stacked checks name each row's exception; a grid is checked
+        # only on a valid curve
+        seg = chord_lengths(stack)
+        found = {**grid_failures(seg, np.add.reduce(seg, axis=-1)), **curve_failures(stack, seg)}
+        got = [(type(found[j]), str(found[j])) if j in found else None for j in range(3)]
+        assert got == [alone(x) for x in stack]
+        assert got[1][0] is error
+
+    def test_stacked_checks_name_every_failing_row(self):
+        nodes = np.repeat(np.column_stack([np.linspace(0, 1, 33), np.zeros(33)])[None], 5, axis=0)
+        nodes[1, 3, 1] = np.inf
+        nodes[2, 5] = nodes[2, 4]
+        nodes[3, 7, 0] = nodes[3, 6, 0] + 1e-16
+        seg = chord_lengths(nodes)
+        bad = curve_failures(nodes, seg)
+        assert {j: type(exc) for j, exc in bad.items()} == {1: BadParams, 2: DegenerateCurve}
+        # the grids of the finite rows 0, 2, 3 and 4: a coincident node is
+        # also a segment below 1e-14 of the length
+        finite = seg[[0, 2, 3, 4]]
+        assert sorted(grid_failures(finite, np.add.reduce(finite, axis=-1))) == [1, 2]
+        with pytest.raises(BadParams, match="finite"):
+            stacked_grids(nodes)
+        with pytest.raises(DegenerateCurve, match="1e-14"):
+            stacked_grids(nodes[[0, 3, 4]])
+        assert curve_failures(nodes[[0, 4]], seg[[0, 4]]) == {}
 
     def test_endpoints_are_first_and_last_nodes(self):
         c = make_initial_curve("flattened_sine", 64, amplitude=0.1)
-        assert c.endpoint_p == (0.0, 0.0)
-        assert c.endpoint_q == (1.0, 0.0)
         assert np.all(c.nodes[0] == (0.0, 0.0))
         assert np.all(c.nodes[-1] == (1.0, 0.0))
 
@@ -85,8 +132,7 @@ class TestComputeGeometry:
         assert np.max(np.abs(cache.kappa - 0.5)) <= max(1e-10, h**2)
 
     def test_circle_convergence_order_at_least_two(self):
-        # the chordal stencil reproduces circles exactly, so the measurable
-        # O(h^2) slope is taken on a graded sampling of the same circle
+        # the measurable O(h^2) slope is taken on a graded sampling of the arc
         errs = []
         for n in (64, 128, 256):
             cache = compute_geometry(circle(n, r=2.0, grade=0.05))
@@ -97,9 +143,9 @@ class TestComputeGeometry:
     def test_ellipse_convergence_order_window(self):
         errs = []
         for n in (64, 128, 256, 512):
-            v = np.linspace(0.0, 1.0, n, endpoint=False)
-            th = 2.0 * np.pi * v
-            c = DiscreteCurve(np.column_stack([1.5 * np.cos(th), np.sin(th)]), closed=True)
+            # an open arc of the ellipse, spanning 1.5 pi of its parameter
+            th = 1.5 * np.pi * np.linspace(0.0, 1.0, n + 1)
+            c = DiscreteCurve(np.column_stack([1.5 * np.cos(th), np.sin(th)]))
             k = compute_geometry(c).kappa
             k_exact = 1.5 / ((1.5 * np.sin(th)) ** 2 + np.cos(th) ** 2) ** 1.5
             errs.append(np.max(np.abs(k - k_exact)))
@@ -135,6 +181,35 @@ class TestComputeGeometry:
             res.append(np.max(np.abs(dnu + cache.kappa[:, None] * cache.tangent)))
         assert res[0] > res[1] > res[2]
         assert math.log2(res[0] / res[2]) / 2.0 >= 1.6
+
+    def test_stack_rows_equal_each_curve_alone(self):
+        # raw (nonuniform) and constant-speed curves in one stack: each row
+        # holds the bits of its curve's own geometry
+        curves = [
+            make_initial_curve("flattened_sine", 64, amplitude=0.3),
+            reparametrize_constant_speed(make_initial_curve("arc_with_flat_ends", 64, turn_angle=3.0)),
+            make_initial_curve("bump_perturbed_segment", 64, amplitude=0.6),
+            make_initial_curve("segment", 64, q=(2.0, 1.0)),
+        ]
+        nodes = np.array([c.nodes for c in curves])
+        seg, total, _, _ = stacked_grids(nodes)
+        geo = open_geometry(nodes, seg, total)
+        assert [h is None for h in geo.uniform_h] == [True, False, True, False]
+        names = ("nodes", "segments", "total_length", "s", "ds", "tangent", "normal", "kappa")
+        for j, curve in enumerate(curves):
+            want, got = compute_geometry(curve), geo[j]
+            assert got.uniform_h == want.uniform_h
+            for name in names:
+                assert _bits(getattr(got, name)) == _bits(getattr(want, name)), (j, name)
+        # a list of rows is a stack of them, repeats allowed, and None makes
+        # one curve's data a stack of one
+        picked = geo[[3, 0, 3]]
+        assert picked.uniform_h == [geo.uniform_h[3], None, geo.uniform_h[3]]
+        one = geo[1][None]
+        assert one.uniform_h == [geo.uniform_h[1]]
+        for name in names:
+            assert _bits(getattr(picked, name)[1]) == _bits(getattr(geo, name)[0]), name
+            assert _bits(getattr(one, name)[0]) == _bits(getattr(geo, name)[1]), name
 
     def test_raw_end_windows_repeat_one_stencil_per_window(self):
         # the end rows of a stack of nonuniform grids, bit for bit against

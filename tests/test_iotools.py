@@ -10,7 +10,6 @@ from elastic_flow import ConfigError, make_initial_curve
 from elastic_flow.convergence import SweepConfig, run_sweep
 from elastic_flow.flow import FlowConfig, run
 from elastic_flow.estimates import DIAGNOSTICS_HEADER
-from elastic_flow.geometry import DiscreteCurve
 from elastic_flow.iotools import (
     RunManifest,
     emit_outputs,
@@ -120,11 +119,7 @@ class TestFormattedBytes:
         nodes[1:6, 1] = [-0.0, 5e-324, -1e-300, 0.1, 1.0 / 3.0]
         kappa = state.cache.kappa.copy()
         kappa[3 : 3 + len(SPECIAL)] = SPECIAL
-        state = dataclasses.replace(
-            state,
-            curve=DiscreteCurve(nodes),
-            cache=dataclasses.replace(state.cache, kappa=kappa),
-        )
+        state = dataclasses.replace(state, cache=dataclasses.replace(state.cache, nodes=nodes, kappa=kappa))
         lines = [
             f"n={state.curve.n} length={fmt(state.cache.total_length)} "
             f"t={fmt(state.time)} eps={fmt(state.epsilon)}"

@@ -75,13 +75,6 @@ class TestDerivativeRoutines:
         for order in range(1, 5):
             assert np.all(stencils.derivative_uniform(f, 0.01, order) == 0.0)
 
-    def test_periodic_matches_analytic(self):
-        n = 128
-        s = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-        f = np.sin(s)
-        d2 = stencils.derivative(f, np.append(s, 2.0 * np.pi), 2, "periodic")
-        assert np.max(np.abs(d2 + f)) <= (2.0 * np.pi / n) ** 2
-
     def test_nonuniform_matches_uniform_on_uniform_grid(self):
         s = np.linspace(0.0, 1.0, 65)
         f = np.cos(3.0 * s)
@@ -155,26 +148,12 @@ class TestNonuniformGradedGrid:
             assert np.all(stencils.derivative_nonuniform(f, s, order) == 0.0)
 
 
-def _periodic_graded_grid(n: int = 32, period: float = 1.7) -> np.ndarray:
-    # n nodes plus the closing node at s[0] + period; spacing varies 1.6x
-    v = np.linspace(0.0, 1.0, n + 1)
-    jitter = np.random.default_rng(5).uniform(-0.2, 0.2, n + 1) / n
-    jitter[[0, -1]] = 0.0
-    return 0.4 + period * (v + 0.05 * np.sin(2.0 * np.pi * v) + jitter)
-
-
-def _rowwise_ghosted(f, s, order, boundary):
+def _rowwise_ghosted(f, s, order):
     # per-node loop over the scalar recursion on the ghost-extended grid, kept
-    # as the reference for the odd and periodic boundaries
+    # as the reference for the odd boundary
     half = stencils.CENTERED[order][0]
-    if boundary == "odd":
-        fe = np.concatenate([2 * f[0] - f[half:0:-1], f, 2 * f[-1] - f[-2 : -2 - half : -1]])
-        se = np.concatenate([2 * s[0] - s[half:0:-1], s, 2 * s[-1] - s[-2 : -2 - half : -1]])
-    else:
-        period = s[-1] - s[0]
-        s = s[:-1]
-        fe = np.concatenate([f[-half:], f, f[:half]])
-        se = np.concatenate([s[-half:] - period, s, s[:half] + period])
+    fe = np.concatenate([2 * f[0] - f[half:0:-1], f, 2 * f[-1] - f[-2 : -2 - half : -1]])
+    se = np.concatenate([2 * s[0] - s[half:0:-1], s, 2 * s[-1] - s[-2 : -2 - half : -1]])
     out = np.empty(f.size)
     for i in range(f.size):
         sl = slice(i, i + 2 * half + 1)
@@ -196,17 +175,18 @@ def _stacked_grids(rows: int = 12, n1: int = 33):
 
 
 class TestStackedOneSided:
+    @pytest.mark.parametrize("boundary", ["one_sided", "odd"])
     @pytest.mark.parametrize("uniform_rows", [[2, 7], []])
-    def test_stacked_rows_equal_one_row_at_a_time(self, uniform_rows):
+    def test_stacked_rows_equal_one_row_at_a_time(self, uniform_rows, boundary):
         s, f = _stacked_grids()
         if not uniform_rows:
             s, f = np.delete(s, [2, 7], axis=0), np.delete(f, [2, 7], axis=0)
         assert np.flatnonzero(stencils.is_uniform(s)).tolist() == uniform_rows
-        got = stencils.derivatives(f, s, (1, 2, 3, 4), "one_sided")
+        got = stencils.derivatives(f, s, (1, 2, 3, 4), boundary)
         for order, d in zip((1, 2, 3, 4), got):
             fornberg = stencils.derivative_nonuniform(f, s, order)
             for i in range(s.shape[0]):
-                assert np.array_equal(d[i], stencils.derivative(f[i], s[i], order, "one_sided")), (order, i)
+                assert np.array_equal(d[i], stencils.derivative(f[i], s[i], order, boundary)), (order, i)
                 assert np.array_equal(fornberg[i], stencils.derivative_nonuniform(f[i], s[i], order)), (order, i)
 
 
@@ -216,89 +196,62 @@ class TestGhostedBoundaries:
         s = _graded_grid()
         f = np.sin(2.0 * s) + 0.3 * s**3 + 0.7
         got = stencils.derivative(f, s, order, "odd")
-        ref = _rowwise_ghosted(f, s, order, "odd")
-        assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
-
-    @pytest.mark.parametrize("order", [1, 2, 3, 4])
-    def test_periodic_matches_rowwise_reference(self, order):
-        s = _periodic_graded_grid()
-        period = s[-1] - s[0]
-        f = np.cos(2.0 * np.pi * s[:-1] / period) + 0.4 * np.sin(6.0 * np.pi * s[:-1] / period)
-        got = stencils.derivative(f, s, order, "periodic")
-        ref = _rowwise_ghosted(f, s, order, "periodic")
+        ref = _rowwise_ghosted(f, s, order)
         assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("graded", [False, True])
     def test_constant_is_exactly_zero(self, graded):
-        for boundary in ("one_sided", "odd", "periodic"):
-            if boundary == "periodic":
-                s = _periodic_graded_grid() if graded else np.linspace(0.4, 2.1, 33)
-                f = np.full(s.size - 1, -1.3)
-            else:
-                s = _graded_grid() if graded else np.linspace(0.0, 1.8, 33)
-                f = np.full(s.size, -1.3)
+        s = _graded_grid() if graded else np.linspace(0.0, 1.8, 33)
+        f = np.full(s.size, -1.3)
+        for boundary in ("one_sided", "odd"):
             for order in range(1, 5):
                 assert np.all(stencils.derivative(f, s, order, boundary) == 0.0), (boundary, order)
 
-    @pytest.mark.parametrize("boundary", ["odd", "periodic"])
     @pytest.mark.parametrize("order", [1, 2, 3, 4])
-    def test_uniform_grid_equals_full_kernel_on_ghosted_samples(self, boundary, order):
+    def test_uniform_grid_equals_full_kernel_on_ghosted_samples(self, order):
         # uniform grids apply only the centered stencils to the ghost-extended
         # samples; the bits must equal the whole uniform kernel run on them
         # with the ghost rows dropped
         half = stencils.CENTERED[order][0]
         s = np.linspace(0.3, 2.1, 65)
         f = np.sin(3.0 * s) + 0.2 * s**2
-        if boundary == "odd":
-            fe = np.concatenate([2 * f[0] - f[half:0:-1], f, 2 * f[-1] - f[-2 : -2 - half : -1]])
-        else:
-            f = f[:-1]
-            fe = np.concatenate([f[-half:], f, f[:half]])
+        fe = np.concatenate([2 * f[0] - f[half:0:-1], f, 2 * f[-1] - f[-2 : -2 - half : -1]])
         h = (s[-1] - s[0]) / (s.size - 1)
         ref = stencils.derivative_uniform(fe, h, order)[half:-half]
-        assert np.array_equal(stencils.derivative(f, s, order, boundary), ref)
+        assert np.array_equal(stencils.derivative(f, s, order, "odd"), ref)
 
-    @pytest.mark.parametrize("boundary", ["odd", "periodic"])
-    def test_stacked_rows_equal_one_row_at_a_time(self, boundary):
+    def test_stacked_rows_equal_one_row_at_a_time(self):
         # each row has its own spacing; the bits must equal the whole uniform
         # kernel run on that row's ghost-extended samples, as above
         rng = np.random.default_rng(7)
         lengths = rng.uniform(0.5, 3.0, 40)
         s = lengths[:, None] * np.linspace(0.0, 1.0, 65)
         f = np.sin(3.0 * s) + rng.normal(0.0, 0.1, s.shape)
-        if boundary == "periodic":
-            f = f[:, :-1]
-        got = stencils.uniform_row_derivatives(f, s, (1, 2, 3, 4), boundary)
+        got = stencils.uniform_row_derivatives(f, s, (1, 2, 3, 4))
         for order, g in enumerate(got, start=1):
             half = stencils.CENTERED[order][0]
             for i in range(s.shape[0]):
                 fi = f[i]
-                if boundary == "odd":
-                    fe = np.concatenate([2 * fi[0] - fi[half:0:-1], fi, 2 * fi[-1] - fi[-2 : -2 - half : -1]])
-                else:
-                    fe = np.concatenate([fi[-half:], fi, fi[:half]])
+                fe = np.concatenate([2 * fi[0] - fi[half:0:-1], fi, 2 * fi[-1] - fi[-2 : -2 - half : -1]])
                 h = (s[i, -1] - s[i, 0]) / (s.shape[1] - 1)
                 ref = stencils.derivative_uniform(fe, h, order)[half:-half]
                 assert np.array_equal(g[i], ref), (order, i)
 
-    @pytest.mark.parametrize("boundary", ["one_sided", "odd", "periodic"])
+    @pytest.mark.parametrize("boundary", ["one_sided", "odd"])
     @pytest.mark.parametrize("graded", [False, True])
     def test_several_orders_equal_one_at_a_time(self, boundary, graded):
         # the orders share one ghost extension, as wide as order 3/4 needs
-        if boundary == "periodic":
-            s = _periodic_graded_grid() if graded else np.linspace(0.4, 2.1, 33)
-            f = np.cos(2.0 * np.pi * (s[:-1] - s[0]) / (s[-1] - s[0]))
-        else:
-            s = _graded_grid() if graded else np.linspace(0.0, 1.8, 33)
-            f = np.sin(2.0 * s) + 0.3 * s**3
+        s = _graded_grid() if graded else np.linspace(0.0, 1.8, 33)
+        f = np.sin(2.0 * s) + 0.3 * s**3
         got = stencils.derivatives(f, s, (1, 2, 3, 4), boundary)
         for order, d in zip((1, 2, 3, 4), got):
             assert np.array_equal(d, stencils.derivative(f, s, order, boundary)), order
 
-    def test_unknown_boundary_rejected(self):
+    @pytest.mark.parametrize("boundary", ["even", "periodic"])
+    def test_unknown_boundary_rejected(self, boundary):
         s = np.linspace(0.0, 1.0, 33)
         with pytest.raises(ValueError):
-            stencils.derivative(np.sin(s), s, 1, "even")
+            stencils.derivative(np.sin(s), s, 1, boundary)
 
 
 class TestImplicitMatrixAssembly:
