@@ -14,7 +14,10 @@ exception; a caller of one curve raises it.
 from __future__ import annotations
 
 import math
+import os
+import sys
 from dataclasses import dataclass, field
+from importlib import machinery, util
 
 import numpy as np
 
@@ -218,11 +221,11 @@ def _norm(v: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add(v[..., 0], v[..., 1], order="C"))
 
 
-def stack_nodes(arrays) -> np.ndarray:
-    """The (n+1, 2) arrays as one (rows, n+1, 2) stack, stored coordinate
-    by coordinate, so that operations along the nodes run over contiguous
-    memory."""
-    return np.array([x.T for x in arrays]).transpose(0, 2, 1)
+def stack_nodes(x: np.ndarray, rows: int, size: int) -> np.ndarray:
+    """The first `size` of each of the `rows` blocks of LAPACK's (rows·m, 2)
+    solution as a (rows, size, 2) stack, stored coordinate by coordinate, so
+    that operations along the nodes run over contiguous memory."""
+    return np.ascontiguousarray(x.T.reshape(2, rows, -1)[..., :size].transpose(1, 0, 2)).transpose(0, 2, 1)
 
 
 def chord_lengths(nodes: np.ndarray) -> np.ndarray:
@@ -294,13 +297,25 @@ def arclength_derivative(cache: GeometryCache, values: np.ndarray, order: int) -
     return stencils.derivative(values, cache.s, order, "one_sided")
 
 
+def lapack():
+    """SciPy's LAPACK wrappers, the extension module `scipy.linalg._flapack`,
+    loaded alone: the `scipy.linalg` package costs 0.2 s and 28 MB more. A
+    later `import scipy.linalg` finds the module registered and reuses it."""
+    name = "scipy.linalg._flapack"
+    if name not in sys.modules:
+        folder = os.path.join(util.find_spec("scipy").submodule_search_locations[0], "linalg")
+        loader = machinery.ExtensionFileLoader, machinery.EXTENSION_SUFFIXES
+        spec = machinery.FileFinder(folder, loader).find_spec(name)
+        sys.modules[name] = util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
+
+
 def _not_a_knot_spline(u: np.ndarray, y: np.ndarray):
     """Not-a-knot cubic splines through the stack `y` (rows, m, 2) at the
     knots `u` (rows, m), as a function `spline(tau, rows)` of the parameters
     `tau` of the curves `rows`. Each row repeats the arithmetic of scipy's
     `CubicSpline(u, y, bc_type="not-a-knot")`, so its values are the same bits."""
-    # imported on use: commands that never redistribute skip its load time
-    from scipy.linalg.lapack import dgtsv
     count, size = u.shape
     dx = u[:, 1:] - u[:, :-1]
     dxr = dx[..., None]
@@ -315,9 +330,14 @@ def _not_a_knot_spline(u: np.ndarray, y: np.ndarray):
     rhs[:, 1:-1] = 3 * (dxr[:, 1:] * slope[:, :-1] + dxr[:, :-1] * slope[:, 1:])
     rhs[:, 0] = ((dxr[:, 0] + 2 * d) * dxr[:, 1] * slope[:, 0] + dxr[:, 0] ** 2 * slope[:, 1]) / d
     rhs[:, -1] = (dxr[:, -1] ** 2 * slope[:, -2] + (2 * e + dxr[:, -1]) * dxr[:, -2] * slope[:, -1]) / e
-    lower = np.concatenate([dx[:, 1:], e], axis=-1)
-    upper = np.concatenate([d, dx[:, :-1]], axis=-1)
-    m = stack_nodes([dgtsv(*bands, 1, 1, 1, 1)[3] for bands in zip(lower, diag, upper, rhs)])
+    # all rows as one system, joined by zeros, which keep each row's values
+    lower = np.concatenate([dx[:, 1:], e, np.zeros_like(e)], axis=-1)
+    upper = np.concatenate([d, dx[:, :-1], np.zeros_like(d)], axis=-1)
+    *_, m, info = lapack().dgtsv(lower.ravel()[:-1], diag.ravel(), upper.ravel()[:-1], rhs.reshape(-1, 2))
+    if info or not np.isfinite(np.add.reduce(m, axis=None)):
+        # a zero pivot stops gtsv and NaN crosses the joins: rows one at a time
+        m = np.concatenate([lapack().dgtsv(*row)[3] for row in zip(lower[:, :-1], diag, upper[:, :-1], rhs)])
+    m = stack_nodes(m, count, size)
     t = (m[:, :-1] + m[:, 1:] - 2 * slope) / dxr
     # the power coefficients c0..c3 of each interval, by coordinate, with
     # the intervals of all rows along the last axis; and their left knots

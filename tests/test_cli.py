@@ -266,3 +266,34 @@ def test_gn_verification_loads_no_scipy():
         "with redirect_stdout(io.StringIO()):\n    assert main(['verify', '--filter', 'gn', '--seed', '0']) == 0"
     )
     assert _scipy_modules_after(code) == []
+
+
+_SHORT_RUN = (
+    "from elastic_flow import FlowConfig, make_initial_curve, run\n"
+    "curve = make_initial_curve('flattened_sine', 64, amplitude=0.05)\n"
+    "run(curve, FlowConfig(epsilon=0.1, n=64, dt=1e-3, t_end=3e-3))\n"
+)
+
+
+@pytest.mark.parametrize("code", [
+    _SHORT_RUN,
+    "from elastic_flow import FlowConfig, SweepConfig, make_initial_curve, run_sweep\n"
+    "curve = make_initial_curve('flattened_sine', 64, amplitude=0.05)\n"
+    "run_sweep(curve, SweepConfig((0.2, 0.1), FlowConfig(n=64, dt=1e-3, t_end=3e-3), k_max=0))\n",
+], ids=["run", "run_sweep"])
+def test_stepping_loads_only_the_lapack_wrappers(code):
+    assert _scipy_modules_after(code) == ["scipy.linalg._flapack"]
+
+
+@pytest.mark.parametrize("scipy_first", [True, False])
+def test_lapack_routines_are_scipy_linalg_lapack_objects(scipy_first):
+    # one module object, whether scipy.linalg comes before the first step
+    # or after it
+    code = _SHORT_RUN + (
+        "import scipy.linalg.lapack\nfrom elastic_flow.geometry import lapack\n"
+        "assert scipy.linalg.lapack._flapack is lapack()\n"
+        "assert scipy.linalg.lapack.dgbtrf is lapack().dgbtrf and scipy.linalg.lapack.dgtsv is lapack().dgtsv\n"
+    )
+    if scipy_first:
+        code = "import scipy.linalg\n" + code
+    assert "scipy.linalg" in _scipy_modules_after(code)

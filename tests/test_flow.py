@@ -50,6 +50,22 @@ def _nan_node(real, diags, rhs):
     return out
 
 
+def _two_scipy_solves(diags, rhs):
+    # the reference arithmetic of `solve_banded` for one system: a solve and
+    # one round of refinement by scipy's own banded solver
+    from scipy.linalg import solve_banded as scipy_solve_banded
+
+    from elastic_flow.flow import _band_matvec
+
+    sub2, sub1, main, sup1, sup2 = diags
+    ab = np.zeros((5, len(main)))
+    ab[0, 2:], ab[1, 1:], ab[2] = sup2[:-2], sup1[:-1], main
+    ab[3, :-1], ab[4, :-2] = sub1[1:], sub2[2:]
+    ref = scipy_solve_banded((2, 2), ab, rhs)
+    ref += scipy_solve_banded((2, 2), ab, rhs - _band_matvec(diags, ref))
+    return ref
+
+
 def circle_state(n, r, eps):
     # an open arc of the circle of radius r, spanning 1.5 pi in n equal
     # chords; the flow pins kappa = 0 at the two end nodes, so the circle's
@@ -233,20 +249,66 @@ class TestStep:
         assert abs(arrays["d4"][0]) < 1e-12 and abs(arrays["d4"][-1]) < 1e-12
 
     def test_banded_solve_matches_two_scipy_solves(self):
-        from scipy.linalg import solve_banded as scipy_solve_banded
-
-        from elastic_flow.flow import _assemble_uniform, _band_matvec, solve_banded
+        from elastic_flow.flow import _assemble_uniform, solve_banded
 
         state = sine_state()
-        diags = _assemble_uniform(128, 1.0 / 128, 1e-4, 0.1)
+        diags = _assemble_uniform(128, [1.0 / 128], 1e-4, [0.1])[0]
         rhs = state.curve.nodes + 1e-3 * state.cache.normal
-        sub2, sub1, main, sup1, sup2 = diags
-        ab = np.zeros((5, 129))
-        ab[0, 2:], ab[1, 1:], ab[2] = sup2[:-2], sup1[:-1], main
-        ab[3, :-1], ab[4, :-2] = sub1[1:], sub2[2:]
-        ref = scipy_solve_banded((2, 2), ab, rhs)
-        ref += scipy_solve_banded((2, 2), ab, rhs - _band_matvec(diags, ref))
-        assert np.array_equal(solve_banded(diags, rhs), ref)
+        assert np.array_equal(solve_banded(diags, rhs), _two_scipy_solves(diags, rhs))
+
+    def test_stacked_solve_equals_each_system_alone(self):
+        # rows that differ in h and eps, eps = 0 among them, and a straight
+        # segment whose y coordinates are +-0.0 between rows with negative
+        # coordinates: every bit, the sign of zero included
+        from elastic_flow.flow import _assemble_uniform, solve_banded
+
+        n = 64
+        state = sine_state(n)
+        nodes = state.curve.nodes
+        straight = np.column_stack([np.linspace(0.0, 1.0, n + 1), np.where(np.arange(n + 1) % 3, 0.0, -0.0)])
+        rhs = np.stack([nodes + 1e-3 * state.cache.normal, -nodes[::-1], straight, nodes - 2.0])
+        diags = _assemble_uniform(n, [1.0 / n, 1.3 / n, 0.7 / n, 1.1 / n], 1e-4, [0.1, 0.0, 0.0, 1.0])
+        got = solve_banded(diags, rhs)
+        for j in range(4):
+            want = solve_banded(diags[j], rhs[j])
+            assert got[j].tobytes() == want.tobytes() == _two_scipy_solves(diags[j], rhs[j]).tobytes()
+        assert np.signbit(got[2][got[2] == 0.0]).any() and (got[2] == 0.0).all(axis=0)[1]
+
+    def test_non_finite_system_stays_in_its_row(self):
+        # 0 * inf = NaN: a shared solve would carry it into every system
+        from elastic_flow.flow import _assemble_uniform, solve_banded
+
+        state = sine_state(64)
+        rhs = np.stack([state.curve.nodes] * 3)
+        rhs[1, 5, 0] = np.inf
+        diags = _assemble_uniform(64, [1.0 / 64] * 3, 1e-4, [0.1, 0.2, 0.3])
+        got = solve_banded(diags, rhs)
+        assert not np.isfinite(got[1]).all()
+        for j in (0, 2):
+            assert got[j].tobytes() == solve_banded(diags[j], rhs[j]).tobytes()
+
+    def test_singular_row_ends_only_its_own_row(self, monkeypatch):
+        # a zero matrix in row 1 at step 3 fails the stacked factorization;
+        # solved one at a time, the rows leave row 1 alone to end
+        def singular(real, n, h, dt, eps):
+            diags = real(n, h, dt, eps)
+            diags[1] = 0.0
+            return diags
+
+        curve = make_initial_curve("flattened_sine", 64, amplitude=0.3)
+        configs = [FlowConfig(epsilon=e, n=64, dt=1e-4, t_end=1e-3) for e in (0.2, 0.0, 1.0)]
+        alone = [run(curve, c, snapshot_stride=1) for c in configs]
+        _poison_call(monkeypatch, "_assemble_uniform", 3, singular)
+        batch = flow.run_batch(curve, configs, snapshot_stride=1)
+        assert batch[1].terminated_by is Terminated.SOLVER_FAILURE
+        assert batch[1].event_time == 3 * 1e-4
+        assert len(batch[1].diagnostics) == 3
+        assert batch[1].states[-1].cache.nodes.tobytes() == alone[1].states[2].cache.nodes.tobytes()
+        for j in (0, 2):
+            assert batch[j].terminated_by is Terminated.REACHED_T_END
+            assert batch[j].diagnostics.tobytes() == alone[j].diagnostics.tobytes()
+            for a, b in zip(alone[j].states, batch[j].states, strict=True):
+                assert a.cache.nodes.tobytes() == b.cache.nodes.tobytes()
 
     def test_step_continues_a_run_bit_for_bit(self):
         # `step` is the batch of one of the stepping: from any state of a run
@@ -260,7 +322,7 @@ class TestStep:
         for before, after in zip(traj.states[:-1], traj.states[1:]):
             got = step(before, config)
             assert got.step_index == after.step_index
-            assert got.time == pytest.approx(after.time, rel=1e-12)
+            assert got.time == after.time
             for name in ("nodes", "segments", "s", "ds", "tangent", "normal", "kappa"):
                 assert getattr(got.cache, name).tobytes() == getattr(after.cache, name).tobytes(), name
             assert got.cache.total_length == after.cache.total_length

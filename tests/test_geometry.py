@@ -306,16 +306,37 @@ class TestNotAKnotSpline:
             seg = 1.0 + rng.uniform(-0.3, 0.3, n)
         u = np.concatenate([[0.0], np.cumsum(seg)]) / seg.sum()
         y = np.column_stack([np.cos(3.0 * u), rng.normal(size=n + 1)])
-        # a stack of this curve and a second one on uniform knots
-        knots = np.stack([u, np.linspace(0.0, 1.0, n + 1)])
-        ys = np.stack([y, y[::-1]])
+        # a stack of this curve, a second one on uniform knots and a third on
+        # knots clustered at the start, solved as one tridiagonal system
+        knots = np.stack([u, np.linspace(0.0, 1.0, n + 1), u**2])
+        ys = np.stack([y, y[::-1], np.column_stack([np.sin(5.0 * u), -2.0 * y[:, 1]])])
         spline = _not_a_knot_spline(knots, ys)
-        for row in (0, 1):
+        for row in (0, 1, 2):
             ref = CubicSpline(knots[row], ys[row], axis=0, bc_type="not-a-knot")
             for tau in (np.linspace(0.0, 1.0, 129), rng.uniform(0.0, 1.0, 200), u, 0.0, 1.0):
                 want = ref(tau)
                 got = spline(np.atleast_1d(tau)[None], np.array([row]))[0]
                 assert np.array_equal(got.reshape(want.shape), want)
+
+    @pytest.mark.parametrize("at", [1, 40])
+    def test_repeated_knot_stays_in_its_row(self, at):
+        # at knot 1 the shared tridiagonal solve meets a zero pivot, at knot
+        # 40 a NaN slope; either would reach the other rows
+        from elastic_flow.geometry import _not_a_knot_spline
+
+        rng = np.random.default_rng(5)
+        n = 64
+        knots = np.sort(rng.uniform(0.0, 1.0, (3, n + 1)), axis=1)
+        knots[:, 0], knots[:, -1] = 0.0, 1.0
+        knots[1, at + 1] = knots[1, at]
+        ys = rng.normal(size=(3, n + 1, 2))
+        ys[1, at + 1] = ys[1, at]
+        tau = np.linspace(0.0, 1.0, 129)[None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            spline = _not_a_knot_spline(knots, ys)
+        for row in (0, 2):
+            alone = _not_a_knot_spline(knots[[row]], ys[[row]])
+            assert spline(tau, np.array([row])).tobytes() == alone(tau, np.array([0])).tobytes()
 
 
 class TestReparametrize:
