@@ -17,8 +17,8 @@ Runs from one initial curve on one (n, dt, t_end) grid that differ only in
 eps step together as one stack of curves, a `GeometryCache` (`run_batch`),
 so that the per-call cost of numpy on 129-node arrays is paid once per step
 rather than once per run; `run` and `step` are batches of one. Every
-operation works along the rows of the stack, LAPACK's solves included, so
-each run gets the bits it gets alone. A snapshot is a row of the stack.
+operation works along the rows of the stack, and LAPACK runs once per row,
+so each run gets the bits it gets alone. A snapshot is a row of the stack.
 """
 
 from __future__ import annotations
@@ -258,25 +258,24 @@ def _band_matvec(diags: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.swapaxes(out, -1, -2)
 
 
-def _assemble_uniform(n: int, h: list, dt: float, eps: list) -> np.ndarray:
-    """Pentadiagonal rows (rows, 5, n+1) of I - dt (D2 - 2 eps[j] D4) on the
-    uniform grid of spacing h[j], for each row j."""
-    # one scalar power per row: the array power differs in the last bit
-    r2, r4 = np.array([(dt / x**2, 2.0 * e * dt / x**4) for x, e in zip(h, eps)]).T[..., None]
-    diags = np.zeros((len(h), 5, n + 1))
-    sub2, sub1, main, sup1, sup2 = diags.transpose(1, 0, 2)
-    main[:, 1:-1] = 1.0 + 2.0 * r2 + 6.0 * r4
-    sub1[:, 1:-1] = -r2 - 4.0 * r4
-    sup1[:, 1:-1] = -r2 - 4.0 * r4
-    sub2[:, 2:-1] = r4
-    sup2[:, 1:-2] = r4
+def _assemble_uniform(n: int, h: float, dt: float, eps: float) -> np.ndarray:
+    """Pentadiagonal rows of I - dt (D2 - 2 eps D4) on a uniform grid."""
+    r2 = dt / h**2
+    r4 = 2.0 * eps * dt / h**4
+    diags = np.zeros((5, n + 1))
+    sub2, sub1, main, sup1, sup2 = diags
+    main[1:-1] = 1.0 + 2.0 * r2 + 6.0 * r4
+    sub1[1:-1] = -r2 - 4.0 * r4
+    sup1[1:-1] = -r2 - 4.0 * r4
+    sub2[2:-1] = r4
+    sup2[1:-2] = r4
     # point-reflection ghost folded into the rows next to the boundary
-    main[:, 1:2] = 1.0 + 2.0 * r2 + 5.0 * r4
-    sub1[:, 1:2] = -r2 - 2.0 * r4
-    main[:, -2:-1] = 1.0 + 2.0 * r2 + 5.0 * r4
-    sup1[:, -2:-1] = -r2 - 2.0 * r4
-    main[:, 0] = 1.0
-    main[:, -1] = 1.0
+    main[1] = 1.0 + 2.0 * r2 + 5.0 * r4
+    sub1[1] = -r2 - 2.0 * r4
+    main[-2] = 1.0 + 2.0 * r2 + 5.0 * r4
+    sup1[-2] = -r2 - 2.0 * r4
+    main[0] = 1.0
+    main[-1] = 1.0
     return diags
 
 
@@ -284,36 +283,27 @@ def solve_banded(diags: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve the pentadiagonal system `diags` x = rhs, refined once; with a
     first axis on both, each system of the stack.
 
-    One banded LU factorization (dgbtrf) serves the solve and the round of
-    iterative refinement: the arithmetic of two `scipy.linalg.solve_banded`
-    calls, with one factorization fewer. A stack is one block-diagonal band,
-    each block followed by kl + ku = 4 identity rows with right-hand side
-    +0.0, so elimination adds to a block only -0.0 (the zeros between blocks
-    times those rows) and each system keeps its bits, a zero's sign included.
-    A non-finite right-hand side, whose NaN would cross the blocks, is solved
-    a system at a time. Raises SolverFailure when a matrix is singular.
+    One banded LU factorization (dgbtrf) per system serves the solve and
+    the round of iterative refinement: the arithmetic of two
+    `scipy.linalg.solve_banded` calls, with one factorization fewer.
+    Raises SolverFailure when a matrix is singular.
     """
     if diags.ndim == 2:
         return solve_banded(diags[None], rhs[None])[0]
-    rows, n1 = rhs.shape[:2]
-    if rows > 1 and not np.isfinite(np.add.reduce(rhs, axis=None)):
-        return stack_nodes(np.concatenate([solve_banded(d, b) for d, b in zip(diags, rhs)]), rows, n1)
-    # LAPACK band storage, fill-in rows first, of the padded blocks: (7, rows * (n1 + 4))
-    band = np.zeros((rows, n1 + 4, 7))
-    band[:, 2:n1, 2] = diags[:, 4, :-2]
-    band[:, 1:n1, 3] = diags[:, 3, :-1]
-    band[:, :n1, 4] = diags[:, 2]
-    band[:, n1:, 4] = 1.0
-    band[:, : n1 - 1, 5] = diags[:, 1, 1:]
-    band[:, : n1 - 2, 6] = diags[:, 0, 2:]
-    lu, piv, info = lapack().dgbtrf(band.reshape(-1, 7).T, 2, 2, overwrite_ab=True)
-    if info > 0:
+    dgbtrf, dgbtrs = lapack().dgbtrf, lapack().dgbtrs
+    # LAPACK band storage with two extra rows for the pivoting fill-in
+    ab = np.zeros((len(diags), 7, diags.shape[-1]))
+    ab[:, 2, 2:] = diags[:, 4, :-2]
+    ab[:, 3, 1:] = diags[:, 3, :-1]
+    ab[:, 4] = diags[:, 2]
+    ab[:, 5, :-1] = diags[:, 1, 1:]
+    ab[:, 6, :-2] = diags[:, 0, 2:]
+    factors = [dgbtrf(a, 2, 2, overwrite_ab=True) for a in ab]
+    if any(info > 0 for _, _, info in factors):
         raise SolverFailure("singular implicit matrix")
-    b = np.zeros((rows, n1 + 4, 2))
-    b[:, :n1] = rhs
-    x = stack_nodes(lapack().dgbtrs(lu, 2, 2, b.reshape(-1, 2), piv)[0], rows, n1)
-    b[:, :n1] = rhs - _band_matvec(diags, x)
-    return x + stack_nodes(lapack().dgbtrs(lu, 2, 2, b.reshape(-1, 2), piv)[0], rows, n1)
+    x = stack_nodes([dgbtrs(lu, 2, 2, b, piv)[0] for (lu, piv, _), b in zip(factors, rhs)])
+    resid = rhs - _band_matvec(diags, x)
+    return x + stack_nodes([dgbtrs(lu, 2, 2, b, piv)[0] for (lu, piv, _), b in zip(factors, resid)])
 
 
 def _amax(x: np.ndarray) -> np.ndarray:
@@ -331,7 +321,7 @@ def _advance(geo: GeometryCache, eps: list, config: FlowConfig, time: float) -> 
     """
     nodes, dt = geo.nodes, config.dt
     count = len(eps)
-    diags = _assemble_uniform(nodes.shape[1] - 1, geo.uniform_h, dt, eps)
+    diags = np.array([_assemble_uniform(nodes.shape[1] - 1, h, dt, e) for h, e in zip(geo.uniform_h, eps)])
     rhs = nodes.copy(order="K")
     # rows with eps = 0 skip the explicit term, whose +0.0 would turn a -0.0
     # coordinate into +0.0

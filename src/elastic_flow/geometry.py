@@ -221,11 +221,11 @@ def _norm(v: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add(v[..., 0], v[..., 1], order="C"))
 
 
-def stack_nodes(x: np.ndarray, rows: int, size: int) -> np.ndarray:
-    """The first `size` of each of the `rows` blocks of LAPACK's (rows·m, 2)
-    solution as a (rows, size, 2) stack, stored coordinate by coordinate, so
-    that operations along the nodes run over contiguous memory."""
-    return np.ascontiguousarray(x.T.reshape(2, rows, -1)[..., :size].transpose(1, 0, 2)).transpose(0, 2, 1)
+def stack_nodes(arrays) -> np.ndarray:
+    """The (n+1, 2) arrays as one (rows, n+1, 2) stack, stored coordinate
+    by coordinate, so that operations along the nodes run over contiguous
+    memory."""
+    return np.array([x.T for x in arrays]).transpose(0, 2, 1)
 
 
 def chord_lengths(nodes: np.ndarray) -> np.ndarray:
@@ -303,9 +303,13 @@ def lapack():
     later `import scipy.linalg` finds the module registered and reuses it."""
     name = "scipy.linalg._flapack"
     if name not in sys.modules:
-        folder = os.path.join(util.find_spec("scipy").submodule_search_locations[0], "linalg")
+        scipy = util.find_spec("scipy")
         loader = machinery.ExtensionFileLoader, machinery.EXTENSION_SUFFIXES
-        spec = machinery.FileFinder(folder, loader).find_spec(name)
+        spec = scipy and machinery.FileFinder(
+            os.path.join(scipy.submodule_search_locations[0], "linalg"), loader
+        ).find_spec(name)
+        if spec is None:
+            raise ImportError(f"cannot find {name}: SciPy is missing or lays out its files differently", name=name)
         sys.modules[name] = util.module_from_spec(spec)
         spec.loader.exec_module(sys.modules[name])
     return sys.modules[name]
@@ -316,6 +320,7 @@ def _not_a_knot_spline(u: np.ndarray, y: np.ndarray):
     knots `u` (rows, m), as a function `spline(tau, rows)` of the parameters
     `tau` of the curves `rows`. Each row repeats the arithmetic of scipy's
     `CubicSpline(u, y, bc_type="not-a-knot")`, so its values are the same bits."""
+    dgtsv = lapack().dgtsv
     count, size = u.shape
     dx = u[:, 1:] - u[:, :-1]
     dxr = dx[..., None]
@@ -330,14 +335,9 @@ def _not_a_knot_spline(u: np.ndarray, y: np.ndarray):
     rhs[:, 1:-1] = 3 * (dxr[:, 1:] * slope[:, :-1] + dxr[:, :-1] * slope[:, 1:])
     rhs[:, 0] = ((dxr[:, 0] + 2 * d) * dxr[:, 1] * slope[:, 0] + dxr[:, 0] ** 2 * slope[:, 1]) / d
     rhs[:, -1] = (dxr[:, -1] ** 2 * slope[:, -2] + (2 * e + dxr[:, -1]) * dxr[:, -2] * slope[:, -1]) / e
-    # all rows as one system, joined by zeros, which keep each row's values
-    lower = np.concatenate([dx[:, 1:], e, np.zeros_like(e)], axis=-1)
-    upper = np.concatenate([d, dx[:, :-1], np.zeros_like(d)], axis=-1)
-    *_, m, info = lapack().dgtsv(lower.ravel()[:-1], diag.ravel(), upper.ravel()[:-1], rhs.reshape(-1, 2))
-    if info or not np.isfinite(np.add.reduce(m, axis=None)):
-        # a zero pivot stops gtsv and NaN crosses the joins: rows one at a time
-        m = np.concatenate([lapack().dgtsv(*row)[3] for row in zip(lower[:, :-1], diag, upper[:, :-1], rhs)])
-    m = stack_nodes(m, count, size)
+    lower = np.concatenate([dx[:, 1:], e], axis=-1)
+    upper = np.concatenate([d, dx[:, :-1]], axis=-1)
+    m = stack_nodes([dgtsv(*bands, 1, 1, 1, 1)[3] for bands in zip(lower, diag, upper, rhs)])
     t = (m[:, :-1] + m[:, 1:] - 2 * slope) / dxr
     # the power coefficients c0..c3 of each interval, by coordinate, with
     # the intervals of all rows along the last axis; and their left knots

@@ -297,3 +297,17 @@ def test_lapack_routines_are_scipy_linalg_lapack_objects(scipy_first):
     if scipy_first:
         code = "import scipy.linalg\n" + code
     assert "scipy.linalg" in _scipy_modules_after(code)
+
+
+@pytest.mark.parametrize("hide", [
+    "importlib.util.find_spec = lambda name: None",  # no SciPy
+    "importlib.machinery.EXTENSION_SUFFIXES = []",  # no extension file found
+], ids=["no_scipy", "no_file"])
+def test_missing_lapack_wrappers_name_the_module(hide):
+    code = (
+        "import importlib.machinery, importlib.util\nfrom elastic_flow.geometry import lapack\n"
+        f"{hide}\n"
+        "try:\n    lapack()\nexcept ImportError as exc:\n    assert 'scipy.linalg._flapack' in str(exc)\n"
+        "else:\n    raise AssertionError('no ImportError')\n"
+    )
+    assert _scipy_modules_after(code) == []

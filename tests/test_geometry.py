@@ -307,7 +307,7 @@ class TestNotAKnotSpline:
         u = np.concatenate([[0.0], np.cumsum(seg)]) / seg.sum()
         y = np.column_stack([np.cos(3.0 * u), rng.normal(size=n + 1)])
         # a stack of this curve, a second one on uniform knots and a third on
-        # knots clustered at the start, solved as one tridiagonal system
+        # knots clustered at the start
         knots = np.stack([u, np.linspace(0.0, 1.0, n + 1), u**2])
         ys = np.stack([y, y[::-1], np.column_stack([np.sin(5.0 * u), -2.0 * y[:, 1]])])
         spline = _not_a_knot_spline(knots, ys)
@@ -320,8 +320,8 @@ class TestNotAKnotSpline:
 
     @pytest.mark.parametrize("at", [1, 40])
     def test_repeated_knot_stays_in_its_row(self, at):
-        # at knot 1 the shared tridiagonal solve meets a zero pivot, at knot
-        # 40 a NaN slope; either would reach the other rows
+        # a repeated knot gives its row a zero pivot (knot 1) or a NaN slope
+        # (knot 40); the other rows' splines are the ones they get alone
         from elastic_flow.geometry import _not_a_knot_spline
 
         rng = np.random.default_rng(5)

@@ -262,7 +262,7 @@ class TestImplicitMatrixAssembly:
         from elastic_flow.flow import _assemble_uniform
 
         s = np.linspace(0.0, 1.5, n + 1)
-        got = _assemble_uniform(n, [1.5 / n], 1e-4, [eps])[0]
+        got = _assemble_uniform(n, 1.5 / n, 1e-4, eps)
         ref = _rowwise_assembly(s, 1e-4, eps)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
