@@ -7,7 +7,7 @@ import sys
 
 from . import iotools
 from .convergence import SweepConfig, run_sweep
-from .errors import ConfigError, CurveError, IoError
+from .errors import ConfigError, CurveError, IoError, WindowMismatch
 from .flow import FlowConfig, run
 from .geometry import make_initial_curve
 
@@ -100,7 +100,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, CurveError, IoError) as exc:
+    except (ConfigError, CurveError, IoError, WindowMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -17,7 +17,7 @@ import numpy as np
 from . import stencils
 from .errors import ConfigError, WindowMismatch
 from .flow import FlowConfig, Terminated, Trajectory, run_batch
-from .geometry import DiscreteCurve
+from .geometry import DiscreteCurve, _not_a_knot_spline
 
 
 @dataclass(frozen=True)
@@ -86,10 +86,8 @@ def _param_derivative(values: np.ndarray, order: int) -> np.ndarray:
 def _resample(nodes: np.ndarray, n_target: int) -> np.ndarray:
     if nodes.shape[0] - 1 == n_target:
         return nodes
-    from scipy.interpolate import CubicSpline
-
-    x = np.linspace(0.0, 1.0, nodes.shape[0])
-    return CubicSpline(x, nodes, axis=0)(np.linspace(0.0, 1.0, n_target + 1))
+    spline = _not_a_knot_spline(np.linspace(0.0, 1.0, nodes.shape[0])[None], nodes[None])
+    return spline(np.linspace(0.0, 1.0, n_target + 1)[None], np.zeros(1, dtype=int))[0]
 
 
 def _common_snapshots(a: Trajectory, b: Trajectory, window):
@@ -156,16 +154,23 @@ def run_sweep(initial: DiscreteCurve, config: SweepConfig) -> ConvergenceReport:
     Distances of every row are measured against the same reference
     trajectory on [delta, t_end]. Rows whose run terminated early are
     flagged in `failed_rows` and carry NaN distances instead of aborting
-    the sweep. All rows step together as one stack of curves (`run_batch`)
-    on the calling thread, each with the bits it gets run alone: on a
-    2-core Intel Xeon `sweep configs/sweep.cfg` takes 3.5 s end to end,
-    against 8.5 s with the rows run one after another (medians of 10 runs).
+    the sweep; a reference that ends early leaves nothing to measure
+    against and raises WindowMismatch. All rows step together as one
+    stack of curves (`run_batch`) on the calling thread, each with the
+    bits it gets run alone: on a 2-core Intel Xeon `sweep configs/sweep.cfg`
+    takes 3.5 s end to end, against 8.5 s with the rows run one after
+    another (medians of 10 runs).
     """
     times = list(config.snapshot_times)
     window = (max(config.delta, times[0]), config.base.t_end)
     reference, *rows = run_batch(
         initial, [replace(config.base, epsilon=eps) for eps in (0.0, *config.epsilons)], snapshot_times=times
     )
+    if reference.terminated_by is not Terminated.REACHED_T_END:
+        raise WindowMismatch(
+            f"the epsilon = 0 reference ended with {reference.terminated_by.value} "
+            f"at t = {reference.event_time:.6g}, before t_end = {config.base.t_end:.6g}"
+        )
 
     n_eps = len(config.epsilons)
     distances = np.full((n_eps, config.k_max + 1), np.nan)

@@ -36,6 +36,7 @@ from .estimates import DIAGNOSTICS, endpoint_residuals, energies
 from .geometry import (
     DiscreteCurve,
     GeometryCache,
+    _not_a_knot_spline,
     chord_lengths,
     compute_geometry,
     curve_failures,
@@ -231,15 +232,16 @@ def curvature_rate_consistency(traj: "Trajectory", t: float, interior: int = 4) 
     moves) and compares with the predicted rate at time t. The trajectory
     must hold snapshots at t - dt, t, t + dt.
     """
-    from scipy.interpolate import CubicSpline
-
     dt = traj.config.dt
     before = traj.state_at(t - dt)
     state = traj.state_at(t)
     after = traj.state_at(t + dt)
     s_grid = state.cache.s[interior:-interior]
-    k_before = CubicSpline(before.cache.s, before.cache.kappa)(s_grid)
-    k_after = CubicSpline(after.cache.s, after.cache.kappa)(s_grid)
+    # the two neighbours as a stack of two one-column splines
+    spline = _not_a_knot_spline(
+        np.stack([before.cache.s, after.cache.s]), np.stack([before.cache.kappa, after.cache.kappa])[..., None]
+    )
+    k_before, k_after = spline(np.stack([s_grid, s_grid]), np.arange(2))[..., 0]
     measured = (k_after - k_before) / (2.0 * dt)
     predicted = curvature_evolution_rhs(state)[interior:-interior]
     return float(np.max(np.abs(measured - predicted)))

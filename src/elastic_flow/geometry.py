@@ -316,12 +316,12 @@ def lapack():
 
 
 def _not_a_knot_spline(u: np.ndarray, y: np.ndarray):
-    """Not-a-knot cubic splines through the stack `y` (rows, m, 2) at the
+    """Not-a-knot cubic splines through the stack `y` (rows, m, width) at the
     knots `u` (rows, m), as a function `spline(tau, rows)` of the parameters
     `tau` of the curves `rows`. Each row repeats the arithmetic of scipy's
     `CubicSpline(u, y, bc_type="not-a-knot")`, so its values are the same bits."""
     dgtsv = lapack().dgtsv
-    count, size = u.shape
+    count, size, width = y.shape
     dx = u[:, 1:] - u[:, :-1]
     dxr = dx[..., None]
     slope = (y[:, 1:] - y[:, :-1]) / dxr
@@ -341,12 +341,12 @@ def _not_a_knot_spline(u: np.ndarray, y: np.ndarray):
     t = (m[:, :-1] + m[:, 1:] - 2 * slope) / dxr
     # the power coefficients c0..c3 of each interval, by coordinate, with
     # the intervals of all rows along the last axis; and their left knots
-    coef = np.empty((4, 2, count, size - 1))
+    coef = np.empty((4, width, count, size - 1))
     np.divide(t, dxr, out=coef[0].transpose(1, 2, 0))
     np.subtract((slope - m[:, :-1]) / dxr, t, out=coef[1].transpose(1, 2, 0))
     coef[2] = m[:, :-1].transpose(2, 0, 1)
     coef[3] = y[:, :-1].transpose(2, 0, 1)
-    coef = coef.reshape(4, 2, -1)
+    coef = coef.reshape(4, width, -1)
     left = u[:, :-1].reshape(-1)
     inner = u[:, 1:-1]
 

@@ -4,8 +4,8 @@ The default right-hand side is the calibrated power law
 Z(p) = C (p^5 + p^3 + p^2); test laws can be injected for oracle checks
 and must accept numpy arrays. The law is autonomous with Z > 0, so the time
 at which g reaches a level is the integral of 1/Z from g0 to that level:
-solutions are 8-point Gauss-Legendre sums on geometric nodes (Golub & Welsch,
-Math. Comp. 23, 1969), and doubling times are one adaptive quadrature each.
+solutions, doubling times and blow-up tails are all 8-point Gauss-Legendre
+sums on geometric panels (Golub & Welsch, Math. Comp. 23, 1969).
 """
 
 from __future__ import annotations
@@ -21,6 +21,10 @@ from .errors import OutOfDomain
 BLOWUP_CAP = 1e12
 
 NODE_RATIO = 1.02  # g_{i+1} / g_i of the quadrature nodes
+# the blow-up tail over x = a / p runs on the panels [2^-(j+1), 2^-j] for
+# j below this count; a law growing like p^k leaves out a share
+# 2^(-64 (k - 1)) of it, below 1e-19 for k >= 2
+TAIL_PANELS = 64
 # 8-point Gauss-Legendre rule on [-1, 1], numpy's leggauss(8) written out:
 # computing it at import would cost every command the eigensolver's memory
 _GL_NODES = np.array([0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362])
@@ -57,7 +61,7 @@ class GronwallSolution:
     (t_i, g_i); the derivative at every node equals Z(g_i) exactly by
     construction.
     `blow_up_time` is finite when the solution crossed the cap, in which case
-    it includes the analytic tail integral of 1/Z beyond the cap.
+    it includes the tail integral of 1/Z beyond the last node.
     """
 
     def __init__(self, ts, gs, fs, blow_up_time, law):
@@ -91,18 +95,6 @@ class GronwallSolution:
         )
         return out if np.ndim(t) else float(out[0])
 
-    def inverse(self, level: float) -> float:
-        """The time at which g reaches `level`: t_k plus the integral of 1/Z from g_k."""
-        if level < self.gs[0] * (1 - 1e-12) or level > self.gs[-1] * (1 + 1e-12):
-            raise OutOfDomain(
-                f"level {level:.6g} outside computed range "
-                f"[{self.gs[0]:.6g}, {self.gs[-1]:.6g}]"
-            )
-        if level <= self.gs[0]:
-            return 0.0
-        k = min(int(np.searchsorted(self.gs, level)) - 1, self.gs.size - 2)
-        return float(self.ts[k] + _integral(self.law, self.gs[k], level))
-
 
 def _integral(Z, a, b):
     """8-point Gauss-Legendre sums of 1/Z over the intervals [a, b], elementwise."""
@@ -127,10 +119,6 @@ def gronwall_solve(
     time is the time of the last node plus the tail integral of 1/Z from
     there upward.
     """
-    # imported on use: commands that never solve the law skip their load time
-    from scipy.integrate import quad
-    from scipy.optimize import brentq
-
     Z = law if law is not None else setup.law()
     g0, t_max = float(setup.g0), setup.t_max_query
     if not Z(g0) > 0.0:
@@ -142,15 +130,16 @@ def gronwall_solve(
     ts = np.concatenate(([0.0], np.cumsum(_integral(Z, gs[:-1], gs[1:]))))
     blow_up = None
     if ts[-1] > t_max:
-        # end at t_max inside the interval [t_k, t_{k+1}] that holds it; the
-        # bracket reaches one ratio past g_{k+1} so that rounding in t_{k+1}
-        # cannot leave the root outside it
+        # end at t_max inside the interval [t_k, t_{k+1}] that holds it, by
+        # bisection; the bracket reaches one ratio past g_{k+1} so that
+        # rounding in t_{k+1} cannot leave the root outside it
         k = int(np.searchsorted(ts, t_max, side="left")) - 1
         rest = t_max - ts[k]
-        g_end = brentq(
-            lambda g: float(_integral(Z, gs[k], g)) - rest,
-            gs[k], gs[k + 1] * NODE_RATIO, xtol=1e-15 * gs[k],
-        )
+        lo, hi = gs[k], gs[k + 1] * NODE_RATIO
+        while hi - lo > 1e-15 * gs[k]:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if _integral(Z, gs[k], mid) < rest else (lo, mid)
+        g_end = 0.5 * (lo + hi)
         ts = np.append(ts[: k + 1], t_max)
         gs = np.append(gs[: k + 1], g_end)
     else:
@@ -160,12 +149,12 @@ def gronwall_solve(
         stalled = np.flatnonzero(np.diff(ts) <= 1e-10 * ts[:-1])
         if stalled.size:
             ts, gs = ts[: stalled[0] + 1], gs[: stalled[0] + 1]
-        # the tail integral of 1/Z from a = g_end up, over x = a / p in (0, 1]
-        # and scaled to order one: quad's absolute tolerance (1.5e-8) would
-        # swallow a tail of that size
-        a, za = gs[-1], Z(gs[-1])
-        tail = a / za * quad(lambda x: za / (x * x * Z(a / x)), 0.0, 1.0, limit=200)[0]
-        blow_up = float(ts[-1]) + tail
+        # the tail integral of 1/Z from a = g_end up, over x = a / p in (0, 1]:
+        # the integrand a / (x^2 Z(a / x)) of a power law is a power of x
+        a = gs[-1]
+        edges = 0.5 ** np.arange(TAIL_PANELS + 1)
+        tail = np.sum(_integral(lambda x: x * x * Z(a / x) / a, edges[1:], edges[:-1]))
+        blow_up = float(ts[-1] + tail)
     return GronwallSolution(ts, gs, Z(gs), blow_up, Z)
 
 
@@ -180,14 +169,17 @@ def doubling_time(
     for s below g0 it is the doubling time of the solution restarted from s,
     and for s at or above g0 it equals g^{-1}(2s) - g^{-1}(s).
     """
-    from scipy.integrate import quad
-
     if not s > 0.0:
         raise ValueError("level s must be positive")
     Z = law if law is not None else setup.law()
     if 2.0 * s > BLOWUP_CAP:
         raise OutOfDomain("level 2s beyond the blow-up guard")
-    theta = quad(lambda p: 1.0 / Z(p), s, 2.0 * s)[0] if Z(s) > 0.0 else math.inf
+    theta = math.inf
+    if Z(s) > 0.0:
+        # panels of ratio 2^(1/count) <= NODE_RATIO from s to 2s
+        count = math.ceil(math.log(2.0) / math.log(NODE_RATIO))
+        edges = s * 2.0 ** (np.arange(count + 1) / count)
+        theta = float(np.sum(_integral(Z, edges[:-1], edges[1:])))
     if theta > setup.t_max_query:
         raise OutOfDomain("level 2s not reached within t_max_query")
     if not theta > 0.0:

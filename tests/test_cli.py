@@ -1,3 +1,4 @@
+import ast
 import io
 import os
 import subprocess
@@ -41,6 +42,22 @@ family = flattened_sine
 amplitude = 0.05
 """
 
+# the eps = 0 reference fails its first redistribution (reparam_failure at
+# t = 0.03) while the rungs 1.0, 0.5 and 0.1 reach t_end
+FAILED_REFERENCE_CFG = """
+[flow]
+n = 64
+dt = 0.03
+t_end = 1.2
+
+[sweep]
+epsilons = 1.0, 0.5, 0.1, 0.01
+delta = 0
+
+[initial]
+family = arc_with_flat_ends
+turn_angle = 12
+"""
 
 # 200 steps: three full record blocks and a partial fourth
 LONG_CFG = SIMULATE_CFG.replace("dt = 1e-3", "dt = 1e-4").replace("t_end = 0.01", "t_end = 0.02")
@@ -206,6 +223,14 @@ class TestSweep:
         assert capsys.readouterr().err.startswith("error: cannot create")
         assert steps == []
 
+    def test_failed_reference_is_refused(self, tmp_path, cfg_file, capsys):
+        out = tmp_path / "out"
+        assert main(["sweep", "-c", cfg_file(FAILED_REFERENCE_CFG), "-o", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: the epsilon = 0 reference ended with reparam_failure at t = 0.03, before t_end = 1.2\n"
+        )
+        assert os.listdir(out) == []
+
 
 class TestVerify:
     def test_filtered_verify_passes_and_writes_report(self, tmp_path, capsys):
@@ -260,12 +285,14 @@ def test_start_up_imports_no_scipy():
     assert _scipy_modules_after("import elastic_flow.cli, elastic_flow.acceptance") == []
 
 
+_VERIFY = (
+    "from contextlib import redirect_stdout\nimport io\nfrom elastic_flow.cli import main\n"
+    "with redirect_stdout(io.StringIO()):\n    assert main(['verify', '--filter', '{}', '--seed', '0']) == 0\n"
+)
+
+
 def test_gn_verification_loads_no_scipy():
-    code = (
-        "from contextlib import redirect_stdout\nimport io\nfrom elastic_flow.cli import main\n"
-        "with redirect_stdout(io.StringIO()):\n    assert main(['verify', '--filter', 'gn', '--seed', '0']) == 0"
-    )
-    assert _scipy_modules_after(code) == []
+    assert _scipy_modules_after(_VERIFY.format("gn")) == []
 
 
 _SHORT_RUN = (
@@ -280,9 +307,35 @@ _SHORT_RUN = (
     "from elastic_flow import FlowConfig, SweepConfig, make_initial_curve, run_sweep\n"
     "curve = make_initial_curve('flattened_sine', 64, amplitude=0.05)\n"
     "run_sweep(curve, SweepConfig((0.2, 0.1), FlowConfig(n=64, dt=1e-3, t_end=3e-3), k_max=0))\n",
-], ids=["run", "run_sweep"])
+    _VERIFY.format("quick"),
+    _VERIFY.format("gronwall"),
+    "from elastic_flow import FlowConfig, make_initial_curve, run\nfrom elastic_flow.flow import curvature_rate_consistency\n"
+    "curve = make_initial_curve('flattened_sine', 64, amplitude=0.05)\n"
+    "traj = run(curve, FlowConfig(epsilon=0.1, n=64, dt=1e-3, t_end=3e-3), snapshot_stride=1)\n"
+    "curvature_rate_consistency(traj, 2e-3)\n",
+    "from elastic_flow import FlowConfig, make_initial_curve, run\nfrom elastic_flow.convergence import ck_distance\n"
+    "a, b = (run(make_initial_curve('segment', n), FlowConfig(n=n, dt=1e-3, t_end=3e-3)) for n in (32, 48))\n"
+    "ck_distance(a, b, 1, (0.0, 3e-3))\n",
+], ids=["run", "run_sweep", "verify_quick", "verify_gronwall", "curvature_rate", "ck_distance_resampled"])
 def test_stepping_loads_only_the_lapack_wrappers(code):
     assert _scipy_modules_after(code) == ["scipy.linalg._flapack"]
+
+
+def test_no_module_imports_scipy():
+    # SciPy is reached only through geometry.lapack, which loads the LAPACK
+    # wrappers from their file
+    package = Path(geometry.__file__).parent
+    found = []
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}: {name}" for name in names if name.split(".")[0] == "scipy"]
+    assert found == []
 
 
 @pytest.mark.parametrize("scipy_first", [True, False])

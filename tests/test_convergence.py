@@ -7,6 +7,7 @@ import pytest
 from elastic_flow import ConfigError, WindowMismatch, make_initial_curve
 from elastic_flow.convergence import (
     SweepConfig,
+    _resample,
     ck_distance,
     run_sweep,
     singularity_time_estimate,
@@ -69,6 +70,16 @@ class TestCkDistance:
         window = (0.005, 0.01)
         dists = [ck_distance(a, b, k, window) for k in range(3)]
         assert dists[0] <= dists[1] <= dists[2]
+
+    @pytest.mark.parametrize("n_target", [32, 63])
+    def test_resample_equals_scipy_cubic_spline_bit_for_bit(self, n_target):
+        from scipy.interpolate import CubicSpline
+
+        rng = np.random.default_rng(4)
+        nodes = make_initial_curve("flattened_sine", 96, amplitude=0.05).nodes
+        nodes = nodes + rng.normal(scale=1e-3, size=nodes.shape)
+        want = CubicSpline(np.linspace(0.0, 1.0, 97), nodes, axis=0)(np.linspace(0.0, 1.0, n_target + 1))
+        assert _bits(_resample(nodes, n_target)).tobytes() == _bits(want).tobytes()
 
     def test_window_mismatch_raises(self):
         a = short_run(t_end=0.01)

@@ -22,6 +22,7 @@ from elastic_flow.flow import (
     FlowState,
     Terminated,
     curvature_evolution_rhs,
+    curvature_rate_consistency,
     normal_velocity,
     run,
     step,
@@ -713,6 +714,22 @@ class TestSink:
         stored = self.assert_sink_matches_states(tmp_path, batch)
         reasons = [traj.terminated_by for traj in stored]
         assert reasons == [Terminated.SINGULARITY_DETECTED, Terminated.REACHED_T_END]
+
+
+def test_curvature_rate_consistency_resamples_as_scipy_cubic_spline():
+    # the same bits as interpolating each neighbour's curvature with
+    # CubicSpline, as criterion 7 did
+    from scipy.interpolate import CubicSpline
+
+    cfg = FlowConfig(epsilon=0.1, n=64, dt=1e-4, t_end=3e-4)
+    traj = run(make_initial_curve("flattened_sine", 64, amplitude=0.05), cfg, snapshot_stride=1)
+    before, state, after = (traj.state_at(t) for t in (1e-4, 2e-4, 3e-4))
+    s_grid = state.cache.s[4:-4]
+    measured = (
+        CubicSpline(after.cache.s, after.cache.kappa)(s_grid) - CubicSpline(before.cache.s, before.cache.kappa)(s_grid)
+    ) / (2.0 * cfg.dt)
+    want = float(np.max(np.abs(measured - curvature_evolution_rhs(state)[4:-4])))
+    assert curvature_rate_consistency(traj, 2e-4) == want
 
 
 class TestEndpointTangentialIdentity:

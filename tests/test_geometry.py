@@ -318,6 +318,27 @@ class TestNotAKnotSpline:
                 got = spline(np.atleast_1d(tau)[None], np.array([row]))[0]
                 assert np.array_equal(got.reshape(want.shape), want)
 
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_any_width_equals_scipy_cubic_spline_bit_for_bit(self, width):
+        # width 1 as criterion 7 resamples curvature along arclength, against
+        # the 1-D CubicSpline; width 2 as a curve's nodes, along axis 0
+        from scipy.interpolate import CubicSpline
+
+        from elastic_flow.geometry import _not_a_knot_spline
+
+        rng = np.random.default_rng(13)
+        n = 80
+        knots = np.cumsum(np.concatenate([np.zeros((2, 1)), rng.uniform(0.5, 1.5, (2, n))], axis=1), axis=1)
+        ys = np.stack([np.sin(3.0 * knots[0]), rng.normal(size=n + 1)])
+        ys = ys[..., None] if width == 1 else np.stack([ys, ys[:, ::-1] ** 3], axis=-1)
+        tau = np.stack([np.concatenate([k[[0, -1]], np.sort(rng.uniform(k[0], k[-1], 95))]) for k in knots])
+        got = _not_a_knot_spline(knots, ys)(tau, np.arange(2))
+        assert got.shape == (2, 97, width)
+        for row in (0, 1):
+            y = ys[row, :, 0] if width == 1 else ys[row]
+            want = CubicSpline(knots[row], y, axis=0, bc_type="not-a-knot")(tau[row])
+            assert _bits(got[row].reshape(want.shape)) == _bits(want)
+
     @pytest.mark.parametrize("at", [1, 40])
     def test_repeated_knot_stays_in_its_row(self, at):
         # a repeated knot gives its row a zero pivot (knot 1) or a NaN slope

@@ -15,6 +15,12 @@ from elastic_flow.gronwall import (
 )
 
 
+def _inverse(sol, level):
+    """The time at which `sol` reaches `level`: t_k plus the integral of 1/Z from g_k."""
+    k = int(np.clip(np.searchsorted(sol.gs, level) - 1, 0, sol.gs.size - 2))
+    return float(sol.ts[k] + gronwall._integral(sol.law, sol.gs[k], level))
+
+
 class TestGronwallSolve:
     def test_exponential_law_closed_form(self):
         # Z(p) = p: g(t) = g0 exp(t)
@@ -50,7 +56,7 @@ class TestGronwallSolve:
         # end before their Hermite intervals get that narrow
         sol = gronwall_solve(GronwallSetup(g0=0.3, coeff_C=1.5, t_max_query=10.0))
         levels = np.geomspace(sol.gs[0], sol.gs[-1], 400)
-        err = max(abs(sol(sol.inverse(g)) - g) / g for g in levels)
+        err = max(abs(sol(_inverse(sol, g)) - g) / g for g in levels)
         assert err <= 1e-6
 
     def test_default_law_blows_up(self):
@@ -96,8 +102,6 @@ class TestGronwallSolve:
         sol = gronwall_solve(setup, law=lambda p: p)
         with pytest.raises(OutOfDomain):
             sol(2.0)
-        with pytest.raises(OutOfDomain):
-            sol.inverse(100.0)
 
 
 class TestDoublingTime:
@@ -149,6 +153,35 @@ class TestDoublingTime:
             ts = np.linspace(T, upper, 64)
             # blow-up sensitivity magnifies the integrator tolerance
             assert np.all(np.asarray(sol(ts)) <= 2.0 * level * (1.0 + 1e-4))
+
+
+def _quad_of_inverse_law(law, lo, hi):
+    from scipy.integrate import quad
+
+    return quad(lambda p: 1.0 / law(p), lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+
+_LAWS = st.sampled_from([2, 3, 5, "default"])
+
+
+class TestAgainstScipyQuad:
+    # the k = 2, 3, 5 power laws C p^k and the default law, over the g0 and
+    # C ranges of criterion 9's random draws
+    @settings(max_examples=40, deadline=None)
+    @given(k=_LAWS, g0=st.floats(0.05, 2.0), coeff=st.floats(0.2, 3.0))
+    def test_doubling_time(self, k, g0, coeff):
+        setup = GronwallSetup(g0=g0, coeff_C=coeff, t_max_query=1e9)
+        law = setup.law() if k == "default" else (lambda p: coeff * p**k)
+        want = _quad_of_inverse_law(law, g0, 2.0 * g0)
+        assert doubling_time(setup, g0, law=law) == pytest.approx(want, rel=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(k=_LAWS, g0=st.floats(0.05, 2.0), coeff=st.floats(0.2, 3.0))
+    def test_blow_up_time(self, k, g0, coeff):
+        setup = GronwallSetup(g0=g0, coeff_C=coeff, t_max_query=1e9)
+        law = setup.law() if k == "default" else (lambda p: coeff * p**k)
+        want = _quad_of_inverse_law(law, g0, math.inf)
+        assert gronwall_solve(setup, law=law).blow_up_time == pytest.approx(want, rel=1e-12)
 
 
 class TestComparisonMargin:
