@@ -1,10 +1,11 @@
 """The verification suite.
 
-Each criterion is a named, taggable check returning pass/fail plus a
-deterministic detail string (no wall-clock values are ever printed, so
-reports are byte-identical for a fixed seed). Expensive evolution runs are
-shared between criteria through a module-level cache; they contain no
-randomness, so caching does not weaken the determinism check.
+Each criterion is a check returning pass/fail plus a deterministic detail
+string (no wall-clock values are ever printed, so reports are
+byte-identical for a fixed seed); `CRITERIA` names and tags it. Expensive
+evolution runs are shared between criteria through a module-level cache;
+they contain no randomness, so caching does not weaken the determinism
+check.
 
 The one exception is the budget verdict of criteria 1, 8 and 11: the words
 "within" / "over" and the pass/fail that follows from them come from the
@@ -54,7 +55,6 @@ AMPLITUDE = 0.05  # benchmark arch height
 @dataclass
 class CriterionResult:
     name: str
-    tags: tuple[str, ...]
     passed: bool
     detail: str
 
@@ -99,7 +99,7 @@ def _budget(traj) -> float:
 
 # --- criteria -------------------------------------------------------------
 
-def crit_stationarity(seed: int) -> CriterionResult:
+def crit_stationarity(seed: int) -> tuple[bool, str]:
     t0 = time.perf_counter()
     worst = 0.0
     ok = True
@@ -115,10 +115,10 @@ def crit_stationarity(seed: int) -> CriterionResult:
     ok &= worst <= 1e-10
     in_budget = elapsed < 5.0
     detail = f"max node displacement {worst:.3e}; runtime {'within' if in_budget else 'over'} 5 s budget"
-    return CriterionResult("stationarity", ("flow", "quick"), ok and in_budget, detail)
+    return ok and in_budget, detail
 
 
-def crit_energy_dissipation(seed: int) -> CriterionResult:
+def crit_energy_dissipation(seed: int) -> tuple[bool, str]:
     dt = 1e-4
     traj = _sine_run(128, dt, 0.2, snapshot_times=[0.1])
     energies = traj.diagnostics.energy_Feps
@@ -134,18 +134,18 @@ def crit_energy_dissipation(seed: int) -> CriterionResult:
         f"monotone={monotone}; dissipation residual {res_coarse:.3e} -> "
         f"{res_fine:.3e}, Richardson slope {slope:.2f}"
     )
-    return CriterionResult("energy-dissipation", ("flow", "energy"), ok, detail)
+    return ok, detail
 
 
-def crit_energy_budget(seed: int) -> CriterionResult:
+def crit_energy_budget(seed: int) -> tuple[bool, str]:
     coarse = _budget(_sine_run(128, 1e-4, 0.2, snapshot_times=[0.1]))
     fine = _budget(_sine_run(256, 5e-5, 0.2))
     ok = coarse <= 5e-3 and fine <= 0.7 * coarse
     detail = f"budget {coarse:.3e} (tol 5e-3), refined {fine:.3e} (ratio {fine / coarse:.2f})"
-    return CriterionResult("energy-budget", ("flow", "energy"), ok, detail)
+    return ok, detail
 
 
-def crit_length_bounds(seed: int) -> CriterionResult:
+def crit_length_bounds(seed: int) -> tuple[bool, str]:
     ok = True
     worst = math.inf
     runs = [
@@ -162,10 +162,10 @@ def crit_length_bounds(seed: int) -> CriterionResult:
         ok &= bool(np.all((chord - 1e-12 <= length) & (length <= f0 + 1e-8)))
         worst = min(worst, np.min(f0 + 1e-8 - length), np.min(length - chord + 1e-12))
     detail = f"chord <= length <= initial energy on all runs; worst margin {worst:.3e}"
-    return CriterionResult("length-bounds", ("flow",), ok, detail)
+    return ok, detail
 
 
-def crit_boundary_identities(seed: int) -> CriterionResult:
+def crit_boundary_identities(seed: int) -> tuple[bool, str]:
     coarse = boundary_residuals(_sine_run(128, 1e-4, 0.2, snapshot_times=[0.1]).state_at(0.1))
     fine_run = _sine_run(256, 2.5e-5, 0.1)
     fine = boundary_residuals(fine_run.states[-1])
@@ -182,10 +182,10 @@ def crit_boundary_identities(seed: int) -> CriterionResult:
         f"{fine[0, 0]:.1e}/{fine[0, 1]:.1e}; |d2 kappa| ratio "
         f"{coarse[1, 0] / fine[1, 0]:.1f}/{coarse[1, 1] / fine[1, 1]:.1f}"
     )
-    return CriterionResult("boundary-identities", ("boundary",), ok, detail)
+    return ok, detail
 
 
-def crit_tangential_endpoint(seed: int) -> CriterionResult:
+def crit_tangential_endpoint(seed: int) -> tuple[bool, str]:
     dt = 1e-4
     traj = _sine_run(128, dt, 0.2, snapshot_times=[0.1])
     res_coarse = traj.diagnostics[round(0.1 / dt)].lambda_endpoint_residual
@@ -193,10 +193,10 @@ def crit_tangential_endpoint(seed: int) -> CriterionResult:
     res_fine = fine.diagnostics[round(0.1 / 5e-5)].lambda_endpoint_residual
     ok = res_coarse <= 5e-3 and res_fine < res_coarse
     detail = f"|lambda(L) + dL/dt| = {res_coarse:.3e} (tol 5e-3), refined {res_fine:.3e}"
-    return CriterionResult("tangential-endpoint", ("boundary",), ok, detail)
+    return ok, detail
 
 
-def crit_curvature_evolution(seed: int) -> CriterionResult:
+def crit_curvature_evolution(seed: int) -> tuple[bool, str]:
     t_star = 0.05
     residuals = []
     for n, dt in ((64, 2e-4), (128, 1e-4)):
@@ -221,10 +221,10 @@ def crit_curvature_evolution(seed: int) -> CriterionResult:
         f"rate residual {residuals[0]:.3e} -> {residuals[1]:.3e} "
         f"(slope {slope:.2f}); form agreement refines x{forms_ratio:.1f}"
     )
-    return CriterionResult("curvature-evolution", ("flow",), ok, detail)
+    return ok, detail
 
 
-def crit_gn_inequalities(seed: int) -> CriterionResult:
+def crit_gn_inequalities(seed: int) -> tuple[bool, str]:
     t0 = time.perf_counter()
     corpus = gn_corpus(seed, count=200)
     c_u4 = 2.0 * calibrate_gn_specialized(corpus, "u4")
@@ -247,10 +247,10 @@ def crit_gn_inequalities(seed: int) -> CriterionResult:
         f"1000 fresh samples, min slack {min_slack:.3e}; "
         f"runtime {'within' if in_budget else 'over'} 30 s budget"
     )
-    return CriterionResult("gn-inequalities", ("gn", "seeded"), ok and in_budget, detail)
+    return ok and in_budget, detail
 
 
-def crit_gronwall_doubling(seed: int) -> CriterionResult:
+def crit_gronwall_doubling(seed: int) -> tuple[bool, str]:
     setup = GronwallSetup(g0=0.7, coeff_C=1.0, t_max_query=5.0)
     sol = gronwall_solve(setup, law=lambda p: p)
     ts = np.linspace(0.0, 5.0, 41)
@@ -293,22 +293,20 @@ def crit_gronwall_doubling(seed: int) -> CriterionResult:
     worst = max(err_exp, err_quad, err_blow, err_theta)
     ok = worst <= 1e-6 and window_ok
     detail = f"closed-form errors <= {worst:.3e} (tol 1e-6); doubling bound on 100 draws: {window_ok}"
-    return CriterionResult("gronwall-doubling", ("gronwall", "seeded", "quick"), ok, detail)
+    return ok, detail
 
 
-def crit_comparison_majorant(seed: int) -> CriterionResult:
+def crit_comparison_majorant(seed: int) -> tuple[bool, str]:
     coeff = 2.0 * calibrate_comparison_constant(seed, count=200)
     traj = _sine_run(128, 1e-4, 0.2, snapshot_times=[0.1])
     g0 = traj.diagnostics[0].kappa_l2_sq[0]
     setup = GronwallSetup(g0=g0, coeff_C=coeff, t_max_query=0.2)
     ok, margin = comparison_check(traj, setup)
     detail = f"calibrated C = {coeff:.3e}; bound holds with margin {margin:.3e}"
-    return CriterionResult(
-        "comparison-majorant", ("gronwall", "seeded"), ok and margin > 0.0, detail
-    )
+    return ok and margin > 0.0, detail
 
 
-def crit_convergence_ladder(seed: int) -> CriterionResult:
+def crit_convergence_ladder(seed: int) -> tuple[bool, str]:
     t0 = time.perf_counter()
 
     def factory():
@@ -336,7 +334,7 @@ def crit_convergence_ladder(seed: int) -> CriterionResult:
         f"distances strictly decreasing for k=0,1: {strict}; fitted orders [{orders}]; "
         f"runtime {'within' if in_budget else 'over'} 2 min budget"
     )
-    return CriterionResult("convergence-ladder", ("sweep",), ok, detail)
+    return ok, detail
 
 
 CRITERIA = (
@@ -359,8 +357,7 @@ def _run_core(seed: int, tag_filter: str | None) -> list[CriterionResult]:
     for label, tags, func in CRITERIA:
         if tag_filter and tag_filter not in tags and tag_filter not in label:
             continue
-        result = func(seed)
-        results.append(CriterionResult(label, tags, result.passed, result.detail))
+        results.append(CriterionResult(label, *func(seed)))
     return results
 
 
@@ -400,7 +397,7 @@ def run_acceptance(seed: int = 0, tag_filter: str | None = None) -> list[Criteri
             else "report bytes differ between passes"
         )
         results.append(
-            CriterionResult("12-determinism", ("seeded", "quick"), ok, detail)
+            CriterionResult("12-determinism", ok, detail)
         )
     return results
 

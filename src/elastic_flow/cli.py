@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import iotools
@@ -36,11 +37,8 @@ def _cmd_simulate(args) -> int:
     written = []
     traj = run(curve, config, snapshot_stride=args.stride,
                sink=lambda _, states: written.extend(iotools.write_snapshots(args.out, states)))
-    manifest = iotools.RunManifest(
-        command="simulate", config_path=args.config, out_dir=args.out,
-        stride=args.stride,
-    )
-    written += iotools.emit_outputs(traj, manifest)
+    written.append(os.path.join(args.out, "diagnostics.csv"))
+    iotools.write_diagnostics_csv(written[-1], traj.diagnostics)
     print(f"{traj.terminated_by.value}; wrote {len(written)} files to {args.out}")
     return 0
 
@@ -53,19 +51,30 @@ def _cmd_sweep(args) -> int:
     curve = _initial_curve(text, config.base.n)
     iotools.make_dir(args.out)
     report = run_sweep(curve, config)
-    manifest = iotools.RunManifest(
-        command="sweep", config_path=args.config, out_dir=args.out
-    )
-    written = iotools.emit_outputs(report, manifest)
-    print(f"wrote {len(written)} files to {args.out}")
+    iotools.write_report_text(os.path.join(args.out, "report.txt"), report)
+    iotools.write_report_json(os.path.join(args.out, "report.json"), report)
+    print(f"wrote 2 files to {args.out}")
     return 0
 
 
 def _cmd_verify(args) -> int:
-    manifest = iotools.RunManifest(command="verify", out_dir=args.out, seed=args.seed)
-    status, text = iotools.run_verify(manifest, tag_filter=args.filter)
+    # the suite loads only for this command
+    from . import acceptance
+
+    if args.out:
+        iotools.make_dir(args.out)
+    status, text = acceptance.verify(seed=args.seed, tag_filter=args.filter)
+    if args.out:
+        iotools._write_text(os.path.join(args.out, "verify_report.txt"), text + "\n")
     print(text)
     return status
+
+
+def non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -89,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="run the verification suite")
     ver.add_argument("--filter", default=None, help="criterion tag or name substring")
-    ver.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
+    ver.add_argument("--seed", type=non_negative_int, default=0, help="seed for randomized checks")
     ver.add_argument("-o", "--out", default=None, help="also write the report here")
     ver.set_defaults(func=_cmd_verify)
     return parser

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import stencils
 from .errors import ConfigError, WindowMismatch
-from .flow import FlowConfig, Terminated, Trajectory, run_batch
+from .flow import FlowConfig, Terminated, Trajectory, run_batch, snapshot_step
 from .geometry import DiscreteCurve, _not_a_knot_spline
 
 
@@ -42,12 +42,9 @@ class SweepConfig:
         if not 0 <= self.k_max <= 3:
             raise ConfigError("k_max", "measurable derivative orders are 0..3")
         times = tuple(float(t) for t in self.snapshot_times) or self._default_times()
-        dt = self.base.dt
         tol = 1e-9 * max(1.0, self.base.t_end)
         for t in times:
-            k = round(t / dt)
-            if abs(k * dt - t) > 1e-9 * max(1.0, t):
-                raise ConfigError("snapshot_times", f"{t} is not a multiple of dt")
+            snapshot_step(t, self.base.dt)
             if not self.delta - tol <= t <= self.base.t_end + tol:
                 raise ConfigError("snapshot_times", f"{t} outside [delta, t_end]")
         object.__setattr__(self, "snapshot_times", times)
@@ -133,13 +130,6 @@ def ck_distance(traj_a: Trajectory, traj_b: Trajectory, k: int, window) -> float
             diff = _param_derivative(nodes_a, order) - _param_derivative(nodes_b, order)
             worst = max(worst, float(np.max(np.linalg.norm(diff, axis=1))))
     return worst
-
-
-def singularity_time_estimate(traj: Trajectory) -> float | None:
-    """Detection time for runs stopped by the blow-up detector, else None."""
-    if traj.terminated_by is Terminated.SINGULARITY_DETECTED:
-        return traj.event_time
-    return None
 
 
 def _worker_count(n_jobs: int) -> int:

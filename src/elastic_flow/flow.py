@@ -24,6 +24,7 @@ so each run gets the bits it gets alone. A snapshot is a row of the stack.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -69,10 +70,10 @@ class FlowConfig:
         if self.dt is None:
             # conservative default: resolved fourth-order dynamics at unit length
             object.__setattr__(self, "dt", min(1e-4, 0.1 / self.n**2))
-        if not self.dt > 0.0:
-            raise ConfigError("dt", "must be positive")
-        if not self.t_end > 0.0:
-            raise ConfigError("t_end", "must be positive")
+        if not 0.0 < self.dt < math.inf:
+            raise ConfigError("dt", "must be positive and finite")
+        if not 0.0 < self.t_end < math.inf:
+            raise ConfigError("t_end", "must be positive and finite")
         if not self.kappa_blowup_threshold > 0.0:
             raise ConfigError("kappa_blowup_threshold", "must be positive")
         if not self.solver_tol > 0.0:
@@ -84,6 +85,16 @@ class FlowConfig:
         if steps < 1 or abs(steps * self.dt - self.t_end) > 1e-9 * self.t_end:
             raise ConfigError("t_end", "must be a positive multiple of dt")
         return steps
+
+
+def snapshot_step(t: float, dt: float) -> int:
+    """The step k whose time k dt is t; ConfigError unless t is a finite multiple of dt."""
+    if not math.isfinite(t):
+        raise ConfigError("snapshot_times", f"{t} is not finite")
+    k = round(t / dt)
+    if abs(k * dt - t) > 1e-9 * max(1.0, t):
+        raise ConfigError("snapshot_times", f"{t} is not a multiple of dt")
+    return k
 
 
 @dataclass(frozen=True)
@@ -183,20 +194,6 @@ def flow_arrays(state: FlowState) -> dict[str, np.ndarray]:
     """
     fields = _flow_fields(state.cache.kappa[None], state.cache.s[None], state.epsilon)
     return {name: x[0] for name, x in zip(_FLOW_ARRAYS, fields)}
-
-
-def normal_velocity(state: FlowState) -> np.ndarray:
-    """Signed normal speed: -kappa + eps (2 d2 kappa + kappa^3).
-
-    Negative values move the curve along +normal. On open evolving curves
-    the endpoint values vanish identically by the boundary convention.
-    """
-    return state.E
-
-
-def tangential_velocity(state: FlowState) -> np.ndarray:
-    """Diagnostic tangential speed: minus the running integral of E kappa."""
-    return state.lam
 
 
 def curvature_evolution_rhs(state: FlowState, form: str = "compact") -> np.ndarray:
@@ -534,9 +531,7 @@ def run_batch(
         raise ConfigError("snapshot_stride", "must be at least 1")
     want_times = set()
     for t_req in snapshot_times or ():
-        k = round(t_req / dt)
-        if abs(k * dt - t_req) > 1e-9 * max(1.0, t_req):
-            raise ConfigError("snapshot_times", f"{t_req} is not a multiple of dt")
+        k = snapshot_step(t_req, dt)
         if not 0 <= k <= nsteps:
             raise ConfigError("snapshot_times", f"{t_req} is outside [0, t_end]")
         want_times.add(k)

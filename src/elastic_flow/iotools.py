@@ -11,35 +11,17 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
 from .convergence import ConvergenceReport, SweepConfig
 from .errors import ConfigError, IoError
 from .estimates import DIAGNOSTICS, DIAGNOSTICS_HEADER
-from .flow import FlowConfig, FlowState, Trajectory
+from .flow import FlowConfig, FlowState
 
 
 def fmt(x: float) -> str:
     return f"{float(x):.17g}"
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """What to run and where to put the results."""
-
-    command: str  # simulate | sweep | verify
-    config_path: str | None = None
-    out_dir: str | None = None
-    seed: int = 0
-    stride: int = 1
-
-    def __post_init__(self):
-        if self.command not in ("simulate", "sweep", "verify"):
-            raise ConfigError("command", f"unknown command {self.command!r}")
-        if self.stride < 1:
-            raise ConfigError("stride", "must be at least 1")
 
 
 # ---------------------------------------------------------------------------
@@ -193,19 +175,6 @@ def write_snapshot(path: str, state: FlowState) -> None:
     _write_text(path, header + _format_rows(np.column_stack([cache.nodes, cache.kappa]), " "))
 
 
-def read_snapshot(path: str):
-    """Inverse of write_snapshot: returns (nodes, kappa, t, eps)."""
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip()
-        fields = dict(part.split("=", 1) for part in header.split())
-        n = int(fields["n"])
-        t = float(fields["t"])
-        eps = float(fields["eps"])
-        rows = [fh.readline().split() for _ in range(n + 1)]
-    data = np.array(rows, dtype=float)
-    return data[:, :2], data[:, 2], t, eps
-
-
 def write_snapshots(out_dir: str, states: list[FlowState]) -> list[str]:
     """Write out_dir/snapshot_<step>.txt for each state, creating out_dir."""
     make_dir(out_dir)
@@ -225,14 +194,6 @@ def _format_rows(rows, sep: str) -> str:
     # one `%` call for the whole table; "%.17g" prints what `fmt` prints
     line = sep.join(["%.17g"] * len(rows[0])) + "\n" if len(rows) else ""
     return (line * len(rows)) % tuple(np.ravel(rows).tolist())
-
-
-def read_diagnostics_csv(path: str) -> np.ndarray:
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip()
-    if header != DIAGNOSTICS_HEADER:
-        raise IoError(f"unexpected diagnostics header in {path}")
-    return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
 
 
 def _report_payload(report: ConvergenceReport) -> dict:
@@ -314,48 +275,3 @@ def _write_text(path: str, content: str) -> None:
             fh.write(content)
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
-
-
-def run_verify(manifest: RunManifest, tag_filter: str | None = None) -> tuple[int, str]:
-    """Run the verification suite per the manifest; returns (status, table).
-
-    Status is zero iff every selected criterion passed. When the manifest
-    names an output directory the table is also written there.
-    """
-    from .acceptance import verify as _verify
-
-    if manifest.out_dir:
-        make_dir(manifest.out_dir)
-    status, text = _verify(seed=manifest.seed, tag_filter=tag_filter)
-    if manifest.out_dir:
-        _write_text(os.path.join(manifest.out_dir, "verify_report.txt"), text + "\n")
-    return status, text
-
-
-def emit_outputs(artifact, manifest: RunManifest) -> list[str]:
-    """Write a trajectory or sweep report to manifest.out_dir.
-
-    Trajectories produce snapshot_<step>.txt per stored state (none when
-    a sink took them as the run went) plus diagnostics.csv; reports produce
-    report.txt and report.json with identical values. Output is
-    deterministic for fixed inputs. An unwritable path raises IoError.
-    """
-    out_dir = manifest.out_dir or "."
-    make_dir(out_dir)
-    written = []
-    if isinstance(artifact, Trajectory):
-        written = write_snapshots(out_dir, artifact.states)
-        path = os.path.join(out_dir, "diagnostics.csv")
-        write_diagnostics_csv(path, artifact.diagnostics)
-        written.append(path)
-    elif isinstance(artifact, ConvergenceReport):
-        for name, writer in (
-            ("report.txt", write_report_text),
-            ("report.json", write_report_json),
-        ):
-            path = os.path.join(out_dir, name)
-            writer(path, artifact)
-            written.append(path)
-    else:
-        raise IoError(f"cannot emit object of type {type(artifact).__name__}")
-    return written

@@ -11,7 +11,7 @@ import pytest
 
 from elastic_flow import acceptance, flow, geometry, make_initial_curve
 from elastic_flow.cli import main
-from elastic_flow.iotools import RunManifest, emit_outputs, parse_config
+from elastic_flow.iotools import parse_config, write_diagnostics_csv, write_snapshots
 
 SIMULATE_CFG = """
 [flow]
@@ -133,8 +133,9 @@ class TestSimulate:
             make_initial_curve("flattened_sine", 64, amplitude=0.05), parse_config(LONG_CFG),
             snapshot_stride=stride,
         )
-        written = emit_outputs(traj, RunManifest(command="simulate", out_dir=str(stored), stride=stride))
-        assert f"reached_t_end; wrote {len(written)} files to" in capsys.readouterr().out
+        written = write_snapshots(str(stored), traj.states)
+        write_diagnostics_csv(str(stored / "diagnostics.csv"), traj.diagnostics)
+        assert f"reached_t_end; wrote {len(written) + 1} files to" in capsys.readouterr().out
         names = sorted(os.listdir(stored))
         assert sorted(os.listdir(streamed)) == names
         for name in names:
@@ -240,6 +241,15 @@ class TestVerify:
         assert "gronwall" in out
         assert (tmp_path / "verify_report.txt").exists()
 
+    def test_quick_verify_writes_the_table_it_prints(self, tmp_path, capsys):
+        code = main(["verify", "--filter", "quick", "--seed", "5", "-o", str(tmp_path)])
+        out = capsys.readouterr().out
+        assert code == 0
+        report = (tmp_path / "verify_report.txt").read_text()
+        assert report.startswith("[PASS]")
+        assert report == out
+        assert "criteria passed" in out
+
     def test_uncreatable_output_fails_before_the_suite(self, tmp_path, capsys, monkeypatch):
         suites = _count_calls(monkeypatch, acceptance, "verify")
         blocker = tmp_path / "file"
@@ -267,16 +277,22 @@ class TestVerify:
         assert first == second
 
 
-def _scipy_modules_after(code: str) -> list:
-    # a fresh interpreter, so the suite's own imports do not count: the
-    # SciPy modules loaded once `code` has run
+def _fresh_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    # a fresh interpreter, so the suite's own imports do not count
     src = str(Path(geometry.__file__).resolve().parents[1])
-    code += "\nimport sys\nprint(' '.join(sorted(sys.modules)))"
     env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    ).stdout.split()
-    return [m for m in out if m == "scipy" or m.startswith("scipy.")]
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True)
+
+
+def _modules_after(code: str) -> list:
+    # the modules loaded once `code` has run
+    proc = _fresh_python(code + "\nimport sys\nprint(' '.join(sorted(sys.modules)))")
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+def _scipy_modules_after(code: str) -> list:
+    return [m for m in _modules_after(code) if m == "scipy" or m.startswith("scipy.")]
 
 
 def test_start_up_imports_no_scipy():
@@ -319,6 +335,34 @@ _SHORT_RUN = (
 ], ids=["run", "run_sweep", "verify_quick", "verify_gronwall", "curvature_rate", "ck_distance_resampled"])
 def test_stepping_loads_only_the_lapack_wrappers(code):
     assert _scipy_modules_after(code) == ["scipy.linalg._flapack"]
+
+
+@pytest.mark.parametrize("command,config", [("simulate", SIMULATE_CFG), ("sweep", SWEEP_CFG)])
+def test_simulate_and_sweep_do_not_load_the_suite(tmp_path, cfg_file, command, config):
+    # `verify` alone imports acceptance
+    args = [command, "-c", cfg_file(config), "-o", str(tmp_path / "out")]
+    modules = _modules_after(
+        "from contextlib import redirect_stdout\nimport io\nfrom elastic_flow.cli import main\n"
+        f"with redirect_stdout(io.StringIO()):\n    assert main({args!r}) == 0\n"
+    )
+    assert "elastic_flow.cli" in modules and "elastic_flow.flow" in modules
+    assert "elastic_flow.acceptance" not in modules
+
+
+@pytest.mark.parametrize("args,config,message", [
+    (["simulate"], SIMULATE_CFG.replace("t_end = 0.01", "t_end = inf"), "error: flow.t_end: "),
+    (["sweep"], SWEEP_CFG.replace("k_max = 1", "k_max = 1\nsnapshot_times = nan"), "error: sweep.snapshot_times: "),
+    (["sweep"], SWEEP_CFG.replace("k_max = 1", "k_max = 1\nsnapshot_times = inf"), "error: sweep.snapshot_times: "),
+    (["verify", "--seed", "-1"], None, "usage: "),
+], ids=["t_end_inf", "snapshot_times_nan", "snapshot_times_inf", "seed_negative"])
+def test_bad_input_exits_2_without_traceback(tmp_path, cfg_file, args, config, message):
+    if config is not None:
+        args = args + ["-c", cfg_file(config), "-o", str(tmp_path / "out")]
+    proc = _fresh_python("import sys\nfrom elastic_flow.cli import main\nsys.exit(main(sys.argv[1:]))", *args)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(message)
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_no_module_imports_scipy():

@@ -10,7 +10,6 @@ from elastic_flow.convergence import (
     _resample,
     ck_distance,
     run_sweep,
-    singularity_time_estimate,
 )
 from elastic_flow.flow import FlowConfig, Terminated, run, run_batch
 
@@ -46,6 +45,13 @@ class TestSweepConfig:
         base = FlowConfig(epsilon=0.1, n=64, dt=1e-4, t_end=0.01)
         with pytest.raises(ConfigError):
             SweepConfig(epsilons=(0.1,), base=base, snapshot_times=(0.00033,))
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_snapshot_times_finite(self, t):
+        base = FlowConfig(epsilon=0.1, n=64, dt=1e-4, t_end=0.01)
+        with pytest.raises(ConfigError) as info:
+            SweepConfig(epsilons=(0.1,), base=base, snapshot_times=(t,))
+        assert info.value.key == "snapshot_times"
 
     def test_k_max_capped_at_three(self):
         base = FlowConfig(epsilon=0.1, n=64, dt=1e-4, t_end=0.01)
@@ -153,7 +159,8 @@ class TestRunSweep:
 class TestSingularityEstimate:
     def test_none_for_completed_run(self):
         traj = short_run(family="segment")
-        assert singularity_time_estimate(traj) is None
+        assert traj.terminated_by is Terminated.REACHED_T_END
+        assert traj.event_time is None
 
     def test_estimate_for_loop_collapse(self):
         loop = make_initial_curve("arc_with_flat_ends", 128, turn_angle=2.6 * math.pi)
@@ -161,8 +168,8 @@ class TestSingularityEstimate:
             epsilon=0.0, n=128, dt=2.5e-5, t_end=0.02, kappa_blowup_threshold=40.0
         )
         traj = run(loop, cfg, snapshot_stride=10**9)
-        t_sing = singularity_time_estimate(traj)
-        assert t_sing is not None and 0.0 < t_sing < 0.02
+        assert traj.terminated_by is Terminated.SINGULARITY_DETECTED
+        assert 0.0 < traj.event_time < 0.02
 
     def test_estimate_stable_under_refinement(self):
         t_by_n = {}
@@ -174,8 +181,8 @@ class TestSingularityEstimate:
                 epsilon=0.0, n=n, dt=dt, t_end=0.02, kappa_blowup_threshold=40.0
             )
             traj = run(loop, cfg, snapshot_stride=10**9)
-            t_by_n[n] = singularity_time_estimate(traj)
-        assert t_by_n[128] is not None and t_by_n[256] is not None
+            assert traj.terminated_by is Terminated.SINGULARITY_DETECTED
+            t_by_n[n] = traj.event_time
         assert abs(t_by_n[128] - t_by_n[256]) <= 0.1 * t_by_n[128]
 
 

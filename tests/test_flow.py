@@ -23,10 +23,8 @@ from elastic_flow.flow import (
     Terminated,
     curvature_evolution_rhs,
     curvature_rate_consistency,
-    normal_velocity,
     run,
     step,
-    tangential_velocity,
 )
 from elastic_flow.iotools import write_snapshot
 
@@ -93,6 +91,13 @@ class TestFlowConfig:
         cfg = FlowConfig(epsilon=0.1, n=128)
         assert cfg.dt == pytest.approx(min(1e-4, 0.1 / 128**2))
 
+    @pytest.mark.parametrize("key", ["dt", "t_end"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_dt_and_t_end_must_be_finite(self, key, value):
+        with pytest.raises(ConfigError) as info:
+            FlowConfig(**{key: value})
+        assert info.value.key == key
+
     def test_t_end_must_sit_on_dt_grid(self):
         with pytest.raises(ConfigError):
             FlowConfig(epsilon=0.1, dt=3e-4, t_end=1e-3).num_steps
@@ -101,26 +106,26 @@ class TestFlowConfig:
 class TestVelocities:
     def test_straight_segment_all_velocities_vanish(self):
         st = FlowState.from_curve(make_initial_curve("segment", 64), 0.3)
-        assert np.max(np.abs(normal_velocity(st))) < 1e-12
-        assert np.max(np.abs(tangential_velocity(st))) < 1e-12
+        assert np.max(np.abs(st.E)) < 1e-12
+        assert np.max(np.abs(st.lam)) < 1e-12
         assert np.max(np.abs(curvature_evolution_rhs(st))) < 1e-12
 
     def test_unit_circle_eps_one_is_stationary(self):
         # E = -1 + 1*(0 + 1) = 0
-        E = normal_velocity(circle_state(256, 1.0, 1.0))
+        E = circle_state(256, 1.0, 1.0).E
         assert np.max(np.abs(E[2:-2])) < 1e-6
 
     def test_circle_normal_velocity_value(self):
         # E = -1/2 + 0.5*(1/8) = -0.4375
         st = circle_state(256, 2.0, 0.5)
-        E = normal_velocity(st)
+        E = st.E
         h = st.cache.uniform_h
         assert np.max(np.abs(E[2:-2] + 0.4375)) <= h**2
 
     def test_circle_tangential_velocity_linear(self):
         # slope -E kappa = 0.21875 past the pinned end nodes
         st = circle_state(256, 2.0, 0.5)
-        lam = tangential_velocity(st)
+        lam = st.lam
         s = st.cache.s
         expected = 0.21875 * (s[2:-2] - s[2])
         h = st.cache.uniform_h
@@ -133,8 +138,8 @@ class TestVelocities:
             FlowConfig(epsilon=0.1, n=64, dt=1e-4, t_end=0.01),
         )
         st = traj.states[-1]
-        E = normal_velocity(st)
-        lam = tangential_velocity(st)
+        E = st.E
+        lam = st.lam
         assert abs(E[0]) < 1e-14 and abs(E[-1]) < 1e-14
         assert lam[0] == 0.0
 
@@ -175,7 +180,7 @@ class TestVelocities:
         for j, curve in enumerate(curves):
             alone = FlowState.from_curve(curve, 0.3)
             row = FlowState(geo[j], 0.0, 0.3)
-            want = {**flow.flow_arrays(alone), "E": normal_velocity(alone), "lam": tangential_velocity(alone)}
+            want = {**flow.flow_arrays(alone), "E": alone.E, "lam": alone.lam}
             assert want.keys() == stacked.keys()
             for name, x in want.items():
                 assert x.tobytes() == stacked[name][j].tobytes(), (j, name)
@@ -183,12 +188,11 @@ class TestVelocities:
 
     def test_replaced_state_does_not_reuse_velocities(self):
         st = sine_state(64, amplitude=0.3, eps=0.1)
-        normal_velocity(st)
-        tangential_velocity(st)
+        st.arrays  # cached on st before the copy
         changed = dataclasses.replace(st, epsilon=0.9)
         fresh = FlowState.from_curve(st.curve, 0.9)
-        assert np.array_equal(normal_velocity(changed), normal_velocity(fresh))
-        assert np.array_equal(tangential_velocity(changed), tangential_velocity(fresh))
+        assert np.array_equal(changed.E, fresh.E)
+        assert np.array_equal(changed.lam, fresh.lam)
 
 
 class TestStep:
@@ -450,6 +454,19 @@ class TestRun:
             run(
                 make_initial_curve("segment", 64),
                 FlowConfig(epsilon=0.1, n=64, dt=1e-4, t_end=1e-3),
+                snapshot_times=[t],
+            )
+        assert info.value.key == "snapshot_times"
+        assert steps == []
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_snapshot_times_rejected(self, monkeypatch, t):
+        steps = []
+        monkeypatch.setattr(flow, "_advance", lambda *args: steps.append(args))
+        with pytest.raises(ConfigError) as info:
+            flow.run_batch(
+                make_initial_curve("segment", 64),
+                [FlowConfig(epsilon=0.1, n=64, dt=1e-4, t_end=1e-3)],
                 snapshot_times=[t],
             )
         assert info.value.key == "snapshot_times"

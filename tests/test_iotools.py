@@ -11,15 +11,14 @@ from elastic_flow.convergence import SweepConfig, run_sweep
 from elastic_flow.flow import FlowConfig, run
 from elastic_flow.estimates import DIAGNOSTICS_HEADER
 from elastic_flow.iotools import (
-    RunManifest,
-    emit_outputs,
     fmt,
     parse_config,
     parse_initial_spec,
-    read_diagnostics_csv,
-    read_snapshot,
     write_diagnostics_csv,
+    write_report_json,
+    write_report_text,
     write_snapshot,
+    write_snapshots,
 )
 
 SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300, -1e-300, 0.1, 1.0 / 3.0]
@@ -96,10 +95,13 @@ class TestSnapshotRoundTrip:
         state = traj.states[-1]
         path = tmp_path / "snap.txt"
         write_snapshot(str(path), state)
-        nodes, kappa, t, eps = read_snapshot(str(path))
-        assert np.array_equal(nodes, state.curve.nodes)
-        assert np.array_equal(kappa, state.cache.kappa)
-        assert t == state.time and eps == state.epsilon
+        with open(path, encoding="ascii") as fh:
+            header = dict(field.split("=") for field in fh.readline().split())
+        rows = np.loadtxt(path, skiprows=1)
+        assert int(header["n"]) == len(rows) - 1
+        assert np.array_equal(rows[:, :2], state.curve.nodes)
+        assert np.array_equal(rows[:, 2], state.cache.kappa)
+        assert float(header["t"]) == state.time and float(header["eps"]) == state.epsilon
 
     def test_rewrite_is_byte_identical(self, tmp_path):
         traj = small_run()
@@ -159,37 +161,38 @@ class TestFormattedBytes:
 
 
 class TestEmitOutputs:
+    """The files `simulate` and `sweep` write, by the writers they call."""
+
     def test_snapshot_count_matches_stride_rule(self, tmp_path):
         # 10 steps, stride 10: states at steps 0, 10 -> ceil(10/10) + 1 files
         traj = small_run(t_end=0.01, dt=1e-3, stride=10)
-        manifest = RunManifest(command="simulate", out_dir=str(tmp_path), stride=10)
-        written = emit_outputs(traj, manifest)
-        snapshots = [p for p in written if os.path.basename(p).startswith("snapshot_")]
-        assert len(snapshots) == math.ceil(10 / 10) + 1
+        written = write_snapshots(str(tmp_path), traj.states)
+        assert len(written) == math.ceil(10 / 10) + 1
+        assert sorted(os.listdir(tmp_path)) == sorted(os.path.basename(p) for p in written)
 
     def test_snapshot_count_with_stride_4(self, tmp_path):
         traj = small_run(t_end=0.01, dt=1e-3, stride=4)
-        manifest = RunManifest(command="simulate", out_dir=str(tmp_path), stride=4)
-        written = emit_outputs(traj, manifest)
-        snapshots = [p for p in written if os.path.basename(p).startswith("snapshot_")]
+        written = write_snapshots(str(tmp_path), traj.states)
         # steps 0, 4, 8 plus the final step 10
-        assert len(snapshots) == 4
+        assert [os.path.basename(p) for p in written] == [
+            f"snapshot_{k:06d}.txt" for k in (0, 4, 8, 10)
+        ]
 
     def test_deterministic_bytes(self, tmp_path):
         traj = small_run()
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         for out in (out_a, out_b):
-            emit_outputs(
-                traj, RunManifest(command="simulate", out_dir=str(out), stride=1)
-            )
+            write_snapshots(str(out), traj.states)
+            write_diagnostics_csv(str(out / "diagnostics.csv"), traj.diagnostics)
         for name in sorted(p.name for p in out_a.iterdir()):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
     def test_diagnostics_csv_round_trip(self, tmp_path):
         traj = small_run()
-        manifest = RunManifest(command="simulate", out_dir=str(tmp_path))
-        emit_outputs(traj, manifest)
-        data = read_diagnostics_csv(str(tmp_path / "diagnostics.csv"))
+        path = tmp_path / "diagnostics.csv"
+        write_diagnostics_csv(str(path), traj.diagnostics)
+        assert path.read_text(encoding="ascii").split("\n", 1)[0] == DIAGNOSTICS_HEADER
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
         assert data.shape == (len(traj.diagnostics), 18)
         # the flat float table of the records, bit for bit
         table = np.ascontiguousarray(traj.diagnostics).view((float, 18))
@@ -199,8 +202,8 @@ class TestEmitOutputs:
         base = FlowConfig(epsilon=0.1, n=64, dt=1e-3, t_end=0.01)
         cfg = SweepConfig(epsilons=(0.2, 0.1), base=base, delta=0.0, k_max=1)
         report = run_sweep(make_initial_curve("flattened_sine", 64, amplitude=0.05), cfg)
-        manifest = RunManifest(command="sweep", out_dir=str(tmp_path))
-        emit_outputs(report, manifest)
+        write_report_text(str(tmp_path / "report.txt"), report)
+        write_report_json(str(tmp_path / "report.json"), report)
         payload = json.loads((tmp_path / "report.json").read_text())
         text = (tmp_path / "report.txt").read_text().splitlines()
         rows = [line for line in text if line and not line.startswith(("#", "eps"))]
@@ -209,14 +212,3 @@ class TestEmitOutputs:
             assert cells[0] == payload["epsilons"][i]
             for k in range(2):
                 assert cells[1 + k] == payload["distances"][i][k]
-
-
-class TestVerifyManifest:
-    def test_wrapper_writes_report_and_reports_status(self, tmp_path):
-        from elastic_flow.iotools import run_verify
-
-        manifest = RunManifest(command="verify", out_dir=str(tmp_path), seed=5)
-        status, text = run_verify(manifest, tag_filter="quick")
-        assert status == 0
-        assert (tmp_path / "verify_report.txt").read_text().startswith("[PASS]")
-        assert "criteria passed" in text
