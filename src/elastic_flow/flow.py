@@ -72,12 +72,12 @@ class FlowConfig:
             object.__setattr__(self, "dt", min(1e-4, 0.1 / self.n**2))
         if not 0.0 < self.dt < math.inf:
             raise ConfigError("dt", "must be positive and finite")
-        if not 0.0 < self.t_end < math.inf:
-            raise ConfigError("t_end", "must be positive and finite")
-        if not self.kappa_blowup_threshold > 0.0:
-            raise ConfigError("kappa_blowup_threshold", "must be positive")
-        if not self.solver_tol > 0.0:
-            raise ConfigError("solver_tol", "must be positive")
+        if not 0.0 < self.t_end / self.dt < math.inf:
+            raise ConfigError("t_end", "must be positive and finite, as must t_end / dt")
+        if not 0.0 < self.kappa_blowup_threshold < math.inf:
+            raise ConfigError("kappa_blowup_threshold", "must be positive and finite")
+        if not 0.0 < self.solver_tol < math.inf:
+            raise ConfigError("solver_tol", "must be positive and finite")
 
     @property
     def num_steps(self) -> int:
@@ -89,8 +89,8 @@ class FlowConfig:
 
 def snapshot_step(t: float, dt: float) -> int:
     """The step k whose time k dt is t; ConfigError unless t is a finite multiple of dt."""
-    if not math.isfinite(t):
-        raise ConfigError("snapshot_times", f"{t} is not finite")
+    if not math.isfinite(t / dt):
+        raise ConfigError("snapshot_times", f"{t} / dt is not finite")
     k = round(t / dt)
     if abs(k * dt - t) > 1e-9 * max(1.0, t):
         raise ConfigError("snapshot_times", f"{t} is not a multiple of dt")
@@ -145,11 +145,12 @@ class Terminated(enum.Enum):
 @dataclass
 class Trajectory:
     """Strided state snapshots plus per-step diagnostics of one run, a
-    record array of `estimates.DIAGNOSTICS` with one record per step; when
-    `run_batch` handed the snapshots to a sink, `states` is empty."""
+    record array of `estimates.DIAGNOSTICS` with one record per step (None
+    from `run_batch(records=False)`); when `run_batch` handed the snapshots
+    to a sink, `states` is empty."""
 
     states: list[FlowState]
-    diagnostics: np.recarray
+    diagnostics: np.recarray | None
     terminated_by: Terminated
     event_time: float | None
     config: FlowConfig
@@ -500,6 +501,7 @@ def run_batch(
     snapshot_stride: int | None = None,
     snapshot_times: list[float] | None = None,
     sink=None,
+    records: bool = True,
 ) -> list[Trajectory]:
     """`run` for each of `configs`, which differ only in epsilon, stepped
     together as one stack of curves.
@@ -513,7 +515,8 @@ def run_batch(
     order: the initial state once the run is admitted, then each block's
     states with its diagnostics, a stopped row's last good state included.
     By default they collect in `Trajectory.states`. An exception the sink
-    raises propagates and stops the run.
+    raises propagates and stops the run. With `records=False` no record is
+    built and each `diagnostics` is None; the states and the sink's calls stay.
     """
     config = configs[0]
     if any(replace(c, epsilon=config.epsilon) != config for c in configs):
@@ -556,7 +559,7 @@ def run_batch(
     # what the records read of each row's last RECORD_BLOCK states
     buf = {name: np.empty((len(ids), RECORD_BLOCK) + shape) for name, shape in (
         ("total_length", ()), ("uniform_h", ()), ("kappa", (n1,)), ("s", (n1,)), ("ds", (n1,))
-    )}
+    )} if records else {}
     times = []
 
     def record(geo, time):
@@ -567,8 +570,9 @@ def run_batch(
     def flush(j):
         # the records of row j's buffered states, and its pending snapshots
         r = ids[j]
-        length, h, kappa, s, w = (x[j, : len(times)] for x in buf.values())
-        blocks[r].append(_record_columns(times, length, h.tolist(), kappa, s, w, configs[r].epsilon))
+        if records:
+            length, h, kappa, s, w = (x[j, : len(times)] for x in buf.values())
+            blocks[r].append(_record_columns(times, length, h.tolist(), kappa, s, w, configs[r].epsilon))
         sink(r, pending[r])
         pending[r] = []
 
@@ -604,6 +608,6 @@ def run_batch(
     for j in range(len(ids)):
         flush(j)
     return [
-        Trajectory(states[r], _diagnostics(blocks[r], dt), reason, event_time, c)
+        Trajectory(states[r], _diagnostics(blocks[r], dt) if records else None, reason, event_time, c)
         for r, (c, (reason, event_time)) in enumerate(zip(configs, ends))
     ]

@@ -13,6 +13,7 @@ exception; a caller of one curve raises it.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import sys
@@ -363,6 +364,19 @@ def _not_a_knot_spline(u: np.ndarray, y: np.ndarray):
     return spline
 
 
+@functools.cache
+def _unit_grid(n: int) -> np.ndarray:
+    return np.linspace(0.0, 1.0, n + 1)
+
+
+def _even_split(total: np.ndarray, n: int) -> np.ndarray:
+    """The bits of `np.linspace(0.0, t, n + 1)` for each row's total t that
+    is 0 or has a normal t / n."""
+    out = np.arange(n + 1) * (total / n)[:, None]
+    out[:, -1] = total
+    return out
+
+
 def _equalize_chords(spline, rows: int, n: int, tol: float = 1e-13, max_iter: int = 30):
     """Parameters tau on [0,1] whose spline images have equal chords, for
     each of the `rows` curves of `spline`.
@@ -373,7 +387,7 @@ def _equalize_chords(spline, rows: int, n: int, tol: float = 1e-13, max_iter: in
     ends each row that failed, by row.
     """
     active = np.arange(rows)
-    tau = np.repeat(np.linspace(0.0, 1.0, n + 1)[None], rows, axis=0)
+    tau = np.repeat(_unit_grid(n)[None], rows, axis=0)
     pts = spline(tau, active)
     out = np.empty_like(pts)
     failed = {}
@@ -397,7 +411,7 @@ def _equalize_chords(spline, rows: int, n: int, tol: float = 1e-13, max_iter: in
             active, tau, pts, chords, dev = (x[going] for x in (active, tau, pts, chords, dev))
         prev_dev = dev
         cum = _running_sum(chords)
-        targets = np.linspace(0.0, cum[:, -1], n + 1, axis=-1)
+        targets = _even_split(cum[:, -1], n)
         tau = np.array([np.interp(*row) for row in zip(targets, cum, tau)])
         tau[:, 0] = 0.0
         tau[:, -1] = 1.0

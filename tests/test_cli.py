@@ -353,8 +353,12 @@ def test_simulate_and_sweep_do_not_load_the_suite(tmp_path, cfg_file, command, c
     (["simulate"], SIMULATE_CFG.replace("t_end = 0.01", "t_end = inf"), "error: flow.t_end: "),
     (["sweep"], SWEEP_CFG.replace("k_max = 1", "k_max = 1\nsnapshot_times = nan"), "error: sweep.snapshot_times: "),
     (["sweep"], SWEEP_CFG.replace("k_max = 1", "k_max = 1\nsnapshot_times = inf"), "error: sweep.snapshot_times: "),
+    (["simulate"], "[flow]\nn = 64\ndt = 1e-300\nt_end = 1e10\n[initial]\nfamily = segment\n", "error: flow.t_end: "),
+    (["sweep"], SWEEP_CFG.replace("dt = 1e-3", "dt = 1e-300").replace("t_end = 0.01", "t_end = 1e10"),
+     "error: flow.t_end: "),
     (["verify", "--seed", "-1"], None, "usage: "),
-], ids=["t_end_inf", "snapshot_times_nan", "snapshot_times_inf", "seed_negative"])
+], ids=["t_end_inf", "snapshot_times_nan", "snapshot_times_inf", "steps_overflow", "sweep_steps_overflow",
+        "seed_negative"])
 def test_bad_input_exits_2_without_traceback(tmp_path, cfg_file, args, config, message):
     if config is not None:
         args = args + ["-c", cfg_file(config), "-o", str(tmp_path / "out")]

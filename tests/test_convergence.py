@@ -93,6 +93,23 @@ class TestCkDistance:
         with pytest.raises(WindowMismatch):
             ck_distance(a, b, 0, (0.004, 0.01))
 
+    def test_trajectory_without_snapshots_raises_window_mismatch(self):
+        # a run whose snapshots went to a sink holds no states
+        curve = make_initial_curve("flattened_sine", 64, amplitude=0.05)
+        cfg = FlowConfig(epsilon=0.1, n=64, dt=1e-3, t_end=0.005)
+        held, sunk = run(curve, cfg), run(curve, cfg, sink=lambda r, states: None)
+        with pytest.raises(WindowMismatch):
+            ck_distance(held, sunk, 0, (0.0, 0.005))
+
+    def test_record_less_trajectories_give_the_same_distances(self):
+        curve = make_initial_curve("flattened_sine", 64, amplitude=0.05)
+        configs = [FlowConfig(epsilon=eps, n=64, dt=1e-3, t_end=0.01) for eps in (0.1, 0.0)]
+        recorded = run_batch(curve, configs, snapshot_stride=2)
+        bare = run_batch(curve, configs, snapshot_stride=2, records=False)
+        assert [t.diagnostics for t in bare] == [None, None]
+        for k in range(4):
+            assert ck_distance(*bare, k, (0.0, 0.01)) == ck_distance(*recorded, k, (0.0, 0.01)) > 0.0
+
 
 class TestRunSweep:
     def test_segment_sweep_all_zero(self):
@@ -187,6 +204,48 @@ class TestSingularityEstimate:
 
 
 class TestSweepInfrastructure:
+    def test_records_off_keeps_states_ends_and_sink_calls(self):
+        # the eps = 0 row stops at t = 0.03, the 0.01 and 0.1 rows at 0.06 and
+        # 1.29 (reparam_failure); 80 steps span two record blocks
+        curve = make_initial_curve("arc_with_flat_ends", 64, turn_angle=12)
+        base = FlowConfig(n=64, dt=0.03, t_end=2.4)
+        configs = [replace(base, epsilon=eps) for eps in (0.0, 1.0, 0.5, 0.1, 0.01)]
+
+        def batch(records):
+            calls = []
+            sink = lambda r, states: calls.append((r, states))
+            return run_batch(curve, configs, snapshot_stride=1, sink=sink, records=records), calls
+
+        (recorded, calls_on), (bare, calls_off) = batch(True), batch(False)
+        assert [t.terminated_by for t in bare] == [t.terminated_by for t in recorded]
+        assert [t.event_time for t in bare] == [t.event_time for t in recorded] == [0.03, None, None, 1.29, 0.06]
+        assert [t.diagnostics for t in bare] == [None] * 5
+        assert [r for r, _ in calls_off] == [r for r, _ in calls_on]
+        for (_, states_off), (_, states_on) in zip(calls_off, calls_on):
+            assert [st.time for st in states_off] == [st.time for st in states_on]
+            for a, b in zip(states_off, states_on, strict=True):
+                assert np.array_equal(_bits(a.cache.nodes), _bits(b.cache.nodes))
+        # the last snapshot's time, which the sweep reads, is the last record's
+        last = {r: states[-1].time for r, states in calls_on if states}
+        assert [last[r] for r in range(5)] == [t.diagnostics[-1].t for t in recorded]
+
+    def test_sweep_builds_no_records(self, monkeypatch):
+        from elastic_flow import flow
+
+        real = flow._record_columns
+        calls = []
+
+        def counted(*args):
+            calls.append(len(args[0]))
+            return real(*args)
+
+        monkeypatch.setattr(flow, "_record_columns", counted)
+        curve = make_initial_curve("flattened_sine", 64, amplitude=0.05)
+        base = FlowConfig(epsilon=0.1, n=64, dt=1e-3, t_end=0.005)
+        run_sweep(curve, SweepConfig(epsilons=(0.2, 0.1), base=base, k_max=1))
+        assert calls == []
+        run(curve, base)
+        assert calls == [6]
     def test_rows_share_the_identical_initial_state(self):
         # every flow starts from one curve: the t = 0 snapshots coincide
         curve = make_initial_curve("flattened_sine", 64, amplitude=0.05)

@@ -98,6 +98,22 @@ class TestFlowConfig:
             FlowConfig(**{key: value})
         assert info.value.key == key
 
+    @pytest.mark.parametrize("key", ["solver_tol", "kappa_blowup_threshold"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1.0])
+    def test_tolerances_must_be_positive_and_finite(self, key, value):
+        # an infinite tolerance would switch its check off
+        with pytest.raises(ConfigError) as info:
+            FlowConfig(**{key: value})
+        assert info.value.key == key
+
+    def test_step_count_must_be_finite(self):
+        with pytest.raises(ConfigError) as info:
+            FlowConfig(n=64, dt=1e-300, t_end=1e10)
+        assert info.value.key == "t_end"
+        with pytest.raises(ConfigError) as info:
+            flow.snapshot_step(1e10, 1e-300)
+        assert info.value.key == "snapshot_times"
+
     def test_t_end_must_sit_on_dt_grid(self):
         with pytest.raises(ConfigError):
             FlowConfig(epsilon=0.1, dt=3e-4, t_end=1e-3).num_steps

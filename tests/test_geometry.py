@@ -17,6 +17,7 @@ from elastic_flow import (
 )
 from elastic_flow import stencils
 from elastic_flow.geometry import (
+    _even_split,
     _open_position_derivs,
     chord_lengths,
     curve_failures,
@@ -361,6 +362,19 @@ class TestNotAKnotSpline:
 
 
 class TestReparametrize:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        totals=st.lists(st.one_of(st.just(0.0), st.floats(1e-300, 1e300)), min_size=1, max_size=6),
+        n=st.integers(1, 1024),
+    )
+    def test_chord_targets_equal_linspace_bit_for_bit(self, totals, n):
+        got = _even_split(np.array(totals), n)
+        for row, total in zip(got, totals, strict=True):
+            assert _bits(row) == _bits(np.linspace(0.0, total, n + 1))
+        if 0.0 not in totals:
+            # the whole stack in one call
+            assert _bits(got) == _bits(np.linspace(0.0, np.array(totals), n + 1, axis=-1))
+
     def test_uniform_input_returned_unchanged(self):
         c = make_initial_curve("segment", 64)
         assert reparametrize_constant_speed(c) is c
