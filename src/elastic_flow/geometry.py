@@ -18,7 +18,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
-from importlib import machinery, util
+from importlib import import_module, machinery, util
 
 import numpy as np
 
@@ -301,16 +301,19 @@ def arclength_derivative(cache: GeometryCache, values: np.ndarray, order: int) -
 def lapack():
     """SciPy's LAPACK wrappers, the extension module `scipy.linalg._flapack`,
     loaded alone: the `scipy.linalg` package costs 0.2 s and 28 MB more. A
-    later `import scipy.linalg` finds the module registered and reuses it."""
-    name = "scipy.linalg._flapack"
+    later `import scipy.linalg` finds the module registered and reuses it.
+    Where SciPy lays out its files differently, the routines come from
+    `scipy.linalg.lapack`, which holds the same objects."""
+    name, public = "scipy.linalg._flapack", "scipy.linalg.lapack"
     if name not in sys.modules:
         scipy = util.find_spec("scipy")
         loader = machinery.ExtensionFileLoader, machinery.EXTENSION_SUFFIXES
-        spec = scipy and machinery.FileFinder(
+        # once loaded, the public module is taken without another search
+        spec = public not in sys.modules and scipy and machinery.FileFinder(
             os.path.join(scipy.submodule_search_locations[0], "linalg"), loader
         ).find_spec(name)
-        if spec is None:
-            raise ImportError(f"cannot find {name}: SciPy is missing or lays out its files differently", name=name)
+        if not spec:
+            return import_module(public)
         sys.modules[name] = util.module_from_spec(spec)
         spec.loader.exec_module(sys.modules[name])
     return sys.modules[name]

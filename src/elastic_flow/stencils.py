@@ -66,23 +66,28 @@ def _centered(f: np.ndarray, order: int) -> np.ndarray:
     return acc
 
 
-def derivative_uniform(f: np.ndarray, h: float, order: int) -> np.ndarray:
-    """Derivative of samples on a uniform grid; O(h^2) at every node.
+def derivative_uniform(f: np.ndarray, h, order: int) -> np.ndarray:
+    """Derivative of samples on a uniform grid of spacing `h`; O(h^2) at
+    every node. `f` may be a stack of fields along its last axis, each with
+    the bits it gets alone, and `h` one spacing per field.
 
     Stencils are applied to differences against the evaluation node, so
     constant fields map to exactly zero.
     """
     half = CENTERED[order][0]
-    out = np.empty_like(f, dtype=float)
-    out[half:-half] = _centered(f, order)
-    # one-sided boundary windows of width order+2 keep O(h^2) at the ends
+    out = np.empty(np.shape(f))
+    out[..., half:-half] = _centered(f, order)
+    # one-sided boundary windows of width order+2 keep O(h^2) at the ends;
+    # as C-contiguous rows, matmul takes each window's dot as `w @ x` does
     width = order + 2
-    for row in range(half):
-        wl = one_sided_weights(order, width, row)
-        out[row] = wl @ (f[:width] - f[row])
-        wr = one_sided_weights(order, width, width - 1 - row)
-        out[-1 - row] = wr @ (f[-width:] - f[-1 - row])
-    return out / h**order
+    rows = [*range(half), *range(width - 1, width - 1 - half, -1)]  # in the left, right window
+    w = np.array([one_sided_weights(order, width, row) for row in rows])[:, :, None]
+    lo, hi = f[..., None, :width], f[..., None, -width:]
+    x = np.concatenate([lo - lo[..., 0, rows[:half], None], hi - hi[..., 0, rows[half:], None]], axis=-2)
+    ends = np.matmul(np.ascontiguousarray(x[..., None, :]), w)[..., 0, 0]
+    out[..., :half], out[..., -1 : -1 - half : -1] = ends[..., :half], ends[..., half:]
+    # one scalar power per field: the array power differs in the last bit
+    return out / np.reshape([step**order for step in np.ravel(h).tolist()], np.shape(h) + (1,))
 
 
 def fd_weights_rows(x: np.ndarray, x0: np.ndarray, order: int) -> np.ndarray:
@@ -188,7 +193,7 @@ def _uniform_rows(f: np.ndarray, s: np.ndarray, orders: tuple[int, ...], boundar
     # `derivatives` of a stack of fields on uniform grids
     if boundary == "odd":
         return uniform_row_derivatives(f, s, orders)
-    return [np.array([derivative_uniform(x, h, k) for x, h in zip(f, _spacing(s))]) for k in orders]
+    return [derivative_uniform(f, _spacing(s), k) for k in orders]
 
 
 def _fornberg_rows(f: np.ndarray, s: np.ndarray, orders: tuple[int, ...], boundary: str) -> list:

@@ -400,15 +400,25 @@ def test_lapack_routines_are_scipy_linalg_lapack_objects(scipy_first):
     assert "scipy.linalg" in _scipy_modules_after(code)
 
 
-@pytest.mark.parametrize("hide", [
-    "importlib.util.find_spec = lambda name: None",  # no SciPy
-    "importlib.machinery.EXTENSION_SUFFIXES = []",  # no extension file found
-], ids=["no_scipy", "no_file"])
-def test_missing_lapack_wrappers_name_the_module(hide):
+def test_missing_scipy_raises_import_error():
     code = (
-        "import importlib.machinery, importlib.util\nfrom elastic_flow.geometry import lapack\n"
-        f"{hide}\n"
-        "try:\n    lapack()\nexcept ImportError as exc:\n    assert 'scipy.linalg._flapack' in str(exc)\n"
+        "import sys\nfrom elastic_flow.geometry import lapack\n"
+        "class NoSciPy:\n    def find_spec(self, name, path=None, target=None):\n"
+        "        if name.split('.')[0] == 'scipy':\n"
+        "            raise ModuleNotFoundError(f'No module named {name!r}', name=name)\n"
+        "sys.meta_path.insert(0, NoSciPy())\n"
+        "try:\n    lapack()\nexcept ImportError as exc:\n    assert exc.name == 'scipy', exc\n"
         "else:\n    raise AssertionError('no ImportError')\n"
     )
     assert _scipy_modules_after(code) == []
+
+
+def test_lapack_falls_back_to_scipy_linalg_lapack():
+    # a SciPy whose `_flapack` file is not where the loader looks: the run
+    # steps with the routines of the public module
+    code = (
+        "import importlib.machinery\nimportlib.machinery.EXTENSION_SUFFIXES = []\n"
+        "from elastic_flow.geometry import lapack\nfirst = lapack()\n"
+        "import scipy.linalg.lapack\nassert first is scipy.linalg.lapack\n"
+    ) + _SHORT_RUN + "assert lapack().dgbtrf is first.dgbtrf and lapack().dgtsv is first.dgtsv\n"
+    assert "scipy.linalg" in _scipy_modules_after(code)

@@ -3,15 +3,19 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from elastic_flow import ConfigError, WindowMismatch, make_initial_curve
+from elastic_flow import ConfigError, WindowMismatch, make_initial_curve, stencils
 from elastic_flow.convergence import (
     SweepConfig,
+    _common_snapshots,
     _resample,
     ck_distance,
     run_sweep,
 )
-from elastic_flow.flow import FlowConfig, Terminated, run, run_batch
+from elastic_flow.flow import FlowConfig, FlowState, Terminated, run, run_batch
+from elastic_flow.geometry import open_geometry
 
 
 def _bits(x):
@@ -111,7 +115,100 @@ class TestCkDistance:
             assert ck_distance(*bare, k, (0.0, 0.01)) == ck_distance(*recorded, k, (0.0, 0.01)) > 0.0
 
 
+def _param_derivative(values, order):
+    if order == 0:
+        return values
+    n = values.shape[0] - 1
+    return np.column_stack(
+        [stencils.derivative_uniform(values[:, k], 1.0 / n, order) for k in range(2)]
+    )
+
+
+def _ck_distance_loop(traj_a, traj_b, k, window):
+    # one snapshot pair and one order at a time, kept as the reference for
+    # the stacked passes
+    a, b = ([(st.time, st.cache.nodes) for st in traj.states] for traj in (traj_a, traj_b))
+    worst = 0.0
+    for nodes_a, nodes_b in _common_snapshots(a, b, traj_b.config.dt, window):
+        nodes_a, nodes_b = np.ascontiguousarray(nodes_a), np.ascontiguousarray(nodes_b)
+        n_common = min(len(nodes_a), len(nodes_b)) - 1
+        nodes_a = _resample(nodes_a, n_common)
+        nodes_b = _resample(nodes_b, n_common)
+        for order in range(k + 1):
+            diff = _param_derivative(nodes_a, order) - _param_derivative(nodes_b, order)
+            worst = max(worst, float(np.max(np.linalg.norm(diff, axis=1))))
+    return worst
+
+
+class TestStackedDistances:
+    @settings(max_examples=8)
+    @given(amplitude=st.floats(0.01, 0.08), eps=st.floats(0.0, 0.5), n_b=st.sampled_from([64, 48]))
+    @example(amplitude=0.05, eps=0.1, n_b=64)
+    @example(amplitude=0.05, eps=0.1, n_b=48)
+    def test_equal_the_per_pair_loop(self, amplitude, eps, n_b):
+        # 41 snapshots per run, so the pairs span two stacked passes; n_b = 48
+        # resamples the first run's snapshots
+        runs = [
+            run(make_initial_curve("flattened_sine", n, amplitude=amplitude),
+                FlowConfig(epsilon=e, n=n, dt=2.5e-4, t_end=0.01), snapshot_stride=1)
+            for n, e in ((64, eps), (n_b, 0.0))
+        ]
+        for k in range(4):
+            got, want = ck_distance(*runs, k, (0.0, 0.01)), _ck_distance_loop(*runs, k, (0.0, 0.01))
+            assert _bits(got) == _bits(want), k
+
+    def test_non_finite_node_gives_nan(self):
+        # open_geometry does not validate, so a state may hold a NaN node
+        good = short_run()
+        st = good.states[5]
+        nodes = st.cache.nodes.copy()
+        nodes[7, 1] = np.nan
+        cache = open_geometry(nodes[None], st.cache.segments[None], st.cache.total_length[None])[0]
+        states = list(good.states)
+        states[5] = FlowState(cache, st.time, st.epsilon, st.step_index)
+        bad = replace(good, states=states)
+        for k in range(4):
+            assert math.isnan(ck_distance(bad, good, k, (0.0, 0.01))), k
+            assert math.isnan(ck_distance(good, bad, k, (0.0, 0.01))), k
+        # the per-pair loop lost it: Python's max(0.0, nan) is 0.0
+        assert _ck_distance_loop(bad, good, 0, (0.0, 0.01)) == 0.0
+
+
 class TestRunSweep:
+    def test_distances_keep_their_bits(self):
+        # recorded before the sweep measured its distances in stacked passes;
+        # 37 pairs per row at every order
+        base = FlowConfig(epsilon=0.1, n=64, dt=5e-4, t_end=0.02)
+        cfg = SweepConfig(epsilons=(0.2, 0.1, 0.05), base=base, delta=0.002, k_max=3)
+        rep = run_sweep(make_initial_curve("flattened_sine", 64, amplitude=0.05), cfg)
+        assert [[float(x).hex() for x in row] for row in rep.distances] == [
+            ["0x1.6515634189672p-6", "0x1.17dfe72feb20dp-4", "0x1.bbf19297e8200p-3", "0x1.57df3200960dfp-1"],
+            ["0x1.a848e144d3cacp-7", "0x1.4c127e3e8688dp-5", "0x1.08ab402a89e00p-3", "0x1.95b85f0e81f25p-2"],
+            ["0x1.d0a96e8952750p-8", "0x1.6a9be2d6feb41p-6", "0x1.23ab40923f000p-4", "0x1.b3fc054c42a44p-3"],
+        ]
+
+    def test_memory_per_kept_snapshot_is_its_nodes(self):
+        # tracemalloc sees numpy's buffers. Below 200 steps every step is
+        # kept, so 300 steps keep 200 more snapshots per row than 100; at
+        # n = 64 the nodes of one are 1,040 bytes, and the geometry stack of
+        # its step (three rows) about 20 kB
+        import tracemalloc
+
+        curve = make_initial_curve("flattened_sine", 64, amplitude=0.05)
+        peaks = []
+        for steps in (1, 100, 300):
+            cfg = SweepConfig(epsilons=(0.2, 0.1), base=FlowConfig(n=64, dt=1e-4, t_end=steps * 1e-4), k_max=1)
+            # the untraced one-step sweep loads what the first one loads
+            if steps > 1:
+                tracemalloc.start()
+            try:
+                run_sweep(curve, cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[2] - peaks[1] < 3 * 200 * 2 * 1_040
+
+
     def test_segment_sweep_all_zero(self):
         base = FlowConfig(epsilon=0.1, n=64, dt=1e-3, t_end=0.01)
         cfg = SweepConfig(epsilons=(0.2, 0.1), base=base, delta=0.0, k_max=1)

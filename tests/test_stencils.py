@@ -84,6 +84,49 @@ class TestDerivativeRoutines:
             assert np.allclose(a, b, rtol=1e-9, atol=1e-9)
 
 
+def _derivative_uniform_1d(f, h, order):
+    # one field at a time, each end window through its own `w @ x`, kept as
+    # the reference for the stacked kernel
+    half = stencils.CENTERED[order][0]
+    out = np.empty_like(f, dtype=float)
+    out[half:-half] = stencils._centered(f, order)
+    width = order + 2
+    for row in range(half):
+        out[row] = stencils.one_sided_weights(order, width, row) @ (f[:width] - f[row])
+        wr = stencils.one_sided_weights(order, width, width - 1 - row)
+        out[-1 - row] = wr @ (f[-width:] - f[-1 - row])
+    return out / h**order
+
+
+class TestUniformStack:
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_stack_equals_one_field_at_a_time(self, order):
+        # end windows of widths 3 to 6; fields of several scales and
+        # spacings, a strided component view among them
+        rng = np.random.default_rng(order)
+        for n1 in (7, 33, 129):
+            f = rng.normal(size=(4, 3, n1)) * 10.0 ** rng.uniform(-3.0, 3.0, (4, 3, 1))
+            h = rng.uniform(1e-3, 2.0, (4, 3))
+            got = stencils.derivative_uniform(f, h, order)
+            for i, j in np.ndindex(4, 3):
+                want = _derivative_uniform_1d(f[i, j], h[i, j], order)
+                assert np.array_equal(got[i, j].view(np.uint64), want.view(np.uint64)), (n1, i, j)
+            nodes = np.ascontiguousarray(f[0, :2].T)
+            for k in range(2):
+                got = stencils.derivative_uniform(nodes[:, k], 1.0 / (n1 - 1), order)
+                want = _derivative_uniform_1d(nodes[:, k], 1.0 / (n1 - 1), order)
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (n1, k)
+
+    def test_one_sided_rows_of_a_stack_equal_the_reference(self):
+        # `derivatives` takes the uniform rows of a stack through one call
+        s, f = _stacked_grids()
+        s, f = s[[2, 7]], f[[2, 7]]
+        for order, d in zip((1, 2, 3, 4), stencils.derivatives(f, s, (1, 2, 3, 4), "one_sided")):
+            for i in range(2):
+                want = _derivative_uniform_1d(f[i], (s[i, -1] - s[i, 0]) / (s.shape[1] - 1), order)
+                assert np.array_equal(d[i].view(np.uint64), want.view(np.uint64)), (order, i)
+
+
 def _graded_grid(n1: int = 33) -> np.ndarray:
     # spacing grows 2.6x from left to right, with a 20% per-node jitter
     t = np.linspace(0.0, 1.0, n1)
