@@ -21,18 +21,11 @@ def _load(path: str) -> str:
         raise IoError(f"cannot read config {path}: {exc}") from exc
 
 
-def _initial_curve(text: str, n: int):
-    spec = iotools.parse_initial_spec(text)
-    family = spec.pop("family")
-    return make_initial_curve(family, n, **spec)
-
-
 def _cmd_simulate(args) -> int:
-    text = _load(args.config)
-    config = iotools.parse_config(text)
+    config, initial = iotools.parse_config(_load(args.config))
     if isinstance(config, SweepConfig):
         raise ConfigError("sweep", "config declares a sweep; use the sweep command")
-    curve = _initial_curve(text, config.n)
+    curve = make_initial_curve(n=config.n, **initial)
     iotools.refuse_earlier_outputs(args.out)
     written = []
     traj = run(curve, config, snapshot_stride=args.stride,
@@ -44,11 +37,10 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    text = _load(args.config)
-    config = iotools.parse_config(text)
+    config, initial = iotools.parse_config(_load(args.config))
     if isinstance(config, FlowConfig):
         raise ConfigError("sweep", "config lacks a [sweep] section")
-    curve = _initial_curve(text, config.base.n)
+    curve = make_initial_curve(n=config.base.n, **initial)
     iotools.make_dir(args.out)
     report = run_sweep(curve, config)
     iotools.write_report_text(os.path.join(args.out, "report.txt"), report)

@@ -50,10 +50,12 @@ from .geometry import (
     stack_nodes,
 )
 
+MAX_STEPS = 10**6  # the most steps a run may take, 250 times the 4,000 of the suite's longest run
+
 
 @dataclass(frozen=True)
 class FlowConfig:
-    """Parameters of one evolution run."""
+    """Parameters of one evolution run, of at most MAX_STEPS steps."""
 
     epsilon: float = 0.1
     n: int = 128
@@ -74,6 +76,8 @@ class FlowConfig:
             raise ConfigError("dt", "must be positive and finite")
         if not 0.0 < self.t_end / self.dt < math.inf:
             raise ConfigError("t_end", "must be positive and finite, as must t_end / dt")
+        if round(self.t_end / self.dt) > MAX_STEPS:
+            raise ConfigError("t_end", f"t_end / dt = {self.t_end / self.dt:.3g} exceeds MAX_STEPS = {MAX_STEPS}")
         if not 0.0 < self.kappa_blowup_threshold < math.inf:
             raise ConfigError("kappa_blowup_threshold", "must be positive and finite")
         if not 0.0 < self.solver_tol < math.inf:
@@ -315,9 +319,9 @@ def _advance(geo: GeometryCache, eps: list, config: FlowConfig, time: float) -> 
     """One IMEX step of size dt for every row of the stack `geo`, row j
     under eps[j], ending at `time`. Each row must be constant-speed.
 
-    Returns the geometry of the rows that survive the step, in order (None
-    if none does), and the exception that ends each other row, under its
-    index in `geo`: the exceptions `step` raises, checked in the same order.
+    Returns the stack's geometry and each failed row's exception, by row:
+    those `step` raises, checked in the same order. A failed row holds its
+    last good curve until the step ends, so each index stays a row of `geo`.
     """
     nodes, dt = geo.nodes, config.dt
     count = len(eps)
@@ -357,43 +361,29 @@ def _advance(geo: GeometryCache, eps: list, config: FlowConfig, time: float) -> 
         failed.setdefault(int(j), SolverFailure(
             f"relative linear residual {resid[j] / scale[j]:.3e} exceeds tolerance"
         ))
-    at = list(range(count))  # each working row's index in `geo`
 
-    def fail(found: dict, rows: list) -> None:
+    def fail(found: dict) -> None:
         # the first exception of a row is the one that ends it
         for j, exc in found.items():
-            failed.setdefault(rows[j], exc)
-
-    def survivors(*arrays):
-        keep = [j for j in range(len(at)) if at[j] not in failed]
-        return [at[j] for j in keep], *(x[keep] for x in arrays)
+            failed.setdefault(j, exc)
+        for j in failed:
+            new[j] = nodes[j]
+            seg[j] = geo.segments[j]
 
     seg = chord_lengths(new)
-    fail(curve_failures(new, seg), at)
-    if failed:
-        at, new, seg = survivors(new, seg)
-        if not at:
-            return None, failed
+    fail(curve_failures(new, seg))
     new, moved, why = redistribute(new, seg)
-    fail(why, at)
-    if np.logical_and.reduce(moved):
+    fail(why)
+    if np.logical_or.reduce(moved):
         seg = chord_lengths(new)
-        fail(curve_failures(new, seg), at)
-    elif np.logical_or.reduce(moved):
-        moved = moved.nonzero()[0]
-        seg[moved] = chord_lengths(new[moved])
-        fail(curve_failures(new[moved], seg[moved]), [at[j] for j in moved])
+        fail(curve_failures(new, seg))
     total = np.add.reduce(seg, axis=-1)
-    fail(grid_failures(seg, total), at)
-    if failed:
-        at, new, seg, total = survivors(new, seg, total)
-        if not at:
-            return None, failed
-    geo = open_geometry(new, seg, total)
-    peak = np.maximum.reduce(np.abs(geo.kappa), axis=-1)
+    fail(grid_failures(seg, total))
+    stepped = open_geometry(new, seg, total)
+    peak = np.maximum.reduce(np.abs(stepped.kappa), axis=-1)
     blowup = peak > config.kappa_blowup_threshold
-    coarse = np.minimum.reduce(geo.s[:, 1:] - geo.s[:, :-1], axis=-1) < 1e-6 * total
-    h = geo.uniform_h
+    coarse = np.minimum.reduce(stepped.s[:, 1:] - stepped.s[:, :-1], axis=-1) < 1e-6 * total
+    h = stepped.uniform_h
     for j in (blowup | coarse | [x is None for x in h]).nonzero()[0]:
         if h[j] is None:
             exc = ReparamFailure("redistributed grid is not uniform")
@@ -401,11 +391,8 @@ def _advance(geo: GeometryCache, eps: list, config: FlowConfig, time: float) -> 
             exc = SingularityDetected(f"max |kappa| = {peak[j]:.3e} at t = {time:.6g}")
         else:
             exc = SingularityDetected(f"mesh degenerated at t = {time:.6g}")
-        failed[at[j]] = exc
-    keep = [j for j in range(len(at)) if at[j] not in failed]
-    if len(keep) < len(at):
-        geo = geo[keep] if keep else None
-    return geo, failed
+        failed.setdefault(int(j), exc)
+    return stepped, failed
 
 
 def step(state: FlowState, config: FlowConfig) -> FlowState:
@@ -593,7 +580,7 @@ def run_batch(
             flush(j)
         if failed:
             keep = [j for j in range(len(ids)) if j not in failed]
-            ids, eps = [ids[j] for j in keep], [eps[j] for j in keep]
+            ids, eps, geo = [ids[j] for j in keep], [eps[j] for j in keep], geo[keep]
             buf = {name: x[keep] for name, x in buf.items()}
             if not ids:
                 break

@@ -530,6 +530,8 @@ def _arc_profile_nodes(p, q, n, turn_angle):
 
 
 _FAMILIES = ("segment", "flattened_sine", "bump_perturbed_segment", "arc_with_flat_ends")
+# the endpoints and the bump's support when `make_initial_curve` is given none
+INITIAL_DEFAULTS = {"p": (0.0, 0.0), "q": (1.0, 0.0), "support": (0.3, 0.7)}
 
 
 def make_initial_curve(family: str, n: int = 128, **params) -> DiscreteCurve:
@@ -560,8 +562,8 @@ def make_initial_curve(family: str, n: int = 128, **params) -> DiscreteCurve:
         raise BadParams(f"unknown family {family!r}; choose from {_FAMILIES}")
     if n < MIN_NODE_COUNT:
         raise BadParams(f"n must be at least {MIN_NODE_COUNT}")
-    p = params.pop("p", (0.0, 0.0))
-    q = params.pop("q", (1.0, 0.0))
+    p = params.pop("p", INITIAL_DEFAULTS["p"])
+    q = params.pop("q", INITIAL_DEFAULTS["q"])
     dist = float(np.linalg.norm(np.asarray(q, float) - np.asarray(p, float)))
     if dist <= 0.0:
         raise BadParams("endpoints must be distinct")
@@ -580,7 +582,7 @@ def make_initial_curve(family: str, n: int = 128, **params) -> DiscreteCurve:
         nodes = _graph_nodes(p, q, n, lambda u: amplitude * np.sin(np.pi * u))
     elif family == "bump_perturbed_segment":
         amplitude = float(params.pop("amplitude", 0.1))
-        support = tuple(params.pop("support", (0.3, 0.7)))
+        support = tuple(params.pop("support", INITIAL_DEFAULTS["support"]))
         _reject_extra(params)
         a, b = float(support[0]), float(support[1])
         if not (0.05 <= a < b <= 0.95 and b - a >= 0.1):

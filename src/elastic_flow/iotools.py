@@ -1,7 +1,9 @@
 """Config parsing and file emission.
 
 The config format is line-oriented `key = value` with optional `[section]`
-headers and `#` comments. Keys before any header belong to [flow]. All
+headers and `#` comments. Keys before any header belong to [flow]. One
+table, `SCHEMA`, names every key of every section with the reader of its
+value, and `parse_config` applies it in one pass over the lines. All
 floating-point output is printed with 17 significant digits, which
 round-trips doubles exactly.
 """
@@ -18,6 +20,7 @@ from .convergence import ConvergenceReport, SweepConfig
 from .errors import ConfigError, IoError
 from .estimates import DIAGNOSTICS, DIAGNOSTICS_HEADER
 from .flow import FlowConfig, FlowState
+from .geometry import INITIAL_DEFAULTS
 
 
 def fmt(x: float) -> str:
@@ -28,137 +31,92 @@ def fmt(x: float) -> str:
 # config document
 # ---------------------------------------------------------------------------
 
-_FLOW_KEYS = {
-    "epsilon",
-    "n",
-    "dt",
-    "t_end",
-    "kappa_blowup_threshold",
-    "solver_tol",
+def _reader(kind, noun: str):
+    # a reader of one value: `kind` of it, or ValueError with the reason
+    def read(value: str):
+        try:
+            return kind(value)
+        except ValueError:
+            raise ValueError(f"not {noun}: {value!r}") from None
+    return read
+
+
+_number = _reader(float, "a number")
+_integer = _reader(int, "an integer")
+
+
+def _numbers(value: str) -> tuple[float, ...]:
+    items = [v for v in (part.strip() for part in value.split(",")) if v]
+    if not items:
+        raise ValueError("empty list")
+    return tuple(_number(v) for v in items)
+
+
+# every key of every section, with the reader of its value
+SCHEMA = {
+    "flow": {"epsilon": _number, "n": _integer, "dt": _number, "t_end": _number,
+             "kappa_blowup_threshold": _number, "solver_tol": _number},
+    "sweep": {"epsilons": _numbers, "delta": _number, "k_max": _integer, "snapshot_times": _numbers},
+    "initial": {"family": str, "amplitude": _number, "turn_angle": _number, "px": _number, "py": _number,
+                "qx": _number, "qy": _number, "support_lo": _number, "support_hi": _number},
 }
-_SWEEP_KEYS = {"epsilons", "delta", "k_max", "snapshot_times"}
-_INITIAL_KEYS = {"family", "amplitude", "turn_angle", "px", "py", "qx", "qy",
-                 "support_lo", "support_hi"}
+# the [initial] key pairs that make one parameter of `make_initial_curve`
+_PAIRS = {"p": ("px", "py"), "q": ("qx", "qy"), "support": ("support_lo", "support_hi")}
 
 
-def _tokenize(text: str) -> dict[str, dict[str, str]]:
-    sections: dict[str, dict[str, str]] = {"flow": {}, "sweep": {}, "initial": {}}
-    current = "flow"
+def parse_config(text: str) -> tuple[FlowConfig | SweepConfig, dict]:
+    """Parse a config document into a flow or sweep configuration and the
+    initial-curve spec, the arguments of `make_initial_curve` but n.
+
+    A document with a [sweep] key yields a SweepConfig around the [flow]
+    base; otherwise the flow keys alone define a FlowConfig. An unknown
+    section or key, a repeated key and an unreadable value are refused with
+    the offending key path, at the first one in the document.
+    """
+    entries = {section: {} for section in SCHEMA}
+    section = "flow"
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
-            current = line[1:-1].strip().lower()
-            if current not in sections:
-                raise ConfigError(current, f"unknown section (line {lineno})")
+            section = line[1:-1].strip().lower()
+            if section not in SCHEMA:
+                raise ConfigError(section, f"unknown section (line {lineno})")
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}", f"expected key = value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         if not key:
             raise ConfigError(f"line {lineno}", "empty key")
-        if key in sections[current]:
-            raise ConfigError(f"{current}.{key}", "duplicate key")
-        sections[current][key] = value
-    return sections
+        path = f"{section}.{key}"
+        if key in entries[section]:
+            raise ConfigError(path, "duplicate key")
+        if key not in SCHEMA[section]:
+            raise ConfigError(path, "unknown key")
+        try:
+            entries[section][key] = SCHEMA[section][key](value)
+        except ValueError as exc:
+            raise ConfigError(path, str(exc)) from None
+    flow, sweep, initial = entries.values()
+    config = _build(FlowConfig, "flow", flow)
+    if sweep:
+        if "epsilons" not in sweep:
+            raise ConfigError("sweep.epsilons", "required for a sweep")
+        config = _build(SweepConfig, "sweep", {"base": config, **sweep})
+    spec = {"family": "flattened_sine", **initial}
+    for name, keys in _PAIRS.items():
+        if any(key in spec for key in keys):
+            spec[name] = tuple(spec.pop(key, x) for key, x in zip(keys, INITIAL_DEFAULTS[name]))
+    return config, spec
 
 
-def _as_float(section: str, key: str, value: str) -> float:
+def _build(kind, section: str, kwargs: dict):
+    # a config class's own refusals, under the section's key path
     try:
-        return float(value)
-    except ValueError as exc:
-        raise ConfigError(f"{section}.{key}", f"not a number: {value!r}") from exc
-
-
-def _as_int(section: str, key: str, value: str) -> int:
-    try:
-        return int(value)
-    except ValueError as exc:
-        raise ConfigError(f"{section}.{key}", f"not an integer: {value!r}") from exc
-
-
-def _as_float_list(section: str, key: str, value: str) -> tuple[float, ...]:
-    items = [v for v in (part.strip() for part in value.split(",")) if v]
-    if not items:
-        raise ConfigError(f"{section}.{key}", "empty list")
-    return tuple(_as_float(section, key, v) for v in items)
-
-
-def _build_flow_config(entries: dict[str, str]) -> FlowConfig:
-    unknown = set(entries) - _FLOW_KEYS
-    if unknown:
-        raise ConfigError(f"flow.{sorted(unknown)[0]}", "unknown key")
-    kwargs = {}
-    for key, value in entries.items():
-        if key == "n":
-            kwargs[key] = _as_int("flow", key, value)
-        else:
-            kwargs[key] = _as_float("flow", key, value)
-    try:
-        return FlowConfig(**kwargs)
+        return kind(**kwargs)
     except ConfigError as exc:
-        raise ConfigError(f"flow.{exc.key}", exc.reason) from None
-
-
-def parse_config(text: str) -> FlowConfig | SweepConfig:
-    """Parse a config document into a flow or sweep configuration.
-
-    A document with a [sweep] section yields a SweepConfig around the [flow]
-    base; otherwise the flow keys alone define a FlowConfig. Unknown keys
-    are rejected with the offending key path.
-    """
-    sections = _tokenize(text)
-    base = _build_flow_config(sections["flow"])
-    sweep_entries = sections["sweep"]
-    if not sweep_entries:
-        return base
-    unknown = set(sweep_entries) - _SWEEP_KEYS
-    if unknown:
-        raise ConfigError(f"sweep.{sorted(unknown)[0]}", "unknown key")
-    if "epsilons" not in sweep_entries:
-        raise ConfigError("sweep.epsilons", "required for a sweep")
-    kwargs = {"epsilons": _as_float_list("sweep", "epsilons", sweep_entries["epsilons"])}
-    if "delta" in sweep_entries:
-        kwargs["delta"] = _as_float("sweep", "delta", sweep_entries["delta"])
-    if "k_max" in sweep_entries:
-        kwargs["k_max"] = _as_int("sweep", "k_max", sweep_entries["k_max"])
-    if "snapshot_times" in sweep_entries:
-        kwargs["snapshot_times"] = _as_float_list(
-            "sweep", "snapshot_times", sweep_entries["snapshot_times"]
-        )
-    try:
-        return SweepConfig(base=base, **kwargs)
-    except ConfigError as exc:
-        raise ConfigError(f"sweep.{exc.key}", exc.reason) from None
-
-
-def parse_initial_spec(text: str) -> dict:
-    """Initial-curve family and parameters from the [initial] section."""
-    entries = _tokenize(text)["initial"]
-    unknown = set(entries) - _INITIAL_KEYS
-    if unknown:
-        raise ConfigError(f"initial.{sorted(unknown)[0]}", "unknown key")
-    spec: dict = {"family": entries.get("family", "flattened_sine")}
-    if "amplitude" in entries:
-        spec["amplitude"] = _as_float("initial", "amplitude", entries["amplitude"])
-    if "turn_angle" in entries:
-        spec["turn_angle"] = _as_float("initial", "turn_angle", entries["turn_angle"])
-    p = (
-        _as_float("initial", "px", entries.get("px", "0")),
-        _as_float("initial", "py", entries.get("py", "0")),
-    )
-    q = (
-        _as_float("initial", "qx", entries.get("qx", "1")),
-        _as_float("initial", "qy", entries.get("qy", "0")),
-    )
-    spec["p"], spec["q"] = p, q
-    if "support_lo" in entries or "support_hi" in entries:
-        spec["support"] = (
-            _as_float("initial", "support_lo", entries.get("support_lo", "0.3")),
-            _as_float("initial", "support_hi", entries.get("support_hi", "0.7")),
-        )
-    return spec
+        raise ConfigError(f"{section}.{exc.key}", exc.reason) from None
 
 
 # ---------------------------------------------------------------------------

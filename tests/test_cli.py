@@ -130,7 +130,7 @@ class TestSimulate:
         streamed, stored = tmp_path / "streamed", tmp_path / "stored"
         assert main(["simulate", "-c", cfg_file(LONG_CFG), "-o", str(streamed), "--stride", str(stride)]) == 0
         traj = flow.run(
-            make_initial_curve("flattened_sine", 64, amplitude=0.05), parse_config(LONG_CFG),
+            make_initial_curve("flattened_sine", 64, amplitude=0.05), parse_config(LONG_CFG)[0],
             snapshot_stride=stride,
         )
         written = write_snapshots(str(stored), traj.states)
@@ -349,22 +349,59 @@ def test_simulate_and_sweep_do_not_load_the_suite(tmp_path, cfg_file, command, c
     assert "elastic_flow.acceptance" not in modules
 
 
-@pytest.mark.parametrize("args,config,message", [
-    (["simulate"], SIMULATE_CFG.replace("t_end = 0.01", "t_end = inf"), "error: flow.t_end: "),
-    (["sweep"], SWEEP_CFG.replace("k_max = 1", "k_max = 1\nsnapshot_times = nan"), "error: sweep.snapshot_times: "),
-    (["sweep"], SWEEP_CFG.replace("k_max = 1", "k_max = 1\nsnapshot_times = inf"), "error: sweep.snapshot_times: "),
-    (["simulate"], "[flow]\nn = 64\ndt = 1e-300\nt_end = 1e10\n[initial]\nfamily = segment\n", "error: flow.t_end: "),
-    (["sweep"], SWEEP_CFG.replace("dt = 1e-3", "dt = 1e-300").replace("t_end = 0.01", "t_end = 1e10"),
-     "error: flow.t_end: "),
-    (["verify", "--seed", "-1"], None, "usage: "),
-], ids=["t_end_inf", "snapshot_times_nan", "snapshot_times_inf", "steps_overflow", "sweep_steps_overflow",
-        "seed_negative"])
+_BAD_INPUT = {
+    "t_end_inf": (["simulate"], SIMULATE_CFG.replace("t_end = 0.01", "t_end = inf"),
+                  "error: flow.t_end: must be positive and finite, as must t_end / dt"),
+    "snapshot_times_nan": (["sweep"], SWEEP_CFG.replace("k_max = 1", "k_max = 1\nsnapshot_times = nan"),
+                           "error: sweep.snapshot_times: nan / dt is not finite"),
+    "snapshot_times_inf": (["sweep"], SWEEP_CFG.replace("k_max = 1", "k_max = 1\nsnapshot_times = inf"),
+                           "error: sweep.snapshot_times: inf / dt is not finite"),
+    "steps_overflow": (["simulate"], "[flow]\nn = 64\ndt = 1e-300\nt_end = 1e10\n[initial]\nfamily = segment\n",
+                       "error: flow.t_end: must be positive and finite, as must t_end / dt"),
+    "sweep_steps_overflow": (["sweep"],
+                             SWEEP_CFG.replace("dt = 1e-3", "dt = 1e-300").replace("t_end = 0.01", "t_end = 1e10"),
+                             "error: flow.t_end: must be positive and finite, as must t_end / dt"),
+    # finite, but 1e300 steps: refused before the run starts
+    "steps_above_max": (["simulate"], "[flow]\nn = 64\ndt = 1e-300\nt_end = 1\n[initial]\nfamily = segment\n",
+                        "error: flow.t_end: t_end / dt = 1e+300 exceeds MAX_STEPS = 1000000"),
+    "seed_negative": (["verify", "--seed", "-1"], None,
+                      "elastic-flow verify: error: argument --seed: must be non-negative, got -1"),
+    "amplitude_nan": (["simulate"], SIMULATE_CFG.replace("amplitude = 0.05", "amplitude = nan"),
+                      "error: amplitude outside documented range [0, 2|P-Q|]"),
+    "amplitude_inf": (["simulate"], SIMULATE_CFG.replace("amplitude = 0.05", "amplitude = inf"),
+                      "error: amplitude outside documented range [0, 2|P-Q|]"),
+    "amplitude_huge": (["simulate"], SIMULATE_CFG.replace("amplitude = 0.05", "amplitude = 1e300"),
+                       "error: amplitude outside documented range [0, 2|P-Q|]"),
+    # a RuntimeWarning comes first on stderr: nan passes the range check
+    "turn_angle_nan": (["simulate"], SIMULATE_CFG.replace(
+        "family = flattened_sine\namplitude = 0.05", "family = arc_with_flat_ends\nturn_angle = nan"
+    ), "error: nodes must have finite coordinates"),
+    "px_nan": (["simulate"], SIMULATE_CFG + "px = nan\n", "error: amplitude outside documented range [0, 2|P-Q|]"),
+    "coincident_endpoints": (["simulate"], SIMULATE_CFG + "qx = 0\n", "error: endpoints must be distinct"),
+    "support_reversed": (["simulate"],
+                         SIMULATE_CFG.replace("flattened_sine", "bump_perturbed_segment")
+                         + "support_lo = 0.7\nsupport_hi = 0.3\n",
+                         "error: support must satisfy 0.05 <= a < b <= 0.95, b-a >= 0.1"),
+    "unknown_initial_key": (["simulate"], SIMULATE_CFG + "wibble = 1\n", "error: initial.wibble: unknown key"),
+    "n_not_integer": (["simulate"], SIMULATE_CFG.replace("n = 64", "n = 1.5"), "error: flow.n: not an integer: '1.5'"),
+    "empty_epsilons": (["sweep"], SWEEP_CFG.replace("epsilons = 0.2, 0.1", "epsilons ="),
+                       "error: sweep.epsilons: empty list"),
+    "sweep_without_epsilons": (["sweep"], SWEEP_CFG.replace("epsilons = 0.2, 0.1\n", ""),
+                               "error: sweep.epsilons: required for a sweep"),
+    "duplicate_key": (["simulate"], SIMULATE_CFG.replace("n = 64", "n = 64\nn = 64"), "error: flow.n: duplicate key"),
+    "unknown_section": (["simulate"], SIMULATE_CFG + "[wibble]\nx = 1\n",
+                        "error: wibble: unknown section (line 11)"),
+}
+
+
+@pytest.mark.parametrize("args,config,message", list(_BAD_INPUT.values()), ids=list(_BAD_INPUT))
 def test_bad_input_exits_2_without_traceback(tmp_path, cfg_file, args, config, message):
     if config is not None:
         args = args + ["-c", cfg_file(config), "-o", str(tmp_path / "out")]
     proc = _fresh_python("import sys\nfrom elastic_flow.cli import main\nsys.exit(main(sys.argv[1:]))", *args)
     assert proc.returncode == 2
-    assert proc.stderr.startswith(message)
+    # the error line ends stderr; argparse prints a usage line before it
+    assert proc.stderr.splitlines()[-1] == message
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "out").exists()
 

@@ -114,6 +114,13 @@ class TestFlowConfig:
             flow.snapshot_step(1e10, 1e-300)
         assert info.value.key == "snapshot_times"
 
+    def test_step_count_is_at_most_max_steps(self):
+        # only built, never run
+        assert FlowConfig(n=64, dt=1e-6, t_end=1.0).num_steps == flow.MAX_STEPS
+        with pytest.raises(ConfigError) as info:
+            FlowConfig(n=64, dt=1e-6, t_end=1.000001)
+        assert info.value.key == "t_end"
+
     def test_t_end_must_sit_on_dt_grid(self):
         with pytest.raises(ConfigError):
             FlowConfig(epsilon=0.1, dt=3e-4, t_end=1e-3).num_steps

@@ -11,9 +11,9 @@ from elastic_flow.convergence import SweepConfig, run_sweep
 from elastic_flow.flow import FlowConfig, run
 from elastic_flow.estimates import DIAGNOSTICS_HEADER
 from elastic_flow.iotools import (
+    SCHEMA,
     fmt,
     parse_config,
-    parse_initial_spec,
     write_diagnostics_csv,
     write_report_json,
     write_report_text,
@@ -32,7 +32,7 @@ def small_run(n=64, dt=1e-3, t_end=0.01, eps=0.1, stride=1):
 
 class TestParseConfig:
     def test_minimal_document_gets_defaults(self):
-        cfg = parse_config("epsilon = 0.1\n")
+        cfg, _ = parse_config("epsilon = 0.1\n")
         assert isinstance(cfg, FlowConfig)
         assert cfg.epsilon == 0.1
         assert cfg.n == 128
@@ -66,7 +66,7 @@ class TestParseConfig:
         delta = 0.001
         k_max = 1
         """
-        cfg = parse_config(text)
+        cfg, _ = parse_config(text)
         assert isinstance(cfg, SweepConfig)
         assert cfg.epsilons == (0.2, 0.1, 0.05)
         assert cfg.base.dt == 1e-4
@@ -78,15 +78,30 @@ class TestParseConfig:
 
     def test_comments_and_sections(self):
         text = "# header\nepsilon = 0.2  # trailing\n[initial]\nfamily = segment\n"
-        cfg = parse_config(text)
+        cfg, spec = parse_config(text)
         assert cfg.epsilon == 0.2
-        spec = parse_initial_spec(text)
         assert spec["family"] == "segment"
 
     def test_initial_spec_defaults(self):
-        spec = parse_initial_spec("[initial]\nfamily = flattened_sine\namplitude = 0.07\n")
-        assert spec["amplitude"] == 0.07
-        assert spec["p"] == (0.0, 0.0) and spec["q"] == (1.0, 0.0)
+        # the endpoints a document leaves out are make_initial_curve's own
+        _, spec = parse_config("[initial]\nfamily = flattened_sine\namplitude = 0.07\n")
+        assert spec == {"family": "flattened_sine", "amplitude": 0.07}
+        nodes = make_initial_curve(n=64, **spec).nodes
+        assert tuple(nodes[0]) == (0.0, 0.0) and tuple(nodes[-1]) == (1.0, 0.0)
+
+    @pytest.mark.parametrize("keys,name,value", [
+        ("px = 0.5", "p", (0.5, 0.0)),
+        ("qy = 2", "q", (1.0, 2.0)),
+        ("support_hi = 0.8", "support", (0.3, 0.8)),
+    ])
+    def test_one_key_of_a_pair_takes_the_other_default(self, keys, name, value):
+        _, spec = parse_config(f"[initial]\nfamily = segment\n{keys}\n")
+        assert spec[name] == value
+
+    def test_flow_and_sweep_keys_are_the_config_fields(self):
+        # a new config field cannot go unparsed
+        assert set(SCHEMA["flow"]) == {f.name for f in dataclasses.fields(FlowConfig)}
+        assert set(SCHEMA["sweep"]) == {f.name for f in dataclasses.fields(SweepConfig)} - {"base"}
 
 
 class TestSnapshotRoundTrip:
