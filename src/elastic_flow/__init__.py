@@ -1,5 +1,14 @@
 """Numerical lab for the regularized curvature flow of pinned plane curves."""
 
+import os
+
+# No BLAS call of the lab is large enough to split across threads, yet each
+# OpenBLAS copy (numpy's at import, SciPy's at the first solve) starts a
+# worker per further core that spins on load. So BLAS loads with one thread,
+# unless the caller has chosen a thread count.
+if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 from .convergence import (
     ConvergenceReport,
     SweepConfig,

@@ -85,7 +85,7 @@ def endpoint_residuals(kappa: np.ndarray, h) -> np.ndarray:
     for row, (order, width) in enumerate(((2, 4), (4, 5)), start=1):
         # even orders are insensitive to window orientation; matmul on the
         # reversed view repeats the arithmetic of `w @ x` row by row
-        w = np.array([stencils.one_sided_weights(order, width, 0) / hi**order for hi in h])
+        w = stencils.one_sided_weights(order, width, 0) / np.array([hi**order for hi in h])[:, None]
         for side, x in enumerate((kappa[:, :width], kappa[:, -width:][:, ::-1])):
             out[:, row, side] = np.abs(np.matmul(w.reshape(-1, 1, width), x[:, :, None])[:, 0, 0])
     return out

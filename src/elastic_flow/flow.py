@@ -47,7 +47,6 @@ from .geometry import (
     raise_first,
     redistribute,
     reparametrize_constant_speed,
-    stack_nodes,
 )
 
 MAX_STEPS = 10**6  # the most steps a run may take, 250 times the 4,000 of the suite's longest run
@@ -250,16 +249,16 @@ def curvature_rate_consistency(traj: "Trajectory", t: float, interior: int = 4) 
 
 
 def _band_matvec(diags: np.ndarray, x: np.ndarray) -> np.ndarray:
-    # along the last two axes: `diags` (..., 5, n+1), `x` (..., n+1, 2);
-    # the arithmetic runs along the nodes, coordinate by coordinate
-    x = np.swapaxes(x, -1, -2)
-    sub2, sub1, main, sup1, sup2 = (diags[..., i : i + 1, :] for i in range(5))
-    out = main * x
-    out[..., 1:] += sub1[..., 1:] * x[..., :-1]
-    out[..., 2:] += sub2[..., 2:] * x[..., :-2]
-    out[..., :-1] += sup1[..., :-1] * x[..., 1:]
-    out[..., :-2] += sup2[..., :-2] * x[..., 2:]
-    return np.swapaxes(out, -1, -2)
+    # along the last two axes: `diags` (..., 5, n+1), the diagonals sub2,
+    # sub1, main, sup1 and sup2, and `x` (..., n+1, 2); the arithmetic runs
+    # along the nodes, coordinate by coordinate
+    x = x.swapaxes(-1, -2)
+    out = diags[..., 2:3, :] * x
+    out[..., 1:] += diags[..., 1:2, 1:] * x[..., :-1]
+    out[..., 2:] += diags[..., 0:1, 2:] * x[..., :-2]
+    out[..., :-1] += diags[..., 3:4, :-1] * x[..., 1:]
+    out[..., :-2] += diags[..., 4:5, :-2] * x[..., 2:]
+    return out.swapaxes(-1, -2)
 
 
 def _assemble_uniform(n: int, h: float, dt: float, eps: float) -> np.ndarray:
@@ -294,7 +293,8 @@ def solve_banded(diags: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """
     if diags.ndim == 2:
         return solve_banded(diags[None], rhs[None])[0]
-    dgbtrf, dgbtrs = lapack().dgbtrf, lapack().dgbtrs
+    routines = lapack()
+    dgbtrf, dgbtrs = routines.dgbtrf, routines.dgbtrs
     # LAPACK band storage with two extra rows for the pivoting fill-in
     ab = np.zeros((len(diags), 7, diags.shape[-1]))
     ab[:, 2, 2:] = diags[:, 4, :-2]
@@ -305,9 +305,15 @@ def solve_banded(diags: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     factors = [dgbtrf(a, 2, 2, overwrite_ab=True) for a in ab]
     if any(info > 0 for _, _, info in factors):
         raise SolverFailure("singular implicit matrix")
-    x = stack_nodes([dgbtrs(lu, 2, 2, b, piv)[0] for (lu, piv, _), b in zip(factors, rhs)])
+    # the solution and its correction, each row in the Fortran order of
+    # LAPACK's output, so that the rows copy in as blocks
+    x, dx = np.empty((2, len(diags), 2, diags.shape[-1])).transpose(0, 1, 3, 2)
+    for j, (lu, piv, _) in enumerate(factors):
+        x[j] = dgbtrs(lu, 2, 2, rhs[j], piv)[0]
     resid = rhs - _band_matvec(diags, x)
-    return x + stack_nodes([dgbtrs(lu, 2, 2, b, piv)[0] for (lu, piv, _), b in zip(factors, resid)])
+    for j, (lu, piv, _) in enumerate(factors):
+        dx[j] = dgbtrs(lu, 2, 2, resid[j], piv)[0]
+    return x + dx
 
 
 def _amax(x: np.ndarray) -> np.ndarray:
@@ -325,18 +331,19 @@ def _advance(geo: GeometryCache, eps: list, config: FlowConfig, time: float) -> 
     """
     nodes, dt = geo.nodes, config.dt
     count = len(eps)
+    ends = slice(None, None, nodes.shape[1] - 1)  # the first and last node
     diags = np.array([_assemble_uniform(nodes.shape[1] - 1, h, dt, e) for h, e in zip(geo.uniform_h, eps)])
     rhs = nodes.copy(order="K")
     # rows with eps = 0 skip the explicit term, whose +0.0 would turn a -0.0
     # coordinate into +0.0
     live = [j for j in range(count) if eps[j] > 0.0]
     if live:
-        if len(live) == count:
-            live = slice(None)
+        if live[-1] - live[0] == len(live) - 1:
+            # a run of rows, as in every sweep (the reference first): a slice
+            live = slice(live[0], live[-1] + 1)
         kd = _dirichlet_kappa(geo.kappa[live])
         rhs[live] += dt * ((-3.0 * np.array(eps)[live])[:, None] * kd**3)[..., None] * geo.normal[live]
-        rhs[:, 0] = nodes[:, 0]
-        rhs[:, -1] = nodes[:, -1]
+        rhs[:, ends] = nodes[:, ends]
 
     # One solve alone passes the backward-error check below on every step of
     # configs/run.cfg; the refinement stays because without it the k4 column
@@ -353,8 +360,7 @@ def _advance(geo: GeometryCache, eps: list, config: FlowConfig, time: float) -> 
                 new[j] = solve_banded(diags[j], rhs[j])
             except SolverFailure as exc:
                 failed[j] = exc
-    new[:, 0] = nodes[:, 0]
-    new[:, -1] = nodes[:, -1]
+    new[:, ends] = nodes[:, ends]
     resid = _amax(rhs - _band_matvec(diags, new))
     scale = np.maximum.reduce(np.add.reduce(np.abs(diags), axis=1), axis=-1) * _amax(new) + _amax(rhs)
     for j in (resid > config.solver_tol * scale).nonzero()[0]:

@@ -146,8 +146,16 @@ def _trapezoid_weights(s: np.ndarray) -> np.ndarray:
     return w
 
 
-# signs of the first-derivative end weights on the left and right window
-_SIDES = np.array([1.0, -1.0])[:, None, None]
+# unit-spacing end weights: of the first derivative, signed for the left
+# and the right window, and of the second
+_W1 = stencils.one_sided_weights(1, 3, 0) * np.array([1.0, -1.0])[:, None, None]
+_W2 = stencils.one_sided_weights(2, 8, 0)
+
+
+@functools.cache
+def _end_windows(n1: int) -> np.ndarray:
+    # the node indices of both 8-node end windows, the right one read from its end
+    return np.array([range(8), range(n1 - 1, n1 - 9, -1)])
 
 
 def _open_position_derivs(nodes: np.ndarray, s: np.ndarray, h: list):
@@ -163,30 +171,35 @@ def _open_position_derivs(nodes: np.ndarray, s: np.ndarray, h: list):
     """
     d1 = np.empty_like(nodes)
     d2 = np.empty_like(nodes)
-    hm = (s[:, 1:-1] - s[:, :-2])[..., None]
-    hp = (s[:, 2:] - s[:, 1:-1])[..., None]
-    wm = hm * (hm + hp)
-    wp = hp * (hm + hp)
+    ds = (s[:, 1:] - s[:, :-1])[..., None]
+    hm, hp = ds[:, :-1], ds[:, 1:]
+    span = hm + hp
+    wm = hm * span
+    wp = hp * span
     # difference form annihilates constants exactly (translation robustness)
     lo = nodes[:, :-2] - nodes[:, 1:-1]
     hi = nodes[:, 2:] - nodes[:, 1:-1]
     d1[:, 1:-1] = -hp / wm * lo + hm / wp * hi
     d2[:, 1:-1] = 2.0 / wm * lo + 2.0 / wp * hi
     n1 = nodes.shape[1]
-    uniform = [row for row, spacing in enumerate(h) if spacing is not None]
-    if uniform:
-        at = np.array(uniform)[:, None]
-        # both 8-node end windows, the right one read from its end, as
-        # differences from the end node; C-contiguous windows make matmul
-        # repeat the arithmetic of `w @ x` window by window
-        x = np.ascontiguousarray(nodes[uniform][:, [range(8), range(n1 - 1, n1 - 9, -1)]])
+    # the uniform rows and their end nodes, as slices when every row is
+    # uniform, as in every stepped stack
+    if None in h:
+        rows = np.array([row for row, spacing in enumerate(h) if spacing is not None], dtype=int)
+        at = rows[:, None], [0, n1 - 1]
+    else:
+        rows = slice(None)
+        at = rows, slice(None, None, n1 - 1)
+    # one scalar power per row: the array power differs in the last bit
+    hu = np.array([[spacing, spacing**2] for spacing in h if spacing is not None])
+    if len(hu):
+        # both end windows, as differences from the end node; C-contiguous
+        # windows make matmul repeat the arithmetic of `w @ x` window by window
+        x = np.ascontiguousarray(nodes[rows][:, _end_windows(n1)])
         x -= x[:, :, :1]
-        # one scalar power per row: the array power differs in the last bit
-        hu = np.array([[h[row], h[row] ** 2] for row in uniform])[:, :, None, None, None]
-        w1 = stencils.one_sided_weights(1, 3, 0) / hu[:, 0] * _SIDES
-        w2 = stencils.one_sided_weights(2, 8, 0) / hu[:, 1]
-        d1[at, [0, n1 - 1]] = np.matmul(w1, np.ascontiguousarray(x[:, :, :3]))[:, :, 0]
-        d2[at, [0, n1 - 1]] = np.matmul(w2, x)[:, :, 0]
+        hu = hu[:, :, None, None, None]
+        d1[at] = np.matmul(_W1 / hu[:, 0], np.ascontiguousarray(x[:, :, :3]))[:, :, 0]
+        d2[at] = np.matmul(_W2 / hu[:, 1], x)[:, :, 0]
     raw = [row for row, spacing in enumerate(h) if spacing is None]
     if raw:
         rows = np.array(raw)[:, None]
@@ -220,13 +233,6 @@ def _norm(v: np.ndarray) -> np.ndarray:
     # that sums along the result's last axis are pairwise as for one row
     v = v * v
     return np.sqrt(np.add(v[..., 0], v[..., 1], order="C"))
-
-
-def stack_nodes(arrays) -> np.ndarray:
-    """The (n+1, 2) arrays as one (rows, n+1, 2) stack, stored coordinate
-    by coordinate, so that operations along the nodes run over contiguous
-    memory."""
-    return np.array([x.T for x in arrays]).transpose(0, 2, 1)
 
 
 def chord_lengths(nodes: np.ndarray) -> np.ndarray:
@@ -266,7 +272,7 @@ def stacked_grids(nodes: np.ndarray):
 def _running_sum(x: np.ndarray) -> np.ndarray:
     # np.concatenate([[0.0], np.cumsum(x)]) along the last axis of (rows, n)
     out = np.zeros((x.shape[0], x.shape[1] + 1))
-    np.cumsum(x, axis=-1, out=out[:, 1:])
+    x.cumsum(axis=-1, out=out[:, 1:])
     return out
 
 
@@ -323,7 +329,8 @@ def _not_a_knot_spline(u: np.ndarray, y: np.ndarray):
     """Not-a-knot cubic splines through the stack `y` (rows, m, width) at the
     knots `u` (rows, m), as a function `spline(tau, rows)` of the parameters
     `tau` of the curves `rows`. Each row repeats the arithmetic of scipy's
-    `CubicSpline(u, y, bc_type="not-a-knot")`, so its values are the same bits."""
+    `CubicSpline(u, y, bc_type="not-a-knot")`, so its values are the same bits.
+    A row needs at least 6 knots; every curve has 17 or more."""
     dgtsv = lapack().dgtsv
     count, size, width = y.shape
     dx = u[:, 1:] - u[:, :-1]
@@ -332,16 +339,24 @@ def _not_a_knot_spline(u: np.ndarray, y: np.ndarray):
     # slopes m at the knots: continuity of the second derivative inside,
     # continuity of the third across the second and next-to-last knots;
     # LAPACK's gtsv is the solver `solve_banded((1, 1), ...)` calls
-    d = (u[:, 2] - u[:, 0])[:, None]
-    e = (u[:, -1] - u[:, -3])[:, None]
+    # the spans d = u2 - u0 and e = u[-1] - u[-3] of the two end intervals
+    de = (u[:, 2 :: size - 3] - u[:, :: size - 3])[..., None]
+    d, e = de[:, 0], de[:, 1]
     diag = np.concatenate([dx[:, 1:2], 2 * (dx[:, :-1] + dx[:, 1:]), dx[:, -2:-1]], axis=-1)
-    rhs = np.empty_like(y)
+    # each row's right-hand sides in the Fortran order LAPACK takes, so that
+    # gtsv solves them in place
+    rhs = np.empty((count, width, size)).transpose(0, 2, 1)
     rhs[:, 1:-1] = 3 * (dxr[:, 1:] * slope[:, :-1] + dxr[:, :-1] * slope[:, 1:])
-    rhs[:, 0] = ((dxr[:, 0] + 2 * d) * dxr[:, 1] * slope[:, 0] + dxr[:, 0] ** 2 * slope[:, 1]) / d
-    rhs[:, -1] = (dxr[:, -1] ** 2 * slope[:, -2] + (2 * e + dxr[:, -1]) * dxr[:, -2] * slope[:, -1]) / e
+    # both end rows in one expression, the right one read from its end:
+    # ((dx0 + 2 d) dx1 slope0 + dx0^2 slope1) / d on the left
+    first, second = dxr[:, :: size - 2], dxr[:, 1 : -1 : size - 4]
+    slopes = slope[:, :: size - 2], slope[:, 1 : -1 : size - 4]
+    rhs[:, :: size - 1] = ((first + 2 * de) * second * slopes[0] + first**2 * slopes[1]) / de
     lower = np.concatenate([dx[:, 1:], e], axis=-1)
     upper = np.concatenate([d, dx[:, :-1]], axis=-1)
-    m = stack_nodes([dgtsv(*bands, 1, 1, 1, 1)[3] for bands in zip(lower, diag, upper, rhs)])
+    for j, bands in enumerate(zip(lower, diag, upper, rhs)):
+        rhs[j] = dgtsv(*bands, 1, 1, 1, 1)[3]
+    m = rhs  # the slopes at the knots
     t = (m[:, :-1] + m[:, 1:] - 2 * slope) / dxr
     # the power coefficients c0..c3 of each interval, by coordinate, with
     # the intervals of all rows along the last axis; and their left knots
@@ -349,7 +364,9 @@ def _not_a_knot_spline(u: np.ndarray, y: np.ndarray):
     np.divide(t, dxr, out=coef[0].transpose(1, 2, 0))
     np.subtract((slope - m[:, :-1]) / dxr, t, out=coef[1].transpose(1, 2, 0))
     coef[2] = m[:, :-1].transpose(2, 0, 1)
-    coef[3] = y[:, :-1].transpose(2, 0, 1)
+    # c3 from 0.0, where PPoly's power sum starts (which turns a lone -0.0
+    # into +0.0)
+    np.add(0.0, y[:, :-1].transpose(2, 0, 1), out=coef[3])
     coef = coef.reshape(4, width, -1)
     left = u[:, :-1].reshape(-1)
     inner = u[:, 1:-1]
@@ -358,11 +375,11 @@ def _not_a_knot_spline(u: np.ndarray, y: np.ndarray):
         # searching the inner knots clips the interval to the first and last
         i = np.array([inner[r].searchsorted(x, "right") for r, x in zip(rows, tau)])
         i += (size - 1) * rows[:, None]
-        c = np.take(coef, i, axis=-1)
-        z = tau - np.take(left, i)
-        # PPoly's power sum, from 0.0 (which turns a lone -0.0 into +0.0),
-        # coordinate by coordinate
-        return (0.0 + c[3] + c[2] * z + c[1] * (z * z) + c[0] * (z * z * z)).transpose(1, 2, 0)
+        c = coef.take(i, axis=-1)
+        z = tau - left.take(i)
+        # PPoly's power sum, coordinate by coordinate
+        zz = z * z
+        return (c[3] + c[2] * z + c[1] * zz + c[0] * (zz * z)).transpose(1, 2, 0)
 
     return spline
 
@@ -390,11 +407,11 @@ def _equalize_chords(spline, rows: int, n: int, tol: float = 1e-13, max_iter: in
     ends each row that failed, by row.
     """
     active = np.arange(rows)
-    tau = np.repeat(_unit_grid(n)[None], rows, axis=0)
+    tau = _unit_grid(n)[None].repeat(rows, axis=0)
     pts = spline(tau, active)
     out = np.empty_like(pts)
     failed = {}
-    prev_dev = np.full(rows, math.inf)
+    prev_dev = math.inf
     for _ in range(max_iter):
         chords = chord_lengths(pts)
         mean = np.add.reduce(chords, axis=-1) / n
@@ -440,15 +457,14 @@ def redistribute(nodes: np.ndarray, seg: np.ndarray):
     moved = ~(np.maximum.reduce(np.abs(seg - mean[:, None]), axis=-1) <= 1e-13 * mean)
     if not np.logical_or.reduce(moved):
         return nodes, moved, {}
-    rows = np.flatnonzero(moved)
+    rows = moved.nonzero()[0]
     x = nodes
     if rows.size < moved.size:
         x, seg, length = nodes[rows], seg[rows], length[rows]
     u = _running_sum(seg)
     u /= length[:, None]
     pts, failed = _equalize_chords(_not_a_knot_spline(u, x), rows.size, n)
-    pts[:, 0] = x[:, 0]
-    pts[:, -1] = x[:, -1]
+    pts[:, ::n] = x[:, ::n]  # the endpoints
     if rows.size < moved.size:
         x, pts = pts, nodes.copy(order="K")
         pts[rows] = x
@@ -557,6 +573,10 @@ def make_initial_curve(family: str, n: int = 128, **params) -> DiscreteCurve:
     arc_with_flat_ends with turn_angle 6 gives 7.4 and the bump at amplitude
     2 gives 2.4. `run` refuses endpoint curvature above 1e-6, so it refuses
     flattened_sine with amplitude 0.5 or 1 at n = 32.
+
+    A non-finite endpoint, amplitude, support or turn_angle raises
+    BadParams before any arithmetic: the endpoints by their own check, the
+    others by their range checks, which no NaN or infinity passes.
     """
     if family not in _FAMILIES:
         raise BadParams(f"unknown family {family!r}; choose from {_FAMILIES}")
@@ -564,6 +584,9 @@ def make_initial_curve(family: str, n: int = 128, **params) -> DiscreteCurve:
         raise BadParams(f"n must be at least {MIN_NODE_COUNT}")
     p = params.pop("p", INITIAL_DEFAULTS["p"])
     q = params.pop("q", INITIAL_DEFAULTS["q"])
+    # arithmetic on them would warn, or blame another parameter through a NaN distance
+    if not (np.isfinite(np.asarray(p, float)).all() and np.isfinite(np.asarray(q, float)).all()):
+        raise BadParams("endpoints must have finite coordinates")
     dist = float(np.linalg.norm(np.asarray(q, float) - np.asarray(p, float)))
     if dist <= 0.0:
         raise BadParams("endpoints must be distinct")
@@ -602,7 +625,7 @@ def make_initial_curve(family: str, n: int = 128, **params) -> DiscreteCurve:
     else:
         turn_angle = float(params.pop("turn_angle", 1.5))
         _reject_extra(params)
-        if abs(turn_angle) > 4.0 * np.pi:
+        if not abs(turn_angle) <= 4.0 * np.pi:  # NaN included
             raise BadParams("turn angle outside documented range [-4pi, 4pi]")
         nodes = _arc_profile_nodes(p, q, n, turn_angle)
     return DiscreteCurve(nodes)

@@ -277,10 +277,11 @@ class TestVerify:
         assert first == second
 
 
-def _fresh_python(code: str, *args: str) -> subprocess.CompletedProcess:
-    # a fresh interpreter, so the suite's own imports do not count
+def _fresh_python(code: str, *args: str, env: dict | None = None) -> subprocess.CompletedProcess:
+    # a fresh interpreter, so the suite's own imports do not count; `env`
+    # replaces the environment it inherits
     src = str(Path(geometry.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
+    env = {**(os.environ if env is None else env), "PYTHONPATH": src}
     return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True)
 
 
@@ -372,11 +373,11 @@ _BAD_INPUT = {
                       "error: amplitude outside documented range [0, 2|P-Q|]"),
     "amplitude_huge": (["simulate"], SIMULATE_CFG.replace("amplitude = 0.05", "amplitude = 1e300"),
                        "error: amplitude outside documented range [0, 2|P-Q|]"),
-    # a RuntimeWarning comes first on stderr: nan passes the range check
     "turn_angle_nan": (["simulate"], SIMULATE_CFG.replace(
         "family = flattened_sine\namplitude = 0.05", "family = arc_with_flat_ends\nturn_angle = nan"
-    ), "error: nodes must have finite coordinates"),
-    "px_nan": (["simulate"], SIMULATE_CFG + "px = nan\n", "error: amplitude outside documented range [0, 2|P-Q|]"),
+    ), "error: turn angle outside documented range [-4pi, 4pi]"),
+    "px_nan": (["simulate"], SIMULATE_CFG + "px = nan\n", "error: endpoints must have finite coordinates"),
+    "qx_inf": (["simulate"], SIMULATE_CFG + "qx = inf\n", "error: endpoints must have finite coordinates"),
     "coincident_endpoints": (["simulate"], SIMULATE_CFG + "qx = 0\n", "error: endpoints must be distinct"),
     "support_reversed": (["simulate"],
                          SIMULATE_CFG.replace("flattened_sine", "bump_perturbed_segment")
@@ -403,7 +404,40 @@ def test_bad_input_exits_2_without_traceback(tmp_path, cfg_file, args, config, m
     # the error line ends stderr; argparse prints a usage line before it
     assert proc.stderr.splitlines()[-1] == message
     assert "Traceback" not in proc.stderr
+    assert "Warning" not in proc.stderr
     assert not (tmp_path / "out").exists()
+
+
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _without_blas_threads(**chosen: str) -> dict:
+    # the suite's environment without a BLAS thread count, plus `chosen`
+    return {**{k: v for k, v in os.environ.items() if k not in _BLAS_THREADS}, **chosen}
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc")
+def test_blas_loads_with_one_thread():
+    # both OpenBLAS copies, numpy's and the one behind SciPy's LAPACK
+    # wrappers, would start a worker per further core
+    code = (
+        "import os\nimport elastic_flow\nelastic_flow.geometry.lapack()\n"
+        "print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])"
+    )
+    proc = _fresh_python(code, env=_without_blas_threads())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "1"]
+
+
+@pytest.mark.parametrize("name", _BLAS_THREADS)
+def test_a_callers_blas_thread_count_is_kept(name):
+    code = (
+        "import os\nimport elastic_flow\nelastic_flow.geometry.lapack()\n"
+        f"print(*(os.environ.get(k, '-') for k in {_BLAS_THREADS!r}))"
+    )
+    proc = _fresh_python(code, env=_without_blas_threads(**{name: "2"}))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["2" if k == name else "-" for k in _BLAS_THREADS]
 
 
 def test_no_module_imports_scipy():

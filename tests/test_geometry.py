@@ -464,3 +464,18 @@ class TestInitialFamilies:
             make_initial_curve("bump_perturbed_segment", 64, support=(0.0, 1.0))
         with pytest.raises(BadParams):
             make_initial_curve("flattened_sine", 64, amplitude=0.1, bogus=1)
+
+    @pytest.mark.parametrize("family,params,message", [
+        ("segment", {"q": (math.inf, 0.0)}, "endpoints must have finite coordinates"),
+        ("flattened_sine", {"p": (math.nan, 0.0)}, "endpoints must have finite coordinates"),
+        ("bump_perturbed_segment", {"q": (1.0, -math.inf)}, "endpoints must have finite coordinates"),
+        ("arc_with_flat_ends", {"turn_angle": math.nan}, "turn angle outside"),
+        ("arc_with_flat_ends", {"turn_angle": -math.inf}, "turn angle outside"),
+        ("flattened_sine", {"amplitude": math.nan}, "amplitude outside"),
+        ("bump_perturbed_segment", {"amplitude": math.inf}, "amplitude outside"),
+        ("bump_perturbed_segment", {"support": (0.3, math.nan)}, "support must satisfy"),
+    ])
+    def test_non_finite_params_refused_without_warning(self, family, params, message):
+        # a numpy warning on the way would fail under the suite's error filter
+        with pytest.raises(BadParams, match=message):
+            make_initial_curve(family, 64, **params)
