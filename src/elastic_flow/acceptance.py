@@ -69,27 +69,31 @@ def _cached_run(key, factory):
     return _RUN_CACHE[full_key]
 
 
-def _sine_run(n, dt, t_end, eps=0.1, snapshot_times=None):
+def _sine_run(n, dt, t_end, snapshot_times=None):
     def factory():
         curve = make_initial_curve("flattened_sine", n, amplitude=AMPLITUDE)
-        cfg = FlowConfig(epsilon=eps, n=n, dt=dt, t_end=t_end)
+        cfg = FlowConfig(epsilon=0.1, n=n, dt=dt, t_end=t_end)
         return run(curve, cfg, snapshot_times=snapshot_times)
 
-    key = ("sine", n, dt, t_end, eps, tuple(snapshot_times or ()))
-    return _cached_run(key, factory)
+    return _cached_run(("sine", n, dt, t_end, tuple(snapshot_times or ())), factory)
 
 
-def _segment_runs(dt=1e-3, t_end=1.0, n=128):
-    """The stationary segment runs for eps in 0, 0.1 and 1, stepped as one
-    batch, by eps."""
+def _arch_run():
+    # n = 128 to t = 0.2; the snapshots are those criteria 5 and 7 read
+    return _sine_run(128, 1e-4, 0.2, snapshot_times=[0.0499, 0.05, 0.0501, 0.1])
+
+
+def _segment_runs():
+    """The stationary segment runs (n = 128, dt = 1e-3, t_end = 1) for eps
+    in 0, 0.1 and 1, stepped as one batch, by eps."""
     epsilons = (0.0, 0.1, 1.0)
 
     def factory():
-        curve = make_initial_curve("segment", n)
-        configs = [FlowConfig(epsilon=eps, n=n, dt=dt, t_end=t_end) for eps in epsilons]
+        curve = make_initial_curve("segment", 128)
+        configs = [FlowConfig(epsilon=eps, n=128, dt=1e-3, t_end=1.0) for eps in epsilons]
         return dict(zip(epsilons, run_batch(curve, configs, snapshot_stride=200)))
 
-    return _cached_run(("segment", n, dt, t_end), factory)
+    return _cached_run(("segment",), factory)
 
 
 def _budget(traj) -> float:
@@ -120,7 +124,7 @@ def crit_stationarity(seed: int) -> tuple[bool, str]:
 
 def crit_energy_dissipation(seed: int) -> tuple[bool, str]:
     dt = 1e-4
-    traj = _sine_run(128, dt, 0.2, snapshot_times=[0.1])
+    traj = _arch_run()
     energies = traj.diagnostics.energy_Feps
     tol = 1e-10 + 10.0 * dt * dt
     monotone = bool(np.all(np.diff(energies) <= tol))
@@ -138,7 +142,7 @@ def crit_energy_dissipation(seed: int) -> tuple[bool, str]:
 
 
 def crit_energy_budget(seed: int) -> tuple[bool, str]:
-    coarse = _budget(_sine_run(128, 1e-4, 0.2, snapshot_times=[0.1]))
+    coarse = _budget(_arch_run())
     fine = _budget(_sine_run(256, 5e-5, 0.2))
     ok = coarse <= 5e-3 and fine <= 0.7 * coarse
     detail = f"budget {coarse:.3e} (tol 5e-3), refined {fine:.3e} (ratio {fine / coarse:.2f})"
@@ -149,7 +153,7 @@ def crit_length_bounds(seed: int) -> tuple[bool, str]:
     ok = True
     worst = math.inf
     runs = [
-        _sine_run(128, 1e-4, 0.2, snapshot_times=[0.1]),
+        _arch_run(),
         _sine_run(256, 5e-5, 0.2),
         _segment_runs()[0.1],
     ]
@@ -166,7 +170,7 @@ def crit_length_bounds(seed: int) -> tuple[bool, str]:
 
 
 def crit_boundary_identities(seed: int) -> tuple[bool, str]:
-    coarse = boundary_residuals(_sine_run(128, 1e-4, 0.2, snapshot_times=[0.1]).state_at(0.1))
+    coarse = boundary_residuals(_arch_run().state_at(0.1))
     fine_run = _sine_run(256, 2.5e-5, 0.1)
     fine = boundary_residuals(fine_run.states[-1])
     noise_floor = 1e-10
@@ -187,7 +191,7 @@ def crit_boundary_identities(seed: int) -> tuple[bool, str]:
 
 def crit_tangential_endpoint(seed: int) -> tuple[bool, str]:
     dt = 1e-4
-    traj = _sine_run(128, dt, 0.2, snapshot_times=[0.1])
+    traj = _arch_run()
     res_coarse = traj.diagnostics[round(0.1 / dt)].lambda_endpoint_residual
     fine = _sine_run(256, 5e-5, 0.2)
     res_fine = fine.diagnostics[round(0.1 / 5e-5)].lambda_endpoint_residual
@@ -197,14 +201,10 @@ def crit_tangential_endpoint(seed: int) -> tuple[bool, str]:
 
 
 def crit_curvature_evolution(seed: int) -> tuple[bool, str]:
-    t_star = 0.05
-    residuals = []
-    for n, dt in ((64, 2e-4), (128, 1e-4)):
-        traj = _sine_run(
-            n, dt, t_star + 2 * dt,
-            snapshot_times=[t_star - dt, t_star, t_star + dt],
-        )
-        residuals.append(curvature_rate_consistency(traj, t_star))
+    t_star, dt = 0.05, 2e-4
+    # n = 64 on a run of its own; n = 128 (dt = 1e-4) on the arch run
+    coarse = _sine_run(64, dt, t_star + 2 * dt, snapshot_times=[t_star - dt, t_star, t_star + dt])
+    residuals = [curvature_rate_consistency(traj, t_star) for traj in (coarse, _arch_run())]
     slope = math.log2(residuals[0] / residuals[1])
     forms = []
     for n in (128, 256):
@@ -297,8 +297,8 @@ def crit_gronwall_doubling(seed: int) -> tuple[bool, str]:
 
 
 def crit_comparison_majorant(seed: int) -> tuple[bool, str]:
-    coeff = 2.0 * calibrate_comparison_constant(seed, count=200)
-    traj = _sine_run(128, 1e-4, 0.2, snapshot_times=[0.1])
+    coeff = 2.0 * calibrate_comparison_constant(seed)
+    traj = _arch_run()
     g0 = traj.diagnostics[0].kappa_l2_sq[0]
     setup = GronwallSetup(g0=g0, coeff_C=coeff, t_max_query=0.2)
     ok, margin = comparison_check(traj, setup)

@@ -99,6 +99,7 @@ def endpoint_residuals(kappa: np.ndarray, h) -> np.ndarray:
 # takes 0.77 / 0.37 / 0.35 s in process and peaks at 37.2 / 41.9 / 46.3 MB
 # resident with 4 / 32 / 64 (medians of 5; 2-core Intel Xeon, numpy 2.4.6)
 CORPUS_BLOCK = 32
+CORPUS_N = 96  # segments of every corpus curve
 
 
 class GnBlock(NamedTuple):
@@ -287,28 +288,29 @@ def random_field(rng: np.random.Generator, n: int) -> np.ndarray:
     return _field_block(n, [_draw_field(rng)])[0]
 
 
-def _draw_blocks(seed: int, count: int, n: int, draw):
+def _draw_blocks(seed: int, count: int, draw):
     # `count` samples, each a random curve and then draw(rng), in blocks of at
     # most CORPUS_BLOCK: the curves' node stack, the draws, the stacked grids
     rng = np.random.default_rng(seed)
     for start in range(0, count, CORPUS_BLOCK):
         curves, draws = zip(*[(_draw_curve(rng), draw(rng)) for _ in range(min(CORPUS_BLOCK, count - start))])
-        nodes = _curve_block(n, curves)
+        nodes = _curve_block(CORPUS_N, curves)
         yield nodes, draws, stacked_grids(nodes)
 
 
-def gn_blocks(seed: int, count: int, n: int = 96):
-    """`count` random fields on random curves (a `random_curve`, then a
-    `random_field`, per sample), yielded in blocks of at most CORPUS_BLOCK
-    samples with the field's first and second arclength derivatives."""
-    for _, fields, (_, length, s, ds) in _draw_blocks(seed, count, n, _draw_field):
-        u = _field_block(n, fields)
+def gn_blocks(seed: int, count: int):
+    """`count` random fields on random curves of CORPUS_N segments (a
+    `random_curve`, then a `random_field`, per sample), yielded in blocks
+    of at most CORPUS_BLOCK samples with the field's first and second
+    arclength derivatives."""
+    for _, fields, (_, length, s, ds) in _draw_blocks(seed, count, _draw_field):
+        u = _field_block(CORPUS_N, fields)
         yield GnBlock(ds, length, (u, *stencils.derivatives(u, s, (1, 2), "one_sided")))
 
 
-def gn_corpus(seed: int, count: int, n: int = 96) -> list[GnBlock]:
+def gn_corpus(seed: int, count: int) -> list[GnBlock]:
     """The blocks of `gn_blocks`, as a list for repeated passes."""
-    return list(gn_blocks(seed, count, n))
+    return list(gn_blocks(seed, count))
 
 
 def calibrate_gn_general(corpus, n_ord: int, j_ord: int, p) -> float:
@@ -359,11 +361,11 @@ def _draw_eps(rng: np.random.Generator) -> float:
     return rng.uniform(0.0, 1.0) or 1.0
 
 
-def calibrate_comparison_constant(seed: int, count: int = 200, n: int = 96) -> float:
+def calibrate_comparison_constant(seed: int) -> float:
     """Smallest C with growth-rate <= C (p^5 + p^3 + p^2), p = int kappa^2,
-    over a randomized corpus of curves with random eps in (0, 1]."""
+    over a randomized corpus of 200 curves with random eps in (0, 1]."""
     worst = 0.0
-    for nodes, eps, (seg, total, _, _) in _draw_blocks(seed, count, n, _draw_eps):
+    for nodes, eps, (seg, total, _, _) in _draw_blocks(seed, 200, _draw_eps):
         geo = open_geometry(nodes, seg, total)
         ds, k = geo.ds, geo.kappa
         base, reg = _growth_parts(ds, k, *stencils.derivatives(k, geo.s, (1, 2), "one_sided"))

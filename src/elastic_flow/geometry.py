@@ -397,14 +397,14 @@ def _even_split(total: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _equalize_chords(spline, rows: int, n: int, tol: float = 1e-13, max_iter: int = 30):
+def _equalize_chords(spline, rows: int, n: int):
     """Parameters tau on [0,1] whose spline images have equal chords, for
     each of the `rows` curves of `spline`.
 
-    Fixed-point iteration on the cumulative-chord map; a row stops at `tol`
-    relative deviation or when roundoff stalls further progress, and leaves
-    the iteration. Returns the images (rows, n+1, 2) and the exception that
-    ends each row that failed, by row.
+    Fixed-point iteration on the cumulative-chord map, at most 30 rounds; a
+    row stops at 1e-13 relative deviation or when roundoff stalls further
+    progress, and leaves the iteration. Returns the images (rows, n+1, 2)
+    and the exception that ends each row that failed, by row.
     """
     active = np.arange(rows)
     tau = _unit_grid(n)[None].repeat(rows, axis=0)
@@ -412,11 +412,11 @@ def _equalize_chords(spline, rows: int, n: int, tol: float = 1e-13, max_iter: in
     out = np.empty_like(pts)
     failed = {}
     prev_dev = math.inf
-    for _ in range(max_iter):
+    for _ in range(30):
         chords = chord_lengths(pts)
         mean = np.add.reduce(chords, axis=-1) / n
         dev = np.maximum.reduce(np.abs(chords - mean[:, None]), axis=-1) / mean
-        done = (dev <= tol) | ((dev <= 1e-11) & (dev >= 0.5 * prev_dev))
+        done = (dev <= 1e-13) | ((dev <= 1e-11) & (dev >= 0.5 * prev_dev))
         if active.size == rows and np.logical_and.reduce(done):
             return pts, failed
         collapsed = np.logical_or.reduce(chords <= 0.0, axis=-1)
@@ -500,12 +500,9 @@ def _smoothstep(v: np.ndarray) -> np.ndarray:
 
 
 def _graph_nodes(p, q, n, profile) -> np.ndarray:
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
+    # p and q: the float endpoints that `make_initial_curve` admitted
     chord = q - p
     dist = np.linalg.norm(chord)
-    if dist <= 0.0:
-        raise BadParams("endpoints must be distinct")
     left_normal = np.array([-chord[1], chord[0]]) / dist
     u = np.linspace(0.0, 1.0, n + 1)
     nodes = p + u[:, None] * chord + profile(u)[:, None] * left_normal
@@ -534,10 +531,6 @@ def _arc_profile_nodes(p, q, n, turn_angle):
     if np.linalg.norm(raw_chord) < 0.05:
         raise BadParams("turn angle folds the curve onto its own chord")
     samples = pos[:: m // n]
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if np.linalg.norm(q - p) <= 0.0:
-        raise BadParams("endpoints must be distinct")
     za = raw_chord[0] + 1j * raw_chord[1]
     zb = (q - p)[0] + 1j * (q - p)[1]
     scale_rot = zb / za
@@ -582,12 +575,12 @@ def make_initial_curve(family: str, n: int = 128, **params) -> DiscreteCurve:
         raise BadParams(f"unknown family {family!r}; choose from {_FAMILIES}")
     if n < MIN_NODE_COUNT:
         raise BadParams(f"n must be at least {MIN_NODE_COUNT}")
-    p = params.pop("p", INITIAL_DEFAULTS["p"])
-    q = params.pop("q", INITIAL_DEFAULTS["q"])
+    p = np.asarray(params.pop("p", INITIAL_DEFAULTS["p"]), dtype=float)
+    q = np.asarray(params.pop("q", INITIAL_DEFAULTS["q"]), dtype=float)
     # arithmetic on them would warn, or blame another parameter through a NaN distance
-    if not (np.isfinite(np.asarray(p, float)).all() and np.isfinite(np.asarray(q, float)).all()):
+    if not (np.isfinite(p).all() and np.isfinite(q).all()):
         raise BadParams("endpoints must have finite coordinates")
-    dist = float(np.linalg.norm(np.asarray(q, float) - np.asarray(p, float)))
+    dist = float(np.linalg.norm(q - p))
     if dist <= 0.0:
         raise BadParams("endpoints must be distinct")
 

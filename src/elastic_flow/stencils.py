@@ -45,12 +45,12 @@ def one_sided_weights(order: int, width: int, row: int) -> np.ndarray:
     return _ONE_SIDED[key]
 
 
-def is_uniform(s: np.ndarray, rel_tol: float = 1e-9):
-    """Whether the grid `s` is uniform to `rel_tol`, along the last axis."""
+def is_uniform(s: np.ndarray):
+    """Whether the grid `s` is uniform to 1e-9 relative, along the last axis."""
     ds = s[..., 1:] - s[..., :-1]
     lo = np.minimum.reduce(ds, axis=-1)
     hi = np.maximum.reduce(ds, axis=-1)
-    return (lo > 0) & (hi - lo <= rel_tol * hi)
+    return (lo > 0) & (hi - lo <= 1e-9 * hi)
 
 
 def _centered(f: np.ndarray, order: int) -> np.ndarray:

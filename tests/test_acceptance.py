@@ -41,6 +41,8 @@ def test_verify_exit_status_zero():
     status, text = acceptance.verify(seed=0)
     assert status == 0, text
     assert "12/12 criteria passed" in text
+    # the criteria share their evolutions: seven distinct runs, none corrupted
+    assert sum(corruption == 0.0 for _, corruption in acceptance._RUN_CACHE) == 7
 
 
 @pytest.mark.parametrize("seed,slack", [(0, "3.168e-08"), (1, "3.277e-08"), (7, "6.720e-08")])

@@ -384,6 +384,9 @@ _BAD_INPUT = {
                          + "support_lo = 0.7\nsupport_hi = 0.3\n",
                          "error: support must satisfy 0.05 <= a < b <= 0.95, b-a >= 0.1"),
     "unknown_initial_key": (["simulate"], SIMULATE_CFG + "wibble = 1\n", "error: initial.wibble: unknown key"),
+    # the solver tolerance is the constant flow.SOLVER_TOL
+    "solver_tol_key": (["simulate"], SIMULATE_CFG.replace("n = 64", "n = 64\nsolver_tol = 1e-8"),
+                       "error: flow.solver_tol: unknown key"),
     "n_not_integer": (["simulate"], SIMULATE_CFG.replace("n = 64", "n = 1.5"), "error: flow.n: not an integer: '1.5'"),
     "empty_epsilons": (["sweep"], SWEEP_CFG.replace("epsilons = 0.2, 0.1", "epsilons ="),
                        "error: sweep.epsilons: empty list"),

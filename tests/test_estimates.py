@@ -325,7 +325,7 @@ class TestStackedDraws:
         draw, frozen = {"field": (_draw_field, _frozen_field(96)), "eps": (_draw_eps, _frozen_eps)}[kind]
         want = _frozen_samples(seed, count, 96, frozen)
         got = []
-        for nodes, draws, _ in _draw_blocks(seed, count, 96, draw):
+        for nodes, draws, _ in _draw_blocks(seed, count, draw):
             values = _field_block(96, draws) if draw is _draw_field else draws
             got += [(_bits(x), _bits(v)) for x, v in zip(nodes, values)]
         assert got == [(_bits(x), _bits(v)) for x, _, v in want]
@@ -369,7 +369,7 @@ class TestComparison:
         assert ok and margin >= 0.0
 
     def test_benchmark_run_with_calibrated_constant(self):
-        coeff = 2.0 * calibrate_comparison_constant(seed=5, count=200)
+        coeff = 2.0 * calibrate_comparison_constant(seed=5)
         fs = make_initial_curve("flattened_sine", 128, amplitude=0.05)
         traj = run(fs, FlowConfig(epsilon=0.1, n=128, dt=1e-4, t_end=0.05))
         g0 = traj.diagnostics[0].kappa_l2_sq[0]
@@ -386,7 +386,7 @@ class TestComparison:
             p = float(np.sum(cache.ds * cache.kappa**2))
             if rate > 0.0:
                 worst = max(worst, rate / (p**5 + p**3 + p**2))
-        assert calibrate_comparison_constant(seed=5, count=200) == worst
+        assert calibrate_comparison_constant(seed=5) == worst
 
     def test_flat_majorant_fails_when_curvature_grows(self):
         # strong hook: int kappa^4 beats the gradient term initially, so

@@ -98,7 +98,7 @@ class TestFlowConfig:
             FlowConfig(**{key: value})
         assert info.value.key == key
 
-    @pytest.mark.parametrize("key", ["solver_tol", "kappa_blowup_threshold"])
+    @pytest.mark.parametrize("key", ["kappa_blowup_threshold"])
     @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1.0])
     def test_tolerances_must_be_positive_and_finite(self, key, value):
         # an infinite tolerance would switch its check off

@@ -37,7 +37,6 @@ class TestParseConfig:
         assert cfg.epsilon == 0.1
         assert cfg.n == 128
         assert cfg.kappa_blowup_threshold == 1e3
-        assert cfg.solver_tol == 1e-10
 
     def test_epsilon_out_of_range(self):
         with pytest.raises(ConfigError) as err:
