@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from elastic_flow import ConfigError, make_initial_curve
+from elastic_flow import ConfigError, flow, make_initial_curve
 from elastic_flow.convergence import SweepConfig, run_sweep
 from elastic_flow.flow import FlowConfig, run
 from elastic_flow.estimates import DIAGNOSTICS_HEADER
@@ -37,6 +37,7 @@ class TestParseConfig:
         assert cfg.epsilon == 0.1
         assert cfg.n == 128
         assert cfg.kappa_blowup_threshold == 1e3
+        assert flow.SOLVER_TOL == 1e-10
 
     def test_epsilon_out_of_range(self):
         with pytest.raises(ConfigError) as err:
@@ -53,6 +54,14 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as err:
             parse_config("[flow]\nepsilon = 0.1\nreparam_every = 2\n")
         assert "flow.reparam_every" in str(err.value)
+
+    @pytest.mark.parametrize("value", ["1e-10", "inf", "nan", "0.0", "-1.0"])
+    def test_solver_tol_refused(self, value):
+        # the tolerance is the constant flow.SOLVER_TOL; the old default is refused too
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"[flow]\nepsilon = 0.1\nsolver_tol = {value}\n")
+        assert err.value.key == "flow.solver_tol"
+        assert "unknown key" in str(err.value)
 
     def test_sweep_document(self):
         text = """
