@@ -27,12 +27,10 @@ def _cmd_simulate(args) -> int:
         raise ConfigError("sweep", "config declares a sweep; use the sweep command")
     curve = make_initial_curve(n=config.n, **initial)
     iotools.refuse_earlier_outputs(args.out)
-    written = []
-    traj = run(curve, config, snapshot_stride=args.stride,
-               sink=lambda _, states: written.extend(iotools.write_snapshots(args.out, states)))
-    written.append(os.path.join(args.out, "diagnostics.csv"))
-    iotools.write_diagnostics_csv(written[-1], traj.diagnostics)
-    print(f"{traj.terminated_by.value}; wrote {len(written)} files to {args.out}")
+    with iotools.SnapshotWriter(args.out) as snapshots:
+        traj = run(curve, config, snapshot_stride=args.stride, sink=snapshots)
+    iotools.write_diagnostics_csv(os.path.join(args.out, "diagnostics.csv"), traj.diagnostics)
+    print(f"{traj.terminated_by.value}; wrote {snapshots.count + 1} files to {args.out}")
     return 0
 
 

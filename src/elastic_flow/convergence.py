@@ -148,11 +148,12 @@ def run_sweep(initial: DiscreteCurve, config: SweepConfig) -> ConvergenceReport:
     trajectory on [delta, t_end]. Rows whose run terminated early are
     flagged in `failed_rows` and carry NaN distances instead of aborting
     the sweep; a reference that ends early leaves nothing to measure
-    against and raises WindowMismatch. All rows step together as one
-    stack of curves (`run_batch`) on the calling thread, each with the
-    bits it gets run alone, without per-step records, and keep only the
-    time and nodes of each snapshot: on a 2-core Intel Xeon `sweep
-    configs/sweep.cfg` peaks at 37 MB, against 47 MB keeping its states.
+    against, so every row stops at its step and WindowMismatch is raised.
+    All rows step together as one stack of curves (`run_batch`) on the
+    calling thread, each with the bits it gets run alone, without per-step
+    records, and keep only the time and nodes of each snapshot: on a
+    2-core Intel Xeon `sweep configs/sweep.cfg` peaks at 37 MB, against
+    47 MB keeping its states.
     """
     times = list(config.snapshot_times)
     window = (max(config.delta, times[0]), config.base.t_end)
@@ -161,7 +162,7 @@ def run_sweep(initial: DiscreteCurve, config: SweepConfig) -> ConvergenceReport:
     kept = [[] for _ in range(len(config.epsilons) + 1)]
     reference, *rows = run_batch(
         initial, [replace(config.base, epsilon=eps) for eps in (0.0, *config.epsilons)],
-        snapshot_times=times, records=False,
+        snapshot_times=times, records=False, stop_on=0,
         sink=lambda r, states: kept[r].extend((st.time, st.cache.nodes.copy()) for st in states),
     )
     if reference.terminated_by is not Terminated.REACHED_T_END:

@@ -141,6 +141,7 @@ class Terminated(enum.Enum):
     REPARAM_FAILURE = "reparam_failure"
     NON_FINITE_STATE = "non_finite_state"
     DEGENERATE_MESH = "degenerate_mesh"
+    BATCH_STOPPED = "batch_stopped"  # `run_batch`'s `stop_on` run stopped first
 
 
 @dataclass
@@ -492,6 +493,7 @@ def run_batch(
     snapshot_times: list[float] | None = None,
     sink=None,
     records: bool = True,
+    stop_on: int | None = None,
 ) -> list[Trajectory]:
     """`run` for each of `configs`, which differ only in epsilon, stepped
     together as one stack of curves.
@@ -507,6 +509,8 @@ def run_batch(
     By default they collect in `Trajectory.states`. An exception the sink
     raises propagates and stops the run. With `records=False` no record is
     built and each `diagnostics` is None; the states and the sink's calls stay.
+    When the run of configs[stop_on] stops, every other run stops at the
+    same step, as if it had failed there, with `Terminated.BATCH_STOPPED`.
     """
     config = configs[0]
     if any(replace(c, epsilon=config.epsilon) != config for c in configs):
@@ -575,14 +579,18 @@ def run_batch(
     for k in range(1, nsteps + 1):
         now = k * dt
         prev, (geo, failed) = geo, _advance(geo, eps, config, now)
-        for j, exc in failed.items():
-            r = ids[j]
-            ends[r] = (next(reason for kind, reason in _REASONS if isinstance(exc, kind)), now)
-            if not kept(k - 1):
-                pending[r].append(FlowState(prev[j], (k - 1) * dt, eps[j], k - 1))
-            flush(j)
         if failed:
-            keep = [j for j in range(len(ids)) if j not in failed]
+            stopped = {j: next(reason for kind, reason in _REASONS if isinstance(exc, kind))
+                       for j, exc in failed.items()}
+            if stop_on in (ids[j] for j in stopped):
+                stopped = {j: stopped.get(j, Terminated.BATCH_STOPPED) for j in range(len(ids))}
+            for j, reason in stopped.items():
+                r = ids[j]
+                ends[r] = (reason, now)
+                if not kept(k - 1):
+                    pending[r].append(FlowState(prev[j], (k - 1) * dt, eps[j], k - 1))
+                flush(j)
+            keep = [j for j in range(len(ids)) if j not in stopped]
             ids, eps, geo = [ids[j] for j in keep], [eps[j] for j in keep], geo[keep]
             buf = {name: x[keep] for name, x in buf.items()}
             if not ids:

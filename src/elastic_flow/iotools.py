@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import select
 
 import numpy as np
 
@@ -123,23 +124,155 @@ def _build(kind, section: str, kwargs: dict):
 # snapshot and diagnostics files
 # ---------------------------------------------------------------------------
 
+def snapshot_path(out_dir: str, step: int) -> str:
+    return os.path.join(out_dir, f"snapshot_{step:06d}.txt")
+
+
+def _snapshot_text(table: np.ndarray, length: float, time: float, eps: float) -> str:
+    # one header line, then the `x y kappa` rows of the (n+1, 3) table
+    header = f"n={len(table) - 1} length={fmt(length)} t={fmt(time)} eps={fmt(eps)}\n"
+    return header + _format_rows(table, " ")
+
+
 def write_snapshot(path: str, state: FlowState) -> None:
     """Plain-text curve snapshot: one header line, then `x y kappa` rows."""
     cache = state.cache
-    header = (
-        f"n={len(cache.nodes) - 1} length={fmt(cache.total_length)} "
-        f"t={fmt(state.time)} eps={fmt(state.epsilon)}\n"
-    )
-    _write_text(path, header + _format_rows(np.column_stack([cache.nodes, cache.kappa]), " "))
+    table = np.column_stack([cache.nodes, cache.kappa])
+    _write_text(path, _snapshot_text(table, cache.total_length, state.time, state.epsilon))
 
 
 def write_snapshots(out_dir: str, states: list[FlowState]) -> list[str]:
     """Write out_dir/snapshot_<step>.txt for each state, creating out_dir."""
     make_dir(out_dir)
-    paths = [os.path.join(out_dir, f"snapshot_{st.step_index:06d}.txt") for st in states]
+    paths = [snapshot_path(out_dir, st.step_index) for st in states]
     for path, state in zip(paths, states):
         write_snapshot(path, state)
     return paths
+
+
+_HEAD = 4  # step, time, eps and total length lead each packed row
+
+
+def _pack(states: list[FlowState]) -> np.ndarray:
+    """One float64 row per state: step, time, eps, total length, then its
+    (n+1, 3) table of `nodes | kappa`, row by row."""
+    n1 = len(states[0].cache.nodes)
+    block = np.empty((len(states), _HEAD + 3 * n1))
+    block[:, :_HEAD] = [(st.step_index, st.time, st.epsilon, st.cache.total_length) for st in states]
+    tables = block[:, _HEAD:].reshape(len(states), n1, 3)
+    tables[..., :2] = [st.cache.nodes for st in states]
+    tables[..., 2] = [st.cache.kappa for st in states]
+    return block
+
+
+def _write_packed(out_dir: str, fd: int, width: int) -> None:
+    """Write the snapshot of each row of the packed blocks read from `fd`,
+    each its row count (8 bytes) and then its rows of `width` floats, until
+    the pipe closes."""
+    with open(fd, "rb") as pipe:
+        while head := pipe.read(8):
+            rows = int.from_bytes(head, "little")
+            for row in np.frombuffer(pipe.read(rows * width * 8)).reshape(rows, width):
+                step, time, eps, length = row[:_HEAD]
+                table = row[_HEAD:].reshape(-1, 3)
+                _write_text(snapshot_path(out_dir, int(step)), _snapshot_text(table, length, time, eps))
+
+
+def _send(fd: int, data) -> None:
+    view = memoryview(data).cast("B")
+    while view:
+        view = view[os.write(fd, view):]
+
+
+class SnapshotWriter:
+    """`flow.run`'s sink that writes out_dir/snapshot_<step>.txt for each
+    state, as a context manager; `count` is the number of states handed
+    over.
+
+    The first batch, the initial state, is written in process, creating
+    out_dir, so an unwritable directory fails before the first step. Then
+    one forked process (POSIX only) formats and writes the later batches,
+    which arrive packed through a pipe, while the run steps on. A write
+    that fails there ends that process, and its `IoError` text is raised
+    at the next batch or when the writer closes. Closing waits for every
+    file and reaps the process; leaving the context on an exception
+    closes it too, without raising the writer's error over that exception.
+    """
+
+    def __init__(self, out_dir: str):
+        self.out_dir = out_dir
+        self.count = 0
+        self._child = None  # (pid, the pipe's write end, the error pipe's read end)
+
+    def __enter__(self) -> "SnapshotWriter":
+        return self
+
+    def __exit__(self, kind, *_) -> None:
+        if self._child is not None:
+            error = self._reap()
+            if error and kind is None:
+                raise IoError(error)
+
+    def __call__(self, _, states: list[FlowState]) -> None:
+        if not states:
+            return
+        if not self.count:
+            write_snapshots(self.out_dir, states)
+            self._fork(_HEAD + 3 * len(states[0].cache.nodes))
+        else:
+            _, data, errors = self._child
+            if select.select([errors], [], [], 0)[0]:  # the writer has stopped
+                raise IoError(self._reap())
+            try:
+                _send(data, len(states).to_bytes(8, "little"))
+                _send(data, _pack(states))
+            except BrokenPipeError:
+                raise IoError(self._reap()) from None
+        self.count += len(states)
+
+    def _fork(self, width: int) -> None:
+        fds = []
+        try:
+            fds += os.pipe()
+            fds += os.pipe()
+            pid = os.fork()
+        except OSError as exc:
+            for fd in fds:
+                os.close(fd)
+            raise IoError(f"cannot start the snapshot writer: {exc}") from exc
+        data_r, data_w, errors_r, errors_w = fds
+        if pid == 0:
+            # the writer process ends here on every path, an interrupt
+            # included: nothing may unwind into the run's stack it copied
+            status = 1
+            try:
+                os.close(data_w)
+                os.close(errors_r)
+                _write_packed(self.out_dir, data_r, width)
+                status = 0
+            except BaseException as exc:
+                text = str(exc) if isinstance(exc, IoError) else f"snapshot writer failed: {exc!r}"
+                os.write(errors_w, text.encode())
+            finally:
+                os._exit(status)
+        os.close(data_r)
+        os.close(errors_w)
+        self._child = (pid, data_w, errors_r)
+
+    def _reap(self) -> str:
+        """Close the pipe, wait for the writer process to finish and return
+        its error text, empty when it wrote every file."""
+        pid, data, errors = self._child
+        self._child = None
+        try:
+            os.close(data)
+            with open(errors, "rb") as fh:
+                text = fh.read().decode(errors="replace")
+        finally:
+            status = os.waitpid(pid, 0)[1]
+        if status and not text:
+            text = f"snapshot writer ended with wait status {status}"
+        return text
 
 
 def write_diagnostics_csv(path: str, records: np.ndarray) -> None:

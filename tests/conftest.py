@@ -19,3 +19,8 @@ configuration.set_hypothesis_home_dir(_HOME.name)
 
 settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
 settings.load_profile("deterministic")
+
+
+def pytest_unconfigure(config):
+    # removed explicitly: a finalizer that does it at exit warns of the leak
+    _HOME.cleanup()

@@ -11,7 +11,8 @@ import pytest
 
 from elastic_flow import acceptance, flow, geometry, make_initial_curve
 from elastic_flow.cli import main
-from elastic_flow.iotools import parse_config, write_diagnostics_csv, write_snapshots
+from elastic_flow.errors import IoError
+from elastic_flow.iotools import parse_config, write_diagnostics_csv, write_snapshot, write_snapshots
 
 SIMULATE_CFG = """
 [flow]
@@ -171,6 +172,57 @@ class TestSimulate:
         assert len(steps) <= flow.RECORD_BLOCK
         assert not (out / "diagnostics.csv").exists()
 
+    def test_failing_write_in_the_writer_process_stops_the_run(self, tmp_path, cfg_file, capsys, monkeypatch):
+        # snapshot 128 is handed to the writer process at step 192; its
+        # error surfaces at the next handover or when the writer closes
+        steps = _count_calls(monkeypatch, flow, "_advance")
+        out = tmp_path / "out"
+        blocker = out / "snapshot_000128.txt"
+        blocker.mkdir(parents=True)
+        code = main(["simulate", "-c", cfg_file(LONG_CFG), "-o", str(out)])
+        assert code == 2
+        with pytest.raises(IoError) as in_process:
+            write_snapshot(str(blocker), flow.FlowState.from_curve(make_initial_curve("segment", 64), 0.1))
+        assert capsys.readouterr().err == f"error: {in_process.value}\n"
+        assert str(in_process.value).startswith("cannot write ")
+        assert not (out / "diagnostics.csv").exists()
+        assert len(steps) < 128 + 2 * flow.RECORD_BLOCK
+
+    @pytest.mark.parametrize("path", ["success", "write_error", "fork_error", "interrupt"])
+    def test_no_process_or_descriptor_is_left_behind(self, tmp_path, cfg_file, capsys, monkeypatch, path):
+        fds = _open_fds()
+        out = tmp_path / "out"
+        if path == "write_error":
+            (out / "snapshot_000128.txt").mkdir(parents=True)
+        elif path == "fork_error":
+            def no_fork():
+                raise OSError(11, "Resource temporarily unavailable")
+
+            monkeypatch.setattr(os, "fork", no_fork)
+        elif path == "interrupt":
+            steps = _count_calls(monkeypatch, flow, "_advance")
+            counted = flow._advance
+
+            def interrupted(*args):
+                if len(steps) == 99:
+                    raise KeyboardInterrupt
+                return counted(*args)
+
+            monkeypatch.setattr(flow, "_advance", interrupted)
+        args = ["simulate", "-c", cfg_file(LONG_CFG), "-o", str(out)]
+        if path == "interrupt":
+            with pytest.raises(KeyboardInterrupt):
+                main(args)
+        else:
+            assert main(args) == (0 if path == "success" else 2)
+        err = capsys.readouterr().err
+        if path in ("write_error", "fork_error"):
+            assert err.startswith("error: ") and "Traceback" not in err
+            assert not (out / "diagnostics.csv").exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert _open_fds() == fds
+
     def test_memory_does_not_grow_with_snapshot_count(self, tmp_path, cfg_file):
         # tracemalloc sees numpy's buffers. A stored n = 128 state holds about
         # 10 kB of arrays, so keeping 600 more would add about 6 MB; the 600
@@ -204,6 +256,11 @@ def _count_calls(monkeypatch, module, name) -> list:
     return calls
 
 
+def _open_fds():
+    # the descriptors this process holds, or None where /proc is missing
+    return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
 class TestSweep:
     def test_writes_report_pair(self, tmp_path, cfg_file):
         out = tmp_path / "out"
@@ -224,13 +281,16 @@ class TestSweep:
         assert capsys.readouterr().err.startswith("error: cannot create")
         assert steps == []
 
-    def test_failed_reference_is_refused(self, tmp_path, cfg_file, capsys):
+    def test_failed_reference_is_refused(self, tmp_path, cfg_file, capsys, monkeypatch):
+        # the reference stops at step 1 and the rungs stop with it
+        steps = _count_calls(monkeypatch, flow, "_advance")
         out = tmp_path / "out"
         assert main(["sweep", "-c", cfg_file(FAILED_REFERENCE_CFG), "-o", str(out)]) == 2
         assert capsys.readouterr().err == (
             "error: the epsilon = 0 reference ended with reparam_failure at t = 0.03, before t_end = 1.2\n"
         )
         assert os.listdir(out) == []
+        assert len(steps) == 1
 
 
 class TestVerify:

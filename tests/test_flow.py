@@ -324,6 +324,27 @@ class TestStep:
             for a, b in zip(alone[j].states, batch[j].states, strict=True):
                 assert a.cache.nodes.tobytes() == b.cache.nodes.tobytes()
 
+    def test_stop_on_row_ends_the_batch_with_it(self, monkeypatch):
+        # the same failure of row 1 at step 3: named as `stop_on`, it stops
+        # rows 0 and 2 there too, with the records and states they had
+        def singular(real, n, h, dt, eps):
+            return 0.0 * real(n, h, dt, eps)
+
+        curve = make_initial_curve("flattened_sine", 64, amplitude=0.3)
+        configs = [FlowConfig(epsilon=e, n=64, dt=1e-4, t_end=1e-3) for e in (0.2, 0.0, 1.0)]
+        alone = [run(curve, c, snapshot_stride=1) for c in configs]
+        _poison_call(monkeypatch, "_assemble_uniform", 8, singular)
+        batch = flow.run_batch(curve, configs, snapshot_stride=1, stop_on=1)
+        assert [t.terminated_by for t in batch] == [
+            Terminated.BATCH_STOPPED, Terminated.SOLVER_FAILURE, Terminated.BATCH_STOPPED
+        ]
+        for j in range(3):
+            assert batch[j].event_time == 3 * 1e-4
+            assert batch[j].diagnostics.length.tobytes() == alone[j].diagnostics.length[:3].tobytes()
+            assert [st.step_index for st in batch[j].states] == [0, 1, 2]
+            for a, b in zip(batch[j].states, alone[j].states):
+                assert a.cache.nodes.tobytes() == b.cache.nodes.tobytes()
+
     def test_step_continues_a_run_bit_for_bit(self):
         # `step` is the batch of one of the stepping: from any state of a run
         # it gives the run's next state
