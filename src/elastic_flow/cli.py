@@ -22,12 +22,15 @@ def _load(path: str) -> str:
 
 
 def _cmd_simulate(args) -> int:
+    # the snapshot writer loads only for this command
+    from .writer import SnapshotWriter
+
     config, initial = iotools.parse_config(_load(args.config))
     if isinstance(config, SweepConfig):
         raise ConfigError("sweep", "config declares a sweep; use the sweep command")
     curve = make_initial_curve(n=config.n, **initial)
     iotools.refuse_earlier_outputs(args.out)
-    with iotools.SnapshotWriter(args.out) as snapshots:
+    with SnapshotWriter(args.out) as snapshots:
         traj = run(curve, config, snapshot_stride=args.stride, sink=snapshots)
     iotools.write_diagnostics_csv(os.path.join(args.out, "diagnostics.csv"), traj.diagnostics)
     print(f"{traj.terminated_by.value}; wrote {snapshots.count + 1} files to {args.out}")

@@ -16,13 +16,17 @@ import numpy as np
 
 from . import stencils
 from .errors import ConfigError, WindowMismatch
-from .flow import FlowConfig, Terminated, Trajectory, run_batch, snapshot_step
+from .flow import FlowConfig, Terminated, Trajectory, refuse_work, run_batch, snapshot_step
 from .geometry import DiscreteCurve, _not_a_knot_spline
+
+
+MAX_SNAPSHOT_TIMES = 1000  # each time keeps a snapshot per row; the default grid has 9
 
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Epsilon ladder sharing one base flow configuration."""
+    """Epsilon ladder sharing one base flow configuration; its rows, the
+    epsilons and the eps = 0 reference, take at most MAX_WORK node-steps."""
 
     epsilons: tuple[float, ...]
     base: FlowConfig
@@ -36,11 +40,15 @@ class SweepConfig:
             raise ConfigError("epsilons", "need values in (0, 1]")
         if any(a <= b for a, b in zip(eps, eps[1:])):
             raise ConfigError("epsilons", "must be strictly decreasing")
+        refuse_work("epsilons", self.base, len(eps) + 1)
         object.__setattr__(self, "epsilons", eps)
         if not 0.0 <= self.delta < self.base.t_end:
             raise ConfigError("delta", "must satisfy 0 <= delta < t_end")
         if not 0 <= self.k_max <= 3:
             raise ConfigError("k_max", "measurable derivative orders are 0..3")
+        if len(self.snapshot_times) > MAX_SNAPSHOT_TIMES:
+            raise ConfigError("snapshot_times", f"{len(self.snapshot_times)} times exceed "
+                              f"MAX_SNAPSHOT_TIMES = {MAX_SNAPSHOT_TIMES}")
         times = tuple(float(t) for t in self.snapshot_times) or self._default_times()
         tol = 1e-9 * max(1.0, self.base.t_end)
         for t in times:

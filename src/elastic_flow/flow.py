@@ -50,12 +50,17 @@ from .geometry import (
 )
 
 MAX_STEPS = 10**6  # the most steps a run may take, 250 times the 4,000 of the suite's longest run
+MAX_N = 10**4  # the most segments a curve may have, 39 times the suite's largest run's 256
+# the most node-steps, steps x rows x (n + 1), a run or a sweep may take:
+# 77 times the shipped sweep's 1.29e6, and a MAX_STEPS run up to n = 99
+MAX_WORK = 10**8
 SOLVER_TOL = 1e-10  # the largest linear residual a step accepts, relative to the system's scale
 
 
 @dataclass(frozen=True)
 class FlowConfig:
-    """Parameters of one evolution run, of at most MAX_STEPS steps."""
+    """Parameters of one evolution run, of at most MAX_STEPS steps on at
+    most MAX_N segments, and at most MAX_WORK node-steps."""
 
     epsilon: float = 0.1
     n: int = 128
@@ -68,6 +73,8 @@ class FlowConfig:
             raise ConfigError("epsilon", f"{self.epsilon} outside [0, 1]")
         if self.n < 16:
             raise ConfigError("n", "must be at least 16")
+        if self.n > MAX_N:
+            raise ConfigError("n", f"{self.n} exceeds MAX_N = {MAX_N}")
         if self.dt is None:
             # conservative default: resolved fourth-order dynamics at unit length
             object.__setattr__(self, "dt", min(1e-4, 0.1 / self.n**2))
@@ -77,6 +84,7 @@ class FlowConfig:
             raise ConfigError("t_end", "must be positive and finite, as must t_end / dt")
         if round(self.t_end / self.dt) > MAX_STEPS:
             raise ConfigError("t_end", f"t_end / dt = {self.t_end / self.dt:.3g} exceeds MAX_STEPS = {MAX_STEPS}")
+        refuse_work("t_end", self, 1)
         if not 0.0 < self.kappa_blowup_threshold < math.inf:
             raise ConfigError("kappa_blowup_threshold", "must be positive and finite")
 
@@ -86,6 +94,15 @@ class FlowConfig:
         if steps < 1 or abs(steps * self.dt - self.t_end) > 1e-9 * self.t_end:
             raise ConfigError("t_end", "must be a positive multiple of dt")
         return steps
+
+
+def refuse_work(key: str, config: FlowConfig, rows: int) -> None:
+    """ConfigError under `key` if `rows` runs of `config` exceed MAX_WORK node-steps."""
+    steps = round(config.t_end / config.dt)
+    work = steps * rows * (config.n + 1)
+    if work > MAX_WORK:
+        raise ConfigError(key, f"steps x rows x nodes = {steps} x {rows} x {config.n + 1} = {work:.3g} "
+                          f"exceeds MAX_WORK = {MAX_WORK}")
 
 
 def snapshot_step(t: float, dt: float) -> int:

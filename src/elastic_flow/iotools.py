@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import select
 
 import numpy as np
 
@@ -144,10 +143,7 @@ def write_snapshot(path: str, state: FlowState) -> None:
 def write_snapshots(out_dir: str, states: list[FlowState]) -> list[str]:
     """Write out_dir/snapshot_<step>.txt for each state, creating out_dir."""
     make_dir(out_dir)
-    paths = [snapshot_path(out_dir, st.step_index) for st in states]
-    for path, state in zip(paths, states):
-        write_snapshot(path, state)
-    return paths
+    return _write_rows(out_dir, _pack(states))
 
 
 _HEAD = 4  # step, time, eps and total length lead each packed row
@@ -165,114 +161,14 @@ def _pack(states: list[FlowState]) -> np.ndarray:
     return block
 
 
-def _write_packed(out_dir: str, fd: int, width: int) -> None:
-    """Write the snapshot of each row of the packed blocks read from `fd`,
-    each its row count (8 bytes) and then its rows of `width` floats, until
-    the pipe closes."""
-    with open(fd, "rb") as pipe:
-        while head := pipe.read(8):
-            rows = int.from_bytes(head, "little")
-            for row in np.frombuffer(pipe.read(rows * width * 8)).reshape(rows, width):
-                step, time, eps, length = row[:_HEAD]
-                table = row[_HEAD:].reshape(-1, 3)
-                _write_text(snapshot_path(out_dir, int(step)), _snapshot_text(table, length, time, eps))
-
-
-def _send(fd: int, data) -> None:
-    view = memoryview(data).cast("B")
-    while view:
-        view = view[os.write(fd, view):]
-
-
-class SnapshotWriter:
-    """`flow.run`'s sink that writes out_dir/snapshot_<step>.txt for each
-    state, as a context manager; `count` is the number of states handed
-    over.
-
-    The first batch, the initial state, is written in process, creating
-    out_dir, so an unwritable directory fails before the first step. Then
-    one forked process (POSIX only) formats and writes the later batches,
-    which arrive packed through a pipe, while the run steps on. A write
-    that fails there ends that process, and its `IoError` text is raised
-    at the next batch or when the writer closes. Closing waits for every
-    file and reaps the process; leaving the context on an exception
-    closes it too, without raising the writer's error over that exception.
-    """
-
-    def __init__(self, out_dir: str):
-        self.out_dir = out_dir
-        self.count = 0
-        self._child = None  # (pid, the pipe's write end, the error pipe's read end)
-
-    def __enter__(self) -> "SnapshotWriter":
-        return self
-
-    def __exit__(self, kind, *_) -> None:
-        if self._child is not None:
-            error = self._reap()
-            if error and kind is None:
-                raise IoError(error)
-
-    def __call__(self, _, states: list[FlowState]) -> None:
-        if not states:
-            return
-        if not self.count:
-            write_snapshots(self.out_dir, states)
-            self._fork(_HEAD + 3 * len(states[0].cache.nodes))
-        else:
-            _, data, errors = self._child
-            if select.select([errors], [], [], 0)[0]:  # the writer has stopped
-                raise IoError(self._reap())
-            try:
-                _send(data, len(states).to_bytes(8, "little"))
-                _send(data, _pack(states))
-            except BrokenPipeError:
-                raise IoError(self._reap()) from None
-        self.count += len(states)
-
-    def _fork(self, width: int) -> None:
-        fds = []
-        try:
-            fds += os.pipe()
-            fds += os.pipe()
-            pid = os.fork()
-        except OSError as exc:
-            for fd in fds:
-                os.close(fd)
-            raise IoError(f"cannot start the snapshot writer: {exc}") from exc
-        data_r, data_w, errors_r, errors_w = fds
-        if pid == 0:
-            # the writer process ends here on every path, an interrupt
-            # included: nothing may unwind into the run's stack it copied
-            status = 1
-            try:
-                os.close(data_w)
-                os.close(errors_r)
-                _write_packed(self.out_dir, data_r, width)
-                status = 0
-            except BaseException as exc:
-                text = str(exc) if isinstance(exc, IoError) else f"snapshot writer failed: {exc!r}"
-                os.write(errors_w, text.encode())
-            finally:
-                os._exit(status)
-        os.close(data_r)
-        os.close(errors_w)
-        self._child = (pid, data_w, errors_r)
-
-    def _reap(self) -> str:
-        """Close the pipe, wait for the writer process to finish and return
-        its error text, empty when it wrote every file."""
-        pid, data, errors = self._child
-        self._child = None
-        try:
-            os.close(data)
-            with open(errors, "rb") as fh:
-                text = fh.read().decode(errors="replace")
-        finally:
-            status = os.waitpid(pid, 0)[1]
-        if status and not text:
-            text = f"snapshot writer ended with wait status {status}"
-        return text
+def _write_rows(out_dir: str, block: np.ndarray) -> list[str]:
+    """Write the snapshot file of each row of a packed block; return their paths."""
+    paths = []
+    for row in block:
+        step, time, eps, length = row[:_HEAD]
+        paths.append(snapshot_path(out_dir, int(step)))
+        _write_text(paths[-1], _snapshot_text(row[_HEAD:].reshape(-1, 3), length, time, eps))
+    return paths
 
 
 def write_diagnostics_csv(path: str, records: np.ndarray) -> None:
@@ -289,16 +185,9 @@ def _format_rows(rows, sep: str) -> str:
 
 def _report_payload(report: ConvergenceReport) -> dict:
     return {
-        "meta": {
-            **{k: v for k, v in report.meta.items()},
-            "k_max": report.k_max,
-            "window": list(report.window),
-        },
+        "meta": {**report.meta, "k_max": report.k_max, "window": list(report.window)},
         "epsilons": list(report.epsilons),
-        "distances": [
-            [None if not math.isfinite(v) else v for v in row]
-            for row in report.distances.tolist()
-        ],
+        "distances": [[v if math.isfinite(v) else None for v in row] for row in report.distances.tolist()],
         "fitted_order": report.fitted_order,
         "monotone": report.monotone,
         "failed_rows": report.failed_rows,
@@ -307,34 +196,20 @@ def _report_payload(report: ConvergenceReport) -> dict:
 
 def write_report_text(path: str, report: ConvergenceReport) -> None:
     meta = report.meta
-    lines = ["# convergence sweep report"]
-    lines.append(
-        "# "
-        + " ".join(
-            f"{key}={fmt(meta[key]) if isinstance(meta[key], float) else meta[key]}"
-            for key in ("n", "dt", "t_end", "delta")
-            if key in meta
-        )
-        + f" k_max={report.k_max}"
-    )
-    lines.append(f"# window=[{fmt(report.window[0])},{fmt(report.window[1])}]")
-    times = meta.get("snapshot_times")
-    if times:
-        lines.append("# snapshot_times=" + ",".join(fmt(t) for t in times))
+    grid = " ".join(f"{key}={fmt(meta[key]) if isinstance(meta[key], float) else meta[key]}"
+                    for key in ("n", "dt", "t_end", "delta") if key in meta)
+    lines = ["# convergence sweep report", f"# {grid} k_max={report.k_max}",
+             f"# window=[{fmt(report.window[0])},{fmt(report.window[1])}]"]
+    if meta.get("snapshot_times"):
+        lines.append("# snapshot_times=" + ",".join(map(fmt, meta["snapshot_times"])))
     lines.append("eps," + ",".join(f"d{k}" for k in range(report.k_max + 1)))
-    for i, eps in enumerate(report.epsilons):
-        row = report.distances[i]
-        cells = [fmt(eps)] + [
-            "nan" if not math.isfinite(v) else fmt(v) for v in row
-        ]
-        lines.append(",".join(cells))
-    for k, order in enumerate(report.fitted_order):
-        shown = "n/a" if order is None else fmt(order)
-        lines.append(f"# fitted_order k={k}: {shown}")
-    for k, mono in enumerate(report.monotone):
-        lines.append(f"# monotone k={k}: {str(mono).lower()}")
+    for eps, row in zip(report.epsilons, report.distances):
+        lines.append(",".join([fmt(eps)] + [fmt(v) if math.isfinite(v) else "nan" for v in row]))
+    lines += [f"# fitted_order k={k}: {'n/a' if order is None else fmt(order)}"
+              for k, order in enumerate(report.fitted_order)]
+    lines += [f"# monotone k={k}: {str(mono).lower()}" for k, mono in enumerate(report.monotone)]
     if report.failed_rows:
-        lines.append("# failed_rows=" + ",".join(str(i) for i in report.failed_rows))
+        lines.append("# failed_rows=" + ",".join(map(str, report.failed_rows)))
     _write_text(path, "\n".join(lines) + "\n")
 
 

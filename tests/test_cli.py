@@ -1,4 +1,5 @@
 import ast
+import functools
 import io
 import os
 import subprocess
@@ -173,20 +174,22 @@ class TestSimulate:
         assert not (out / "diagnostics.csv").exists()
 
     def test_failing_write_in_the_writer_process_stops_the_run(self, tmp_path, cfg_file, capsys, monkeypatch):
-        # snapshot 128 is handed to the writer process at step 192; its
-        # error surfaces at the next handover or when the writer closes
+        # snapshot 128 is handed to the writer process at step 192. The
+        # writer's error surfaces at the handover of step 256, or at the one
+        # of step 320 when the writer is slow; one raised only at close
+        # would read all 1,000 steps
         steps = _count_calls(monkeypatch, flow, "_advance")
         out = tmp_path / "out"
         blocker = out / "snapshot_000128.txt"
         blocker.mkdir(parents=True)
-        code = main(["simulate", "-c", cfg_file(LONG_CFG), "-o", str(out)])
+        code = main(["simulate", "-c", cfg_file(LONG_CFG.replace("t_end = 0.02", "t_end = 0.1")), "-o", str(out)])
         assert code == 2
         with pytest.raises(IoError) as in_process:
             write_snapshot(str(blocker), flow.FlowState.from_curve(make_initial_curve("segment", 64), 0.1))
         assert capsys.readouterr().err == f"error: {in_process.value}\n"
         assert str(in_process.value).startswith("cannot write ")
         assert not (out / "diagnostics.csv").exists()
-        assert len(steps) < 128 + 2 * flow.RECORD_BLOCK
+        assert len(steps) <= 128 + 3 * flow.RECORD_BLOCK
 
     @pytest.mark.parametrize("path", ["success", "write_error", "fork_error", "interrupt"])
     def test_no_process_or_descriptor_is_left_behind(self, tmp_path, cfg_file, capsys, monkeypatch, path):
@@ -345,11 +348,13 @@ def _fresh_python(code: str, *args: str, env: dict | None = None) -> subprocess.
     return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True)
 
 
-def _modules_after(code: str) -> list:
-    # the modules loaded once `code` has run
+@functools.cache
+def _modules_after(code: str) -> tuple:
+    # the modules loaded once `code` has run; tests that ask about the same
+    # code share one fresh interpreter
     proc = _fresh_python(code + "\nimport sys\nprint(' '.join(sorted(sys.modules)))")
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.split()
+    return tuple(proc.stdout.split())
 
 
 def _scipy_modules_after(code: str) -> list:
@@ -408,6 +413,15 @@ def test_simulate_and_sweep_do_not_load_the_suite(tmp_path, cfg_file, command, c
     )
     assert "elastic_flow.cli" in modules and "elastic_flow.flow" in modules
     assert "elastic_flow.acceptance" not in modules
+    # `simulate` alone imports the snapshot writer; no command needs `select`
+    assert ("elastic_flow.writer" in modules) == (command == "simulate")
+    assert "select" not in modules
+
+
+def test_verify_loads_neither_the_writer_nor_select():
+    modules = _modules_after(_VERIFY.format("quick"))
+    assert "elastic_flow.acceptance" in modules
+    assert "elastic_flow.writer" not in modules and "select" not in modules
 
 
 _BAD_INPUT = {
@@ -425,6 +439,17 @@ _BAD_INPUT = {
     # finite, but 1e300 steps: refused before the run starts
     "steps_above_max": (["simulate"], "[flow]\nn = 64\ndt = 1e-300\nt_end = 1\n[initial]\nfamily = segment\n",
                         "error: flow.t_end: t_end / dt = 1e+300 exceeds MAX_STEPS = 1000000"),
+    "n_above_max": (["simulate"], SIMULATE_CFG.replace("n = 64", "n = 1000000000"),
+                    "error: flow.n: 1000000000 exceeds MAX_N = 10000"),
+    "work_above_max": (["simulate"], "[flow]\nn = 10000\ndt = 1e-4\nt_end = 100\n[initial]\nfamily = segment\n",
+                       "error: flow.t_end: steps x rows x nodes = 1000000 x 1 x 10001 = 1e+10 "
+                       "exceeds MAX_WORK = 100000000"),
+    "sweep_rows_above_max": (["sweep"], SWEEP_CFG.replace("dt = 1e-3", "dt = 1e-4").replace(
+        "epsilons = 0.2, 0.1", "epsilons = " + ", ".join(repr(1 - i / 1e5) for i in range(10**5))
+    ), "error: sweep.epsilons: steps x rows x nodes = 100 x 100001 x 65 = 6.5e+08 exceeds MAX_WORK = 100000000"),
+    "snapshot_times_above_max": (["sweep"], SWEEP_CFG.replace(
+        "k_max = 1", "k_max = 1\nsnapshot_times = " + ", ".join(["0.01"] * 1001)
+    ), "error: sweep.snapshot_times: 1001 times exceed MAX_SNAPSHOT_TIMES = 1000"),
     "seed_negative": (["verify", "--seed", "-1"], None,
                       "elastic-flow verify: error: argument --seed: must be non-negative, got -1"),
     "amplitude_nan": (["simulate"], SIMULATE_CFG.replace("amplitude = 0.05", "amplitude = nan"),

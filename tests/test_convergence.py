@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from elastic_flow import ConfigError, WindowMismatch, make_initial_curve, stencils
 from elastic_flow.convergence import (
+    MAX_SNAPSHOT_TIMES,
     SweepConfig,
     _common_snapshots,
     _resample,
@@ -61,6 +62,26 @@ class TestSweepConfig:
         base = FlowConfig(epsilon=0.1, n=64, dt=1e-4, t_end=0.01)
         with pytest.raises(ConfigError):
             SweepConfig(epsilons=(0.1,), base=base, k_max=4)
+
+
+    def test_rows_times_node_steps_at_most_max_work(self):
+        # only built, never run: the shipped sweep's base under 10**5 epsilons
+        base = FlowConfig(epsilon=0.1, n=128, dt=1e-4, t_end=0.2)
+        with pytest.raises(ConfigError) as info:
+            SweepConfig(epsilons=tuple(1 - i / 1e5 for i in range(10**5)), base=base)
+        assert info.value.key == "epsilons"
+        assert str(info.value) == (
+            "epsilons: steps x rows x nodes = 2000 x 100001 x 129 = 2.58e+10 exceeds MAX_WORK = 100000000"
+        )
+
+    def test_snapshot_times_count_capped(self):
+        base = FlowConfig(epsilon=0.1, n=64, dt=1e-4, t_end=0.1)
+        times = tuple(k * 1e-4 for k in range(1, MAX_SNAPSHOT_TIMES + 1))
+        assert len(SweepConfig(epsilons=(0.1,), base=base, snapshot_times=times).snapshot_times) == MAX_SNAPSHOT_TIMES
+        with pytest.raises(ConfigError) as info:
+            SweepConfig(epsilons=(0.1,), base=base, snapshot_times=times + (0.1,))
+        assert info.value.key == "snapshot_times"
+        assert str(info.value) == "snapshot_times: 1001 times exceed MAX_SNAPSHOT_TIMES = 1000"
 
 
 class TestCkDistance:

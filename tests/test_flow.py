@@ -121,6 +121,23 @@ class TestFlowConfig:
             FlowConfig(n=64, dt=1e-6, t_end=1.000001)
         assert info.value.key == "t_end"
 
+    def test_node_count_is_at_most_max_n(self):
+        # only built, never run
+        assert FlowConfig(n=flow.MAX_N, dt=1e-4, t_end=1e-4).n == flow.MAX_N
+        with pytest.raises(ConfigError) as info:
+            FlowConfig(n=10**9, dt=1e-4, t_end=1e-4)
+        assert info.value.key == "n"
+        assert str(info.value) == "n: 1000000000 exceeds MAX_N = 10000"
+
+    def test_node_steps_are_at_most_max_work(self):
+        # only built, never run: 10**4 steps on 10**4 + 1 nodes is 10**4
+        # node-steps above the limit
+        assert FlowConfig(n=99, dt=1e-6, t_end=1.0).num_steps == flow.MAX_STEPS
+        with pytest.raises(ConfigError) as info:
+            FlowConfig(n=flow.MAX_N, dt=1e-4, t_end=1.0)
+        assert info.value.key == "t_end"
+        assert str(info.value) == "t_end: steps x rows x nodes = 10000 x 1 x 10001 = 1e+08 exceeds MAX_WORK = 100000000"
+
     def test_t_end_must_sit_on_dt_grid(self):
         with pytest.raises(ConfigError):
             FlowConfig(epsilon=0.1, dt=3e-4, t_end=1e-3).num_steps
