@@ -105,12 +105,18 @@ def _budget(traj) -> float:
 
 def crit_stationarity(seed: int) -> tuple[bool, str]:
     t0 = time.perf_counter()
+    worst = 0.0
+    ok = True
     segment = make_initial_curve("segment", 128)
-    runs = _segment_runs().values()
-    worst = max(float(np.max(np.linalg.norm(st.curve.nodes - segment.nodes, axis=1)))
-                for traj in runs for st in traj.states)
+    for traj in _segment_runs().values():
+        ok &= traj.terminated_by is Terminated.REACHED_T_END
+        disp = max(
+            float(np.max(np.linalg.norm(st.curve.nodes - segment.nodes, axis=1)))
+            for st in traj.states
+        )
+        worst = max(worst, disp)
     elapsed = time.perf_counter() - t0
-    ok = all(traj.terminated_by is Terminated.REACHED_T_END for traj in runs) and worst <= 1e-10
+    ok &= worst <= 1e-10
     in_budget = elapsed < 5.0
     detail = f"max node displacement {worst:.3e}; runtime {'within' if in_budget else 'over'} 5 s budget"
     return ok and in_budget, detail
@@ -146,9 +152,15 @@ def crit_energy_budget(seed: int) -> tuple[bool, str]:
 def crit_length_bounds(seed: int) -> tuple[bool, str]:
     ok = True
     worst = math.inf
-    for traj in (_arch_run(), _sine_run(256, 5e-5, 0.2), _segment_runs()[0.1]):
+    runs = [
+        _arch_run(),
+        _sine_run(256, 5e-5, 0.2),
+        _segment_runs()[0.1],
+    ]
+    for traj in runs:
         f0 = traj.diagnostics[0].energy_Feps
-        p, q = traj.states[0].curve.nodes[[0, -1]]
+        p = traj.states[0].curve.nodes[0]
+        q = traj.states[0].curve.nodes[-1]
         chord = float(np.linalg.norm(q - p))
         length = traj.diagnostics.length
         ok &= bool(np.all((chord - 1e-12 <= length) & (length <= f0 + 1e-8)))
@@ -198,7 +210,10 @@ def crit_curvature_evolution(seed: int) -> tuple[bool, str]:
     for n in (128, 256):
         curve = make_initial_curve("flattened_sine", n, amplitude=AMPLITUDE)
         st = FlowState.from_curve(curve, 0.1)
-        diff = np.abs(curvature_evolution_rhs(st, "compact") - curvature_evolution_rhs(st, "expanded"))
+        diff = np.abs(
+            curvature_evolution_rhs(st, "compact")
+            - curvature_evolution_rhs(st, "expanded")
+        )
         forms.append(float(np.max(diff[3:-3])))
     forms_ratio = forms[0] / forms[1]
     ok = slope >= 0.9 and forms_ratio >= 3.0
@@ -215,7 +230,9 @@ def crit_gn_inequalities(seed: int) -> tuple[bool, str]:
     c_u4 = 2.0 * calibrate_gn_specialized(corpus, "u4")
     c_u6 = 2.0 * calibrate_gn_specialized(corpus, "u6")
     general_cases = ((0, 1, 4), (0, 2, 6), (1, 2, 2), (0, 1, math.inf))
-    c_gen = {case: 2.0 * calibrate_gn_general(corpus, *case) for case in general_cases}
+    c_gen = {
+        case: 2.0 * calibrate_gn_general(corpus, *case) for case in general_cases
+    }
     min_slack = math.inf
     ok = True
     for block in gn_blocks(seed + 1, 1000):
@@ -305,8 +322,12 @@ def crit_convergence_ladder(seed: int) -> tuple[bool, str]:
 
     report = _cached_run(("ladder",), factory)
     elapsed = time.perf_counter() - t0
-    strict = bool(np.all(np.diff(report.distances[:, :2], axis=0) < 0.0))
-    orders = ", ".join("n/a" if o is None else f"{o:.2f}" for o in report.fitted_order)
+    strict = all(
+        bool(np.all(np.diff(report.distances[:, k]) < 0.0)) for k in (0, 1)
+    )
+    orders = ", ".join(
+        "n/a" if o is None else f"{o:.2f}" for o in report.fitted_order
+    )
     in_budget = elapsed < 120.0
     ok = strict and not report.failed_rows and in_budget
     detail = (
@@ -362,10 +383,22 @@ def run_acceptance(seed: int = 0, tag_filter: str | None = None) -> list[Criteri
     are cached and free of randomness; seeded computations recompute).
     """
     results = _run_core(seed, tag_filter)
-    if tag_filter is None or tag_filter in ("seeded", "quick") or tag_filter in "12-determinism":
-        ok = _format_table(results) == _format_table(_run_core(seed, tag_filter))
-        detail = "two passes with one seed agree byte for byte" if ok else "report bytes differ between passes"
-        results.append(CriterionResult("12-determinism", ok, detail))
+    det_selected = (
+        tag_filter is None
+        or tag_filter in ("seeded", "quick")
+        or tag_filter in "12-determinism"
+    )
+    if det_selected:
+        second = _run_core(seed, tag_filter)
+        ok = _format_table(results) == _format_table(second)
+        detail = (
+            "two passes with one seed agree byte for byte"
+            if ok
+            else "report bytes differ between passes"
+        )
+        results.append(
+            CriterionResult("12-determinism", ok, detail)
+        )
     return results
 
 

@@ -20,13 +20,17 @@ from .flow import FlowConfig, Terminated, Trajectory, refuse_work, run_batch, sn
 from .geometry import DiscreteCurve, _not_a_knot_spline
 
 
-MAX_SNAPSHOT_TIMES = 1000  # each time keeps a snapshot per row; the default grid has 9
+# the most distinct snapshot times of a sweep (the default grid has 9): each
+# keeps every row's nodes, 16 bytes a node, until the distances are measured,
+# so with the ~200 of the default stride a sweep keeps at most 19 kB a node
+MAX_SNAPSHOT_TIMES = 1000
 
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Epsilon ladder sharing one base flow configuration; its rows, the
-    epsilons and the eps = 0 reference, take at most MAX_WORK node-steps."""
+    """Epsilon ladder sharing one base flow configuration; its stack of rows,
+    the epsilons and the eps = 0 reference, holds at most MAX_NODES nodes and
+    takes at most MAX_WORK node-steps."""
 
     epsilons: tuple[float, ...]
     base: FlowConfig
@@ -46,15 +50,16 @@ class SweepConfig:
             raise ConfigError("delta", "must satisfy 0 <= delta < t_end")
         if not 0 <= self.k_max <= 3:
             raise ConfigError("k_max", "measurable derivative orders are 0..3")
-        if len(self.snapshot_times) > MAX_SNAPSHOT_TIMES:
-            raise ConfigError("snapshot_times", f"{len(self.snapshot_times)} times exceed "
-                              f"MAX_SNAPSHOT_TIMES = {MAX_SNAPSHOT_TIMES}")
         times = tuple(float(t) for t in self.snapshot_times) or self._default_times()
         tol = 1e-9 * max(1.0, self.base.t_end)
+        steps = set()
         for t in times:
-            snapshot_step(t, self.base.dt)
+            steps.add(snapshot_step(t, self.base.dt))
             if not self.delta - tol <= t <= self.base.t_end + tol:
                 raise ConfigError("snapshot_times", f"{t} outside [delta, t_end]")
+        if len(steps) > MAX_SNAPSHOT_TIMES:
+            raise ConfigError("snapshot_times", f"{len(steps)} distinct times exceed "
+                              f"MAX_SNAPSHOT_TIMES = {MAX_SNAPSHOT_TIMES}")
         object.__setattr__(self, "snapshot_times", times)
 
     def _default_times(self) -> tuple[float, ...]:

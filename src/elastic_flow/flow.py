@@ -50,17 +50,22 @@ from .geometry import (
 )
 
 MAX_STEPS = 10**6  # the most steps a run may take, 250 times the 4,000 of the suite's longest run
-MAX_N = 10**4  # the most segments a curve may have, 39 times the suite's largest run's 256
-# the most node-steps, steps x rows x (n + 1), a run or a sweep may take:
-# 77 times the shipped sweep's 1.29e6, and a MAX_STEPS run up to n = 99
-MAX_WORK = 10**8
+# the most nodes, rows x (n + 1), a stack of curves may hold: stepping takes
+# about 13 kB a node for a run and 6 kB for a sweep (measured at n = 10**4 and
+# at 20 rows of n = 1,000), so at most about 1.3 GB
+MAX_NODES = 10**5
+# the most node-steps, steps x rows x (n + 1), a run or a sweep may take: 10
+# times a run of the default dt at n = 1,000, and three to nine hours at the
+# 10**6 (n up to 2 x 10**4) to 3 x 10**5 (n = 5 x 10**4) node-steps a second
+# measured on a shared 2-core Intel Xeon
+MAX_WORK = 10**10
 SOLVER_TOL = 1e-10  # the largest linear residual a step accepts, relative to the system's scale
 
 
 @dataclass(frozen=True)
 class FlowConfig:
     """Parameters of one evolution run, of at most MAX_STEPS steps on at
-    most MAX_N segments, and at most MAX_WORK node-steps."""
+    most MAX_NODES nodes, and at most MAX_WORK node-steps."""
 
     epsilon: float = 0.1
     n: int = 128
@@ -73,8 +78,8 @@ class FlowConfig:
             raise ConfigError("epsilon", f"{self.epsilon} outside [0, 1]")
         if self.n < 16:
             raise ConfigError("n", "must be at least 16")
-        if self.n > MAX_N:
-            raise ConfigError("n", f"{self.n} exceeds MAX_N = {MAX_N}")
+        if self.n + 1 > MAX_NODES:
+            raise ConfigError("n", f"{self.n + 1} nodes exceed MAX_NODES = {MAX_NODES}")
         if self.dt is None:
             # conservative default: resolved fourth-order dynamics at unit length
             object.__setattr__(self, "dt", min(1e-4, 0.1 / self.n**2))
@@ -97,11 +102,14 @@ class FlowConfig:
 
 
 def refuse_work(key: str, config: FlowConfig, rows: int) -> None:
-    """ConfigError under `key` if `rows` runs of `config` exceed MAX_WORK node-steps."""
+    """ConfigError under `key` if a stack of `rows` runs of `config` holds more
+    than MAX_NODES nodes or takes more than MAX_WORK node-steps."""
+    nodes = rows * (config.n + 1)
+    if nodes > MAX_NODES:
+        raise ConfigError(key, f"rows x nodes = {rows} x {config.n + 1} = {nodes} exceeds MAX_NODES = {MAX_NODES}")
     steps = round(config.t_end / config.dt)
-    work = steps * rows * (config.n + 1)
-    if work > MAX_WORK:
-        raise ConfigError(key, f"steps x rows x nodes = {steps} x {rows} x {config.n + 1} = {work:.3g} "
+    if steps * nodes > MAX_WORK:
+        raise ConfigError(key, f"steps x rows x nodes = {steps} x {rows} x {config.n + 1} = {steps * nodes} "
                           f"exceeds MAX_WORK = {MAX_WORK}")
 
 

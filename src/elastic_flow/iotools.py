@@ -143,7 +143,8 @@ def write_snapshot(path: str, state: FlowState) -> None:
 def write_snapshots(out_dir: str, states: list[FlowState]) -> list[str]:
     """Write out_dir/snapshot_<step>.txt for each state, creating out_dir."""
     make_dir(out_dir)
-    return _write_rows(out_dir, _pack(states))
+    # a block per state: the states may differ in n
+    return [path for st in states for path in _write_rows(out_dir, _pack([st]))]
 
 
 _HEAD = 4  # step, time, eps and total length lead each packed row
@@ -185,9 +186,16 @@ def _format_rows(rows, sep: str) -> str:
 
 def _report_payload(report: ConvergenceReport) -> dict:
     return {
-        "meta": {**report.meta, "k_max": report.k_max, "window": list(report.window)},
+        "meta": {
+            **{k: v for k, v in report.meta.items()},
+            "k_max": report.k_max,
+            "window": list(report.window),
+        },
         "epsilons": list(report.epsilons),
-        "distances": [[v if math.isfinite(v) else None for v in row] for row in report.distances.tolist()],
+        "distances": [
+            [None if not math.isfinite(v) else v for v in row]
+            for row in report.distances.tolist()
+        ],
         "fitted_order": report.fitted_order,
         "monotone": report.monotone,
         "failed_rows": report.failed_rows,
@@ -196,20 +204,34 @@ def _report_payload(report: ConvergenceReport) -> dict:
 
 def write_report_text(path: str, report: ConvergenceReport) -> None:
     meta = report.meta
-    grid = " ".join(f"{key}={fmt(meta[key]) if isinstance(meta[key], float) else meta[key]}"
-                    for key in ("n", "dt", "t_end", "delta") if key in meta)
-    lines = ["# convergence sweep report", f"# {grid} k_max={report.k_max}",
-             f"# window=[{fmt(report.window[0])},{fmt(report.window[1])}]"]
-    if meta.get("snapshot_times"):
-        lines.append("# snapshot_times=" + ",".join(map(fmt, meta["snapshot_times"])))
+    lines = ["# convergence sweep report"]
+    lines.append(
+        "# "
+        + " ".join(
+            f"{key}={fmt(meta[key]) if isinstance(meta[key], float) else meta[key]}"
+            for key in ("n", "dt", "t_end", "delta")
+            if key in meta
+        )
+        + f" k_max={report.k_max}"
+    )
+    lines.append(f"# window=[{fmt(report.window[0])},{fmt(report.window[1])}]")
+    times = meta.get("snapshot_times")
+    if times:
+        lines.append("# snapshot_times=" + ",".join(fmt(t) for t in times))
     lines.append("eps," + ",".join(f"d{k}" for k in range(report.k_max + 1)))
-    for eps, row in zip(report.epsilons, report.distances):
-        lines.append(",".join([fmt(eps)] + [fmt(v) if math.isfinite(v) else "nan" for v in row]))
-    lines += [f"# fitted_order k={k}: {'n/a' if order is None else fmt(order)}"
-              for k, order in enumerate(report.fitted_order)]
-    lines += [f"# monotone k={k}: {str(mono).lower()}" for k, mono in enumerate(report.monotone)]
+    for i, eps in enumerate(report.epsilons):
+        row = report.distances[i]
+        cells = [fmt(eps)] + [
+            "nan" if not math.isfinite(v) else fmt(v) for v in row
+        ]
+        lines.append(",".join(cells))
+    for k, order in enumerate(report.fitted_order):
+        shown = "n/a" if order is None else fmt(order)
+        lines.append(f"# fitted_order k={k}: {shown}")
+    for k, mono in enumerate(report.monotone):
+        lines.append(f"# monotone k={k}: {str(mono).lower()}")
     if report.failed_rows:
-        lines.append("# failed_rows=" + ",".join(map(str, report.failed_rows)))
+        lines.append("# failed_rows=" + ",".join(str(i) for i in report.failed_rows))
     _write_text(path, "\n".join(lines) + "\n")
 
 

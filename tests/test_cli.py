@@ -440,16 +440,16 @@ _BAD_INPUT = {
     "steps_above_max": (["simulate"], "[flow]\nn = 64\ndt = 1e-300\nt_end = 1\n[initial]\nfamily = segment\n",
                         "error: flow.t_end: t_end / dt = 1e+300 exceeds MAX_STEPS = 1000000"),
     "n_above_max": (["simulate"], SIMULATE_CFG.replace("n = 64", "n = 1000000000"),
-                    "error: flow.n: 1000000000 exceeds MAX_N = 10000"),
+                    "error: flow.n: 1000000001 nodes exceed MAX_NODES = 100000"),
     "work_above_max": (["simulate"], "[flow]\nn = 10000\ndt = 1e-4\nt_end = 100\n[initial]\nfamily = segment\n",
-                       "error: flow.t_end: steps x rows x nodes = 1000000 x 1 x 10001 = 1e+10 "
-                       "exceeds MAX_WORK = 100000000"),
-    "sweep_rows_above_max": (["sweep"], SWEEP_CFG.replace("dt = 1e-3", "dt = 1e-4").replace(
+                       "error: flow.t_end: steps x rows x nodes = 1000000 x 1 x 10001 = 10001000000 "
+                       "exceeds MAX_WORK = 10000000000"),
+    "sweep_rows_above_max": (["sweep"], SWEEP_CFG.replace(
         "epsilons = 0.2, 0.1", "epsilons = " + ", ".join(repr(1 - i / 1e5) for i in range(10**5))
-    ), "error: sweep.epsilons: steps x rows x nodes = 100 x 100001 x 65 = 6.5e+08 exceeds MAX_WORK = 100000000"),
-    "snapshot_times_above_max": (["sweep"], SWEEP_CFG.replace(
-        "k_max = 1", "k_max = 1\nsnapshot_times = " + ", ".join(["0.01"] * 1001)
-    ), "error: sweep.snapshot_times: 1001 times exceed MAX_SNAPSHOT_TIMES = 1000"),
+    ), "error: sweep.epsilons: rows x nodes = 100001 x 65 = 6500065 exceeds MAX_NODES = 100000"),
+    "snapshot_times_above_max": (["sweep"], SWEEP_CFG.replace("dt = 1e-3", "dt = 1e-5").replace(
+        "k_max = 1", "k_max = 1\nsnapshot_times = " + ", ".join(repr(k * 1e-5) for k in range(1001))
+    ), "error: sweep.snapshot_times: 1001 distinct times exceed MAX_SNAPSHOT_TIMES = 1000"),
     "seed_negative": (["verify", "--seed", "-1"], None,
                       "elastic-flow verify: error: argument --seed: must be non-negative, got -1"),
     "amplitude_nan": (["simulate"], SIMULATE_CFG.replace("amplitude = 0.05", "amplitude = nan"),

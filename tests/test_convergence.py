@@ -64,24 +64,35 @@ class TestSweepConfig:
             SweepConfig(epsilons=(0.1,), base=base, k_max=4)
 
 
-    def test_rows_times_node_steps_at_most_max_work(self):
+    def test_stack_nodes_at_most_max_nodes(self):
         # only built, never run: the shipped sweep's base under 10**5 epsilons
         base = FlowConfig(epsilon=0.1, n=128, dt=1e-4, t_end=0.2)
         with pytest.raises(ConfigError) as info:
             SweepConfig(epsilons=tuple(1 - i / 1e5 for i in range(10**5)), base=base)
         assert info.value.key == "epsilons"
+        assert str(info.value) == "epsilons: rows x nodes = 100001 x 129 = 12900129 exceeds MAX_NODES = 100000"
+
+    def test_rows_times_node_steps_at_most_max_work(self):
+        # only built, never run: 100 rows of 100 nodes for 10**6 steps
+        base = FlowConfig(epsilon=0.1, n=99, dt=1e-6, t_end=1.0)
+        assert len(SweepConfig(epsilons=tuple(1 - i / 100 for i in range(99)), base=base).epsilons) == 99
+        with pytest.raises(ConfigError) as info:
+            SweepConfig(epsilons=tuple(1 - i / 100 for i in range(100)), base=base)
+        assert info.value.key == "epsilons"
         assert str(info.value) == (
-            "epsilons: steps x rows x nodes = 2000 x 100001 x 129 = 2.58e+10 exceeds MAX_WORK = 100000000"
+            "epsilons: steps x rows x nodes = 1000000 x 101 x 100 = 10100000000 exceeds MAX_WORK = 10000000000"
         )
 
-    def test_snapshot_times_count_capped(self):
-        base = FlowConfig(epsilon=0.1, n=64, dt=1e-4, t_end=0.1)
+    def test_distinct_snapshot_times_capped(self):
+        base = FlowConfig(epsilon=0.1, n=64, dt=1e-4, t_end=0.2)
         times = tuple(k * 1e-4 for k in range(1, MAX_SNAPSHOT_TIMES + 1))
         assert len(SweepConfig(epsilons=(0.1,), base=base, snapshot_times=times).snapshot_times) == MAX_SNAPSHOT_TIMES
+        # a time given twice is kept once
+        assert SweepConfig(epsilons=(0.1,), base=base, snapshot_times=times + times[:1]).snapshot_times[-1] == 1e-4
         with pytest.raises(ConfigError) as info:
-            SweepConfig(epsilons=(0.1,), base=base, snapshot_times=times + (0.1,))
+            SweepConfig(epsilons=(0.1,), base=base, snapshot_times=times + (0.2,))
         assert info.value.key == "snapshot_times"
-        assert str(info.value) == "snapshot_times: 1001 times exceed MAX_SNAPSHOT_TIMES = 1000"
+        assert str(info.value) == "snapshot_times: 1001 distinct times exceed MAX_SNAPSHOT_TIMES = 1000"
 
 
 class TestCkDistance:

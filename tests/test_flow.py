@@ -121,22 +121,35 @@ class TestFlowConfig:
             FlowConfig(n=64, dt=1e-6, t_end=1.000001)
         assert info.value.key == "t_end"
 
-    def test_node_count_is_at_most_max_n(self):
+    def test_node_count_is_at_most_max_nodes(self):
         # only built, never run
-        assert FlowConfig(n=flow.MAX_N, dt=1e-4, t_end=1e-4).n == flow.MAX_N
+        assert FlowConfig(n=flow.MAX_NODES - 1, dt=1e-4, t_end=1e-4).n == flow.MAX_NODES - 1
         with pytest.raises(ConfigError) as info:
             FlowConfig(n=10**9, dt=1e-4, t_end=1e-4)
         assert info.value.key == "n"
-        assert str(info.value) == "n: 1000000000 exceeds MAX_N = 10000"
+        assert str(info.value) == "n: 1000000001 nodes exceed MAX_NODES = 100000"
+        with pytest.raises(ConfigError) as info:
+            FlowConfig(n=10**5, dt=1e-6, t_end=1.0)  # 10**5 segments for 10**6 steps
+        assert str(info.value) == "n: 100001 nodes exceed MAX_NODES = 100000"
 
     def test_node_steps_are_at_most_max_work(self):
-        # only built, never run: 10**4 steps on 10**4 + 1 nodes is 10**4
-        # node-steps above the limit
-        assert FlowConfig(n=99, dt=1e-6, t_end=1.0).num_steps == flow.MAX_STEPS
+        # only built, never run: a MAX_STEPS run is admitted up to n = 9,999
+        assert FlowConfig(n=9999, dt=1e-6, t_end=1.0).num_steps == flow.MAX_STEPS
         with pytest.raises(ConfigError) as info:
-            FlowConfig(n=flow.MAX_N, dt=1e-4, t_end=1.0)
+            FlowConfig(n=10**4, dt=1e-6, t_end=1.0)
         assert info.value.key == "t_end"
-        assert str(info.value) == "t_end: steps x rows x nodes = 10000 x 1 x 10001 = 1e+08 exceeds MAX_WORK = 100000000"
+        assert str(info.value) == (
+            "t_end: steps x rows x nodes = 1000000 x 1 x 10001 = 10001000000 exceeds MAX_WORK = 10000000000"
+        )
+
+    @pytest.mark.parametrize("n", [512, 1000])
+    def test_default_dt_runs_stay_admitted(self, n):
+        # only built, never run: dt = 0.1 / n**2 and t_end = 0.1 take n**2
+        # steps, so MAX_STEPS alone ends the default runs at n = 1,000
+        assert FlowConfig(n=n).num_steps == n**2
+        with pytest.raises(ConfigError) as info:
+            FlowConfig(n=1001)
+        assert "MAX_STEPS" in str(info.value)
 
     def test_t_end_must_sit_on_dt_grid(self):
         with pytest.raises(ConfigError):

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -200,6 +201,19 @@ class TestEmitOutputs:
         assert [os.path.basename(p) for p in written] == [
             f"snapshot_{k:06d}.txt" for k in (0, 4, 8, 10)
         ]
+
+    def test_snapshots_of_no_state_make_only_the_directory(self, tmp_path):
+        out = tmp_path / "out"
+        assert write_snapshots(str(out), []) == []
+        assert out.is_dir() and not list(out.iterdir())
+
+    def test_snapshots_of_states_with_different_n(self, tmp_path):
+        states = [small_run(n=n, t_end=t_end).states[-1] for n, t_end in ((64, 0.003), (128, 0.004))]
+        written = [Path(p) for p in write_snapshots(str(tmp_path / "out"), states)]
+        for path, state in zip(written, states):
+            write_snapshot(str(tmp_path / "one.txt"), state)
+            assert path.read_bytes() == (tmp_path / "one.txt").read_bytes()
+        assert [p.read_text().split()[0] for p in written] == ["n=64", "n=128"]
 
     def test_deterministic_bytes(self, tmp_path):
         traj = small_run()
