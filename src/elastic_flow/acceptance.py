@@ -25,6 +25,7 @@ import numpy as np
 
 from . import geometry
 from .convergence import SweepConfig, run_sweep
+from .errors import ConfigError
 from .estimates import (
     boundary_residuals,
     calibrate_comparison_constant,
@@ -306,9 +307,8 @@ def crit_comparison_majorant(seed: int) -> tuple[bool, str]:
     return ok and margin > 0.0, detail
 
 
-def crit_convergence_ladder(seed: int) -> tuple[bool, str]:
-    t0 = time.perf_counter()
-
+def _ladder():
+    # the shipped sweep's ladder on the arch curve, with no records
     def factory():
         base = FlowConfig(epsilon=0.1, n=128, dt=1e-4, t_end=0.2)
         cfg = SweepConfig(
@@ -320,7 +320,12 @@ def crit_convergence_ladder(seed: int) -> tuple[bool, str]:
         curve = make_initial_curve("flattened_sine", 128, amplitude=AMPLITUDE)
         return run_sweep(curve, cfg)
 
-    report = _cached_run(("ladder",), factory)
+    return _cached_run(("ladder",), factory)
+
+
+def crit_convergence_ladder(seed: int) -> tuple[bool, str]:
+    t0 = time.perf_counter()
+    report = _ladder()
     elapsed = time.perf_counter() - t0
     strict = all(
         bool(np.all(np.diff(report.distances[:, k]) < 0.0)) for k in (0, 1)
@@ -352,18 +357,22 @@ CRITERIA = (
 )
 
 
+def select(tag_filter: str | None) -> list[tuple]:
+    """The (label, check) pairs of the criteria 1-11 that `tag_filter`
+    selects by tag or by substring of the name, all of them without one;
+    ConfigError when it selects none."""
+    chosen = [(label, func) for label, tags, func in CRITERIA
+              if not tag_filter or tag_filter in tags or tag_filter in label]
+    if not chosen:
+        raise ConfigError("--filter", f"{tag_filter!r} selects none of criteria 1-11")
+    return chosen
+
+
 def _run_core(seed: int, tag_filter: str | None) -> list[CriterionResult]:
-    results = []
-    for label, tags, func in CRITERIA:
-        if tag_filter and tag_filter not in tags and tag_filter not in label:
-            continue
-        results.append(CriterionResult(label, *func(seed)))
-    return results
+    return [CriterionResult(label, *func(seed)) for label, func in select(tag_filter)]
 
 
 def _format_table(results: list[CriterionResult]) -> str:
-    if not results:
-        return "no criteria selected"
     width = max(len(r.name) for r in results) + 2
     lines = []
     for r in results:

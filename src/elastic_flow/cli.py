@@ -54,6 +54,7 @@ def _cmd_verify(args) -> int:
     # the suite loads only for this command
     from . import acceptance
 
+    acceptance.select(args.filter)  # a filter that selects nothing fails before any output
     if args.out:
         iotools.make_dir(args.out)
     status, text = acceptance.verify(seed=args.seed, tag_filter=args.filter)

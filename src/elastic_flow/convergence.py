@@ -16,14 +16,8 @@ import numpy as np
 
 from . import stencils
 from .errors import ConfigError, WindowMismatch
-from .flow import FlowConfig, Terminated, Trajectory, refuse_work, run_batch, snapshot_step
+from .flow import FlowConfig, Terminated, Trajectory, refuse_work, run_batch
 from .geometry import DiscreteCurve, _not_a_knot_spline
-
-
-# the most distinct snapshot times of a sweep (the default grid has 9): each
-# keeps every row's nodes, 16 bytes a node, until the distances are measured,
-# so with the ~200 of the default stride a sweep keeps at most 19 kB a node
-MAX_SNAPSHOT_TIMES = 1000
 
 
 @dataclass(frozen=True)
@@ -36,7 +30,6 @@ class SweepConfig:
     base: FlowConfig
     delta: float = 0.0
     k_max: int = 1
-    snapshot_times: tuple[float, ...] = ()
 
     def __post_init__(self):
         eps = tuple(float(e) for e in self.epsilons)
@@ -50,23 +43,16 @@ class SweepConfig:
             raise ConfigError("delta", "must satisfy 0 <= delta < t_end")
         if not 0 <= self.k_max <= 3:
             raise ConfigError("k_max", "measurable derivative orders are 0..3")
-        times = tuple(float(t) for t in self.snapshot_times) or self._default_times()
-        tol = 1e-9 * max(1.0, self.base.t_end)
-        steps = set()
-        for t in times:
-            steps.add(snapshot_step(t, self.base.dt))
-            if not self.delta - tol <= t <= self.base.t_end + tol:
-                raise ConfigError("snapshot_times", f"{t} outside [delta, t_end]")
-        if len(steps) > MAX_SNAPSHOT_TIMES:
-            raise ConfigError("snapshot_times", f"{len(steps)} distinct times exceed "
-                              f"MAX_SNAPSHOT_TIMES = {MAX_SNAPSHOT_TIMES}")
-        object.__setattr__(self, "snapshot_times", times)
 
-    def _default_times(self) -> tuple[float, ...]:
+    @property
+    def snapshot_times(self) -> tuple[float, ...]:
+        """The times, besides the stride snapshots, where the sweep measures:
+        9 points from max(delta, dt) to t_end, each moved to the dt grid, and
+        one step later when that falls below delta by more than 1e-9 max(1, t_end)."""
         dt = self.base.dt
-        lo = max(self.delta, dt)
-        grid = np.linspace(lo, self.base.t_end, 9)
-        return tuple(sorted({round(t / dt) * dt for t in grid}))
+        floor = self.delta - 1e-9 * max(1.0, self.base.t_end)
+        steps = {round(t / dt) for t in np.linspace(max(self.delta, dt), self.base.t_end, 9)}
+        return tuple(sorted({(k + (k * dt < floor)) * dt for k in steps}))
 
 
 @dataclass

@@ -65,7 +65,8 @@ SOLVER_TOL = 1e-10  # the largest linear residual a step accepts, relative to th
 @dataclass(frozen=True)
 class FlowConfig:
     """Parameters of one evolution run, of at most MAX_STEPS steps on at
-    most MAX_NODES nodes, and at most MAX_WORK node-steps."""
+    most MAX_NODES nodes, and at most MAX_WORK node-steps. t_end sits on the
+    dt grid; `num_steps`, t_end / dt, is set once here and read-only."""
 
     epsilon: float = 0.1
     n: int = 128
@@ -87,18 +88,15 @@ class FlowConfig:
             raise ConfigError("dt", "must be positive and finite")
         if not 0.0 < self.t_end / self.dt < math.inf:
             raise ConfigError("t_end", "must be positive and finite, as must t_end / dt")
-        if round(self.t_end / self.dt) > MAX_STEPS:
+        steps = round(self.t_end / self.dt)
+        if steps > MAX_STEPS:
             raise ConfigError("t_end", f"t_end / dt = {self.t_end / self.dt:.3g} exceeds MAX_STEPS = {MAX_STEPS}")
+        if steps < 1 or abs(steps * self.dt - self.t_end) > 1e-9 * self.t_end:
+            raise ConfigError("t_end", "must be a positive multiple of dt")
+        object.__setattr__(self, "num_steps", steps)
         refuse_work("t_end", self, 1)
         if not 0.0 < self.kappa_blowup_threshold < math.inf:
             raise ConfigError("kappa_blowup_threshold", "must be positive and finite")
-
-    @property
-    def num_steps(self) -> int:
-        steps = round(self.t_end / self.dt)
-        if steps < 1 or abs(steps * self.dt - self.t_end) > 1e-9 * self.t_end:
-            raise ConfigError("t_end", "must be a positive multiple of dt")
-        return steps
 
 
 def refuse_work(key: str, config: FlowConfig, rows: int) -> None:
@@ -107,7 +105,7 @@ def refuse_work(key: str, config: FlowConfig, rows: int) -> None:
     nodes = rows * (config.n + 1)
     if nodes > MAX_NODES:
         raise ConfigError(key, f"rows x nodes = {rows} x {config.n + 1} = {nodes} exceeds MAX_NODES = {MAX_NODES}")
-    steps = round(config.t_end / config.dt)
+    steps = config.num_steps
     if steps * nodes > MAX_WORK:
         raise ConfigError(key, f"steps x rows x nodes = {steps} x {rows} x {config.n + 1} = {steps * nodes} "
                           f"exceeds MAX_WORK = {MAX_WORK}")

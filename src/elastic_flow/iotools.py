@@ -56,7 +56,7 @@ def _numbers(value: str) -> tuple[float, ...]:
 SCHEMA = {
     "flow": {"epsilon": _number, "n": _integer, "dt": _number, "t_end": _number,
              "kappa_blowup_threshold": _number},
-    "sweep": {"epsilons": _numbers, "delta": _number, "k_max": _integer, "snapshot_times": _numbers},
+    "sweep": {"epsilons": _numbers, "delta": _number, "k_max": _integer},
     "initial": {"family": str, "amplitude": _number, "turn_angle": _number, "px": _number, "py": _number,
                 "qx": _number, "qy": _number, "support_lo": _number, "support_hi": _number},
 }

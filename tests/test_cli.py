@@ -322,6 +322,13 @@ class TestVerify:
         assert capsys.readouterr().err.startswith("error: cannot create")
         assert suites == []
 
+    def test_filter_that_selects_nothing_writes_no_report(self, tmp_path, capsys, monkeypatch):
+        suites = _count_calls(monkeypatch, acceptance, "verify")
+        assert main(["verify", "--filter", "determinism", "-o", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "error: --filter: 'determinism' selects none of criteria 1-11\n"
+        assert not (tmp_path / "out").exists()
+        assert suites == []
+
     def test_corrupted_stencil_fails(self, capsys):
         # a biased curvature stencil puts a dt-independent offset into the
         # dissipation identity, so its Richardson slope collapses
@@ -427,10 +434,12 @@ def test_verify_loads_neither_the_writer_nor_select():
 _BAD_INPUT = {
     "t_end_inf": (["simulate"], SIMULATE_CFG.replace("t_end = 0.01", "t_end = inf"),
                   "error: flow.t_end: must be positive and finite, as must t_end / dt"),
-    "snapshot_times_nan": (["sweep"], SWEEP_CFG.replace("k_max = 1", "k_max = 1\nsnapshot_times = nan"),
-                           "error: sweep.snapshot_times: nan / dt is not finite"),
-    "snapshot_times_inf": (["sweep"], SWEEP_CFG.replace("k_max = 1", "k_max = 1\nsnapshot_times = inf"),
-                           "error: sweep.snapshot_times: inf / dt is not finite"),
+    # the sweep always measures on its default grid
+    "snapshot_times_key": (["sweep"], SWEEP_CFG.replace("k_max = 1", "k_max = 1\nsnapshot_times = 0.005"),
+                           "error: sweep.snapshot_times: unknown key"),
+    # refused when the config is built, before the output directory
+    "t_end_off_dt_grid": (["sweep"], SWEEP_CFG.replace("dt = 1e-3", "dt = 3e-4"),
+                          "error: flow.t_end: must be a positive multiple of dt"),
     "steps_overflow": (["simulate"], "[flow]\nn = 64\ndt = 1e-300\nt_end = 1e10\n[initial]\nfamily = segment\n",
                        "error: flow.t_end: must be positive and finite, as must t_end / dt"),
     "sweep_steps_overflow": (["sweep"],
@@ -447,11 +456,13 @@ _BAD_INPUT = {
     "sweep_rows_above_max": (["sweep"], SWEEP_CFG.replace(
         "epsilons = 0.2, 0.1", "epsilons = " + ", ".join(repr(1 - i / 1e5) for i in range(10**5))
     ), "error: sweep.epsilons: rows x nodes = 100001 x 65 = 6500065 exceeds MAX_NODES = 100000"),
-    "snapshot_times_above_max": (["sweep"], SWEEP_CFG.replace("dt = 1e-3", "dt = 1e-5").replace(
-        "k_max = 1", "k_max = 1\nsnapshot_times = " + ", ".join(repr(k * 1e-5) for k in range(1001))
-    ), "error: sweep.snapshot_times: 1001 distinct times exceed MAX_SNAPSHOT_TIMES = 1000"),
     "seed_negative": (["verify", "--seed", "-1"], None,
                       "elastic-flow verify: error: argument --seed: must be non-negative, got -1"),
+    "filter_selects_nothing": (["verify", "--filter", "flwo"], None,
+                               "error: --filter: 'flwo' selects none of criteria 1-11"),
+    # criterion 12 alone would compare two empty tables
+    "filter_selects_only_determinism": (["verify", "--filter", "12"], None,
+                                        "error: --filter: '12' selects none of criteria 1-11"),
     "amplitude_nan": (["simulate"], SIMULATE_CFG.replace("amplitude = 0.05", "amplitude = nan"),
                       "error: amplitude outside documented range [0, 2|P-Q|]"),
     "amplitude_inf": (["simulate"], SIMULATE_CFG.replace("amplitude = 0.05", "amplitude = inf"),

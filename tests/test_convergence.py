@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from elastic_flow import ConfigError, WindowMismatch, make_initial_curve, stencils
 from elastic_flow.convergence import (
-    MAX_SNAPSHOT_TIMES,
     SweepConfig,
     _common_snapshots,
     _resample,
@@ -46,18 +45,6 @@ class TestSweepConfig:
         with pytest.raises(ConfigError):
             SweepConfig(epsilons=(0.1,), base=base, delta=0.02)
 
-    def test_snapshot_times_on_dt_grid(self):
-        base = FlowConfig(epsilon=0.1, n=64, dt=1e-4, t_end=0.01)
-        with pytest.raises(ConfigError):
-            SweepConfig(epsilons=(0.1,), base=base, snapshot_times=(0.00033,))
-
-    @pytest.mark.parametrize("t", [math.nan, math.inf])
-    def test_snapshot_times_finite(self, t):
-        base = FlowConfig(epsilon=0.1, n=64, dt=1e-4, t_end=0.01)
-        with pytest.raises(ConfigError) as info:
-            SweepConfig(epsilons=(0.1,), base=base, snapshot_times=(t,))
-        assert info.value.key == "snapshot_times"
-
     def test_k_max_capped_at_three(self):
         base = FlowConfig(epsilon=0.1, n=64, dt=1e-4, t_end=0.01)
         with pytest.raises(ConfigError):
@@ -83,16 +70,27 @@ class TestSweepConfig:
             "epsilons: steps x rows x nodes = 1000000 x 101 x 100 = 10100000000 exceeds MAX_WORK = 10000000000"
         )
 
-    def test_distinct_snapshot_times_capped(self):
-        base = FlowConfig(epsilon=0.1, n=64, dt=1e-4, t_end=0.2)
-        times = tuple(k * 1e-4 for k in range(1, MAX_SNAPSHOT_TIMES + 1))
-        assert len(SweepConfig(epsilons=(0.1,), base=base, snapshot_times=times).snapshot_times) == MAX_SNAPSHOT_TIMES
-        # a time given twice is kept once
-        assert SweepConfig(epsilons=(0.1,), base=base, snapshot_times=times + times[:1]).snapshot_times[-1] == 1e-4
-        with pytest.raises(ConfigError) as info:
-            SweepConfig(epsilons=(0.1,), base=base, snapshot_times=times + (0.2,))
-        assert info.value.key == "snapshot_times"
-        assert str(info.value) == "snapshot_times: 1001 distinct times exceed MAX_SNAPSHOT_TIMES = 1000"
+    @pytest.mark.parametrize("delta", [0.0, 1e-4, 0.01, 0.05 * 0.2, 0.1, 0.1999])
+    def test_grid_is_the_nine_rounded_points_for_delta_on_the_dt_grid(self, delta):
+        base = FlowConfig(epsilon=0.1, n=128, dt=1e-4, t_end=0.2)
+        grid = np.linspace(max(delta, 1e-4), 0.2, 9)
+        want = tuple(sorted({round(t / 1e-4) * 1e-4 for t in grid}))
+        assert SweepConfig(epsilons=(0.1,), base=base, delta=delta).snapshot_times == want
+
+    @pytest.mark.parametrize("delta", [0.01005, 0.01001, 0.19995, 1.5e-4])
+    def test_grid_stays_at_or_above_a_delta_off_the_dt_grid(self, delta):
+        base = FlowConfig(epsilon=0.1, n=128, dt=1e-4, t_end=0.2)
+        times = SweepConfig(epsilons=(0.1,), base=base, delta=delta).snapshot_times
+        assert delta <= times[0] < delta + 1e-4
+        assert times[-1] == 0.2
+        assert all(abs(t / 1e-4 - round(t / 1e-4)) < 1e-9 for t in times)
+
+    def test_grid_is_read_only_and_not_a_field(self):
+        cfg = SweepConfig(epsilons=(0.1,), base=FlowConfig(epsilon=0.1, n=64, dt=1e-4, t_end=0.01))
+        with pytest.raises(AttributeError):
+            cfg.snapshot_times = (0.01,)
+        with pytest.raises(TypeError):
+            SweepConfig(epsilons=(0.1,), base=cfg.base, snapshot_times=(0.01,))
 
 
 class TestCkDistance:
@@ -296,7 +294,6 @@ class TestRunSweep:
             base=base,
             delta=0.0,
             k_max=0,
-            snapshot_times=(1e-3, 0.01),
         )
         rep = run_sweep(make_initial_curve("flattened_sine", 64, amplitude=0.02), cfg)
         assert np.all(rep.distances[:, 0] < 0.05)

@@ -151,9 +151,20 @@ class TestFlowConfig:
             FlowConfig(n=1001)
         assert "MAX_STEPS" in str(info.value)
 
-    def test_t_end_must_sit_on_dt_grid(self):
-        with pytest.raises(ConfigError):
-            FlowConfig(epsilon=0.1, dt=3e-4, t_end=1e-3).num_steps
+    @pytest.mark.parametrize("t_end", [1e-3, 1e-4])
+    def test_t_end_must_sit_on_dt_grid(self, t_end):
+        # refused when the config is built, before any run
+        with pytest.raises(ConfigError) as info:
+            FlowConfig(epsilon=0.1, dt=3e-4, t_end=t_end)
+        assert str(info.value) == "t_end: must be a positive multiple of dt"
+
+    def test_step_count_is_read_only_and_not_a_field(self):
+        cfg = FlowConfig(n=64, dt=1e-4, t_end=1e-3)
+        assert cfg.num_steps == 10
+        assert "num_steps" not in {f.name for f in dataclasses.fields(FlowConfig)}
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.num_steps = 11
+        assert dataclasses.replace(cfg, dt=5e-5).num_steps == 20
 
 
 class TestVelocities:

@@ -1,12 +1,22 @@
 import importlib.util
+import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
 
-_PATH = Path(__file__).resolve().parents[1] / "tools" / "same_bytes.py"
-_spec = importlib.util.spec_from_file_location("same_bytes", _PATH)
-same_bytes = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(same_bytes)
+_ROOT = Path(__file__).resolve().parents[1]
+
+
+def _load(path: Path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+same_bytes = _load(_ROOT / "tools" / "same_bytes.py")
+src_lines = _load(_ROOT / "tools" / "src_lines.py")
 
 _REPORT = b"01-stationarity PASS max node displacement 0.000e+00; runtime within 5 s budget\n"
 
@@ -49,3 +59,66 @@ def test_budget_words_alone_are_named(pair):
     assert same_bytes.compare(a, b) == (
         "verify/verify_report.txt: differs only in verify's budget words (within/over), which come from the wall clock"
     )
+
+
+# two steps of a segment of 16 segments
+_TINY_CFG = "[flow]\nepsilon = 0.1\nn = 16\ndt = 1e-3\nt_end = 2e-3\n[initial]\nfamily = segment\n"
+
+
+def test_same_bytes_end_to_end(tmp_path, capsys):
+    # a throwaway repository holding a copy of src/, the script and one
+    # tiny config, committed; the copied script runs on it
+    repo = tmp_path / "repo"
+    shutil.copytree(_ROOT / "src", repo / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    (repo / "tools").mkdir()
+    shutil.copy(_ROOT / "tools" / "same_bytes.py", repo / "tools")
+    (repo / "configs").mkdir()
+    (repo / "configs" / "tiny.cfg").write_text(_TINY_CFG)
+    for args in (["init", "-q"], ["add", "."],
+                 ["-c", "user.name=test", "-c", "user.email=test@example.com", "-c", "commit.gpgsign=false",
+                  "commit", "-q", "-m", "tiny"]):
+        subprocess.run(["git", "-C", str(repo), *args], check=True, capture_output=True)
+    copy = _load(repo / "tools" / "same_bytes.py")
+    copy.CASES = {"simulate": ("simulate", "-c", "configs/tiny.cfg"), "verify": ("verify", "--filter", "09", "--seed", "0")}
+
+    assert copy.main(["HEAD"]) == 0
+    assert capsys.readouterr().out == "HEAD and the working tree wrote the same bytes: 7 files of 2 commands\n"
+
+    (repo / "configs" / "tiny.cfg").write_text(_TINY_CFG + "qx = 2\n")
+    assert copy.main(["HEAD"]) == 1
+    assert capsys.readouterr().out == "HEAD and the working tree differ: simulate/diagnostics.csv: differs\n"
+
+
+_MODULE = '''"""A module docstring,
+on two lines."""
+
+import os  # a trailing comment is code
+
+# a comment
+
+
+def f(x):
+    """One line."""
+    # an indented comment
+    text = """a string that is not
+a docstring is code"""
+    return x
+
+
+class C:
+    """A class docstring.
+
+    Its blank line is docstring.
+    """
+'''
+
+
+def test_src_lines_splits_a_module_by_kind(tmp_path, capsys):
+    want = {"lines": 21, "code": 6, "docstrings": 7, "comments": 2, "blank": 6}
+    assert src_lines.count(_MODULE) == want
+    (tmp_path / "m.py").write_text(_MODULE)
+    assert src_lines.main([str(tmp_path / "m.py")] * 2) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert rows[0] == ["file", "lines", "code", "docstrings", "comments", "blank"]
+    assert rows[1] == rows[2] == ["m.py", "21", "6", "7", "2", "6"]
+    assert rows[3] == ["total", "42", "12", "14", "4", "12"]
