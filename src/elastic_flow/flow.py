@@ -38,6 +38,7 @@ from .geometry import (
     DiscreteCurve,
     GeometryCache,
     _not_a_knot_spline,
+    _trapezoid_weights,
     chord_lengths,
     compute_geometry,
     curve_failures,
@@ -51,8 +52,8 @@ from .geometry import (
 
 MAX_STEPS = 10**6  # the most steps a run may take, 250 times the 4,000 of the suite's longest run
 # the most nodes, rows x (n + 1), a stack of curves may hold: stepping takes
-# about 13 kB a node for a run and 6 kB for a sweep (measured at n = 10**4 and
-# at 20 rows of n = 1,000), so at most about 1.3 GB
+# about 11 kB a node for a run at stride 1 and 4.4 kB for a sweep (100 steps,
+# measured at n = 10**4 and at 20 rows of n = 1,000), so at most about 1.1 GB
 MAX_NODES = 10**5
 # the most node-steps, steps x rows x (n + 1), a run or a sweep may take: 10
 # times a run of the default dt at n = 1,000, and three to nine hours at the
@@ -112,11 +113,13 @@ def refuse_work(key: str, config: FlowConfig, rows: int) -> None:
 
 
 def snapshot_step(t: float, dt: float) -> int:
-    """The step k whose time k dt is t; ConfigError unless t is a finite multiple of dt."""
+    """The step k whose time k dt is t to within 1e-9 max(|t|, dt), a
+    tolerance that shrinks with dt; ConfigError unless t is a finite
+    multiple of dt."""
     if not math.isfinite(t / dt):
         raise ConfigError("snapshot_times", f"{t} / dt is not finite")
     k = round(t / dt)
-    if abs(k * dt - t) > 1e-9 * max(1.0, t):
+    if abs(k * dt - t) > 1e-9 * max(abs(t), dt):
         raise ConfigError("snapshot_times", f"{t} is not a multiple of dt")
     return k
 
@@ -181,8 +184,14 @@ class Trajectory:
     config: FlowConfig
 
     def state_at(self, t: float) -> FlowState:
+        """The snapshot of the step whose time is t (`snapshot_step`);
+        KeyError when t is off the dt grid or that step has no snapshot."""
+        try:
+            k = snapshot_step(t, self.config.dt)
+        except ConfigError:
+            k = None
         for st in self.states:
-            if abs(st.time - t) <= 1e-9 * max(1.0, abs(t)):
+            if st.step_index == k:
                 return st
         raise KeyError(f"no snapshot at t = {t}")
 
@@ -305,17 +314,16 @@ def _assemble_uniform(n: int, h: float, dt: float, eps: float) -> np.ndarray:
     return diags
 
 
-def solve_banded(diags: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve the pentadiagonal system `diags` x = rhs, refined once; with a
-    first axis on both, each system of the stack.
+def solve_banded(diags: np.ndarray, rhs: np.ndarray) -> tuple:
+    """Solve each pentadiagonal system `diags[j]` x = rhs[j] of a stack,
+    refined once.
 
     One banded LU factorization (dgbtrf) per system serves the solve and
     the round of iterative refinement: the arithmetic of two
     `scipy.linalg.solve_banded` calls, with one factorization fewer.
-    Raises SolverFailure when a matrix is singular.
+    Returns the solutions and a SolverFailure for each row whose matrix is
+    singular, by row; such a row is not solved and its solution is zero.
     """
-    if diags.ndim == 2:
-        return solve_banded(diags[None], rhs[None])[0]
     routines = lapack()
     dgbtrf, dgbtrs = routines.dgbtrf, routines.dgbtrs
     # LAPACK band storage with two extra rows for the pivoting fill-in
@@ -326,17 +334,17 @@ def solve_banded(diags: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     ab[:, 5, :-1] = diags[:, 1, 1:]
     ab[:, 6, :-2] = diags[:, 0, 2:]
     factors = [dgbtrf(a, 2, 2, overwrite_ab=True) for a in ab]
-    if any(info > 0 for _, _, info in factors):
-        raise SolverFailure("singular implicit matrix")
+    failed = {j: SolverFailure("singular implicit matrix") for j, (_, _, info) in enumerate(factors) if info > 0}
+    solved = [(j, lu, piv) for j, (lu, piv, _) in enumerate(factors) if j not in failed]
     # the solution and its correction, each row in the Fortran order of
     # LAPACK's output, so that the rows copy in as blocks
-    x, dx = np.empty((2, len(diags), 2, diags.shape[-1])).transpose(0, 1, 3, 2)
-    for j, (lu, piv, _) in enumerate(factors):
+    x, dx = np.zeros((2, len(diags), 2, diags.shape[-1])).transpose(0, 1, 3, 2)
+    for j, lu, piv in solved:
         x[j] = dgbtrs(lu, 2, 2, rhs[j], piv)[0]
     resid = rhs - _band_matvec(diags, x)
-    for j, (lu, piv, _) in enumerate(factors):
+    for j, lu, piv in solved:
         dx[j] = dgbtrs(lu, 2, 2, resid[j], piv)[0]
-    return x + dx
+    return x + dx, failed
 
 
 def _amax(x: np.ndarray) -> np.ndarray:
@@ -353,13 +361,12 @@ def _advance(geo: GeometryCache, eps: list, config: FlowConfig, time: float) -> 
     last good curve until the step ends, so each index stays a row of `geo`.
     """
     nodes, dt = geo.nodes, config.dt
-    count = len(eps)
     ends = slice(None, None, nodes.shape[1] - 1)  # the first and last node
     diags = np.array([_assemble_uniform(nodes.shape[1] - 1, h, dt, e) for h, e in zip(geo.uniform_h, eps)])
     rhs = nodes.copy(order="K")
     # rows with eps = 0 skip the explicit term, whose +0.0 would turn a -0.0
     # coordinate into +0.0
-    live = [j for j in range(count) if eps[j] > 0.0]
+    live = [j for j, e in enumerate(eps) if e > 0.0]
     if live:
         if live[-1] - live[0] == len(live) - 1:
             # a run of rows, as in every sweep (the reference first): a slice
@@ -372,17 +379,7 @@ def _advance(geo: GeometryCache, eps: list, config: FlowConfig, time: float) -> 
     # configs/run.cfg; the refinement stays because without it the k4 column
     # moves by 4.9e-4 of its largest value and the b0L/b2L/b4L endpoint
     # residuals by up to 0.31 of theirs, past perfbench/check.py's tolerances.
-    failed = {}
-    try:
-        new = solve_banded(diags, rhs)
-    except SolverFailure:
-        # a singular matrix ends its own row: solve the rows one at a time
-        new = nodes.copy(order="K")
-        for j in range(count):
-            try:
-                new[j] = solve_banded(diags[j], rhs[j])
-            except SolverFailure as exc:
-                failed[j] = exc
+    new, failed = solve_banded(diags, rhs)
     new[:, ends] = nodes[:, ends]
     resid = _amax(rhs - _band_matvec(diags, new))
     scale = np.maximum.reduce(np.add.reduce(np.abs(diags), axis=1), axis=-1) * _amax(new) + _amax(rhs)
@@ -397,7 +394,7 @@ def _advance(geo: GeometryCache, eps: list, config: FlowConfig, time: float) -> 
             failed.setdefault(j, exc)
         for j in failed:
             new[j] = nodes[j]
-            seg[j] = geo.segments[j]
+            seg[j] = chord_lengths(nodes[j])
 
     seg = chord_lengths(new)
     fail(curve_failures(new, seg))
@@ -427,8 +424,8 @@ def step(state: FlowState, config: FlowConfig) -> FlowState:
     Takes a constant-speed state (its cache has `uniform_h`, as every state
     that `run` and `step` produce does) and redistributes the new curve to
     constant speed before returning it; any other state raises BadParams.
-    Raises SolverFailure when the post-refinement linear residual exceeds
-    SOLVER_TOL, ReparamFailure when the constant-speed redistribution
+    Raises SolverFailure when the implicit matrix is singular or the
+    post-refinement linear residual exceeds SOLVER_TOL, ReparamFailure when the constant-speed redistribution
     stalls or leaves a grid that `stencils.is_uniform` refuses, and
     SingularityDetected when max |kappa| crosses the blow-up threshold. A
     non-finite or coincident new node raises BadParams or DegenerateCurve
@@ -458,11 +455,14 @@ _REASONS = (
 )
 
 
-def _record_columns(t, length, h, kappa, s, w, eps: float) -> np.ndarray:
-    """Diagnostics of a block of states of one run, in one pass along the
-    last axis of their stacked arrays: the (rows, 18) table of the
-    `DIAGNOSTICS` columns, with the endpoint lambda in place of its
+def _record_columns(t, length, kappa, s, eps: float) -> np.ndarray:
+    """Diagnostics of a block of constant-speed states of one run, in one
+    pass along the last axis of their stacked arrays: the (rows, 18) table
+    of the `DIAGNOSTICS` columns, with the endpoint lambda in place of its
     residual, which needs the whole run."""
+    # the spacing and weights that each state's `GeometryCache` gives
+    h = (length / (s.shape[-1] - 1)).tolist()
+    w = _trapezoid_weights(s)
     k, *d, E, lam = _flow_fields(kappa, s, eps)
     return np.column_stack([
         t,
@@ -575,7 +575,7 @@ def run_batch(
     n1 = geo.nodes.shape[1]
     # what the records read of each row's last RECORD_BLOCK states
     buf = {name: np.empty((len(ids), RECORD_BLOCK) + shape) for name, shape in (
-        ("total_length", ()), ("uniform_h", ()), ("kappa", (n1,)), ("s", (n1,)), ("ds", (n1,))
+        ("total_length", ()), ("kappa", (n1,)), ("s", (n1,))
     )} if records else {}
     times = []
 
@@ -588,8 +588,8 @@ def run_batch(
         # the records of row j's buffered states, and its pending snapshots
         r = ids[j]
         if records:
-            length, h, kappa, s, w = (x[j, : len(times)] for x in buf.values())
-            blocks[r].append(_record_columns(times, length, h.tolist(), kappa, s, w, configs[r].epsilon))
+            length, kappa, s = (x[j, : len(times)] for x in buf.values())
+            blocks[r].append(_record_columns(times, length, kappa, s, configs[r].epsilon))
         sink(r, pending[r])
         pending[r] = []
 

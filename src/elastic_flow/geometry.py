@@ -1,12 +1,12 @@
 """Discrete open plane curves and their arclength calculus.
 
 A curve is a polyline of n+1 nodes joining two pinned endpoints P and Q.
-Its geometry -- chordal arclength grid, trapezoid weights, unit tangent,
-leftward unit normal, curvature -- comes from second-order finite
-differences on that grid. `GeometryCache` holds it for a stack of curves
-with one node count, one row per curve, and `cache[j]` is the row of one
-curve: `compute_geometry` gives a curve's geometry as the row of a stack of
-one. Each of the two validity checks, a curve's (`curve_failures`) and its
+Its geometry -- chordal arclength grid, trapezoid weights, leftward unit
+normal, curvature -- comes from second-order finite differences on that
+grid. `GeometryCache` holds it for a stack of curves with one node count,
+one row per curve, and `cache[j]` is the row of one curve:
+`compute_geometry` gives a curve's geometry as the row of a stack of one.
+Each of the two validity checks, a curve's (`curve_failures`) and its
 grid's (`grid_failures`), runs on stacks and names each failing row's
 exception; a caller of one curve raises it.
 """
@@ -102,23 +102,24 @@ class GeometryCache:
     array with a leading row axis, one row per curve; `cache[j]` is the data
     of curve j alone, that axis dropped.
 
-    `nodes` and `segments` hold the curves and their chord lengths,
-    `total_length` their lengths, `s` the chordal arclength per node, `ds`
-    the trapezoid weights, `kappa` the curvature per node, and `uniform_h`
-    the spacing of each grid, None for a grid that is not uniform. The
-    endpoint curvature is a one-sided measurement (no boundary condition is
-    assumed here; the flow enforces its own).
+    `nodes` holds the curves, `total_length` their lengths, `s` the chordal
+    arclength per node, `normal` the leftward unit normal and `kappa` the
+    curvature per node, and `uniform_h` the spacing of each grid, None for a
+    grid that is not uniform; `ds`, the trapezoid weights, is computed from
+    `s` on each read. The endpoint curvature is a one-sided measurement (no
+    boundary condition is assumed here; the flow enforces its own).
     """
 
     nodes: np.ndarray
-    segments: np.ndarray
     total_length: np.ndarray
     s: np.ndarray
-    ds: np.ndarray
-    tangent: np.ndarray
     normal: np.ndarray
     kappa: np.ndarray
     uniform_h: list | float | None
+
+    @property
+    def ds(self) -> np.ndarray:
+        return _trapezoid_weights(self.s)
 
     def __getitem__(self, rows) -> "GeometryCache":
         """The rows `rows`, indexed as numpy indexes the leading axis: an int
@@ -131,10 +132,10 @@ class GeometryCache:
             h = h[rows]
         else:
             h = [h[j] for j in rows]
-        # field by field: `dataclasses.fields` builds a 9-tuple by resizing,
+        # field by field: `dataclasses.fields` builds a 6-tuple by resizing,
         # which CPython 3.11 then keeps on its tuple free list, one per call
-        return GeometryCache(self.nodes[rows], self.segments[rows], self.total_length[rows], self.s[rows],
-                             self.ds[rows], self.tangent[rows], self.normal[rows], self.kappa[rows], h)
+        return GeometryCache(self.nodes[rows], self.total_length[rows], self.s[rows], self.normal[rows],
+                             self.kappa[rows], h)
 
 
 def _trapezoid_weights(s: np.ndarray) -> np.ndarray:
@@ -215,8 +216,8 @@ def _open_position_derivs(nodes: np.ndarray, s: np.ndarray, h: list):
 
 
 def _frame(d1: np.ndarray, d2: np.ndarray):
-    """Unit tangent, leftward unit normal and curvature from the position
-    derivatives, along the last axis."""
+    """Leftward unit normal and curvature from the position derivatives,
+    along the last axis."""
     tangent = d1 / _norm(d1)[..., None]
     normal = np.empty_like(tangent)
     np.negative(tangent[..., 1], out=normal[..., 0])
@@ -225,7 +226,7 @@ def _frame(d1: np.ndarray, d2: np.ndarray):
     kappa = 0.0 + d2[..., 0] * normal[..., 0] + d2[..., 1] * normal[..., 1]
     if _STENCIL_CORRUPTION != 0.0:
         kappa = kappa * (1.0 + _STENCIL_CORRUPTION)
-    return tangent, normal, kappa
+    return normal, kappa
 
 
 def _norm(v: np.ndarray) -> np.ndarray:
@@ -283,8 +284,8 @@ def open_geometry(nodes: np.ndarray, seg: np.ndarray, total: np.ndarray) -> Geom
     n = seg.shape[1]
     s = _running_sum(seg)
     h = [t / n if u else None for t, u in zip(total.tolist(), stencils.is_uniform(s).tolist())]
-    tangent, normal, kappa = _frame(*_open_position_derivs(nodes, s, h))
-    return GeometryCache(nodes, seg, total, s, _trapezoid_weights(s), tangent, normal, kappa, h)
+    normal, kappa = _frame(*_open_position_derivs(nodes, s, h))
+    return GeometryCache(nodes, total, s, normal, kappa, h)
 
 
 def arclength_derivative(cache: GeometryCache, values: np.ndarray, order: int) -> np.ndarray:

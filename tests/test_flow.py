@@ -26,6 +26,7 @@ from elastic_flow.flow import (
     run,
     step,
 )
+from elastic_flow.geometry import chord_lengths, compute_geometry
 from elastic_flow.iotools import write_snapshot
 
 
@@ -44,9 +45,24 @@ def _poison_call(monkeypatch, name, at, poison):
 def _nan_node(real, diags, rhs):
     # a NaN node passes the residual check (NaN > tol is False) and is
     # refused as a curve node
-    out = real(diags, rhs)
+    out, failed = real(diags, rhs)
     out[..., 3, 1] = np.nan
-    return out
+    return out, failed
+
+
+def _singular(real, n, h, dt, eps):
+    # a zero matrix in place of the assembled one
+    return 0.0 * real(n, h, dt, eps)
+
+
+def _field(cache, name):
+    # a field of a `GeometryCache`, and the chord lengths and the unit tangent
+    # (the normal rotated back by 90 degrees), which it does not store, exactly
+    if name == "segments":
+        return chord_lengths(cache.nodes)
+    if name == "tangent":
+        return np.stack([cache.normal[..., 1], -cache.normal[..., 0]], axis=-1)
+    return getattr(cache, name)
 
 
 def _two_scipy_solves(diags, rhs):
@@ -323,7 +339,9 @@ class TestStep:
         state = sine_state()
         diags = _assemble_uniform(128, 1.0 / 128, 1e-4, 0.1)
         rhs = state.curve.nodes + 1e-3 * state.cache.normal
-        assert np.array_equal(solve_banded(diags, rhs), _two_scipy_solves(diags, rhs))
+        (got,), failed = solve_banded(diags[None], rhs[None])
+        assert failed == {}
+        assert np.array_equal(got, _two_scipy_solves(diags, rhs))
 
     def test_stacked_solve_equals_each_system_alone(self):
         # rows that differ in h and eps, eps = 0 among them, and a straight
@@ -337,23 +355,20 @@ class TestStep:
         straight = np.column_stack([np.linspace(0.0, 1.0, n + 1), np.where(np.arange(n + 1) % 3, 0.0, -0.0)])
         rhs = np.stack([nodes + 1e-3 * state.cache.normal, -nodes[::-1], straight, nodes - 2.0])
         diags = np.array([_assemble_uniform(n, h / n, 1e-4, e) for h, e in [(1.0, 0.1), (1.3, 0.0), (0.7, 0.0), (1.1, 1.0)]])
-        got = solve_banded(diags, rhs)
+        got, failed = solve_banded(diags, rhs)
+        assert failed == {}
         for j in range(4):
-            want = solve_banded(diags[j], rhs[j])
+            want = solve_banded(diags[j : j + 1], rhs[j : j + 1])[0][0]
             assert got[j].tobytes() == want.tobytes() == _two_scipy_solves(diags[j], rhs[j]).tobytes()
         assert np.signbit(got[2][got[2] == 0.0]).any() and (got[2] == 0.0).all(axis=0)[1]
 
     def test_singular_row_ends_only_its_own_row(self, monkeypatch):
         # a zero matrix in row 1 at step 3 (the 8th of the per-row
-        # assemblies) fails the solve of the stack; solved one at a time,
-        # the rows leave row 1 alone to end
-        def singular(real, n, h, dt, eps):
-            return 0.0 * real(n, h, dt, eps)
-
+        # assemblies) fails that row's solve alone, and ends only that row
         curve = make_initial_curve("flattened_sine", 64, amplitude=0.3)
         configs = [FlowConfig(epsilon=e, n=64, dt=1e-4, t_end=1e-3) for e in (0.2, 0.0, 1.0)]
         alone = [run(curve, c, snapshot_stride=1) for c in configs]
-        _poison_call(monkeypatch, "_assemble_uniform", 8, singular)
+        _poison_call(monkeypatch, "_assemble_uniform", 8, _singular)
         batch = flow.run_batch(curve, configs, snapshot_stride=1)
         assert batch[1].terminated_by is Terminated.SOLVER_FAILURE
         assert batch[1].event_time == 3 * 1e-4
@@ -365,16 +380,42 @@ class TestStep:
             for a, b in zip(alone[j].states, batch[j].states, strict=True):
                 assert a.cache.nodes.tobytes() == b.cache.nodes.tobytes()
 
+    def test_kept_states_of_a_batch_with_a_failed_row_hold_their_curves_geometry(self, monkeypatch):
+        # the singular row 1 at step 3, as above: every kept state's cache,
+        # the failed row's last good state included, is its curve's geometry
+        curve = make_initial_curve("flattened_sine", 64, amplitude=0.3)
+        configs = [FlowConfig(epsilon=e, n=64, dt=1e-4, t_end=1e-3) for e in (0.2, 0.0, 1.0)]
+        _poison_call(monkeypatch, "_assemble_uniform", 8, _singular)
+        batch = flow.run_batch(curve, configs, snapshot_stride=1)
+        assert [len(t.states) for t in batch] == [11, 3, 11]
+        for traj in batch:
+            for state in traj.states:
+                want = compute_geometry(state.curve)
+                assert state.cache.uniform_h == want.uniform_h
+                for name in ("nodes", "total_length", "s", "ds", "normal", "kappa"):
+                    assert getattr(state.cache, name).tobytes() == getattr(want, name).tobytes(), name
+
+    def test_singular_system_is_named_and_left_unsolved(self):
+        from elastic_flow.flow import _assemble_uniform, solve_banded
+
+        n = 64
+        nodes = sine_state(n).curve.nodes
+        diags = np.array([_assemble_uniform(n, 1.0 / n, 1e-4, e) for e in (0.1, 0.0, 1.0)])
+        diags[1] = 0.0
+        rhs = np.stack([nodes, nodes + 1.0, nodes - 1.0])
+        got, failed = solve_banded(diags, rhs)
+        assert list(failed) == [1] and str(failed[1]) == "singular implicit matrix"
+        assert not got[1].any()
+        for j in (0, 2):
+            assert got[j].tobytes() == _two_scipy_solves(diags[j], rhs[j]).tobytes()
+
     def test_stop_on_row_ends_the_batch_with_it(self, monkeypatch):
         # the same failure of row 1 at step 3: named as `stop_on`, it stops
         # rows 0 and 2 there too, with the records and states they had
-        def singular(real, n, h, dt, eps):
-            return 0.0 * real(n, h, dt, eps)
-
         curve = make_initial_curve("flattened_sine", 64, amplitude=0.3)
         configs = [FlowConfig(epsilon=e, n=64, dt=1e-4, t_end=1e-3) for e in (0.2, 0.0, 1.0)]
         alone = [run(curve, c, snapshot_stride=1) for c in configs]
-        _poison_call(monkeypatch, "_assemble_uniform", 8, singular)
+        _poison_call(monkeypatch, "_assemble_uniform", 8, _singular)
         batch = flow.run_batch(curve, configs, snapshot_stride=1, stop_on=1)
         assert [t.terminated_by for t in batch] == [
             Terminated.BATCH_STOPPED, Terminated.SOLVER_FAILURE, Terminated.BATCH_STOPPED
@@ -400,7 +441,7 @@ class TestStep:
             assert got.step_index == after.step_index
             assert got.time == after.time
             for name in ("nodes", "segments", "s", "ds", "tangent", "normal", "kappa"):
-                assert getattr(got.cache, name).tobytes() == getattr(after.cache, name).tobytes(), name
+                assert _field(got.cache, name).tobytes() == _field(after.cache, name).tobytes(), name
             assert got.cache.total_length == after.cache.total_length
 
     @pytest.mark.parametrize("failure", ["blowup", "non_finite", "collapse"])
@@ -574,6 +615,23 @@ class TestRun:
         )
         for t in (0.004, 0.005, 0.006):
             assert traj.state_at(t).time == pytest.approx(t, abs=1e-12)
+
+    def test_times_match_steps_when_dt_is_below_the_tolerance_of_one(self):
+        # at dt = 2.5e-10 a tolerance of 1e-9 max(1, t) spans four steps
+        curve = make_initial_curve("segment", 16)
+        config = FlowConfig(epsilon=0.1, n=16, dt=2.5e-10, t_end=2.5e-9)
+        traj = run(curve, config, snapshot_stride=2)
+        for k in range(0, 11, 2):
+            assert traj.state_at(k * 2.5e-10).step_index == k
+        assert traj.state_at(5e-10).step_index == 2
+        assert traj.state_at(2e-9).step_index == 8
+        for t in (2.5e-10, 3.7e-10):  # a step with no snapshot, and a time off the grid
+            with pytest.raises(KeyError):
+                traj.state_at(t)
+        with pytest.raises(ConfigError, match="3.7e-10 is not a multiple of dt"):
+            run(curve, config, snapshot_times=[3.7e-10])
+        kept = run(curve, config, snapshot_stride=5, snapshot_times=[7.5e-10]).states
+        assert [st.step_index for st in kept] == [0, 3, 5, 10]
 
     def test_loop_blows_up_under_curvature_flow(self):
         loop = make_initial_curve("arc_with_flat_ends", 128, turn_angle=2.6 * math.pi)

@@ -1,4 +1,6 @@
 import importlib.util
+import json
+import os
 import shutil
 import subprocess
 from pathlib import Path
@@ -61,23 +63,32 @@ def test_budget_words_alone_are_named(pair):
     )
 
 
-# two steps of a segment of 16 segments
+# two steps of a segment of 16 segments, and a sweep of two rows of four
 _TINY_CFG = "[flow]\nepsilon = 0.1\nn = 16\ndt = 1e-3\nt_end = 2e-3\n[initial]\nfamily = segment\n"
+_TINY_SWEEP_CFG = _TINY_CFG.replace("2e-3", "4e-3") + "[sweep]\nepsilons = 0.2, 0.1\ndelta = 0\nk_max = 0\n"
 
 
-def test_same_bytes_end_to_end(tmp_path, capsys):
-    # a throwaway repository holding a copy of src/, the script and one
-    # tiny config, committed; the copied script runs on it
-    repo = tmp_path / "repo"
+def _throwaway_repo(top, scripts):
+    # a git repository holding a copy of src/, the scripts and the tiny
+    # configs, committed
+    repo = top / "repo"
     shutil.copytree(_ROOT / "src", repo / "src", ignore=shutil.ignore_patterns("__pycache__"))
     (repo / "tools").mkdir()
-    shutil.copy(_ROOT / "tools" / "same_bytes.py", repo / "tools")
+    for script in scripts:
+        shutil.copy(_ROOT / "tools" / script, repo / "tools")
     (repo / "configs").mkdir()
     (repo / "configs" / "tiny.cfg").write_text(_TINY_CFG)
+    (repo / "configs" / "tiny_sweep.cfg").write_text(_TINY_SWEEP_CFG)
     for args in (["init", "-q"], ["add", "."],
                  ["-c", "user.name=test", "-c", "user.email=test@example.com", "-c", "commit.gpgsign=false",
                   "commit", "-q", "-m", "tiny"]):
         subprocess.run(["git", "-C", str(repo), *args], check=True, capture_output=True)
+    return repo
+
+
+def test_same_bytes_end_to_end(tmp_path, capsys):
+    # the copied script runs on its throwaway repository
+    repo = _throwaway_repo(tmp_path, ["same_bytes.py"])
     copy = _load(repo / "tools" / "same_bytes.py")
     copy.CASES = {"simulate": ("simulate", "-c", "configs/tiny.cfg"), "verify": ("verify", "--filter", "09", "--seed", "0")}
 
@@ -87,6 +98,30 @@ def test_same_bytes_end_to_end(tmp_path, capsys):
     (repo / "configs" / "tiny.cfg").write_text(_TINY_CFG + "qx = 2\n")
     assert copy.main(["HEAD"]) == 1
     assert capsys.readouterr().out == "HEAD and the working tree differ: simulate/diagnostics.csv: differs\n"
+
+
+def test_pairs_end_to_end(tmp_path, capsys):
+    # one pair of each case on the tiny configs of a throwaway repository
+    repo = _throwaway_repo(tmp_path, ["same_bytes.py", "pairs.py"])
+    copy = _load(repo / "tools" / "pairs.py")
+    copy.CASES = {"run": "configs/tiny.cfg", "run_sweep": "configs/tiny_sweep.cfg"}
+
+    assert copy.main(["HEAD", "--pairs", "1"]) == 0
+    (path,) = repo.glob("BENCH_*.json")
+    record = json.loads(path.read_text())
+    rev = subprocess.run(["git", "-C", str(repo), "rev-parse", "--short", "HEAD"], capture_output=True, text=True)
+    assert path.name == f"BENCH_{record['date']}_{rev.stdout.strip()}.json"
+    assert record["machine"]["cores"] == os.cpu_count()
+    assert list(record["workloads"]) == ["run", "run_sweep"]
+    for entry in record["workloads"].values():
+        assert entry["pairs"] == 1
+        for side in ("parent", "change"):
+            (seconds,) = entry["runs"][side]
+            assert 0.0 < seconds < 10.0
+            assert entry[side]["median"] == entry[side]["q1"] == entry[side]["q3"] == round(seconds, 4)
+        assert entry["change_lower_in_pairs"] in ("0/1", "1/1")
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in out] == ["run", "run_sweep", f"wrote {path.name}"]
 
 
 _MODULE = '''"""A module docstring,

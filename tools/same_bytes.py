@@ -52,6 +52,18 @@ def run_cases(tree: Path, out: Path) -> None:
         (out / f"{case}.stdout").write_bytes(proc.stdout + b"exit status %d\n" % proc.returncode)
 
 
+def export(root: Path, rev: str, dest: Path) -> str | None:
+    """Extract revision `rev` of the repository at `root` into the new
+    directory `dest` with `git archive`, touching neither the working tree
+    nor `.git`. Returns git's message when it cannot, else None."""
+    archive = subprocess.run(["git", "-C", str(root), "archive", "--format=tar", rev], capture_output=True)
+    if archive.returncode:
+        return archive.stderr.decode(errors="replace").strip()
+    dest.mkdir()
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive.stdout, check=True)
+    return None
+
+
 def _files(top: Path) -> set[str]:
     return {p.relative_to(top).as_posix() for p in top.rglob("*") if p.is_file()}
 
@@ -78,12 +90,10 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory(prefix="same_bytes_") as tmp:
         tmp = Path(tmp)
         tree = tmp / "rev"
-        tree.mkdir()
-        archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev], capture_output=True)
-        if archive.returncode:
-            print(archive.stderr.decode(errors="replace").strip(), file=sys.stderr)
+        error = export(ROOT, rev, tree)
+        if error:
+            print(error, file=sys.stderr)
             return 2
-        subprocess.run(["tar", "-x", "-C", str(tree)], input=archive.stdout, check=True)
         run_cases(tree, tmp / "out-rev")
         run_cases(ROOT, tmp / "out-work")
         found = compare(tmp / "out-rev", tmp / "out-work")
