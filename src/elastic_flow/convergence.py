@@ -16,7 +16,7 @@ import numpy as np
 
 from . import stencils
 from .errors import ConfigError, WindowMismatch
-from .flow import FlowConfig, Terminated, Trajectory, refuse_work, run_batch
+from .flow import FlowConfig, Terminated, Trajectory, refuse_work, run_batch, time_slack
 from .geometry import DiscreteCurve, _not_a_knot_spline
 
 
@@ -48,9 +48,9 @@ class SweepConfig:
     def snapshot_times(self) -> tuple[float, ...]:
         """The times, besides the stride snapshots, where the sweep measures:
         9 points from max(delta, dt) to t_end, each moved to the dt grid, and
-        one step later when that falls below delta by more than 1e-9 max(1, t_end)."""
+        one step later when that falls below delta by more than `time_slack`."""
         dt = self.base.dt
-        floor = self.delta - 1e-9 * max(1.0, self.base.t_end)
+        floor = self.delta - time_slack(self.delta, dt)
         steps = {round(t / dt) for t in np.linspace(max(self.delta, dt), self.base.t_end, 9)}
         return tuple(sorted({(k + (k * dt < floor)) * dt for k in steps}))
 
@@ -78,24 +78,25 @@ def _resample(nodes: np.ndarray, n_target: int) -> np.ndarray:
 
 def _common_snapshots(a: list, b: list, dt_b: float, window) -> list:
     """Pairs of the nodes of the (time, nodes) snapshots `a` and `b`, of step
-    `dt_b`, at the times they share inside the window."""
+    `dt_b`, at the times they share inside the window, times matching to
+    within `time_slack` on b's grid."""
     t0, t1 = window
-    eps_t = 1e-9 * max(1.0, abs(t1))
+    lo, hi = t0 - time_slack(t0, dt_b), t1 + time_slack(t1, dt_b)
     for snaps in (a, b):
         if not snaps:
             raise WindowMismatch("a trajectory holds no snapshots")
         last = snaps[-1][0]
-        if last + eps_t < t1:
+        if last < t1 - time_slack(t1, dt_b):
             raise WindowMismatch(
                 f"trajectory ended at t = {last:.6g} before the window end {t1:.6g}"
             )
     times_b = {round(t / dt_b): (t, nodes) for t, nodes in b}
     pairs = []
     for t, nodes in a:
-        if not (t0 - eps_t <= t <= t1 + eps_t):
+        if not lo <= t <= hi:
             continue
         other = times_b.get(round(t / dt_b))
-        if other is not None and abs(other[0] - t) <= eps_t:
+        if other is not None and abs(other[0] - t) <= time_slack(t, dt_b):
             pairs.append((nodes, other[1]))
     if not pairs:
         raise WindowMismatch("no common snapshot times inside the window")

@@ -112,14 +112,19 @@ def refuse_work(key: str, config: FlowConfig, rows: int) -> None:
                           f"exceeds MAX_WORK = {MAX_WORK}")
 
 
+def time_slack(t: float, dt: float) -> float:
+    """How far a time may sit from t and still count as t on a grid of step
+    dt: 1e-9 max(|t|, dt), a tolerance that shrinks with dt."""
+    return 1e-9 * max(abs(t), dt)
+
+
 def snapshot_step(t: float, dt: float) -> int:
-    """The step k whose time k dt is t to within 1e-9 max(|t|, dt), a
-    tolerance that shrinks with dt; ConfigError unless t is a finite
-    multiple of dt."""
+    """The step k whose time k dt is t to within `time_slack(t, dt)`;
+    ConfigError unless t is a finite multiple of dt."""
     if not math.isfinite(t / dt):
         raise ConfigError("snapshot_times", f"{t} / dt is not finite")
     k = round(t / dt)
-    if abs(k * dt - t) > 1e-9 * max(abs(t), dt):
+    if abs(k * dt - t) > time_slack(t, dt):
         raise ConfigError("snapshot_times", f"{t} is not a multiple of dt")
     return k
 

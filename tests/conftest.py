@@ -1,5 +1,5 @@
-"""Shared test setup: one deterministic hypothesis profile, and hypothesis
-files kept out of the working tree.
+"""Shared test setup: one deterministic hypothesis profile, hypothesis
+files kept out of the working tree, and `cache_field`.
 
 Property tests draw the same examples on every machine and run, and no
 example database is written, so a tier-1 result does not depend on where
@@ -12,7 +12,10 @@ sources anyway, so the draws do not depend on it.
 
 import tempfile
 
+import numpy as np
 from hypothesis import configuration, settings
+
+from elastic_flow.geometry import chord_lengths
 
 _HOME = tempfile.TemporaryDirectory(prefix="hypothesis-")
 configuration.set_hypothesis_home_dir(_HOME.name)
@@ -24,3 +27,14 @@ settings.load_profile("deterministic")
 def pytest_unconfigure(config):
     # removed explicitly: a finalizer that does it at exit warns of the leak
     _HOME.cleanup()
+
+
+def cache_field(cache, name):
+    """A field of a `GeometryCache`, or one it does not store, exactly: the
+    chord lengths ("segments") or the unit tangent ("tangent", the normal
+    rotated back by 90 degrees)."""
+    if name == "segments":
+        return chord_lengths(cache.nodes)
+    if name == "tangent":
+        return np.stack([cache.normal[..., 1], -cache.normal[..., 0]], axis=-1)
+    return getattr(cache, name)

@@ -77,7 +77,7 @@ class TestSweepConfig:
         want = tuple(sorted({round(t / 1e-4) * 1e-4 for t in grid}))
         assert SweepConfig(epsilons=(0.1,), base=base, delta=delta).snapshot_times == want
 
-    @pytest.mark.parametrize("delta", [0.01005, 0.01001, 0.19995, 1.5e-4])
+    @pytest.mark.parametrize("delta", [0.01005, 0.01001, 0.19995, 1.5e-4, 0.01 + 5e-11])
     def test_grid_stays_at_or_above_a_delta_off_the_dt_grid(self, delta):
         base = FlowConfig(epsilon=0.1, n=128, dt=1e-4, t_end=0.2)
         times = SweepConfig(epsilons=(0.1,), base=base, delta=delta).snapshot_times
@@ -126,6 +126,18 @@ class TestCkDistance:
         b = short_run(t_end=0.005)
         with pytest.raises(WindowMismatch):
             ck_distance(a, b, 0, (0.004, 0.01))
+
+    def test_times_pair_on_their_step_when_dt_is_below_the_tolerance_of_one(self):
+        # steps of 3e-10 and 2e-10 share only the multiples of 6e-10; a
+        # tolerance of 1e-9 max(1, t) paired every step of a with one of b
+        curve = make_initial_curve("segment", 16)
+        a, b = (run(curve, FlowConfig(epsilon=0.1, n=16, dt=dt, t_end=3e-9), snapshot_stride=1)
+                for dt in (3e-10, 2e-10))
+        snaps = ([(st.time, st.cache.nodes) for st in traj.states] for traj in (a, b))
+        pairs = _common_snapshots(*snaps, 2e-10, (0.0, 3e-9))
+        want = [(a.states[2 * i].cache.nodes, b.states[3 * i].cache.nodes) for i in range(6)]
+        assert [(x is p, y is q) for (x, y), (p, q) in zip(pairs, want)] == [(True, True)] * 6
+        assert len(pairs) == 6
 
     def test_trajectory_without_snapshots_raises_window_mismatch(self):
         # a run whose snapshots went to a sink holds no states

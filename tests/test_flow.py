@@ -26,8 +26,9 @@ from elastic_flow.flow import (
     run,
     step,
 )
-from elastic_flow.geometry import chord_lengths, compute_geometry
+from elastic_flow.geometry import compute_geometry
 from elastic_flow.iotools import write_snapshot
+from conftest import cache_field
 
 
 def _poison_call(monkeypatch, name, at, poison):
@@ -53,16 +54,6 @@ def _nan_node(real, diags, rhs):
 def _singular(real, n, h, dt, eps):
     # a zero matrix in place of the assembled one
     return 0.0 * real(n, h, dt, eps)
-
-
-def _field(cache, name):
-    # a field of a `GeometryCache`, and the chord lengths and the unit tangent
-    # (the normal rotated back by 90 degrees), which it does not store, exactly
-    if name == "segments":
-        return chord_lengths(cache.nodes)
-    if name == "tangent":
-        return np.stack([cache.normal[..., 1], -cache.normal[..., 0]], axis=-1)
-    return getattr(cache, name)
 
 
 def _two_scipy_solves(diags, rhs):
@@ -174,7 +165,7 @@ class TestFlowConfig:
             FlowConfig(epsilon=0.1, dt=3e-4, t_end=t_end)
         assert str(info.value) == "t_end: must be a positive multiple of dt"
 
-    def test_step_count_is_read_only_and_not_a_field(self):
+    def test_step_count_is_read_only_and_not_acache_field(self):
         cfg = FlowConfig(n=64, dt=1e-4, t_end=1e-3)
         assert cfg.num_steps == 10
         assert "num_steps" not in {f.name for f in dataclasses.fields(FlowConfig)}
@@ -441,7 +432,7 @@ class TestStep:
             assert got.step_index == after.step_index
             assert got.time == after.time
             for name in ("nodes", "segments", "s", "ds", "tangent", "normal", "kappa"):
-                assert _field(got.cache, name).tobytes() == _field(after.cache, name).tobytes(), name
+                assert cache_field(got.cache, name).tobytes() == cache_field(after.cache, name).tobytes(), name
             assert got.cache.total_length == after.cache.total_length
 
     @pytest.mark.parametrize("failure", ["blowup", "non_finite", "collapse"])
@@ -905,7 +896,7 @@ class TestEndpointTangentialIdentity:
 
 class TestReflectionClosedDerivatives:
     @pytest.mark.parametrize("kind", ["uniform", "graded"])
-    def test_second_order_on_manufactured_odd_field(self, kind):
+    def test_second_order_on_manufactured_oddcache_field(self, kind):
         # f = sin(pi s / L) is odd about both endpoints; derivatives known
         from elastic_flow import stencils
 

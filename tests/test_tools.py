@@ -105,8 +105,9 @@ def test_pairs_end_to_end(tmp_path, capsys):
     repo = _throwaway_repo(tmp_path, ["same_bytes.py", "pairs.py"])
     copy = _load(repo / "tools" / "pairs.py")
     copy.CASES = {"run": "configs/tiny.cfg", "run_sweep": "configs/tiny_sweep.cfg"}
+    copy.PAIRS = 1
 
-    assert copy.main(["HEAD", "--pairs", "1"]) == 0
+    assert copy.main(["HEAD"]) == 0
     (path,) = repo.glob("BENCH_*.json")
     record = json.loads(path.read_text())
     rev = subprocess.run(["git", "-C", str(repo), "rev-parse", "--short", "HEAD"], capture_output=True, text=True)

@@ -1,8 +1,8 @@
 """Time in-process stepping against a git revision, in alternating pairs.
 
-    python3 tools/pairs.py REV [--pairs N]
+    python3 tools/pairs.py REV
 
-Exports REV as `same_bytes.py` does. Then runs N pairs; each pair times
+Exports REV as `same_bytes.py` does. Then runs PAIRS pairs; each pair times
 every case once on REV's tree and once on the working tree the script sits
 in, each in a fresh process with its own src/ on PYTHONPATH and its own
 configs/. Even pairs run REV first, odd pairs the working tree. The cases:
@@ -39,6 +39,7 @@ sys.path.insert(0, str(ROOT / "tools"))
 from same_bytes import export  # noqa: E402
 
 CASES = {"run": "configs/run.cfg", "run_sweep": "configs/sweep.cfg"}
+PAIRS = 10
 REPEAT = 5
 _TIMER = """
 import math, sys, time
@@ -94,10 +95,7 @@ def machine() -> dict:
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description="Time in-process stepping against REV in alternating pairs.")
     parser.add_argument("rev", help="a git revision, for example HEAD")
-    parser.add_argument("--pairs", type=int, default=10, help="pairs of runs per case (default 10)")
     args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be at least 1")
     short = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--short", args.rev], capture_output=True, text=True)
     if short.returncode:
         print(short.stderr.strip(), file=sys.stderr)
@@ -111,7 +109,7 @@ def main(argv: list[str]) -> int:
             print(error, file=sys.stderr)
             return 2
         sides = {"parent": tree, "change": ROOT}
-        for i in range(args.pairs):
+        for i in range(PAIRS):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for case in CASES:
                 for side in order:
@@ -119,18 +117,18 @@ def main(argv: list[str]) -> int:
     workloads = {}
     for case, runs in times.items():
         wins = sum(c < p for p, c in zip(runs["parent"], runs["change"]))
-        entry = {"pairs": args.pairs, "parent": summary(runs["parent"]), "change": summary(runs["change"]),
-                 "change_lower_in_pairs": f"{wins}/{args.pairs}", "runs": runs}
+        entry = {"pairs": PAIRS, "parent": summary(runs["parent"]), "change": summary(runs["change"]),
+                 "change_lower_in_pairs": f"{wins}/{PAIRS}", "runs": runs}
         workloads[case] = entry
         p, c = entry["parent"], entry["change"]
         print(f"{case}: {rev} {p['median']:.4f} s [{p['q1']:.4f}, {p['q3']:.4f}], working tree {c['median']:.4f} s "
-              f"[{c['q1']:.4f}, {c['q3']:.4f}]; working tree lower in {wins}/{args.pairs} pairs")
+              f"[{c['q1']:.4f}, {c['q3']:.4f}]; working tree lower in {wins}/{PAIRS} pairs")
     today = datetime.date.today().isoformat()
     record = {
         "date": today,
         "parent": rev,
         "change": "the working tree",
-        "command": f"python3 tools/pairs.py {args.rev} --pairs {args.pairs}",
+        "command": f"python3 tools/pairs.py {args.rev}",
         "cases": CASES,
         "statistics": f"each time is the fastest of {REPEAT} in one fresh process, `run` at stride 1 into a sink "
                       "that discards the snapshots; median and quartiles (inclusive method) over pairs; even pairs "
