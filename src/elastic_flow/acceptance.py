@@ -91,8 +91,8 @@ def _segment_runs():
 
     def factory():
         curve = make_initial_curve("segment", 128)
-        configs = [FlowConfig(epsilon=eps, n=128, dt=1e-3, t_end=1.0) for eps in epsilons]
-        return dict(zip(epsilons, run_batch(curve, configs, snapshot_stride=200)))
+        config = FlowConfig(n=128, dt=1e-3, t_end=1.0)
+        return dict(zip(epsilons, run_batch(curve, config, epsilons, snapshot_stride=200)))
 
     return _cached_run(("segment",), factory)
 

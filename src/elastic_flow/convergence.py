@@ -10,7 +10,7 @@ asserted anywhere, only recorded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -161,8 +161,7 @@ def run_sweep(initial: DiscreteCurve, config: SweepConfig) -> ConvergenceReport:
     # would hold the whole stack of its step
     kept = [[] for _ in range(len(config.epsilons) + 1)]
     reference, *rows = run_batch(
-        initial, [replace(config.base, epsilon=eps) for eps in (0.0, *config.epsilons)],
-        snapshot_times=times, records=False, stop_on=0,
+        initial, config.base, (0.0, *config.epsilons), snapshot_times=times, records=False, stop_on=0,
         sink=lambda r, states: kept[r].extend((st.time, st.cache.nodes.copy()) for st in states),
     )
     if reference.terminated_by is not Terminated.REACHED_T_END:

@@ -72,9 +72,9 @@ def boundary_residuals(state_or_cache) -> np.ndarray:
     must be uniform, as every evolved state's is; otherwise ValueError.
     """
     cache = state_or_cache if isinstance(state_or_cache, GeometryCache) else state_or_cache.cache
-    if cache.uniform_h is None:
+    if not cache.uniform:
         raise ValueError("boundary residuals need a uniform grid; redistribute first")
-    return endpoint_residuals(cache.kappa[None], [cache.uniform_h])[0]
+    return endpoint_residuals(cache.kappa[None], [float(cache.total_length) / (len(cache.s) - 1)])[0]
 
 
 def endpoint_residuals(kappa: np.ndarray, h) -> np.ndarray:

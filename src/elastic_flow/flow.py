@@ -365,9 +365,10 @@ def _advance(geo: GeometryCache, eps: list, config: FlowConfig, time: float) -> 
     those `step` raises, checked in the same order. A failed row holds its
     last good curve until the step ends, so each index stays a row of `geo`.
     """
-    nodes, dt = geo.nodes, config.dt
-    ends = slice(None, None, nodes.shape[1] - 1)  # the first and last node
-    diags = np.array([_assemble_uniform(nodes.shape[1] - 1, h, dt, e) for h, e in zip(geo.uniform_h, eps)])
+    nodes, dt, n = geo.nodes, config.dt, geo.nodes.shape[1] - 1
+    ends = slice(None, None, n)  # the first and last node
+    # each spacing a Python float, so that its powers are scalar powers
+    diags = np.array([_assemble_uniform(n, h, dt, e) for h, e in zip((geo.total_length / n).tolist(), eps)])
     rhs = nodes.copy(order="K")
     # rows with eps = 0 skip the explicit term, whose +0.0 would turn a -0.0
     # coordinate into +0.0
@@ -413,9 +414,8 @@ def _advance(geo: GeometryCache, eps: list, config: FlowConfig, time: float) -> 
     stepped = open_geometry(new, seg, total)
     peak = np.maximum.reduce(np.abs(stepped.kappa), axis=-1)
     blowup = peak > config.kappa_blowup_threshold
-    h = stepped.uniform_h
-    for j in (blowup | [x is None for x in h]).nonzero()[0]:
-        if h[j] is None:
+    for j in (blowup | ~stepped.uniform).nonzero()[0]:
+        if not stepped.uniform[j]:
             exc = ReparamFailure("redistributed grid is not uniform")
         else:
             exc = SingularityDetected(f"max |kappa| = {peak[j]:.3e} at t = {time:.6g}")
@@ -426,8 +426,8 @@ def _advance(geo: GeometryCache, eps: list, config: FlowConfig, time: float) -> 
 def step(state: FlowState, config: FlowConfig) -> FlowState:
     """Advance one IMEX step of size dt; endpoints never move.
 
-    Takes a constant-speed state (its cache has `uniform_h`, as every state
-    that `run` and `step` produce does) and redistributes the new curve to
+    Takes a constant-speed state (its cache is `uniform`, as every state
+    that `run` and `step` produce is) and redistributes the new curve to
     constant speed before returning it; any other state raises BadParams.
     Raises SolverFailure when the implicit matrix is singular or the
     post-refinement linear residual exceeds SOLVER_TOL, ReparamFailure when the constant-speed redistribution
@@ -437,7 +437,7 @@ def step(state: FlowState, config: FlowConfig) -> FlowState:
     from the curve it would build.
     It is the batch of one of `run_batch`'s stepping.
     """
-    if state.cache.uniform_h is None:
+    if not state.cache.uniform:
         raise BadParams("step needs a constant-speed state; redistribute first")
     # on the run's grid: `run_batch` gives state k the time k dt
     time = (state.time - state.step_index * config.dt) + (state.step_index + 1) * config.dt
@@ -511,38 +511,38 @@ def run(
     reason, keeping the records up to the last good step. It is the batch
     of one of `run_batch`, which says what `sink` receives.
     """
-    return run_batch(initial, [config], snapshot_stride, snapshot_times, sink)[0]
+    return run_batch(initial, config, [config.epsilon], snapshot_stride, snapshot_times, sink)[0]
 
 
 def run_batch(
     initial: DiscreteCurve,
-    configs: list[FlowConfig],
+    config: FlowConfig,
+    epsilons: list[float] | tuple[float, ...],
     snapshot_stride: int | None = None,
     snapshot_times: list[float] | None = None,
     sink=None,
     records: bool = True,
     stop_on: int | None = None,
 ) -> list[Trajectory]:
-    """`run` for each of `configs`, which differ only in epsilon, stepped
-    together as one stack of curves.
+    """`run` of `config` under each of `epsilons`, stepped together as one
+    stack of curves; run r's config is `replace(config, epsilon=epsilons[r])`,
+    built, and so checked, before the first step.
 
     Each trajectory holds the bits its `run` would give. A row that stops
     leaves the stack with its own reason, records and snapshots. Diagnostics
     are computed in blocks of RECORD_BLOCK states, and once more for the
     states left when a row ends.
 
-    Snapshots go to `sink(r, states)`, r the index of the config, in step
+    Snapshots go to `sink(r, states)`, r the index of the epsilon, in step
     order: the initial state once the run is admitted, then each block's
     states with its diagnostics, a stopped row's last good state included.
     By default they collect in `Trajectory.states`. An exception the sink
     raises propagates and stops the run. With `records=False` no record is
     built and each `diagnostics` is None; the states and the sink's calls stay.
-    When the run of configs[stop_on] stops, every other run stops at the
+    When the run of epsilons[stop_on] stops, every other run stops at the
     same step, as if it had failed there, with `Terminated.BATCH_STOPPED`.
     """
-    config = configs[0]
-    if any(replace(c, epsilon=config.epsilon) != config for c in configs):
-        raise ConfigError("configs", "a batch of runs may differ only in epsilon")
+    configs = [replace(config, epsilon=e) for e in epsilons]
     if initial.n != config.n:
         raise ConfigError("n", f"{config.n} segments configured, the initial curve has {initial.n}")
     cache0 = compute_geometry(initial)
@@ -566,7 +566,7 @@ def run_batch(
     except ReparamFailure as exc:
         raise BadParams(f"initial curve cannot be redistributed to constant speed: {exc}") from None
     cache = compute_geometry(start)
-    if cache.uniform_h is None:
+    if not cache.uniform:
         raise BadParams("initial curve cannot be redistributed to constant speed")
     geo = cache[None][[0] * len(configs)]  # a row of the start curve per config
     states = [[] for _ in configs]

@@ -104,10 +104,11 @@ class GeometryCache:
 
     `nodes` holds the curves, `total_length` their lengths, `s` the chordal
     arclength per node, `normal` the leftward unit normal and `kappa` the
-    curvature per node, and `uniform_h` the spacing of each grid, None for a
-    grid that is not uniform; `ds`, the trapezoid weights, is computed from
-    `s` on each read. The endpoint curvature is a one-sided measurement (no
-    boundary condition is assumed here; the flow enforces its own).
+    curvature per node, and `uniform` whether each grid is uniform
+    (`stencils.is_uniform`), its spacing then total_length / n; `ds`, the
+    trapezoid weights, is computed from `s` on each read. The endpoint
+    curvature is a one-sided measurement (no boundary condition is assumed
+    here; the flow enforces its own).
     """
 
     nodes: np.ndarray
@@ -115,7 +116,7 @@ class GeometryCache:
     s: np.ndarray
     normal: np.ndarray
     kappa: np.ndarray
-    uniform_h: list | float | None
+    uniform: np.ndarray
 
     @property
     def ds(self) -> np.ndarray:
@@ -125,17 +126,10 @@ class GeometryCache:
         """The rows `rows`, indexed as numpy indexes the leading axis: an int
         gives one curve's data (views of the arrays), a list of ints a stack
         (repeats allowed), and None makes one curve's data a stack of one."""
-        h = self.uniform_h
-        if rows is None:
-            h = [h]
-        elif isinstance(rows, (int, np.integer)):
-            h = h[rows]
-        else:
-            h = [h[j] for j in rows]
         # field by field: `dataclasses.fields` builds a 6-tuple by resizing,
         # which CPython 3.11 then keeps on its tuple free list, one per call
         return GeometryCache(self.nodes[rows], self.total_length[rows], self.s[rows], self.normal[rows],
-                             self.kappa[rows], h)
+                             self.kappa[rows], self.uniform[rows])
 
 
 def _trapezoid_weights(s: np.ndarray) -> np.ndarray:
@@ -159,16 +153,17 @@ def _end_windows(n1: int) -> np.ndarray:
     return np.array([range(8), range(n1 - 1, n1 - 9, -1)])
 
 
-def _open_position_derivs(nodes: np.ndarray, s: np.ndarray, h: list):
+def _open_position_derivs(nodes: np.ndarray, s: np.ndarray, total: np.ndarray, uniform: np.ndarray):
     """First and second s-derivatives of the position, per component, of
-    each curve in the stack `nodes` (rows, n+1, 2) on its row of `s`.
+    each curve in the stack `nodes` (rows, n+1, 2) on its row of `s`, whose
+    length is its entry of `total`.
 
     Interior nodes use the classic nonuniform three-point formulas; boundary
     rows use one-sided windows (8 points for the second derivative: on data
     with odd symmetry about the ends the even-order truncation terms vanish,
-    leaving an O(h^7) endpoint curvature measurement). `h[row]` is the
-    spacing of a uniform row, whose windows take integer-offset weights, or
-    None, whose windows take Fornberg weights.
+    leaving an O(h^7) endpoint curvature measurement). A row where `uniform`
+    holds has spacing h = total / n, and its windows take integer-offset
+    weights; the windows of any other row take Fornberg weights.
     """
     d1 = np.empty_like(nodes)
     d2 = np.empty_like(nodes)
@@ -185,14 +180,14 @@ def _open_position_derivs(nodes: np.ndarray, s: np.ndarray, h: list):
     n1 = nodes.shape[1]
     # the uniform rows and their end nodes, as slices when every row is
     # uniform, as in every stepped stack
-    if None in h:
-        rows = np.array([row for row, spacing in enumerate(h) if spacing is not None], dtype=int)
-        at = rows[:, None], [0, n1 - 1]
-    else:
+    if uniform.all():
         rows = slice(None)
         at = rows, slice(None, None, n1 - 1)
+    else:
+        rows = uniform.nonzero()[0]
+        at = rows[:, None], [0, n1 - 1]
     # one scalar power per row: the array power differs in the last bit
-    hu = np.array([[spacing, spacing**2] for spacing in h if spacing is not None])
+    hu = np.array([[h, h**2] for h in (total[rows] / (n1 - 1)).tolist()])
     if len(hu):
         # both end windows, as differences from the end node; C-contiguous
         # windows make matmul repeat the arithmetic of `w @ x` window by window
@@ -201,9 +196,9 @@ def _open_position_derivs(nodes: np.ndarray, s: np.ndarray, h: list):
         hu = hu[:, :, None, None, None]
         d1[at] = np.matmul(_W1 / hu[:, 0], np.ascontiguousarray(x[:, :, :3]))[:, :, 0]
         d2[at] = np.matmul(_W2 / hu[:, 1], x)[:, :, 0]
-    raw = [row for row, spacing in enumerate(h) if spacing is None]
-    if raw:
-        rows = np.array(raw)[:, None]
+    raw = (~uniform).nonzero()[0]
+    if len(raw):
+        rows = raw[:, None]
         ends = rows, [0, n1 - 1]
         for order, width, d in ((1, 3, d1), (2, 8, d2)):
             # both end windows of every nonuniform row, weighted at their end
@@ -281,11 +276,10 @@ def open_geometry(nodes: np.ndarray, seg: np.ndarray, total: np.ndarray) -> Geom
     """The geometry of the open curves in the stack `nodes` (rows, n+1, 2),
     given their chord lengths `seg` and the sums `total`. Every operation
     works along the rows, so each row gets the bits it gets alone."""
-    n = seg.shape[1]
     s = _running_sum(seg)
-    h = [t / n if u else None for t, u in zip(total.tolist(), stencils.is_uniform(s).tolist())]
-    normal, kappa = _frame(*_open_position_derivs(nodes, s, h))
-    return GeometryCache(nodes, total, s, normal, kappa, h)
+    uniform = stencils.is_uniform(s)
+    normal, kappa = _frame(*_open_position_derivs(nodes, s, total, uniform))
+    return GeometryCache(nodes, total, s, normal, kappa, uniform)
 
 
 def arclength_derivative(cache: GeometryCache, values: np.ndarray, order: int) -> np.ndarray:

@@ -42,10 +42,10 @@ class GronwallSetup:
     t_max_query: float
 
     def __post_init__(self):
-        if not self.g0 > 0.0:
-            raise ValueError("g0 must be positive")
-        if not self.coeff_C >= 0.0:
-            raise ValueError("coeff_C must be nonnegative")
+        if not 0.0 < self.g0 < math.inf:
+            raise ValueError("g0 must be positive and finite")
+        if not 0.0 <= self.coeff_C < math.inf:
+            raise ValueError("coeff_C must be nonnegative and finite")
         if not self.t_max_query > 0.0:
             raise ValueError("t_max_query must be positive")
 
@@ -77,7 +77,8 @@ class GronwallSolution:
 
     def __call__(self, t):
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        if np.any(t_arr < 0.0) or np.any(t_arr > self.ts[-1] * (1 + 1e-12) + 1e-300):
+        # phrased so that a NaN time fails it
+        if not np.all((t_arr >= 0.0) & (t_arr <= self.ts[-1] * (1 + 1e-12) + 1e-300)):
             raise OutOfDomain(f"time outside [0, {self.ts[-1]:.6g}]")
         t_arr = np.clip(t_arr, 0.0, self.ts[-1])
         idx = np.clip(np.searchsorted(self.ts, t_arr, side="right") - 1, 0, self.ts.size - 2)

@@ -149,9 +149,9 @@ class TestCkDistance:
 
     def test_record_less_trajectories_give_the_same_distances(self):
         curve = make_initial_curve("flattened_sine", 64, amplitude=0.05)
-        configs = [FlowConfig(epsilon=eps, n=64, dt=1e-3, t_end=0.01) for eps in (0.1, 0.0)]
-        recorded = run_batch(curve, configs, snapshot_stride=2)
-        bare = run_batch(curve, configs, snapshot_stride=2, records=False)
+        config = FlowConfig(n=64, dt=1e-3, t_end=0.01)
+        recorded = run_batch(curve, config, (0.1, 0.0), snapshot_stride=2)
+        bare = run_batch(curve, config, (0.1, 0.0), snapshot_stride=2, records=False)
         assert [t.diagnostics for t in bare] == [None, None]
         for k in range(4):
             assert ck_distance(*bare, k, (0.0, 0.01)) == ck_distance(*recorded, k, (0.0, 0.01)) > 0.0
@@ -346,13 +346,13 @@ class TestSweepInfrastructure:
         # the eps = 0 row stops at t = 0.03, the 0.01 and 0.1 rows at 0.06 and
         # 1.29 (reparam_failure); 80 steps span two record blocks
         curve = make_initial_curve("arc_with_flat_ends", 64, turn_angle=12)
-        base = FlowConfig(n=64, dt=0.03, t_end=2.4)
-        configs = [replace(base, epsilon=eps) for eps in (0.0, 1.0, 0.5, 0.1, 0.01)]
+        config = FlowConfig(n=64, dt=0.03, t_end=2.4)
 
         def batch(records):
             calls = []
             sink = lambda r, states: calls.append((r, states))
-            return run_batch(curve, configs, snapshot_stride=1, sink=sink, records=records), calls
+            return run_batch(curve, config, (0.0, 1.0, 0.5, 0.1, 0.01), snapshot_stride=1, sink=sink,
+                             records=records), calls
 
         (recorded, calls_on), (bare, calls_off) = batch(True), batch(False)
         assert [t.terminated_by for t in bare] == [t.terminated_by for t in recorded]
@@ -417,9 +417,9 @@ class TestSweepInfrastructure:
         # with reparam_failure) among the rows of one batch
         curve = make_initial_curve("arc_with_flat_ends", 64, turn_angle=3.0)
         base = FlowConfig(epsilon=0.1, n=64, dt=2e-3, t_end=0.1)
-        configs = [replace(base, epsilon=eps) for eps in (0.0, 1.0, 0.5, 0.1)]
-        batched = run_batch(curve, configs, snapshot_stride=1)
-        alone = [run(curve, c, snapshot_stride=1) for c in configs]
+        epsilons = (0.0, 1.0, 0.5, 0.1)
+        batched = run_batch(curve, base, epsilons, snapshot_stride=1)
+        alone = [run(curve, replace(base, epsilon=eps), snapshot_stride=1) for eps in epsilons]
         assert [t.terminated_by for t in batched] == [t.terminated_by for t in alone]
         assert [t.terminated_by for t in alone].count(Terminated.REACHED_T_END) == 2
         for got, want in zip(batched, alone):

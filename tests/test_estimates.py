@@ -199,7 +199,7 @@ class TestBoundaryResiduals:
     def test_nonuniform_grid_rejected(self):
         # the raw graph-parametrized sine has unequal chords
         cache = compute_geometry(make_initial_curve("flattened_sine", 64, amplitude=0.1))
-        assert cache.uniform_h is None
+        assert not cache.uniform
         with pytest.raises(ValueError, match="uniform grid"):
             boundary_residuals(cache)
 

@@ -81,6 +81,12 @@ def circle_state(n, r, eps):
     return FlowState.from_curve(curve, eps)
 
 
+def spacing(cache) -> float:
+    # the spacing of a uniform grid, as the stepper reads it
+    assert cache.uniform
+    return cache.total_length / (len(cache.s) - 1)
+
+
 def sine_state(n=128, amplitude=0.05, eps=0.1):
     return FlowState.from_curve(
         make_initial_curve("flattened_sine", n, amplitude=amplitude), eps
@@ -190,7 +196,7 @@ class TestVelocities:
         # E = -1/2 + 0.5*(1/8) = -0.4375
         st = circle_state(256, 2.0, 0.5)
         E = st.E
-        h = st.cache.uniform_h
+        h = spacing(st.cache)
         assert np.max(np.abs(E[2:-2] + 0.4375)) <= h**2
 
     def test_circle_tangential_velocity_linear(self):
@@ -199,7 +205,7 @@ class TestVelocities:
         lam = st.lam
         s = st.cache.s
         expected = 0.21875 * (s[2:-2] - s[2])
-        h = st.cache.uniform_h
+        h = spacing(st.cache)
         assert np.max(np.abs(lam[2:-2] - lam[2] - expected)) <= h**2
         assert lam[0] == 0.0
 
@@ -218,7 +224,7 @@ class TestVelocities:
         # eps = 0: d(kappa)/dt = kappa^3 = 1 on the unit circle
         st = circle_state(256, 1.0, 0.0)
         rhs = curvature_evolution_rhs(st, "compact")
-        h = st.cache.uniform_h
+        h = spacing(st.cache)
         assert np.max(np.abs(rhs[2:-2] - 1.0)) <= h**2
 
     def test_compact_and_expanded_forms_agree_at_stencil_order(self):
@@ -246,7 +252,7 @@ class TestVelocities:
         ]
         nodes = np.array([c.nodes for c in curves])
         geo = open_geometry(nodes, *stacked_grids(nodes)[:2])
-        assert [h is None for h in geo.uniform_h] == [True, False, True]
+        assert geo.uniform.tolist() == [False, True, False]
         stacked = dict(zip(flow._FLOW_ARRAYS, flow._flow_fields(geo.kappa, geo.s, 0.3)))
         for j, curve in enumerate(curves):
             alone = FlowState.from_curve(curve, 0.3)
@@ -357,10 +363,10 @@ class TestStep:
         # a zero matrix in row 1 at step 3 (the 8th of the per-row
         # assemblies) fails that row's solve alone, and ends only that row
         curve = make_initial_curve("flattened_sine", 64, amplitude=0.3)
-        configs = [FlowConfig(epsilon=e, n=64, dt=1e-4, t_end=1e-3) for e in (0.2, 0.0, 1.0)]
-        alone = [run(curve, c, snapshot_stride=1) for c in configs]
+        config, eps = FlowConfig(n=64, dt=1e-4, t_end=1e-3), (0.2, 0.0, 1.0)
+        alone = [run(curve, dataclasses.replace(config, epsilon=e), snapshot_stride=1) for e in eps]
         _poison_call(monkeypatch, "_assemble_uniform", 8, _singular)
-        batch = flow.run_batch(curve, configs, snapshot_stride=1)
+        batch = flow.run_batch(curve, config, eps, snapshot_stride=1)
         assert batch[1].terminated_by is Terminated.SOLVER_FAILURE
         assert batch[1].event_time == 3 * 1e-4
         assert len(batch[1].diagnostics) == 3
@@ -375,14 +381,13 @@ class TestStep:
         # the singular row 1 at step 3, as above: every kept state's cache,
         # the failed row's last good state included, is its curve's geometry
         curve = make_initial_curve("flattened_sine", 64, amplitude=0.3)
-        configs = [FlowConfig(epsilon=e, n=64, dt=1e-4, t_end=1e-3) for e in (0.2, 0.0, 1.0)]
         _poison_call(monkeypatch, "_assemble_uniform", 8, _singular)
-        batch = flow.run_batch(curve, configs, snapshot_stride=1)
+        batch = flow.run_batch(curve, FlowConfig(n=64, dt=1e-4, t_end=1e-3), (0.2, 0.0, 1.0), snapshot_stride=1)
         assert [len(t.states) for t in batch] == [11, 3, 11]
         for traj in batch:
             for state in traj.states:
                 want = compute_geometry(state.curve)
-                assert state.cache.uniform_h == want.uniform_h
+                assert state.cache.uniform == want.uniform
                 for name in ("nodes", "total_length", "s", "ds", "normal", "kappa"):
                     assert getattr(state.cache, name).tobytes() == getattr(want, name).tobytes(), name
 
@@ -404,10 +409,10 @@ class TestStep:
         # the same failure of row 1 at step 3: named as `stop_on`, it stops
         # rows 0 and 2 there too, with the records and states they had
         curve = make_initial_curve("flattened_sine", 64, amplitude=0.3)
-        configs = [FlowConfig(epsilon=e, n=64, dt=1e-4, t_end=1e-3) for e in (0.2, 0.0, 1.0)]
-        alone = [run(curve, c, snapshot_stride=1) for c in configs]
+        config, eps = FlowConfig(n=64, dt=1e-4, t_end=1e-3), (0.2, 0.0, 1.0)
+        alone = [run(curve, dataclasses.replace(config, epsilon=e), snapshot_stride=1) for e in eps]
         _poison_call(monkeypatch, "_assemble_uniform", 8, _singular)
-        batch = flow.run_batch(curve, configs, snapshot_stride=1, stop_on=1)
+        batch = flow.run_batch(curve, config, eps, snapshot_stride=1, stop_on=1)
         assert [t.terminated_by for t in batch] == [
             Terminated.BATCH_STOPPED, Terminated.SOLVER_FAILURE, Terminated.BATCH_STOPPED
         ]
@@ -461,7 +466,7 @@ class TestStep:
     def test_nonuniform_state_rejected(self):
         # the raw graph-parametrized sine has unequal chords
         state = sine_state(64)
-        assert state.cache.uniform_h is None
+        assert not state.cache.uniform
         with pytest.raises(BadParams, match="redistribute first"):
             step(state, FlowConfig(epsilon=0.1, n=64, dt=1e-4, t_end=0.01))
 
@@ -524,13 +529,25 @@ class TestRun:
         for st in traj.states[1:]:
             assert not {"arrays", "E", "lam"} & set(vars(st)), st.step_index
 
-    def test_batch_refuses_configs_that_differ_beyond_epsilon(self):
-        base = FlowConfig(epsilon=0.1, n=64, dt=1e-4, t_end=0.01)
-        with pytest.raises(ConfigError, match="only in epsilon"):
+    def test_batch_refuses_an_epsilon_outside_the_unit_interval(self, monkeypatch):
+        # every row's config is built before the first step
+        steps = []
+        monkeypatch.setattr(flow, "_advance", lambda *args: steps.append(args))
+        with pytest.raises(ConfigError) as info:
             flow.run_batch(
                 make_initial_curve("flattened_sine", 64, amplitude=0.05),
-                [base, dataclasses.replace(base, dt=2e-4, epsilon=0.2)],
+                FlowConfig(epsilon=0.1, n=64, dt=1e-4, t_end=0.01),
+                [0.1, 1.5],
             )
+        assert info.value.key == "epsilon"
+        assert steps == []
+
+    def test_batch_trajectories_carry_their_rows_config(self):
+        # a field off its default, which a config rebuilt from eps alone would lose
+        config = FlowConfig(epsilon=0.1, n=16, dt=1e-4, t_end=2e-4, kappa_blowup_threshold=50.0)
+        eps = (0.0, 0.3, 1.0)
+        batch = flow.run_batch(make_initial_curve("segment", 16), config, eps, records=False)
+        assert [traj.config for traj in batch] == [dataclasses.replace(config, epsilon=e) for e in eps]
 
     def test_curve_with_other_node_count_refused(self, monkeypatch):
         # a 64-segment curve under n = 256 would otherwise run to t_end on 64
@@ -583,7 +600,8 @@ class TestRun:
         with pytest.raises(ConfigError) as info:
             flow.run_batch(
                 make_initial_curve("segment", 64),
-                [FlowConfig(epsilon=0.1, n=64, dt=1e-4, t_end=1e-3)],
+                FlowConfig(epsilon=0.1, n=64, dt=1e-4, t_end=1e-3),
+                [0.1],
                 snapshot_times=[t],
             )
         assert info.value.key == "snapshot_times"
@@ -701,7 +719,7 @@ class TestRunOverDocumentedRanges:
             return
         assert isinstance(traj.terminated_by, Terminated)
         # every evolved state sits on a constant-speed grid
-        assert all(state.cache.uniform_h is not None for state in traj.states)
+        assert all(state.cache.uniform for state in traj.states)
         # the reason matches the records: a finished run records t_end, a
         # stopped one stops one step after its last good record
         last = traj.diagnostics[-1].t
@@ -840,10 +858,10 @@ class TestSink:
 
     def test_batch_snapshots_are_rows_of_one_stack(self):
         # a snapshot wraps its row of the stack it was stepped in, not a copy
-        base = FlowConfig(epsilon=0.1, n=64, dt=1e-4, t_end=1e-3)
         a, b = flow.run_batch(
             make_initial_curve("flattened_sine", 64, amplitude=0.05),
-            [base, dataclasses.replace(base, epsilon=0.2)],
+            FlowConfig(n=64, dt=1e-4, t_end=1e-3),
+            [0.1, 0.2],
             snapshot_stride=5,
         )
         for x, y in zip(a.states[1:], b.states[1:]):
@@ -856,11 +874,10 @@ class TestSink:
     def test_batch_with_a_row_stopping_mid_block(self, tmp_path):
         # eps = 0 blows up in step 98; eps = 0.01 runs all 200 steps
         loop = make_initial_curve("arc_with_flat_ends", 64, turn_angle=2.6 * math.pi)
-        base = FlowConfig(epsilon=0.0, n=64, dt=5e-5, t_end=0.01, kappa_blowup_threshold=20.0)
-        configs = [base, dataclasses.replace(base, epsilon=0.01)]
+        config = FlowConfig(n=64, dt=5e-5, t_end=0.01, kappa_blowup_threshold=20.0)
 
         def batch(sink):
-            return flow.run_batch(loop, configs, 7, sink=sink)
+            return flow.run_batch(loop, config, [0.0, 0.01], 7, sink=sink)
 
         stored = self.assert_sink_matches_states(tmp_path, batch)
         reasons = [traj.terminated_by for traj in stored]

@@ -202,22 +202,35 @@ class TestComputeGeometry:
         nodes = np.array([c.nodes for c in curves])
         seg, total, _, _ = stacked_grids(nodes)
         geo = open_geometry(nodes, seg, total)
-        assert [h is None for h in geo.uniform_h] == [True, False, True, False]
+        assert geo.uniform.tolist() == [False, True, False, True]
         names = ("nodes", "segments", "total_length", "s", "ds", "tangent", "normal", "kappa")
         for j, curve in enumerate(curves):
             want, got = compute_geometry(curve), geo[j]
-            assert got.uniform_h == want.uniform_h
+            assert got.uniform == want.uniform
             for name in names:
                 assert _bits(cache_field(got, name)) == _bits(cache_field(want, name)), (j, name)
         # a list of rows is a stack of them, repeats allowed, and None makes
         # one curve's data a stack of one
         picked = geo[[3, 0, 3]]
-        assert picked.uniform_h == [geo.uniform_h[3], None, geo.uniform_h[3]]
+        assert picked.uniform.tolist() == [True, False, True]
         one = geo[1][None]
-        assert one.uniform_h == [geo.uniform_h[1]]
+        assert one.uniform.tolist() == [True]
         for name in names:
             assert _bits(cache_field(picked, name)[1]) == _bits(cache_field(geo, name)[0]), name
             assert _bits(cache_field(one, name)[0]) == _bits(cache_field(geo, name)[1]), name
+
+    def test_uniform_is_indexed_like_the_other_fields(self):
+        # a raw and a constant-speed sine: None, an int and a list of ints
+        # index the flags as they index the arrays
+        sine = make_initial_curve("flattened_sine", 64, amplitude=0.3)
+        nodes = np.array([sine.nodes, reparametrize_constant_speed(sine).nodes])
+        geo = open_geometry(nodes, *stacked_grids(nodes)[:2])
+        for picked, want in ((geo[0], False), (geo[1], True), (geo[1][None], [True]), (geo[[1, 1]], [True, True])):
+            assert picked.uniform.dtype == bool and np.array_equal(picked.uniform, want)
+            for name in ("total_length", "s", "nodes", "normal", "kappa"):
+                # the row axes: the field's shape without its per-curve axes
+                shape, per_curve = getattr(picked, name).shape, getattr(geo, name).ndim - 1
+                assert shape[: len(shape) - per_curve] == picked.uniform.shape, name
 
     def test_raw_end_windows_repeat_one_stencil_per_window(self):
         # the end rows of a stack of nonuniform grids, bit for bit against
@@ -230,8 +243,8 @@ class TestComputeGeometry:
                 ("bump_perturbed_segment", {"amplitude": 0.6}),
             )
         ])
-        s = stacked_grids(nodes)[2]
-        d1, d2 = _open_position_derivs(nodes, s, [None] * len(nodes))
+        _, total, s, _ = stacked_grids(nodes)
+        d1, d2 = _open_position_derivs(nodes, s, total, np.zeros(len(nodes), dtype=bool))
         for r, (x, t) in enumerate(zip(nodes, s)):
             for order, width, d in ((1, 3, d1), (2, 8, d2)):
                 for i, sl in ((0, slice(0, width)), (64, slice(65 - width, 65))):

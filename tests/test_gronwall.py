@@ -103,6 +103,12 @@ class TestGronwallSolve:
         with pytest.raises(OutOfDomain):
             sol(2.0)
 
+    @pytest.mark.parametrize("t", [math.nan, [0.01, math.nan]])
+    def test_nan_time_is_out_of_domain(self, t):
+        sol = gronwall_solve(GronwallSetup(g0=0.5, coeff_C=1.0, t_max_query=0.1))
+        with pytest.raises(OutOfDomain):
+            sol(t)
+
 
 class TestDoublingTime:
     def test_exponential_law_constant_theta(self):
@@ -208,6 +214,16 @@ class TestSetupValidation:
     def test_rejects_negative_coefficient(self):
         with pytest.raises(ValueError):
             GronwallSetup(g0=1.0, coeff_C=-1.0, t_max_query=1.0)
+
+    @pytest.mark.parametrize("field", ["g0", "coeff_C"])
+    def test_rejects_infinite_initial_value_and_coefficient(self, field):
+        kwargs = {"g0": 1.0, "coeff_C": 1.0, "t_max_query": 1.0, field: math.inf}
+        with pytest.raises(ValueError, match=field):
+            GronwallSetup(**kwargs)
+
+    def test_infinite_horizon_runs_to_blow_up(self):
+        sol = gronwall_solve(GronwallSetup(g0=1.0, coeff_C=1.0, t_max_query=math.inf))
+        assert sol.blow_up_time == pytest.approx(0.1188, abs=1e-4)
 
     def test_rejects_nonpositive_horizon(self):
         with pytest.raises(ValueError):
