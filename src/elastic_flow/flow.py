@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -526,22 +527,32 @@ def run_batch(
 ) -> list[Trajectory]:
     """`run` of `config` under each of `epsilons`, stepped together as one
     stack of curves; run r's config is `replace(config, epsilon=epsilons[r])`,
-    built, and so checked, before the first step.
+    built, and so checked, before the first step. At least one epsilon, a
+    stack within `refuse_work`'s limits, an integer stride and a `stop_on`
+    that names a run are admitted; anything else is a ConfigError.
 
     Each trajectory holds the bits its `run` would give. A row that stops
-    leaves the stack with its own reason, records and snapshots. Diagnostics
-    are computed in blocks of RECORD_BLOCK states, and once more for the
-    states left when a row ends.
+    leaves the stack with its own reason, records and snapshots.
 
-    Snapshots go to `sink(r, states)`, r the index of the epsilon, in step
-    order: the initial state once the run is admitted, then each block's
-    states with its diagnostics, a stopped row's last good state included.
-    By default they collect in `Trajectory.states`. An exception the sink
-    raises propagates and stops the run. With `records=False` no record is
-    built and each `diagnostics` is None; the states and the sink's calls stay.
+    Every live row is handed over at once, in row order: its initial state
+    alone once the run is admitted, then each time RECORD_BLOCK steps are
+    buffered, at each step where any row stops, and at the end. A handover
+    computes the records of the buffered steps, step 0's in the first
+    block (every record reduction runs along the rows, so where a block is
+    cut changes no bit), and passes their kept snapshots, a stopped row's
+    last good state included, to `sink(r, states)`, r the index of the
+    epsilon, in step order. By default they collect in `Trajectory.states`.
+    An exception the sink raises propagates and stops the run. With
+    `records=False` no record is built and each `diagnostics` is None; the
+    states and the sink's calls stay.
     When the run of epsilons[stop_on] stops, every other run stops at the
     same step, as if it had failed there, with `Terminated.BATCH_STOPPED`.
     """
+    if len(epsilons) == 0:
+        raise ConfigError("epsilons", "must hold at least one epsilon")
+    refuse_work("epsilons", config, len(epsilons))
+    if stop_on is not None and not 0 <= stop_on < len(epsilons):
+        raise ConfigError("stop_on", f"{stop_on} names none of the {len(epsilons)} runs")
     configs = [replace(config, epsilon=e) for e in epsilons]
     if initial.n != config.n:
         raise ConfigError("n", f"{config.n} segments configured, the initial curve has {initial.n}")
@@ -552,14 +563,16 @@ def run_batch(
     dt = config.dt
     if snapshot_stride is None:
         snapshot_stride = max(1, nsteps // 200)
-    if snapshot_stride < 1:
-        raise ConfigError("snapshot_stride", "must be at least 1")
-    want_times = set()
+    if not isinstance(snapshot_stride, numbers.Integral) or snapshot_stride < 1:
+        raise ConfigError("snapshot_stride", f"{snapshot_stride} is not an integer of at least 1")
+    # the steps whose snapshots are kept
+    kept_step = np.zeros(nsteps + 1, dtype=bool)
+    kept_step[::snapshot_stride] = kept_step[-1] = True
     for t_req in snapshot_times or ():
         k = snapshot_step(t_req, dt)
         if not 0 <= k <= nsteps:
             raise ConfigError("snapshot_times", f"{t_req} is outside [0, t_end]")
-        want_times.add(k)
+        kept_step[k] = True
 
     try:
         start = reparametrize_constant_speed(initial)
@@ -572,67 +585,56 @@ def run_batch(
     states = [[] for _ in configs]
     if sink is None:
         sink = lambda r, batch: states[r].extend(batch)
-    pending = [[] for _ in configs]  # snapshots of each config not yet handed over
     blocks = [[] for _ in configs]
     ends = [(Terminated.REACHED_T_END, None)] * len(configs)
     ids = list(range(len(configs)))  # the config of each row of `geo`
     eps = [c.epsilon for c in configs]  # and its epsilon
-    n1 = geo.nodes.shape[1]
-    # what the records read of each row's last RECORD_BLOCK states
-    buf = {name: np.empty((len(ids), RECORD_BLOCK) + shape) for name, shape in (
-        ("total_length", ()), ("kappa", (n1,)), ("s", (n1,))
-    )} if records else {}
-    times = []
+    # what the records read of each row's buffered steps, at most RECORD_BLOCK
+    buf = {name: np.empty((len(ids), RECORD_BLOCK) + getattr(geo, name).shape[1:])
+           for name in ("total_length", "kappa", "s")} if records else {}
+    times = []  # of the buffered steps
+    pending = []  # (step, stack) of the buffered steps whose snapshots are kept
 
-    def record(geo, time):
-        times.append(time)
+    def hand_over(stopped=()):
+        # every live row's records and snapshots of the buffered steps (no
+        # record for the initial state alone); a row in `stopped` also gets
+        # a pending step that is not kept, its last good one
+        for j, r in enumerate(ids):
+            if records and times:
+                length, kappa, s = (x[j, : len(times)] for x in buf.values())
+                blocks[r].append(_record_columns(times, length, kappa, s, eps[j]))
+            sink(r, [FlowState(g[j], i * dt, eps[j], i) for i, g in pending if kept_step[i] or j in stopped])
+        times.clear()
+        pending.clear()
+
+    for k in range(nsteps + 1):
+        if k:
+            prev, (geo, failed) = geo, _advance(geo, eps, config, k * dt)
+            if failed:
+                stopped = {j: next(reason for kind, reason in _REASONS if isinstance(exc, kind))
+                           for j, exc in failed.items()}
+                if stop_on in (ids[j] for j in stopped):
+                    stopped = {j: stopped.get(j, Terminated.BATCH_STOPPED) for j in range(len(ids))}
+                for j, reason in stopped.items():
+                    ends[ids[j]] = (reason, k * dt)
+                if not kept_step[k - 1]:
+                    pending.append((k - 1, prev))
+                hand_over(stopped)
+                keep = [j for j in range(len(ids)) if j not in stopped]
+                ids, eps, geo = [ids[j] for j in keep], [eps[j] for j in keep], geo[keep]
+                buf = {name: x[keep] for name, x in buf.items()}
+                if not ids:
+                    break
+            if len(times) == RECORD_BLOCK:
+                hand_over()
+        if kept_step[k]:
+            pending.append((k, geo))
+        if k == 0:
+            hand_over()  # the initial state, before the first step
+        times.append(k * dt)
         for name, x in buf.items():
             x[:, len(times) - 1] = getattr(geo, name)
-
-    def flush(j):
-        # the records of row j's buffered states, and its pending snapshots
-        r = ids[j]
-        if records:
-            length, kappa, s = (x[j, : len(times)] for x in buf.values())
-            blocks[r].append(_record_columns(times, length, kappa, s, configs[r].epsilon))
-        sink(r, pending[r])
-        pending[r] = []
-
-    def kept(k):
-        return k % snapshot_stride == 0 or k == nsteps or k in want_times
-
-    for r, c in enumerate(configs):
-        sink(r, [FlowState(cache, 0.0, c.epsilon)])
-    record(geo, 0.0)
-    for k in range(1, nsteps + 1):
-        now = k * dt
-        prev, (geo, failed) = geo, _advance(geo, eps, config, now)
-        if failed:
-            stopped = {j: next(reason for kind, reason in _REASONS if isinstance(exc, kind))
-                       for j, exc in failed.items()}
-            if stop_on in (ids[j] for j in stopped):
-                stopped = {j: stopped.get(j, Terminated.BATCH_STOPPED) for j in range(len(ids))}
-            for j, reason in stopped.items():
-                r = ids[j]
-                ends[r] = (reason, now)
-                if not kept(k - 1):
-                    pending[r].append(FlowState(prev[j], (k - 1) * dt, eps[j], k - 1))
-                flush(j)
-            keep = [j for j in range(len(ids)) if j not in stopped]
-            ids, eps, geo = [ids[j] for j in keep], [eps[j] for j in keep], geo[keep]
-            buf = {name: x[keep] for name, x in buf.items()}
-            if not ids:
-                break
-        if len(times) == RECORD_BLOCK:
-            for j in range(len(ids)):
-                flush(j)
-            times = []
-        record(geo, k * dt)
-        if kept(k):
-            for j, r in enumerate(ids):
-                pending[r].append(FlowState(geo[j], k * dt, eps[j], k))
-    for j in range(len(ids)):
-        flush(j)
+    hand_over()
     return [
         Trajectory(states[r], _diagnostics(blocks[r], dt) if records else None, reason, event_time, c)
         for r, (c, (reason, event_time)) in enumerate(zip(configs, ends))

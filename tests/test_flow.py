@@ -56,6 +56,20 @@ def _singular(real, n, h, dt, eps):
     return 0.0 * real(n, h, dt, eps)
 
 
+def _row_1_singular_at_step_11(monkeypatch, sink=None):
+    # rows of eps 0.2, 0.0 and 1.0, 20 steps at stride 3; row 1's matrix is
+    # zero at step 11 (the 32nd per-row assembly), so it stops mid-block
+    # with its last good step, 10, off the stride
+    _poison_call(monkeypatch, "_assemble_uniform", 32, _singular)
+    return flow.run_batch(
+        make_initial_curve("flattened_sine", 64, amplitude=0.3),
+        FlowConfig(n=64, dt=1e-4, t_end=2e-3),
+        (0.2, 0.0, 1.0),
+        3,
+        sink=sink,
+    )
+
+
 def _two_scipy_solves(diags, rhs):
     # the reference arithmetic of `solve_banded` for one system: a solve and
     # one round of refinement by scipy's own banded solver
@@ -472,14 +486,19 @@ class TestStep:
 
 
 class TestRun:
-    def test_snapshot_stride_below_one_rejected(self):
-        with pytest.raises(ConfigError) as info:
-            run(
-                make_initial_curve("flattened_sine", 64, amplitude=0.05),
-                FlowConfig(epsilon=0.1, n=64, dt=1e-4, t_end=0.001),
-                snapshot_stride=0,
-            )
-        assert info.value.key == "snapshot_stride"
+    def test_snapshot_stride_not_a_positive_integer_rejected(self, monkeypatch):
+        # a stride of 2.5 would keep steps 0, 5 and 10
+        steps = []
+        monkeypatch.setattr(flow, "_advance", lambda *args: steps.append(args))
+        for stride in (0, 2.5):
+            with pytest.raises(ConfigError) as info:
+                run(
+                    make_initial_curve("flattened_sine", 64, amplitude=0.05),
+                    FlowConfig(epsilon=0.1, n=64, dt=1e-4, t_end=0.001),
+                    snapshot_stride=stride,
+                )
+            assert info.value.key == "snapshot_stride"
+        assert steps == []
 
     def test_redistribution_stall_has_its_own_reason(self):
         # the chord equalization stalls at deviation 1.467e-10 in step 20
@@ -540,6 +559,21 @@ class TestRun:
                 [0.1, 1.5],
             )
         assert info.value.key == "epsilon"
+        assert steps == []
+
+    @pytest.mark.parametrize("epsilons, stop_on, key", [
+        ([], None, "epsilons"),
+        ([0.1] * 10_000, None, "epsilons"),  # 170,000 nodes, each row of 17 within the limits
+        ([0.1], 3, "stop_on"),
+        ([0.1, 0.2], -1, "stop_on"),
+    ], ids=["no_rows", "over_max_nodes", "stop_on_past_the_rows", "negative_stop_on"])
+    def test_batch_refuses_rows_it_cannot_step(self, monkeypatch, epsilons, stop_on, key):
+        steps = []
+        monkeypatch.setattr(flow, "_advance", lambda *args: steps.append(args))
+        with pytest.raises(ConfigError) as info:
+            flow.run_batch(make_initial_curve("segment", 16), FlowConfig(n=16, dt=1e-4, t_end=1e-3), epsilons,
+                           stop_on=stop_on)
+        assert info.value.key == key
         assert steps == []
 
     def test_batch_trajectories_carry_their_rows_config(self):
@@ -783,6 +817,21 @@ class TestBatchedRecords:
         assert len(traj.diagnostics) == count
         assert_records_match_reference(traj)
 
+    def test_records_do_not_depend_on_where_blocks_are_cut(self, monkeypatch):
+        # the rows that go on are handed over at row 1's failing step, mid-block
+        def batch(block):
+            monkeypatch.undo()
+            monkeypatch.setattr(flow, "RECORD_BLOCK", block)
+            return _row_1_singular_at_step_11(monkeypatch)
+
+        short, default = batch(7), batch(64)
+        assert [t.terminated_by for t in default] == [
+            Terminated.REACHED_T_END, Terminated.SOLVER_FAILURE, Terminated.REACHED_T_END
+        ]
+        for a, b in zip(short, default, strict=True):
+            assert a.terminated_by is b.terminated_by
+            assert a.diagnostics.tobytes() == b.diagnostics.tobytes()
+
     def test_run_stopped_at_first_step_has_one_record(self):
         traj = run(
             make_initial_curve("flattened_sine", 64, amplitude=0.05),
@@ -816,13 +865,20 @@ class TestSink:
         streamed = batch(lambda r, states: handed.append((r, list(states))))
         stored = batch(None)
         assert all(traj.states == [] for traj in streamed)
+        # the steps where some row stopped
+        stops = {round(traj.event_time / traj.config.dt) for traj in stored if traj.event_time is not None}
         for r, traj in enumerate(stored):
             blocks = [states for row, states in handed if row == r]
-            # the initial state alone, then one handover per record block
-            assert len(blocks[0]) == 1
-            assert len(blocks) == 1 + math.ceil(len(traj.diagnostics) / RECORD_BLOCK)
+            # the initial state alone, then one handover per record block: a
+            # block ends RECORD_BLOCK steps after the last cut, or where some
+            # row stopped, or at the row's end
+            assert [st.step_index for st in blocks[0]] == [0]
+            ends = [0, *sorted(k for k in stops if k < len(traj.diagnostics)), len(traj.diagnostics)]
+            assert len(blocks) == 1 + sum(math.ceil((b - a) / RECORD_BLOCK) for a, b in zip(ends, ends[1:]))
             got = [st for states in blocks for st in states]
-            assert [st.step_index for st in got] == [st.step_index for st in traj.states]
+            steps = [st.step_index for st in got]
+            assert all(a < b for a, b in zip(steps, steps[1:]))
+            assert steps == [st.step_index for st in traj.states]
             if traj.terminated_by is not Terminated.REACHED_T_END:
                 # the last good state
                 assert got[-1].step_index == round(traj.event_time / traj.config.dt) - 1
@@ -870,6 +926,18 @@ class TestSink:
                 xa, ya = getattr(x.cache, name), getattr(y.cache, name)
                 assert xa.base is not None and xa.base is ya.base, name
             assert np.array_equal(x.curve.nodes, x.cache.nodes)
+
+    def test_batch_with_a_row_failing_off_the_stride(self, tmp_path, monkeypatch):
+        def batch(sink):
+            monkeypatch.undo()
+            return _row_1_singular_at_step_11(monkeypatch, sink)
+
+        stored = self.assert_sink_matches_states(tmp_path, batch)
+        assert [t.terminated_by for t in stored] == [
+            Terminated.REACHED_T_END, Terminated.SOLVER_FAILURE, Terminated.REACHED_T_END
+        ]
+        assert [st.step_index for st in stored[1].states] == [0, 3, 6, 9, 10]
+        assert [st.step_index for st in stored[0].states] == [0, 3, 6, 9, 12, 15, 18, 20]
 
     def test_batch_with_a_row_stopping_mid_block(self, tmp_path):
         # eps = 0 blows up in step 98; eps = 0.01 runs all 200 steps
