@@ -35,8 +35,6 @@ from .estimates import (
     dissipation_residual,
     energy,
     gn_check,
-    gn_specialized_u4,
-    gn_specialized_u6,
 )
 from .flow import (
     FlowConfig,
@@ -50,7 +48,6 @@ from .flow import (
 from .geometry import (
     DiscreteCurve,
     GeometryCache,
-    arclength_derivative,
     compute_geometry,
     make_initial_curve,
     reparametrize_constant_speed,
@@ -80,7 +77,6 @@ __all__ = [
     "Terminated",
     "Trajectory",
     "WindowMismatch",
-    "arclength_derivative",
     "boundary_residuals",
     "ck_distance",
     "comparison_check",
@@ -90,8 +86,6 @@ __all__ = [
     "doubling_time",
     "energy",
     "gn_check",
-    "gn_specialized_u4",
-    "gn_specialized_u6",
     "gronwall_solve",
     "make_initial_curve",
     "reparametrize_constant_speed",

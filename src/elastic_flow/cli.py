@@ -10,7 +10,6 @@ from . import iotools
 from .convergence import SweepConfig, run_sweep
 from .errors import ConfigError, CurveError, IoError, WindowMismatch
 from .flow import FlowConfig, run
-from .geometry import make_initial_curve
 
 
 def _load(path: str) -> str:
@@ -28,7 +27,7 @@ def _cmd_simulate(args) -> int:
     config, initial = iotools.parse_config(_load(args.config))
     if isinstance(config, SweepConfig):
         raise ConfigError("sweep", "config declares a sweep; use the sweep command")
-    curve = make_initial_curve(n=config.n, **initial)
+    curve = iotools.initial_curve(initial, config.n)
     iotools.refuse_earlier_outputs(args.out)
     with SnapshotWriter(args.out) as snapshots:
         traj = run(curve, config, snapshot_stride=args.stride, sink=snapshots)
@@ -41,7 +40,7 @@ def _cmd_sweep(args) -> int:
     config, initial = iotools.parse_config(_load(args.config))
     if isinstance(config, FlowConfig):
         raise ConfigError("sweep", "config lacks a [sweep] section")
-    curve = make_initial_curve(n=config.base.n, **initial)
+    curve = iotools.initial_curve(initial, config.base.n)
     iotools.make_dir(args.out)
     report = run_sweep(curve, config)
     iotools.write_report_text(os.path.join(args.out, "report.txt"), report)

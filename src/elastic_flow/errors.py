@@ -10,7 +10,13 @@ class DegenerateCurve(CurveError):
 
 
 class BadParams(CurveError):
-    """Curve-family parameters outside their documented ranges."""
+    """Curve-family parameters outside their documented ranges; `key`, when
+    given, names the parameter at fault by its [initial] config key."""
+
+    def __init__(self, reason: str, key: str | None = None):
+        self.key = key
+        self.reason = reason
+        super().__init__(reason if key is None else f"{key}: {reason}")
 
 
 class SolverFailure(RuntimeError):

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import stencils
 from .errors import BadExponent
-from .geometry import DiscreteCurve, GeometryCache, arclength_derivative, open_geometry, stacked_grids
+from .geometry import GeometryCache, open_geometry, stacked_grids
 from .gronwall import GronwallSetup, comparison_margin
 
 
@@ -113,8 +113,9 @@ class GnBlock(NamedTuple):
 
 def _sample(cache: GeometryCache, u: np.ndarray, top: int) -> GnBlock:
     # the block of one field on one curve, with derivatives up to order `top`
-    d = tuple(arclength_derivative(cache, u, k)[None] for k in range(top + 1))
-    return GnBlock(cache.ds[None], np.array([cache.total_length]), d)
+    u = np.asarray(u, dtype=float)
+    d = (u, *stencils.derivatives(u, cache.s, tuple(range(1, top + 1)), "one_sided"))
+    return GnBlock(cache.ds[None], np.array([cache.total_length]), tuple(x[None] for x in d))
 
 
 def _lp_norms(values: np.ndarray, weights: np.ndarray, p) -> list[float]:
@@ -182,19 +183,10 @@ def _specialized_terms(block: GnBlock, kind: str):
 
 
 def gn_specialized_slacks(block: GnBlock, kind: str, const_c: float) -> list[float]:
-    """`gn_specialized_u4` or `_u6` (`kind` "u4" or "u6") of every sample of the block."""
+    """Slack of every sample of the block in the specialized inequality
+    `kind`, "u4" or "u6" (the forms of `_SPECIALIZED`)."""
     (a, b, c), terms = _specialized_terms(block, kind)
     return [i_d + const_c * i_u2**a + const_c / L**c * i_u2**b - i_q for i_q, i_d, i_u2, L in terms]
-
-
-def gn_specialized_u4(cache: GeometryCache, u: np.ndarray, const_c: float) -> float:
-    """Slack of: int u^4 <= int (du)^2 + C (int u^2)^3 + C/L (int u^2)^2."""
-    return gn_specialized_slacks(_sample(cache, u, 1), "u4", const_c)[0]
-
-
-def gn_specialized_u6(cache: GeometryCache, u: np.ndarray, const_c: float) -> float:
-    """Slack of: int u^6 <= int (d2u)^2 + C (int u^2)^5 + C/L^2 (int u^2)^3."""
-    return gn_specialized_slacks(_sample(cache, u, 2), "u6", const_c)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -202,13 +194,19 @@ def gn_specialized_u6(cache: GeometryCache, u: np.ndarray, const_c: float) -> fl
 # ---------------------------------------------------------------------------
 
 def _draw_curve(rng: np.random.Generator):
-    # a curve's length and mode amplitudes, drawn in the order `random_curve` gives
+    # a random smooth open curve's length, then its strength, mode count and
+    # a normal per mode, in that order, scaled into the mode amplitudes of its
+    # curvature profile; strong draws give the bent hooks that exercise the
+    # quartic terms of the growth-rate calibration
     length, strength, modes = rng.uniform(0.5, 3.0), 10.0 ** rng.uniform(-0.5, 0.9), rng.integers(1, 5)
     return length, strength * rng.normal(0.0, 1.0, modes) / (1.0 + np.arange(modes)) ** 2
 
 
 def _draw_field(rng: np.random.Generator):
-    # a field's numbers, drawn in the order `random_field` gives
+    # a random smooth field's offset, wiggle, (cos, sin) pair of normals for
+    # each mode 1 to 5, and scale, in that order; the log-uniform wiggle and
+    # scale reach the near-constant regime, where the excess ratios of the
+    # specialized inequalities approach their supremum
     offset, wiggle = rng.normal(0.0, 1.0), 10.0 ** rng.uniform(-3.0, 0.5)
     return offset, wiggle, [rng.normal(0.0, 1.0, 2) for _ in range(5)], 10.0 ** rng.uniform(-1.0, 1.0)
 
@@ -223,7 +221,10 @@ def _modes(points: int, count: int):
 
 
 def _curve_block(n: int, draws) -> np.ndarray:
-    # the nodes (rows, n+1, 2) of `_draw_curve` draws, each row as it is alone
+    # the nodes (rows, n+1, 2) of `_draw_curve` draws, each row as it is alone:
+    # the curvature profile integrated on a 16x finer grid, every 16th point
+    # kept, so that the chords are equal only up to the chord-arc defect
+    # (h kappa)^2 and few grids (30 of 10,000 at n = 96) are uniform
     length, amps = zip(*draws)
     present = np.arange(4) < np.array([a.size for a in amps])[:, None]
     padded = np.zeros(present.shape)
@@ -252,42 +253,6 @@ def _field_block(n: int, draws) -> np.ndarray:
     return u * scale[:, None]
 
 
-def random_curve(rng: np.random.Generator, n: int = 128) -> DiscreteCurve:
-    """Random smooth open curve, unit speed by construction.
-
-    Built by integrating a random low-order trigonometric curvature profile
-    on a 16x finer grid and keeping every 16th point, so consecutive nodes
-    are one arclength step h apart along the fine curve. Their chords are
-    equal only up to the chord-arc defect, of relative size ~ (h kappa)^2:
-    on 1000 draws at n = 96 the median relative chord spread is 6e-6 and
-    the largest 1.7e-3. Of 10,000 draws at n = 96 (seeds 0-9), 30 grids
-    pass `stencils.is_uniform`; their derivatives take the uniform
-    stencils, and all others the Fornberg path.
-    Lengths and curvature strengths vary across samples (including strongly
-    bent hooks, which are the samples that exercise the quartic terms of the
-    growth-rate calibration).
-
-    Draws length, strength, mode count and a normal per mode, in that
-    order: the corpora draw every sample so, then build a block of curves
-    at once, each with the bits it has alone. This is a block of one.
-    """
-    return DiscreteCurve(_curve_block(n, [_draw_curve(rng)])[0])
-
-
-def random_field(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Random smooth per-node field: offset plus decaying trigonometric tail.
-
-    The wiggle-to-offset ratio and the overall scale are drawn log-uniformly
-    so the corpus covers the near-constant regime, where the excess ratios
-    of the specialized inequalities approach their supremum, as well as the
-    oscillatory and the large/small-amplitude regimes.
-
-    Draws offset, wiggle, a (cos, sin) pair of normals for each mode 1 to
-    5, and scale, in that order; a block of one, as for `random_curve`.
-    """
-    return _field_block(n, [_draw_field(rng)])[0]
-
-
 def _draw_blocks(seed: int, count: int, draw):
     # `count` samples, each a random curve and then draw(rng), in blocks of at
     # most CORPUS_BLOCK: the curves' node stack, the draws, the stacked grids
@@ -300,7 +265,7 @@ def _draw_blocks(seed: int, count: int, draw):
 
 def gn_blocks(seed: int, count: int):
     """`count` random fields on random curves of CORPUS_N segments (a
-    `random_curve`, then a `random_field`, per sample), yielded in blocks
+    `_draw_curve`, then a `_draw_field`, per sample), yielded in blocks
     of at most CORPUS_BLOCK samples with the field's first and second
     arclength derivatives."""
     for _, fields, (_, length, s, ds) in _draw_blocks(seed, count, _draw_field):
@@ -344,16 +309,6 @@ def _growth_parts(ds: np.ndarray, k: np.ndarray, k1: np.ndarray, k2: np.ndarray)
     base = np.sum(ds * (-2.0 * k1**2 + k**4), axis=-1)
     reg = np.sum(ds * (-4.0 * k2**2 - k**6 - 4.0 * k**3 * k2), axis=-1)
     return base, reg
-
-
-def curvature_growth_rate(cache: GeometryCache, eps: float) -> float:
-    """Exact rate of d/dt int kappa^2 along the flow, by quadrature:
-
-        int (-2 (dk)^2 + k^4) + eps int (-4 (d2k)^2 - k^6 - 4 k^3 d2k).
-    """
-    k = cache.kappa
-    base, reg = _growth_parts(cache.ds, k, arclength_derivative(cache, k, 1), arclength_derivative(cache, k, 2))
-    return float(base) + eps * float(reg)
 
 
 def _draw_eps(rng: np.random.Generator) -> float:

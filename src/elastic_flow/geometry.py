@@ -282,23 +282,6 @@ def open_geometry(nodes: np.ndarray, seg: np.ndarray, total: np.ndarray) -> Geom
     return GeometryCache(nodes, total, s, normal, kappa, uniform)
 
 
-def arclength_derivative(cache: GeometryCache, values: np.ndarray, order: int) -> np.ndarray:
-    """d^order/ds^order of a per-node field on the arclength grid of one
-    curve's cache.
-
-    Centered stencils at interior nodes, one-sided windows at the ends;
-    exact for polynomials in s up to the stencil degree (order+1).
-    """
-    values = np.asarray(values, dtype=float)
-    if values.shape != cache.s.shape:
-        raise ValueError("field length must match node count")
-    if order == 0:
-        return values.copy()
-    if not 1 <= order <= 4:
-        raise ValueError("order must be in 0..4")
-    return stencils.derivative(values, cache.s, order, "one_sided")
-
-
 def lapack():
     """SciPy's LAPACK wrappers, the extension module `scipy.linalg._flapack`,
     loaded alone: the `scipy.linalg` package costs 0.2 s and 28 MB more. A
@@ -524,7 +507,7 @@ def _arc_profile_nodes(p, q, n, turn_angle):
     pos = np.vstack([[0.0, 0.0], np.cumsum(0.5 * (vel[1:] + vel[:-1]) * np.diff(sig)[:, None], axis=0)])
     raw_chord = pos[-1] - pos[0]
     if np.linalg.norm(raw_chord) < 0.05:
-        raise BadParams("turn angle folds the curve onto its own chord")
+        raise BadParams("turn angle folds the curve onto its own chord", "turn_angle")
     samples = pos[:: m // n]
     za = raw_chord[0] + 1j * raw_chord[1]
     zb = (q - p)[0] + 1j * (q - p)[1]
@@ -534,8 +517,16 @@ def _arc_profile_nodes(p, q, n, turn_angle):
 
 
 _FAMILIES = ("segment", "flattened_sine", "bump_perturbed_segment", "arc_with_flat_ends")
-# the endpoints and the bump's support when `make_initial_curve` is given none
+# the endpoints and the bump's support when `make_initial_curve` is given
+# none, and the [initial] config keys of their coordinates
 INITIAL_DEFAULTS = {"p": (0.0, 0.0), "q": (1.0, 0.0), "support": (0.3, 0.7)}
+INITIAL_KEYS = {"p": ("px", "py"), "q": ("qx", "qy"), "support": ("support_lo", "support_hi")}
+
+
+def _endpoint_key(p: np.ndarray, q: np.ndarray) -> str:
+    # the endpoint coordinate that a refusal names: the first NaN, else the
+    # one of largest magnitude, q's before p's
+    return (*INITIAL_KEYS["q"], *INITIAL_KEYS["p"])[int(np.argmax(np.abs(np.concatenate([q, p]))))]
 
 
 def make_initial_curve(family: str, n: int = 128, **params) -> DiscreteCurve:
@@ -564,42 +555,51 @@ def make_initial_curve(family: str, n: int = 128, **params) -> DiscreteCurve:
 
     A non-finite endpoint, amplitude, support or turn_angle raises
     BadParams before any arithmetic: the endpoints by their own check, the
-    others by their range checks, which no NaN or infinity passes.
+    others by their range checks, which no NaN or infinity passes. So do
+    endpoints whose squared distance overflows, and a curve whose chords
+    overflow or round to zero. Each BadParams names its parameter in `key`,
+    a coordinate of p, q or support by its [initial] key (`INITIAL_KEYS`).
     """
     if family not in _FAMILIES:
-        raise BadParams(f"unknown family {family!r}; choose from {_FAMILIES}")
+        raise BadParams(f"unknown family {family!r}; choose from {_FAMILIES}", "family")
     if n < MIN_NODE_COUNT:
-        raise BadParams(f"n must be at least {MIN_NODE_COUNT}")
+        raise BadParams(f"n must be at least {MIN_NODE_COUNT}", "n")
     p = np.asarray(params.pop("p", INITIAL_DEFAULTS["p"]), dtype=float)
     q = np.asarray(params.pop("q", INITIAL_DEFAULTS["q"]), dtype=float)
-    # arithmetic on them would warn, or blame another parameter through a NaN distance
+    # arithmetic on them would warn, or blame another parameter through a
+    # NaN distance; Python floats overflow without a warning
     if not (np.isfinite(p).all() and np.isfinite(q).all()):
-        raise BadParams("endpoints must have finite coordinates")
+        raise BadParams("endpoints must have finite coordinates", _endpoint_key(p, q))
+    dx, dy = (b - a for a, b in zip(p.tolist(), q.tolist()))
+    if not math.isfinite(dx * dx + dy * dy):
+        raise BadParams("endpoints too far apart: their squared distance overflows", _endpoint_key(p, q))
     dist = float(np.linalg.norm(q - p))
     if dist <= 0.0:
-        raise BadParams("endpoints must be distinct")
+        raise BadParams("endpoints must be distinct", _endpoint_key(p, q))
 
     if family == "segment":
-        _reject_extra(params)
+        _reject_extra(params, family)
         nodes = _graph_nodes(p, q, n, lambda u: np.zeros_like(u))
     elif family == "flattened_sine":
         # single sine arch: odd symmetry about both endpoints makes every
         # even-order derivative vanish there, and the one-mode spectrum keeps
         # the early evolution fully resolved in time
         amplitude = float(params.pop("amplitude", 0.1))
-        _reject_extra(params)
+        _reject_extra(params, family)
         if not 0.0 <= abs(amplitude) <= 2.0 * dist:
-            raise BadParams("amplitude outside documented range [0, 2|P-Q|]")
+            raise BadParams("amplitude outside documented range [0, 2|P-Q|]", "amplitude")
         nodes = _graph_nodes(p, q, n, lambda u: amplitude * np.sin(np.pi * u))
     elif family == "bump_perturbed_segment":
         amplitude = float(params.pop("amplitude", 0.1))
         support = tuple(params.pop("support", INITIAL_DEFAULTS["support"]))
-        _reject_extra(params)
+        _reject_extra(params, family)
         a, b = float(support[0]), float(support[1])
         if not (0.05 <= a < b <= 0.95 and b - a >= 0.1):
-            raise BadParams("support must satisfy 0.05 <= a < b <= 0.95, b-a >= 0.1")
+            # the high end, unless no high end could pass with this low one
+            key = INITIAL_KEYS["support"][0.05 <= a <= 0.85]
+            raise BadParams("support must satisfy 0.05 <= a < b <= 0.95, b-a >= 0.1", key)
         if not 0.0 <= abs(amplitude) <= 2.0 * dist:
-            raise BadParams("amplitude outside documented range [0, 2|P-Q|]")
+            raise BadParams("amplitude outside documented range [0, 2|P-Q|]", "amplitude")
 
         def profile(u):
             v = (u - a) / (b - a)
@@ -612,13 +612,21 @@ def make_initial_curve(family: str, n: int = 128, **params) -> DiscreteCurve:
         nodes = _graph_nodes(p, q, n, profile)
     else:
         turn_angle = float(params.pop("turn_angle", 1.5))
-        _reject_extra(params)
+        _reject_extra(params, family)
         if not abs(turn_angle) <= 4.0 * np.pi:  # NaN included
-            raise BadParams("turn angle outside documented range [-4pi, 4pi]")
+            raise BadParams("turn angle outside documented range [-4pi, 4pi]", "turn_angle")
         nodes = _arc_profile_nodes(p, q, n, turn_angle)
+    with np.errstate(over="ignore"):
+        seg = chord_lengths(nodes)
+    # a chord that overflows, or that rounds to zero between coordinates too
+    # large or too close for its length
+    if not (np.minimum.reduce(seg) > 0.0 and np.isfinite(np.add.reduce(seg))):
+        raise BadParams("endpoints give chords of zero or non-finite length", _endpoint_key(p, q))
     return DiscreteCurve(nodes)
 
 
-def _reject_extra(params: dict) -> None:
+def _reject_extra(params: dict, family: str) -> None:
+    # a parameter the family does not take, named by its (first) config key
     if params:
-        raise BadParams(f"unknown parameters: {sorted(params)}")
+        name = min(params)
+        raise BadParams(f"not a parameter of family {family!r}", INITIAL_KEYS.get(name, (name,))[0])

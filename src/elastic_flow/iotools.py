@@ -17,10 +17,10 @@ import os
 import numpy as np
 
 from .convergence import ConvergenceReport, SweepConfig
-from .errors import ConfigError, IoError
+from .errors import BadParams, ConfigError, IoError
 from .estimates import DIAGNOSTICS, DIAGNOSTICS_HEADER
 from .flow import FlowConfig, FlowState
-from .geometry import INITIAL_DEFAULTS
+from .geometry import INITIAL_DEFAULTS, INITIAL_KEYS, make_initial_curve
 
 
 def fmt(x: float) -> str:
@@ -60,8 +60,6 @@ SCHEMA = {
     "initial": {"family": str, "amplitude": _number, "turn_angle": _number, "px": _number, "py": _number,
                 "qx": _number, "qy": _number, "support_lo": _number, "support_hi": _number},
 }
-# the [initial] key pairs that make one parameter of `make_initial_curve`
-_PAIRS = {"p": ("px", "py"), "q": ("qx", "qy"), "support": ("support_lo", "support_hi")}
 
 
 def parse_config(text: str) -> tuple[FlowConfig | SweepConfig, dict]:
@@ -105,18 +103,25 @@ def parse_config(text: str) -> tuple[FlowConfig | SweepConfig, dict]:
             raise ConfigError("sweep.epsilons", "required for a sweep")
         config = _build(SweepConfig, "sweep", {"base": config, **sweep})
     spec = {"family": "flattened_sine", **initial}
-    for name, keys in _PAIRS.items():
+    for name, keys in INITIAL_KEYS.items():
         if any(key in spec for key in keys):
             spec[name] = tuple(spec.pop(key, x) for key, x in zip(keys, INITIAL_DEFAULTS[name]))
     return config, spec
 
 
 def _build(kind, section: str, kwargs: dict):
-    # a config class's own refusals, under the section's key path
+    # the refusals of a config class or of `make_initial_curve`, under the
+    # section's key path
     try:
         return kind(**kwargs)
-    except ConfigError as exc:
+    except (ConfigError, BadParams) as exc:
         raise ConfigError(f"{section}.{exc.key}", exc.reason) from None
+
+
+def initial_curve(spec: dict, n: int):
+    """`make_initial_curve(n=n, **spec)` of the initial-curve spec of
+    `parse_config`, each refusal a ConfigError on its [initial] key."""
+    return _build(make_initial_curve, "initial", {"n": n, **spec})
 
 
 # ---------------------------------------------------------------------------
@@ -140,13 +145,6 @@ def write_snapshot(path: str, state: FlowState) -> None:
     _write_text(path, _snapshot_text(table, cache.total_length, state.time, state.epsilon))
 
 
-def write_snapshots(out_dir: str, states: list[FlowState]) -> list[str]:
-    """Write out_dir/snapshot_<step>.txt for each state, creating out_dir."""
-    make_dir(out_dir)
-    # a block per state: the states may differ in n
-    return [path for st in states for path in _write_rows(out_dir, _pack([st]))]
-
-
 _HEAD = 4  # step, time, eps and total length lead each packed row
 
 
@@ -162,14 +160,11 @@ def _pack(states: list[FlowState]) -> np.ndarray:
     return block
 
 
-def _write_rows(out_dir: str, block: np.ndarray) -> list[str]:
-    """Write the snapshot file of each row of a packed block; return their paths."""
-    paths = []
+def _write_rows(out_dir: str, block: np.ndarray) -> None:
+    """Write the snapshot file of each row of a packed block."""
     for row in block:
         step, time, eps, length = row[:_HEAD]
-        paths.append(snapshot_path(out_dir, int(step)))
-        _write_text(paths[-1], _snapshot_text(row[_HEAD:].reshape(-1, 3), length, time, eps))
-    return paths
+        _write_text(snapshot_path(out_dir, int(step)), _snapshot_text(row[_HEAD:].reshape(-1, 3), length, time, eps))
 
 
 def write_diagnostics_csv(path: str, records: np.ndarray) -> None:

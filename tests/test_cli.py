@@ -13,7 +13,8 @@ import pytest
 from elastic_flow import acceptance, flow, geometry, make_initial_curve
 from elastic_flow.cli import main
 from elastic_flow.errors import IoError
-from elastic_flow.iotools import parse_config, write_diagnostics_csv, write_snapshot, write_snapshots
+from elastic_flow.iotools import parse_config, write_diagnostics_csv, write_snapshot
+from conftest import write_states
 
 SIMULATE_CFG = """
 [flow]
@@ -135,7 +136,7 @@ class TestSimulate:
             make_initial_curve("flattened_sine", 64, amplitude=0.05), parse_config(LONG_CFG)[0],
             snapshot_stride=stride,
         )
-        written = write_snapshots(str(stored), traj.states)
+        written = write_states(stored, traj.states)
         write_diagnostics_csv(str(stored / "diagnostics.csv"), traj.diagnostics)
         assert f"reached_t_end; wrote {len(written) + 1} files to" in capsys.readouterr().out
         names = sorted(os.listdir(stored))
@@ -464,21 +465,24 @@ _BAD_INPUT = {
     "filter_selects_only_determinism": (["verify", "--filter", "12"], None,
                                         "error: --filter: '12' selects none of criteria 1-11"),
     "amplitude_nan": (["simulate"], SIMULATE_CFG.replace("amplitude = 0.05", "amplitude = nan"),
-                      "error: amplitude outside documented range [0, 2|P-Q|]"),
+                      "error: initial.amplitude: amplitude outside documented range [0, 2|P-Q|]"),
     "amplitude_inf": (["simulate"], SIMULATE_CFG.replace("amplitude = 0.05", "amplitude = inf"),
-                      "error: amplitude outside documented range [0, 2|P-Q|]"),
+                      "error: initial.amplitude: amplitude outside documented range [0, 2|P-Q|]"),
     "amplitude_huge": (["simulate"], SIMULATE_CFG.replace("amplitude = 0.05", "amplitude = 1e300"),
-                       "error: amplitude outside documented range [0, 2|P-Q|]"),
+                       "error: initial.amplitude: amplitude outside documented range [0, 2|P-Q|]"),
     "turn_angle_nan": (["simulate"], SIMULATE_CFG.replace(
         "family = flattened_sine\namplitude = 0.05", "family = arc_with_flat_ends\nturn_angle = nan"
-    ), "error: turn angle outside documented range [-4pi, 4pi]"),
-    "px_nan": (["simulate"], SIMULATE_CFG + "px = nan\n", "error: endpoints must have finite coordinates"),
-    "qx_inf": (["simulate"], SIMULATE_CFG + "qx = inf\n", "error: endpoints must have finite coordinates"),
-    "coincident_endpoints": (["simulate"], SIMULATE_CFG + "qx = 0\n", "error: endpoints must be distinct"),
+    ), "error: initial.turn_angle: turn angle outside documented range [-4pi, 4pi]"),
+    "px_nan": (["simulate"], SIMULATE_CFG + "px = nan\n", "error: initial.px: endpoints must have finite coordinates"),
+    "qx_inf": (["simulate"], SIMULATE_CFG + "qx = inf\n", "error: initial.qx: endpoints must have finite coordinates"),
+    # finite, but the distance's square overflows: refused before numpy warns
+    "py_huge": (["simulate"], SIMULATE_CFG.replace("n = 64", "n = 32") + "py = 1e200\n",
+                "error: initial.py: endpoints too far apart: their squared distance overflows"),
+    "coincident_endpoints": (["simulate"], SIMULATE_CFG + "qx = 0\n", "error: initial.qx: endpoints must be distinct"),
     "support_reversed": (["simulate"],
                          SIMULATE_CFG.replace("flattened_sine", "bump_perturbed_segment")
                          + "support_lo = 0.7\nsupport_hi = 0.3\n",
-                         "error: support must satisfy 0.05 <= a < b <= 0.95, b-a >= 0.1"),
+                         "error: initial.support_hi: support must satisfy 0.05 <= a < b <= 0.95, b-a >= 0.1"),
     "unknown_initial_key": (["simulate"], SIMULATE_CFG + "wibble = 1\n", "error: initial.wibble: unknown key"),
     # the solver tolerance is the constant flow.SOLVER_TOL
     "solver_tol_key": (["simulate"], SIMULATE_CFG.replace("n = 64", "n = 64\nsolver_tol = 1e-8"),

@@ -5,18 +5,21 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from elastic_flow import BadExponent, DiscreteCurve, compute_geometry, make_initial_curve
+from elastic_flow import BadExponent, DiscreteCurve, compute_geometry, make_initial_curve, stencils
 from elastic_flow.estimates import (
+    _curve_block,
     _draw_blocks,
+    _draw_curve,
     _draw_eps,
     _draw_field,
     _field_block,
+    _growth_parts,
+    _sample,
     boundary_residuals,
     calibrate_comparison_constant,
     calibrate_gn_general,
     calibrate_gn_specialized,
     comparison_check,
-    curvature_growth_rate,
     dissipation_residual,
     endpoint_residuals,
     energy,
@@ -24,13 +27,8 @@ from elastic_flow.estimates import (
     gn_corpus,
     gn_slacks,
     gn_specialized_slacks,
-    gn_specialized_u4,
-    gn_specialized_u6,
-    random_curve,
-    random_field,
 )
 from elastic_flow.flow import FlowConfig, FlowState, run
-from elastic_flow.geometry import arclength_derivative
 from elastic_flow.gronwall import GronwallSetup
 
 
@@ -43,8 +41,31 @@ def _lp(values, w, p):
     return float(np.sum(w * np.abs(values) ** p) ** (1.0 / p))
 
 
+def _d(cache, u, k):
+    # the k-th arclength derivative of the field u on one curve's grid
+    return stencils.derivative(u, cache.s, k, "one_sided")
+
+
+def _u4(cache, u, const_c):
+    # the u^4 specialized slack of one field on one curve
+    return gn_specialized_slacks(_sample(cache, u, 1), "u4", const_c)[0]
+
+
+def _u6(cache, u, const_c):
+    return gn_specialized_slacks(_sample(cache, u, 2), "u6", const_c)[0]
+
+
+def curvature_growth_rate(cache, eps):
+    # the exact rate of d/dt int kappa^2 along the flow, by quadrature on one
+    # curve, the reference of the blocked calibration:
+    #     int (-2 (dk)^2 + k^4) + eps int (-4 (d2k)^2 - k^6 - 4 k^3 d2k)
+    k = cache.kappa
+    base, reg = _growth_parts(cache.ds, k, _d(cache, k, 1), _d(cache, k, 2))
+    return float(base) + eps * float(reg)
+
+
 def _frozen_random_curve(rng, n):
-    # random_curve as it was drawn sample by sample before the corpora were
+    # one random curve as it was drawn sample by sample before the corpora were
     # built in stacks, kept as the reference: the nodes and the mode count
     length = rng.uniform(0.5, 3.0)
     strength = 10.0 ** rng.uniform(-0.5, 0.9)
@@ -65,7 +86,7 @@ def _frozen_random_curve(rng, n):
 
 
 def _frozen_random_field(rng, n):
-    # random_field as it was drawn sample by sample, kept as the reference
+    # one random field as it was drawn sample by sample, kept as the reference
     sig = np.linspace(0.0, 1.0, n + 1)
     offset = rng.normal(0.0, 1.0)
     wiggle = 10.0 ** rng.uniform(-3.0, 0.5)
@@ -102,7 +123,7 @@ def _persample_gn_reference(seed, count, n=96):
     for nodes, _, u in _frozen_samples(seed, count, n, _frozen_field(n)):
         cache = compute_geometry(DiscreteCurve(nodes))
         w, L = cache.ds, cache.total_length
-        d = (u, arclength_derivative(cache, u, 1), arclength_derivative(cache, u, 2))
+        d = (u, _d(cache, u, 1), _d(cache, u, 2))
         sums = [float(np.sum(w * x)) for x in (u**2, u**4, u**6, d[1] ** 2, d[2] ** 2)]
         norms = {case: (_lp(d[case[0]], w, case[2]), _lp(d[case[1]], w, 2), _lp(u, w, 2)) for case in GN_CASES}
         samples.append((L, *sums, norms))
@@ -245,8 +266,8 @@ class TestGNInequalities:
         cache = unit_speed_cache()
         u = np.zeros(129)
         assert gn_check(cache, u, 0, 1, 4, 1.0, 1.0) == 0.0
-        assert gn_specialized_u4(cache, u, 1.0) == 0.0
-        assert gn_specialized_u6(cache, u, 1.0) == 0.0
+        assert _u4(cache, u, 1.0) == 0.0
+        assert _u6(cache, u, 1.0) == 0.0
 
     def test_constant_field_needs_b_at_least_one(self):
         # L = 1, u = 1: LHS = 1 and only the B-term survives
@@ -261,13 +282,13 @@ class TestGNInequalities:
         for c in (0.5, 1.5, 3.0):
             u = np.full(129, c)
             # int u^4 = c^4 vs C (c^6 + c^4): C = 1 suffices
-            assert gn_specialized_u4(cache, u, 1.0) >= -1e-12
+            assert _u4(cache, u, 1.0) >= -1e-12
 
     def test_sine_u6_with_unit_constant(self):
         cache = unit_speed_cache(length=1.0)
         u = np.sin(2.0 * np.pi * cache.s)
         # the second-derivative term alone dominates int u^6
-        assert gn_specialized_u6(cache, u, 1.0) > 0.0
+        assert _u6(cache, u, 1.0) > 0.0
 
     def test_bad_exponent(self):
         cache = unit_speed_cache()
@@ -284,10 +305,10 @@ class TestGNInequalities:
         cg = 2.0 * calibrate_gn_general(corpus, 0, 1, 4)
         rng = np.random.default_rng(12)
         for _ in range(300):
-            cache = compute_geometry(random_curve(rng, 96))
-            u = random_field(rng, 96)
-            assert gn_specialized_u4(cache, u, c4) >= 0.0
-            assert gn_specialized_u6(cache, u, c6) >= 0.0
+            cache = compute_geometry(DiscreteCurve(_curve_block(96, [_draw_curve(rng)])[0]))
+            u = _field_block(96, [_draw_field(rng)])[0]
+            assert _u4(cache, u, c4) >= 0.0
+            assert _u6(cache, u, c6) >= 0.0
             assert gn_check(cache, u, 0, 1, 4, cg, cg) >= 0.0
 
     def test_blocked_corpus_matches_the_per_sample_loop_bit_for_bit(self):
@@ -309,7 +330,7 @@ class TestGNInequalities:
         fs = make_initial_curve("flattened_sine", 128, amplitude=0.05)
         traj = run(fs, FlowConfig(epsilon=0.1, n=128, dt=1e-4, t_end=0.02))
         st = traj.states[-1]
-        assert gn_specialized_u4(st.cache, st.cache.kappa, c4) >= 0.0
+        assert _u4(st.cache, st.cache.kappa, c4) >= 0.0
 
 
 class TestStackedDraws:
@@ -337,8 +358,8 @@ class TestStackedDraws:
         for n in (16, 96, 128):
             mine, frozen = np.random.default_rng(n), np.random.default_rng(n)
             for _ in range(20):
-                assert _bits(random_curve(mine, n).nodes) == _bits(_frozen_random_curve(frozen, n)[0])
-                assert _bits(random_field(mine, n)) == _bits(_frozen_random_field(frozen, n))
+                assert _bits(_curve_block(n, [_draw_curve(mine)])[0]) == _bits(_frozen_random_curve(frozen, n)[0])
+                assert _bits(_field_block(n, [_draw_field(mine)])[0]) == _bits(_frozen_random_field(frozen, n))
 
     @settings(max_examples=12, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 70))
@@ -353,7 +374,7 @@ class TestStackedDraws:
         want = []
         for nodes, _, u in _frozen_samples(seed, count, 96, _frozen_field(96)):
             cache = compute_geometry(DiscreteCurve(nodes))
-            d = (u, *(arclength_derivative(cache, u, k) for k in (1, 2)))
+            d = (u, *(_d(cache, u, k) for k in (1, 2)))
             want.append((_bits(cache.ds), cache.total_length, *map(_bits, d)))
         assert rows == want
 

@@ -2,10 +2,12 @@ import dataclasses
 import json
 import math
 import os
-from pathlib import Path
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from elastic_flow import ConfigError, flow, make_initial_curve
 from elastic_flow.convergence import SweepConfig, run_sweep
@@ -14,15 +16,31 @@ from elastic_flow.estimates import DIAGNOSTICS_HEADER
 from elastic_flow.iotools import (
     SCHEMA,
     fmt,
+    initial_curve,
     parse_config,
     write_diagnostics_csv,
     write_report_json,
     write_report_text,
     write_snapshot,
-    write_snapshots,
 )
+from conftest import write_states
 
 SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300, -1e-300, 0.1, 1.0 / 3.0]
+
+
+# [initial] sections: any family or none, and up to three other keys with
+# finite, huge, tiny, NaN, infinite, negative, non-integer and non-numeric values
+_FAMILIES = st.sampled_from([None, "1e200", "Segment"] + 3 * ["segment", "flattened_sine", "bump_perturbed_segment",
+                                                              "arc_with_flat_ends"])
+_VALUES = st.one_of(
+    st.sampled_from(["0", "0.05", "0.3", "0.7", "1", "2.5", "-0.4", "1e200", "-1e200", "1e154", "1e-200",
+                     "5e-324", "-1e-300", "nan", "inf", "-inf", "abc", "", "0x1p3"]),
+    st.floats().map(repr),
+)
+_INITIAL_SECTIONS = st.builds(
+    lambda family, keys: keys if family is None else {"family": family, **keys},
+    _FAMILIES, st.dictionaries(st.sampled_from(sorted(set(SCHEMA["initial"]) - {"family"})), _VALUES, max_size=3),
+)
 
 
 def small_run(n=64, dt=1e-3, t_end=0.01, eps=0.1, stride=1):
@@ -107,6 +125,27 @@ class TestParseConfig:
         _, spec = parse_config(f"[initial]\nfamily = segment\n{keys}\n")
         assert spec[name] == value
 
+    @settings(max_examples=300, deadline=None)
+    @given(section=_INITIAL_SECTIONS)
+    @example(section={"py": "1e200"})
+    @example(section={"family": "bump_perturbed_segment", "qx": "1.3e154", "amplitude": "2.6e154",
+                      "support_hi": "0.4"})
+    def test_any_initial_section_builds_a_finite_curve_or_names_its_key(self, section):
+        # as `simulate` and `sweep` admit it, with no stepping: a curve whose
+        # nodes are all finite, or one refusal on an [initial] key; no warning
+        text = "[flow]\nn = 32\n[initial]\n" + "".join(f"{key} = {value}\n" for key, value in section.items())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                config, spec = parse_config(text)
+                curve = initial_curve(spec, config.n)
+            except ConfigError as exc:
+                section_name, key = exc.key.split(".")
+                assert section_name == "initial" and key in SCHEMA["initial"], str(exc)
+                assert "\n" not in str(exc)
+                return
+        assert curve.n == 32 and np.isfinite(curve.nodes).all()
+
     def test_flow_and_sweep_keys_are_the_config_fields(self):
         # a new config field cannot go unparsed
         assert set(SCHEMA["flow"]) == {f.name for f in dataclasses.fields(FlowConfig)}
@@ -190,36 +229,23 @@ class TestEmitOutputs:
     def test_snapshot_count_matches_stride_rule(self, tmp_path):
         # 10 steps, stride 10: states at steps 0, 10 -> ceil(10/10) + 1 files
         traj = small_run(t_end=0.01, dt=1e-3, stride=10)
-        written = write_snapshots(str(tmp_path), traj.states)
+        written = write_states(tmp_path, traj.states)
         assert len(written) == math.ceil(10 / 10) + 1
         assert sorted(os.listdir(tmp_path)) == sorted(os.path.basename(p) for p in written)
 
     def test_snapshot_count_with_stride_4(self, tmp_path):
         traj = small_run(t_end=0.01, dt=1e-3, stride=4)
-        written = write_snapshots(str(tmp_path), traj.states)
+        written = write_states(tmp_path, traj.states)
         # steps 0, 4, 8 plus the final step 10
         assert [os.path.basename(p) for p in written] == [
             f"snapshot_{k:06d}.txt" for k in (0, 4, 8, 10)
         ]
 
-    def test_snapshots_of_no_state_make_only_the_directory(self, tmp_path):
-        out = tmp_path / "out"
-        assert write_snapshots(str(out), []) == []
-        assert out.is_dir() and not list(out.iterdir())
-
-    def test_snapshots_of_states_with_different_n(self, tmp_path):
-        states = [small_run(n=n, t_end=t_end).states[-1] for n, t_end in ((64, 0.003), (128, 0.004))]
-        written = [Path(p) for p in write_snapshots(str(tmp_path / "out"), states)]
-        for path, state in zip(written, states):
-            write_snapshot(str(tmp_path / "one.txt"), state)
-            assert path.read_bytes() == (tmp_path / "one.txt").read_bytes()
-        assert [p.read_text().split()[0] for p in written] == ["n=64", "n=128"]
-
     def test_deterministic_bytes(self, tmp_path):
         traj = small_run()
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         for out in (out_a, out_b):
-            write_snapshots(str(out), traj.states)
+            write_states(out, traj.states)
             write_diagnostics_csv(str(out / "diagnostics.csv"), traj.diagnostics)
         for name in sorted(p.name for p in out_a.iterdir()):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()

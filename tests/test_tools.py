@@ -19,6 +19,7 @@ def _load(path: Path):
 
 same_bytes = _load(_ROOT / "tools" / "same_bytes.py")
 src_lines = _load(_ROOT / "tools" / "src_lines.py")
+unreached = _load(_ROOT / "tools" / "unreached.py")
 
 _REPORT = b"01-stationarity PASS max node displacement 0.000e+00; runtime within 5 s budget\n"
 
@@ -123,6 +124,18 @@ def test_pairs_end_to_end(tmp_path, capsys):
         assert entry["change_lower_in_pairs"] in ("0/1", "1/1")
     out = capsys.readouterr().out.splitlines()
     assert [line.split(":")[0] for line in out] == ["run", "run_sweep", f"wrote {path.name}"]
+
+
+def test_unreached_lists_what_a_tiny_simulate_does_not_enter(tmp_path):
+    (tmp_path / "configs").mkdir()
+    (tmp_path / "configs" / "tiny.cfg").write_text(_TINY_CFG)
+    rows = unreached.unreached([("simulate", "-c", "configs/tiny.cfg")], cwd=tmp_path)
+    found = {name: (lines, forked) for name, lines, forked in rows}
+    # the negative control of `verify`, which no simulate calls
+    assert found["geometry.set_stencil_corruption"] == (3, False)
+    # the snapshot writer's loop, entered only in its forked process
+    assert found["writer._write_blocks"][1] is True
+    assert "flow.run_batch" not in found and "writer.SnapshotWriter._fork" not in found
 
 
 _MODULE = '''"""A module docstring,
