@@ -151,34 +151,39 @@ def run_sweep(initial: DiscreteCurve, config: SweepConfig) -> ConvergenceReport:
     against, so every row stops at its step and WindowMismatch is raised.
     All rows step together as one stack of curves (`run_batch`) on the
     calling thread, each with the bits it gets run alone, without per-step
-    records, and keep only the time and nodes of each snapshot: on a
-    2-core Intel Xeon `sweep configs/sweep.cfg` peaks at 37 MB, against
-    47 MB keeping its states.
+    records. A row's snapshots meet the reference's of the same steps in
+    one handover, the reference's first, so the sink measures them there
+    and keeps only each row's running maximum per derivative order: on a
+    2-core Intel Xeon `sweep configs/sweep.cfg` peaks at 35.3 MB, against
+    36.9 MB keeping a copy of each snapshot's nodes until the end.
     """
     times = list(config.snapshot_times)
     window = (max(config.delta, times[0]), config.base.t_end)
-    # the distances read only each snapshot's time and nodes: a kept state
-    # would hold the whole stack of its step
-    kept = [[] for _ in range(len(config.epsilons) + 1)]
+    dt = config.base.dt
+    lo, hi = window[0] - time_slack(window[0], dt), window[1] + time_slack(window[1], dt)
+    distances = np.zeros((len(config.epsilons), config.k_max + 1))
+    here = {}  # step: nodes, of the reference's snapshots of this handover inside the window
+
+    def measure(r, states):
+        if r == 0:
+            here.clear()
+            here.update((st.step_index, st.cache.nodes) for st in states if lo <= st.time <= hi)
+            return
+        pairs = [(st.cache.nodes, here[st.step_index]) for st in states if st.step_index in here]
+        if pairs:
+            np.maximum(distances[r - 1], _distances(pairs, config.k_max), out=distances[r - 1])
+
     reference, *rows = run_batch(
         initial, config.base, (0.0, *config.epsilons), snapshot_times=times, records=False, stop_on=0,
-        sink=lambda r, states: kept[r].extend((st.time, st.cache.nodes.copy()) for st in states),
+        sink=measure,
     )
     if reference.terminated_by is not Terminated.REACHED_T_END:
         raise WindowMismatch(
             f"the epsilon = 0 reference ended with {reference.terminated_by.value} "
             f"at t = {reference.event_time:.6g}, before t_end = {config.base.t_end:.6g}"
         )
-
-    n_eps = len(config.epsilons)
-    distances = np.full((n_eps, config.k_max + 1), np.nan)
-    failed = []
-    for i, traj in enumerate(rows):
-        if traj.terminated_by is not Terminated.REACHED_T_END:
-            failed.append(i)
-            continue
-        pairs = _common_snapshots(kept[i + 1], kept[0], config.base.dt, window)
-        distances[i] = _distances(pairs, config.k_max)
+    failed = [i for i, traj in enumerate(rows) if traj.terminated_by is not Terminated.REACHED_T_END]
+    distances[failed] = np.nan
 
     fitted, monotone = [], []
     eps_arr = np.array(config.epsilons)

@@ -96,10 +96,15 @@ def endpoint_residuals(kappa: np.ndarray, h) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 # samples per block of a randomized corpus: `verify --filter gn --seed 0`
-# takes 0.77 / 0.37 / 0.35 s in process and peaks at 37.2 / 41.9 / 46.3 MB
+# takes 0.28 / 0.16 / 0.14 s in process and peaks at 36.7 / 37.2 / 38.6 MB
 # resident with 4 / 32 / 64 (medians of 5; 2-core Intel Xeon, numpy 2.4.6)
 CORPUS_BLOCK = 32
 CORPUS_N = 96  # segments of every corpus curve
+# rows of a block whose curves `_curve_block` integrates at once: the largest
+# power of two that keeps a (2, rows, 16 CORPUS_N + 1) float64 plane below
+# 128 KiB, glibc's default mmap threshold (mallopt(3)), so that its
+# temporaries reuse heap memory instead of mapping fresh pages; 4 at n = 96
+FINE_ROWS = 2 ** int(math.log2(2**17 / (2 * 8 * (16 * CORPUS_N + 1))))
 
 
 class GnBlock(NamedTuple):
@@ -229,18 +234,24 @@ def _curve_block(n: int, draws) -> np.ndarray:
     present = np.arange(4) < np.array([a.size for a in amps])[:, None]
     padded = np.zeros(present.shape)
     padded[present] = np.concatenate(amps)
-    kappa = np.zeros((len(draws), 16 * n + 1))
-    for a, sine, mask in zip(padded.T, _modes(16 * n + 1, 4)[1], present.T):
-        # a sample without this mode gets no term: adding +0.0 turns a -0.0
-        np.add(kappa, a[:, None] * sine, out=kappa, where=mask[:, None])
     dsig = np.diff(np.linspace(0.0, 1.0, 16 * n + 1))
-    theta = np.zeros_like(kappa)
-    np.cumsum(0.5 * (kappa[:, 1:] + kappa[:, :-1]) * dsig, axis=-1, out=theta[:, 1:])
-    # the coordinates as contiguous planes (2, rows, 16n+1), the nodes in C order
-    vel = np.array([np.cos(theta), np.sin(theta)])
-    pos = np.zeros_like(vel)
-    np.cumsum(0.5 * (vel[..., 1:] + vel[..., :-1]) * dsig, axis=-1, out=pos[..., 1:])
-    return np.multiply(np.array(length)[:, None, None], pos[..., ::16].transpose(1, 2, 0), order="C")
+    nodes = np.empty((len(draws), n + 1, 2))
+    # every operation works along the rows, so FINE_ROWS rows at a time give
+    # the bits of the whole block
+    for lo in range(0, len(draws), FINE_ROWS):
+        rows = slice(lo, lo + FINE_ROWS)
+        kappa = np.zeros((len(padded[rows]), 16 * n + 1))
+        for a, sine, mask in zip(padded[rows].T, _modes(16 * n + 1, 4)[1], present[rows].T):
+            # a sample without this mode gets no term: adding +0.0 turns a -0.0
+            np.add(kappa, a[:, None] * sine, out=kappa, where=mask[:, None])
+        theta = np.zeros_like(kappa)
+        np.cumsum(0.5 * (kappa[:, 1:] + kappa[:, :-1]) * dsig, axis=-1, out=theta[:, 1:])
+        # the coordinates as contiguous planes (2, rows, 16n+1)
+        vel = np.array([np.cos(theta), np.sin(theta)])
+        pos = np.zeros_like(vel)
+        np.cumsum(0.5 * (vel[..., 1:] + vel[..., :-1]) * dsig, axis=-1, out=pos[..., 1:])
+        nodes[rows] = pos[..., ::16].transpose(1, 2, 0)
+    return np.multiply(np.array(length)[:, None, None], nodes, out=nodes)
 
 
 def _field_block(n: int, draws) -> np.ndarray:

@@ -53,7 +53,7 @@ from .geometry import (
 
 MAX_STEPS = 10**6  # the most steps a run may take, 250 times the 4,000 of the suite's longest run
 # the most nodes, rows x (n + 1), a stack of curves may hold: stepping takes
-# about 11 kB a node for a run at stride 1 and 4.4 kB for a sweep (100 steps,
+# about 11 kB a node for a run at stride 1 and 3.9 kB for a sweep (100 steps,
 # measured at n = 10**4 and at 20 rows of n = 1,000), so at most about 1.1 GB
 MAX_NODES = 10**5
 # the most node-steps, steps x rows x (n + 1), a run or a sweep may take: 10
@@ -88,6 +88,10 @@ class FlowConfig:
             object.__setattr__(self, "dt", min(1e-4, 0.1 / self.n**2))
         if not 0.0 < self.dt < math.inf:
             raise ConfigError("dt", "must be positive and finite")
+        # the implicit matrix of a curve of unit length has row sums
+        # 1 + 4 dt n^2 + 32 eps dt n^4, which must not overflow
+        if not 36.0 * self.dt * self.n**4 < math.inf:
+            raise ConfigError("dt", "36 dt n^4 overflows, as would the implicit matrix of a unit-length curve")
         if not 0.0 < self.t_end / self.dt < math.inf:
             raise ConfigError("t_end", "must be positive and finite, as must t_end / dt")
         steps = round(self.t_end / self.dt)
@@ -403,12 +407,15 @@ def _advance(geo: GeometryCache, eps: list, config: FlowConfig, time: float) -> 
             new[j] = nodes[j]
             seg[j] = chord_lengths(nodes[j])
 
-    seg = chord_lengths(new)
+    # a chord that overflows is a non-finite state of its row, not a warning
+    with np.errstate(over="ignore"):
+        seg = chord_lengths(new)
     fail(curve_failures(new, seg))
     new, moved, why = redistribute(new, seg)
     fail(why)
     if np.logical_or.reduce(moved):
-        seg = chord_lengths(new)
+        with np.errstate(over="ignore"):
+            seg = chord_lengths(new)
         fail(curve_failures(new, seg))
     total = np.add.reduce(seg, axis=-1)
     fail(grid_failures(seg, total))

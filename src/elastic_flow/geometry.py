@@ -23,7 +23,7 @@ from importlib import import_module, machinery, util
 import numpy as np
 
 from . import stencils
-from .errors import BadParams, DegenerateCurve, ReparamFailure
+from .errors import BadParams, CurveError, DegenerateCurve, ReparamFailure
 
 MIN_NODE_COUNT = 16  # below this the five/six-point stencils lose meaning
 
@@ -40,8 +40,8 @@ def set_stencil_corruption(delta: float) -> None:
 def curve_failures(nodes: np.ndarray, seg: np.ndarray) -> dict:
     """The exception `DiscreteCurve` raises for each curve of the stack
     `nodes` (rows, m, 2) with chord lengths `seg`, by row; a valid curve
-    has none. Too few nodes, a non-finite node and coincident consecutive
-    nodes fail, checked in that order."""
+    has none. Too few nodes, a non-finite node, a chord that overflows and
+    coincident consecutive nodes fail, checked in that order."""
     if nodes.shape[1] < MIN_NODE_COUNT + 1:
         return {j: BadParams(f"need at least n = {MIN_NODE_COUNT} segments") for j in range(len(nodes))}
     # a non-finite node makes a non-finite chord
@@ -51,6 +51,8 @@ def curve_failures(nodes: np.ndarray, seg: np.ndarray) -> dict:
     for j, x in enumerate(nodes):
         if not np.isfinite(x).all():
             failed[j] = BadParams("nodes must have finite coordinates")
+        elif not np.isfinite(seg[j]).all():
+            failed[j] = BadParams("chord lengths overflow")
         elif np.any(seg[j] <= 0.0):
             failed[j] = DegenerateCurve("coincident consecutive nodes")
     return failed
@@ -86,7 +88,8 @@ class DiscreteCurve:
         nodes = np.ascontiguousarray(self.nodes, dtype=float)
         if nodes.ndim != 2 or nodes.shape[1] != 2:
             raise BadParams("nodes must be an (m, 2) array")
-        seg = chord_lengths(nodes)
+        with np.errstate(over="ignore"):  # an overflowing chord is refused below
+            seg = chord_lengths(nodes)
         raise_first(curve_failures(nodes[None], seg[None]))
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "segments", seg)
@@ -524,9 +527,14 @@ INITIAL_KEYS = {"p": ("px", "py"), "q": ("qx", "qy"), "support": ("support_lo", 
 
 
 def _endpoint_key(p: np.ndarray, q: np.ndarray) -> str:
-    # the endpoint coordinate that a refusal names: the first NaN, else the
-    # one of largest magnitude, q's before p's
-    return (*INITIAL_KEYS["q"], *INITIAL_KEYS["p"])[int(np.argmax(np.abs(np.concatenate([q, p]))))]
+    # the endpoint coordinate that a refusal names: of those that differ from
+    # their defaults, the first NaN, else the one of largest magnitude, q's
+    # before p's. The default endpoints are finite and distinct and give
+    # sound chords, so every endpoint refusal has such a coordinate, and a
+    # config document wrote it: a coordinate left out takes its default
+    value = np.concatenate([q, p])
+    moved = value != np.concatenate([INITIAL_DEFAULTS["q"], INITIAL_DEFAULTS["p"]])
+    return (*INITIAL_KEYS["q"], *INITIAL_KEYS["p"])[int(np.argmax(np.where(moved, np.abs(value), -1.0)))]
 
 
 def make_initial_curve(family: str, n: int = 128, **params) -> DiscreteCurve:
@@ -558,7 +566,8 @@ def make_initial_curve(family: str, n: int = 128, **params) -> DiscreteCurve:
     others by their range checks, which no NaN or infinity passes. So do
     endpoints whose squared distance overflows, and a curve whose chords
     overflow or round to zero. Each BadParams names its parameter in `key`,
-    a coordinate of p, q or support by its [initial] key (`INITIAL_KEYS`).
+    a coordinate of p, q or support by its [initial] key (`INITIAL_KEYS`);
+    an endpoint refusal names a coordinate that differs from its default.
     """
     if family not in _FAMILIES:
         raise BadParams(f"unknown family {family!r}; choose from {_FAMILIES}", "family")
@@ -616,13 +625,12 @@ def make_initial_curve(family: str, n: int = 128, **params) -> DiscreteCurve:
         if not abs(turn_angle) <= 4.0 * np.pi:  # NaN included
             raise BadParams("turn angle outside documented range [-4pi, 4pi]", "turn_angle")
         nodes = _arc_profile_nodes(p, q, n, turn_angle)
-    with np.errstate(over="ignore"):
-        seg = chord_lengths(nodes)
-    # a chord that overflows, or that rounds to zero between coordinates too
-    # large or too close for its length
-    if not (np.minimum.reduce(seg) > 0.0 and np.isfinite(np.add.reduce(seg))):
-        raise BadParams("endpoints give chords of zero or non-finite length", _endpoint_key(p, q))
-    return DiscreteCurve(nodes)
+    try:
+        return DiscreteCurve(nodes)
+    except CurveError:
+        # a chord that overflows, or that rounds to zero between coordinates
+        # too large or too close for its length
+        raise BadParams("endpoints give chords of zero or non-finite length", _endpoint_key(p, q)) from None
 
 
 def _reject_extra(params: dict, family: str) -> None:

@@ -10,6 +10,7 @@ round-trips doubles exactly.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -19,7 +20,7 @@ import numpy as np
 from .convergence import ConvergenceReport, SweepConfig
 from .errors import BadParams, ConfigError, IoError
 from .estimates import DIAGNOSTICS, DIAGNOSTICS_HEADER
-from .flow import FlowConfig, FlowState
+from .flow import RECORD_BLOCK, FlowConfig, FlowState
 from .geometry import INITIAL_DEFAULTS, INITIAL_KEYS, make_initial_curve
 
 
@@ -168,13 +169,18 @@ def _write_rows(out_dir: str, block: np.ndarray) -> None:
 
 
 def write_diagnostics_csv(path: str, records: np.ndarray) -> None:
-    """One CSV row per record of `DIAGNOSTICS`, its fields flattened in order."""
+    """One CSV row per record of `DIAGNOSTICS`, its fields flattened in order,
+    formatted and written RECORD_BLOCK rows at a time, so that the text in
+    memory does not grow with the run."""
     table = np.ascontiguousarray(records, dtype=DIAGNOSTICS).view((float, DIAGNOSTICS.itemsize // 8))
-    _write_text(path, DIAGNOSTICS_HEADER + "\n" + _format_rows(table, ","))
+    with _text_file(path) as fh:
+        fh.write(DIAGNOSTICS_HEADER + "\n")
+        for lo in range(0, len(table), RECORD_BLOCK):
+            fh.write(_format_rows(table[lo : lo + RECORD_BLOCK], ","))
 
 
 def _format_rows(rows, sep: str) -> str:
-    # one `%` call for the whole table; "%.17g" prints what `fmt` prints
+    # one `%` call for the rows; "%.17g" prints what `fmt` prints
     line = sep.join(["%.17g"] * len(rows[0])) + "\n" if len(rows) else ""
     return (line * len(rows)) % tuple(np.ravel(rows).tolist())
 
@@ -253,8 +259,16 @@ def refuse_earlier_outputs(out_dir: str) -> None:
 
 
 def _write_text(path: str, content: str) -> None:
+    with _text_file(path) as fh:
+        fh.write(content)
+
+
+@contextlib.contextmanager
+def _text_file(path: str):
+    # the ASCII text file at `path`, open for writing; an OSError of opening
+    # or writing it is an IoError
     try:
         with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(content)
+            yield fh
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc

@@ -8,9 +8,17 @@ reads from local source files (`.hypothesis/constants/`), whatever the
 database setting; its home directory is a temporary one, removed when the
 session ends. The cache holds what hypothesis would compute from the
 sources anyway, so the draws do not depend on it.
+
+Hypothesis's pytest plugin offers a patch file that adds each falsifying
+example to the test source. Writing it imports `libcst`, whose
+DeprecationWarning the suite's `filterwarnings` turns into an error, so a
+falsifying example would end in a pytest INTERNALERROR instead of being
+printed. The patch writer's module is marked missing, which the plugin
+takes as the patch file being unavailable.
 """
 
 import os
+import sys
 import tempfile
 
 import numpy as np
@@ -18,6 +26,8 @@ from hypothesis import configuration, settings
 
 from elastic_flow.geometry import chord_lengths
 from elastic_flow.iotools import snapshot_path, write_snapshot
+
+sys.modules.setdefault("hypothesis.extra._patching", None)
 
 _HOME = tempfile.TemporaryDirectory(prefix="hypothesis-")
 configuration.set_hypothesis_home_dir(_HOME.name)

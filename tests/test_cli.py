@@ -479,6 +479,12 @@ _BAD_INPUT = {
     "py_huge": (["simulate"], SIMULATE_CFG.replace("n = 64", "n = 32") + "py = 1e200\n",
                 "error: initial.py: endpoints too far apart: their squared distance overflows"),
     "coincident_endpoints": (["simulate"], SIMULATE_CFG + "qx = 0\n", "error: initial.qx: endpoints must be distinct"),
+    # the default Q is met: the refusal names the coordinate the document wrote
+    "endpoint_meets_default": (["simulate"], SIMULATE_CFG + "px = 1\n",
+                               "error: initial.px: endpoints must be distinct"),
+    # the implicit matrix of a unit-length curve would overflow
+    "dt_huge": (["simulate"], SIMULATE_CFG.replace("dt = 1e-3\nt_end = 0.01", "dt = 1e308\nt_end = 1e308"),
+                "error: flow.dt: 36 dt n^4 overflows, as would the implicit matrix of a unit-length curve"),
     "support_reversed": (["simulate"],
                          SIMULATE_CFG.replace("flattened_sine", "bump_perturbed_segment")
                          + "support_lo = 0.7\nsupport_hi = 0.3\n",

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from elastic_flow import BadExponent, DiscreteCurve, compute_geometry, make_initial_curve, stencils
+from elastic_flow import BadExponent, DiscreteCurve, compute_geometry, estimates, make_initial_curve, stencils
 from elastic_flow.estimates import (
     _curve_block,
     _draw_blocks,
@@ -360,6 +360,18 @@ class TestStackedDraws:
             for _ in range(20):
                 assert _bits(_curve_block(n, [_draw_curve(mine)])[0]) == _bits(_frozen_random_curve(frozen, n)[0])
                 assert _bits(_field_block(n, [_draw_field(mine)])[0]) == _bits(_frozen_random_field(frozen, n))
+
+    @pytest.mark.parametrize("count", [1, 5, 33])
+    def test_curve_rows_in_groups_equal_the_whole_block_and_the_frozen_curves(self, monkeypatch, count):
+        # FINE_ROWS rows at a time: one partial group; a full one and a
+        # partial one; eight full ones and a partial one
+        assert estimates.FINE_ROWS == 4
+        mine, frozen = np.random.default_rng(count), np.random.default_rng(count)
+        draws = [_draw_curve(mine) for _ in range(count)]
+        got = _curve_block(96, draws)
+        monkeypatch.setattr(estimates, "FINE_ROWS", count)
+        assert _bits(got) == _bits(_curve_block(96, draws))
+        assert [_bits(x) for x in got] == [_bits(_frozen_random_curve(frozen, 96)[0]) for _ in range(count)]
 
     @settings(max_examples=12, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 70))

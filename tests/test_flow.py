@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -537,6 +538,26 @@ class TestRun:
         assert traj.event_time == pytest.approx(5e-4)
         assert len(traj.diagnostics) == 5
         assert traj.states[-1].step_index == 4
+
+    def test_overflowing_chord_has_the_non_finite_reason(self, monkeypatch):
+        # call 5 is step 5's redistribution; a node at 1e200 gives chords whose
+        # squares overflow, which the row's curve check refuses without a warning
+        def far(real, nodes, seg):
+            pts, moved, failed = real(nodes, seg)
+            pts = pts.copy()
+            pts[0, 3, 1] = 1e200
+            return pts, np.ones_like(moved), failed
+
+        _poison_call(monkeypatch, "redistribute", 5, far)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = run(
+                make_initial_curve("flattened_sine", 64, amplitude=0.05),
+                FlowConfig(epsilon=0.1, n=64, dt=1e-4, t_end=0.002),
+            )
+        assert traj.terminated_by is Terminated.NON_FINITE_STATE
+        assert traj.event_time == pytest.approx(5e-4)
+        assert len(traj.diagnostics) == 5
 
     def test_snapshots_do_not_keep_cached_velocities(self):
         traj = run(

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -65,6 +66,18 @@ class TestDiscreteCurve:
         nodes[3, 1] = np.nan
         with pytest.raises(BadParams):
             DiscreteCurve(nodes)
+
+    def test_overflowing_chords_refused_without_warning(self):
+        # finite nodes whose chord lengths overflow, alone and in a stack
+        nodes = np.column_stack([np.linspace(0, 1e200, 17), np.zeros(17)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BadParams, match="chord lengths overflow"):
+                DiscreteCurve(nodes)
+            stack = np.array([nodes / 1e200, nodes])
+            with np.errstate(over="ignore"):
+                seg = chord_lengths(stack)
+        assert {j: str(exc) for j, exc in curve_failures(stack, seg).items()} == {1: "chord lengths overflow"}
 
     @pytest.mark.parametrize(
         "size, row, col, value, error",

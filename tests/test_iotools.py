@@ -43,6 +43,38 @@ _INITIAL_SECTIONS = st.builds(
 )
 
 
+# [flow] sections: n = 32, dt = 1e-3 and t_end = 0.01, with up to four keys
+# drawn over them from the values above and the integers and round numbers
+# that n, dt and t_end take; draws that would admit more than 64 segments or
+# 20 steps are left out, so that each runs in milliseconds
+_FLOW_VALUES = st.one_of(
+    _VALUES,
+    st.integers(-2, 100).map(str),
+    st.sampled_from(["15", "16", "33", "64", "99999", "100000", "5e-4", "1e-3", "2e-3", "2.5e-3", "0.01", "0.02",
+                     "0.1", "0.5", "1", "1e300", "1e301", "1e308", "1e-320", "-0.0", "1e-10"]),
+)
+
+
+def _short(section: dict) -> bool:
+    # False when the section, if admitted, would step more than 64 segments
+    # or take more than 20 steps: a draw's cap, below the limits it tests
+    try:
+        if 64 < int(section["n"]) < flow.MAX_NODES:
+            return False
+    except ValueError:
+        pass
+    try:
+        steps = float(section["t_end"]) / float(section["dt"])
+    except (ValueError, ZeroDivisionError):
+        return True
+    return not 20.5 < steps < 2 * flow.MAX_STEPS
+
+
+_FLOW_SECTIONS = st.dictionaries(st.sampled_from(sorted(SCHEMA["flow"])), _FLOW_VALUES, max_size=4).map(
+    lambda keys: {"n": "32", "dt": "1e-3", "t_end": "0.01", **keys}
+).filter(_short)
+
+
 def small_run(n=64, dt=1e-3, t_end=0.01, eps=0.1, stride=1):
     curve = make_initial_curve("flattened_sine", n, amplitude=0.05)
     cfg = FlowConfig(epsilon=eps, n=n, dt=dt, t_end=t_end)
@@ -143,8 +175,32 @@ class TestParseConfig:
                 section_name, key = exc.key.split(".")
                 assert section_name == "initial" and key in SCHEMA["initial"], str(exc)
                 assert "\n" not in str(exc)
+                # an endpoint refusal names a coordinate the document wrote
+                if key in ("px", "py", "qx", "qy"):
+                    assert key in section, str(exc)
                 return
         assert curve.n == 32 and np.isfinite(curve.nodes).all()
+
+    @settings(max_examples=400, deadline=None)
+    @given(section=_FLOW_SECTIONS)
+    @example(section={"n": "32", "dt": "1e308", "t_end": "1e308"})
+    def test_any_flow_section_runs_to_a_reason_or_names_its_key(self, section):
+        # as `simulate` admits and runs it: a trajectory that ends with a
+        # Terminated reason, or one refusal on a [flow] key; no warning
+        text = "".join(f"{key} = {value}\n" for key, value in section.items())
+        text += "[initial]\nfamily = flattened_sine\namplitude = 0.001\n"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                config, spec = parse_config(text)
+            except ConfigError as exc:
+                section_name, key = exc.key.split(".")
+                assert section_name == "flow" and key in SCHEMA["flow"], str(exc)
+                assert "\n" not in str(exc)
+                return
+            traj = run(initial_curve(spec, config.n), config)
+        assert isinstance(traj.terminated_by, flow.Terminated)
+        assert len(traj.diagnostics) == traj.states[-1].step_index + 1
 
     def test_flow_and_sweep_keys_are_the_config_fields(self):
         # a new config field cannot go unparsed
@@ -195,9 +251,11 @@ class TestFormattedBytes:
         write_snapshot(str(path), state)
         assert path.read_text(encoding="ascii") == "\n".join(lines) + "\n"
 
-    @pytest.mark.parametrize("count", [0, 1, 11])
+    @pytest.mark.parametrize("count", [0, 1, 11, 64, 65, 200])
     def test_diagnostics_csv_matches_per_value_fmt(self, tmp_path, count):
-        records = small_run().diagnostics[:count].copy()
+        # the file is written RECORD_BLOCK = 64 rows at a time: no block, a
+        # partial one, one full one, and full ones followed by a partial one
+        records = np.resize(small_run(t_end=0.2).diagnostics, count).view(np.recarray)
         if count:
             records.energy_Feps[-1] = SPECIAL[0]
             records.dissipation_rate[-1] = SPECIAL[1]
